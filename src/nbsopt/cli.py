@@ -181,8 +181,12 @@ def cmd_cluster(args: argparse.Namespace, config: dict) -> int:
 def cmd_build(args: argparse.Namespace, config: dict) -> int:
     inst = load_instance(args.instance)
     model = build_model(inst)
+    expected = expected_variable_count(inst)
+    if model.n_variables != expected:
+        raise RuntimeError(
+            f"model has {model.n_variables} columns, the closed form gives {expected}"
+        )
     export_interchange(model, args.out)
-    assert model.n_variables == expected_variable_count(inst)
     print(f"wrote {args.out} ({model.n_variables} columns, {model.n_constraints} rows)")
     return EXIT_OK
 
@@ -229,11 +233,12 @@ def cmd_report(args: argparse.Namespace, config: dict) -> int:
 
 def _bench_one(
     seed: int, inst: Instance, backend: str, timelimit: float, cap: int, out_dir: str | None
-) -> analysis.Report:
+) -> analysis.Report | dict[str, Any]:
+    """The seed's report, or a `failed` entry when its solve does not succeed."""
     cfg = SolveConfig(backend=backend, time_limit=timelimit, unit_cap=cap)
     result = solve(inst, cfg)
     if not result.ok:
-        raise RuntimeError(f"seed {seed}: solve failed ({result.status}): {result.message}")
+        return {"seed": seed, "status": result.status, "message": result.message}
     report = analysis.build_report(inst, result)
     if out_dir:
         inst_dir = Path(out_dir) / f"seed_{seed}"
@@ -256,7 +261,7 @@ def cmd_bench(args: argparse.Namespace, config: dict) -> int:
 
     suite = desk_suite(count, start_seed=start, unit_cap=cap)
     if jobs <= 1:
-        reports = [
+        outcomes = [
             _bench_one(seed, inst, backend, timelimit, cap, out_dir)
             for seed, inst in suite
         ]
@@ -266,12 +271,19 @@ def cmd_bench(args: argparse.Namespace, config: dict) -> int:
                 pool.submit(_bench_one, seed, inst, backend, timelimit, cap, out_dir)
                 for seed, inst in suite
             ]
-            reports = [f.result() for f in futures]
+            outcomes = [f.result() for f in futures]
 
-    stats = analysis.batch_stats(reports)
+    reports = [o for o in outcomes if isinstance(o, analysis.Report)]
+    failed = [o for o in outcomes if not isinstance(o, analysis.Report)]
+    stats = analysis.batch_stats(reports) if reports else {}
+    stats["failed"] = failed
     print(json.dumps(stats, indent=2))
     if out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         _write_json(stats, Path(out_dir) / "stats.json")
+    if failed:
+        message = f"{len(failed)} of {len(outcomes)} seed(s) failed"
+        return _fail("bench.failed", message, EXIT_SOLVE)
     return EXIT_OK
 
 

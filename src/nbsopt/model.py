@@ -16,6 +16,9 @@ installed cells; forbidden fixing (x = 0); pre-existing fixing (x = 1);
 cluster linking (x = lam); impact definition (windowed sums excluding
 pre-existing cells, zero padded); six big-M rows per (u, i, j) encoding
 zbar = min(z, delta); peak rows zmax >= a - zbar; mean rows; fairness rows.
+Each family is one ConstraintBlock of CSR rows built from whole index
+arrays; the windowed sums apply each kernel's offsets to the full cell grid.
+Row and column names are formatted only on request.
 
 The minimized objective is the weighted sum of normalized peak, mean, and
 cost terms minus the normalized total fairness. Peak and mean terms divide by
@@ -25,7 +28,7 @@ the pre-existing-only total and the best single-type-everywhere total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,54 +44,79 @@ FEAS_TOL = 1e-9
 DEGENERATE_SCALE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class VarRef:
-    """One model variable: kind, grid coordinates, and flat column index."""
+def _grid_labels(*shape: int) -> np.ndarray:
+    """Row-major index tuples over `shape`, one row per grid point."""
+    return np.indices(shape).reshape(len(shape), -1).T
 
-    kind: str
-    index: int
-    name: str
+
+def _format_labels(name_format: str, labels: np.ndarray) -> list[str]:
+    return [name_format.format(*row) for row in labels.tolist()]
 
 
 @dataclass(eq=False)
-class LinearConstraint:
-    name: str
+class ConstraintBlock:
+    """One constraint family: CSR rows with a per-row sense and right-hand side.
+
+    Row r holds `coeffs[indptr[r]:indptr[r + 1]]` on the columns
+    `indices[indptr[r]:indptr[r + 1]]`. Its name is `name_format` filled with
+    `labels[r]`.
+    """
+
     tag: str
+    indptr: np.ndarray
     indices: np.ndarray
     coeffs: np.ndarray
-    sense: str
-    rhs: float
+    sense: np.ndarray
+    rhs: np.ndarray
+    name_format: str
+    labels: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rhs)
+
+    def row_names(self) -> list[str]:
+        return _format_labels(self.name_format, self.labels)
+
+
+def _block(
+    tag: str, name_format: str, labels: np.ndarray, counts, indices, coeffs, sense, rhs
+) -> ConstraintBlock:
+    """A block from per-row entry counts; a scalar or a shorter pattern of
+    counts, senses or right-hand sides repeats over every row."""
+    n_rows = len(labels)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.resize(np.asarray(counts, dtype=np.int64), n_rows), out=indptr[1:])
+    return ConstraintBlock(
+        tag=tag,
+        indptr=indptr,
+        indices=np.asarray(indices, dtype=np.int64),
+        coeffs=np.asarray(coeffs, dtype=float),
+        sense=np.resize(np.asarray(sense), n_rows),
+        rhs=np.resize(np.asarray(rhs, dtype=float), n_rows),
+        name_format=name_format,
+        labels=labels,
+    )
 
 
 @dataclass(eq=False)
 class MilpModel:
-    variable_names: list[str]
-    variable_kinds: list[str]
     lower: np.ndarray
     upper: np.ndarray
     is_integer: np.ndarray
-    constraints: list[LinearConstraint]
+    constraints: list[ConstraintBlock]
     objective_indices: np.ndarray
     objective_coeffs: np.ndarray
     objective_constant: float
     layout: "VariableLayout"
-    _name_index: dict[str, int] | None = dataclass_field(default=None, repr=False)
 
     @property
     def n_variables(self) -> int:
-        return len(self.variable_names)
+        return len(self.lower)
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    def var(self, index: int) -> VarRef:
-        return VarRef(self.variable_kinds[index], index, self.variable_names[index])
-
-    def index_of(self, name: str) -> int | None:
-        if self._name_index is None:
-            self._name_index = {n: k for k, n in enumerate(self.variable_names)}
-        return self._name_index.get(name)
+        return sum(b.n_rows for b in self.constraints)
 
     def objective_value(self, values: np.ndarray) -> float:
         return float(
@@ -152,34 +180,24 @@ class VariableLayout:
     def lam(self, nbs_id: str, q: int) -> int:
         return self.lam_offsets[nbs_id] + q
 
-    def variable_names_kinds(self) -> tuple[list[str], list[str]]:
-        names: list[str] = []
-        kinds: list[str] = []
+    def column_names(self) -> list[str]:
+        """Every column's name in index order, formatted on each call."""
         w, h = self.width, self.height
-        for ti in range(len(self.nbs_ids)):
-            for i in range(w):
-                for j in range(h):
-                    names.append(f"x_t{ti}_i{i}_j{j}")
-                    kinds.append("x")
-        for prefix, kind in (("y", "y"), ("z", "z"), ("zbar", "zbar")):
-            for ui in range(len(self.measure_ids)):
-                for i in range(w):
-                    for j in range(h):
-                        names.append(f"{prefix}_u{ui}_i{i}_j{j}")
-                        kinds.append(kind)
-        for prefix in ("zmax", "zavg"):
-            for ui in range(len(self.measure_ids)):
-                names.append(f"{prefix}_u{ui}")
-                kinds.append(prefix)
-        for i in range(w):
-            for j in range(h):
-                names.append(f"f_i{i}_j{j}")
-                kinds.append("f")
+        n_t, n_u = len(self.nbs_ids), len(self.measure_ids)
+        names: list[str] = []
+        for name_format, shape in (
+            ("x_t{}_i{}_j{}", (n_t, w, h)),
+            ("y_u{}_i{}_j{}", (n_u, w, h)),
+            ("z_u{}_i{}_j{}", (n_u, w, h)),
+            ("zbar_u{}_i{}_j{}", (n_u, w, h)),
+            ("zmax_u{}", (n_u,)),
+            ("zavg_u{}", (n_u,)),
+            ("f_i{}_j{}", (w, h)),
+        ):
+            names += _format_labels(name_format, _grid_labels(*shape))
         for ti, t in enumerate(self.nbs_ids):
-            for q in range(len(self.cluster_lists[t])):
-                names.append(f"lam_t{ti}_q{q}")
-                kinds.append("lam")
-        return names, kinds
+            names += [f"lam_t{ti}_q{q}" for q in range(len(self.cluster_lists[t]))]
+        return names
 
 
 @dataclass(frozen=True)
@@ -256,256 +274,185 @@ def _kernel_offsets(kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return dis.ravel()[keep], djs.ravel()[keep], vals[keep]
 
 
+def _windowed_rows(
+    layout: VariableLayout,
+    lead: np.ndarray,
+    scale: np.ndarray,
+    kernels: list[Kernel],
+    source_ok: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry counts, columns and coefficients of one row per cell.
+
+    Row c is `lead[c]` with coefficient 1, then, for each NBS type in order,
+    `scale[c] * value` on the x column of every kernel offset whose source
+    cell lies inside the grid and passes `source_ok`. Rows with zero scale
+    keep only the lead entry.
+    """
+    n, w, h = layout.n_cells, layout.width, layout.height
+    ci, cj = np.divmod(np.arange(n), h)
+    cols, coefs, keep = [lead[:, None]], [np.ones((n, 1))], [np.ones((n, 1), dtype=bool)]
+    for ti, (kernel, ok) in enumerate(zip(kernels, source_ok)):
+        dis, djs, vals = _kernel_offsets(kernel)
+        si, sj = ci[:, None] + dis, cj[:, None] + djs
+        inside = (si >= 0) & (si < w) & (sj >= 0) & (sj < h)
+        src = np.where(inside, si * h + sj, 0)
+        cols.append(layout.x_base + ti * n + src)
+        coefs.append(scale[:, None] * vals)
+        keep.append(inside & ok[src] & (scale != 0.0)[:, None])
+    mask = np.hstack(keep)
+    return mask.sum(axis=1), np.hstack(cols)[mask], np.hstack(coefs)[mask]
+
+
 def build_model(inst: Instance) -> MilpModel:
     """Assemble the full MILP for a validated instance."""
     layout = VariableLayout(inst)
     norms = objective_normalizers(inst)
-    deltas = {u: inst.delta(u) for u in inst.measure_ids}
     big_m = linearization_big_m(inst)
-    w, h = layout.width, layout.height
-    n = layout.n_cells
-
-    names, kinds = layout.variable_names_kinds()
+    ids, mids = layout.nbs_ids, layout.measure_ids
+    n, n_t, n_u = layout.n_cells, len(ids), len(mids)
     n_vars = layout.n_variables
+
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
     is_integer = np.zeros(n_vars, dtype=bool)
-    for k, kind in enumerate(kinds):
-        if kind in ("x", "y", "lam"):
-            upper[k] = 1.0
-            is_integer[k] = True
+    # x and y are adjacent, lam comes last
+    for lo, hi in ((layout.x_base, layout.z_base), (layout.lam_base, n_vars)):
+        upper[lo:hi] = 1.0
+        is_integer[lo:hi] = True
 
-    constraints: list[LinearConstraint] = []
-
-    def add(name: str, tag: str, indices, coeffs, sense: str, rhs: float) -> None:
-        constraints.append(
-            LinearConstraint(
-                name=name,
-                tag=tag,
-                indices=np.asarray(indices, dtype=np.int64),
-                coeffs=np.asarray(coeffs, dtype=float),
-                sense=sense,
-                rhs=float(rhs),
-            )
-        )
-
-    n_t = len(layout.nbs_ids)
-    x_cols = np.arange(n_t, dtype=np.int64) * n  # x index = x_base + ti*n + cell
+    cells = _grid_labels(layout.width, layout.height)  # (i, j) per cell
+    unit_cells = np.arange(n_u * n)  # (u, cell) pairs, measure-major
+    unit_labels = _grid_labels(n_u, layout.width, layout.height)
+    not_pre = [~inst.pre_mask(t).ravel() for t in ids]
+    # x columns of cells that are not pre-existing: they carry cost
+    new_cols = [layout.x_base + ti * n + np.flatnonzero(ok) for ti, ok in enumerate(not_pre)]
+    costs = [inst.nbs_by_id(t).cost for t in ids]
+    blocks: list[ConstraintBlock] = []
 
     # One NBS type per cell.
-    for i in range(w):
-        for j in range(h):
-            add(
-                f"one_type_i{i}_j{j}",
-                "one_type",
-                x_cols + layout.cell(i, j),
-                np.ones(n_t),
-                SENSE_LE,
-                1.0,
-            )
+    blocks.append(_block(
+        "one_type", "one_type_i{}_j{}", cells, n_t,
+        (np.arange(n)[:, None] + layout.x_base + n * np.arange(n_t)).ravel(),
+        np.ones(n * n_t), SENSE_LE, 1.0,
+    ))
 
     # Budget over newly installed cells; pre-existing ones are cost-free.
-    budget_idx: list[int] = []
-    budget_coef: list[float] = []
-    for ti, t in enumerate(layout.nbs_ids):
-        cost = inst.nbs_by_id(t).cost
-        pre = inst.masks.pre_existing[t]
-        for i in range(w):
-            for j in range(h):
-                if (i, j) not in pre:
-                    budget_idx.append(layout.x(ti, i, j))
-                    budget_coef.append(cost)
-    add("budget", "budget", budget_idx, budget_coef, SENSE_LE, inst.budget)
+    blocks.append(_block(
+        "budget", "budget", np.zeros((1, 0), dtype=np.int64), sum(map(len, new_cols)),
+        np.concatenate(new_cols), np.repeat(costs, list(map(len, new_cols))),
+        SENSE_LE, inst.budget,
+    ))
 
     # Fix forbidden cells off and pre-existing cells on.
-    for ti, t in enumerate(layout.nbs_ids):
-        for i, j in sorted(inst.masks.forbidden[t]):
-            add(
-                f"forbid_t{ti}_i{i}_j{j}",
-                "forbidden",
-                [layout.x(ti, i, j)],
-                [1.0],
-                SENSE_EQ,
-                0.0,
-            )
-    for ti, t in enumerate(layout.nbs_ids):
-        for i, j in sorted(inst.masks.pre_existing[t]):
-            add(
-                f"pre_t{ti}_i{i}_j{j}",
-                "pre_existing",
-                [layout.x(ti, i, j)],
-                [1.0],
-                SENSE_EQ,
-                1.0,
-            )
+    for tag, prefix, mask_of, value in (
+        ("forbidden", "forbid", inst.forbidden_mask, 0.0),
+        ("pre_existing", "pre", inst.pre_mask, 1.0),
+    ):
+        ti, cell = np.nonzero(np.stack([mask_of(t).ravel() for t in ids]))
+        blocks.append(_block(
+            tag, prefix + "_t{}_i{}_j{}", np.column_stack((ti, cells[cell])), 1,
+            layout.x_base + ti * n + cell, np.ones(len(cell)), SENSE_EQ, value,
+        ))
 
     # Cluster linking: every cell of a cluster equals its lambda.
-    for ti, t in enumerate(layout.nbs_ids):
-        for q, group in enumerate(layout.cluster_lists[t]):
-            lam_idx = layout.lam(t, q)
-            for i, j in group:
-                add(
-                    f"link_t{ti}_q{q}_i{i}_j{j}",
-                    "cluster",
-                    [layout.x(ti, i, j), lam_idx],
-                    [1.0, -1.0],
-                    SENSE_EQ,
-                    0.0,
-                )
+    link = np.concatenate([np.zeros((0, 4), dtype=np.int64)] + [
+        np.column_stack((np.full(len(group), ti), np.full(len(group), q), group))
+        for ti, t in enumerate(ids)
+        for q, group in enumerate(layout.cluster_lists[t])
+    ])  # (ti, q, i, j) per linked cell
+    lam_base = np.array([layout.lam_offsets[t] for t in ids], dtype=np.int64)
+    link_x = layout.x_base + link[:, 0] * n + link[:, 2] * layout.height + link[:, 3]
+    blocks.append(_block(
+        "cluster", "link_t{}_q{}_i{}_j{}", link, 2,
+        np.column_stack((link_x, lam_base[link[:, 0]] + link[:, 1])).ravel(),
+        np.tile([1.0, -1.0], len(link)), SENSE_EQ, 0.0,
+    ))
 
     # Impact definition: z minus the windowed sums of new installations.
-    pre_flat = {
-        t: inst.pre_mask(t).ravel() for t in layout.nbs_ids
-    }
-    offsets = {
-        (u, t): _kernel_offsets(inst.kernel(u, t))
-        for u in layout.measure_ids
-        for t in layout.nbs_ids
-    }
-    for ui, u in enumerate(layout.measure_ids):
-        for i in range(w):
-            for j in range(h):
-                idx_parts = [np.array([layout.z(ui, i, j)], dtype=np.int64)]
-                coef_parts = [np.array([1.0])]
-                for ti, t in enumerate(layout.nbs_ids):
-                    dis, djs, vals = offsets[(u, t)]
-                    src_i = i + dis
-                    src_j = j + djs
-                    keep = (src_i >= 0) & (src_i < w) & (src_j >= 0) & (src_j < h)
-                    if not keep.any():
-                        continue
-                    cells = src_i[keep] * h + src_j[keep]
-                    vals_k = vals[keep]
-                    new = ~pre_flat[t][cells]
-                    if not new.any():
-                        continue
-                    idx_parts.append(layout.x_base + ti * n + cells[new])
-                    coef_parts.append(-vals_k[new])
-                add(
-                    f"conv_u{ui}_i{i}_j{j}",
-                    "conv",
-                    np.concatenate(idx_parts),
-                    np.concatenate(coef_parts),
-                    SENSE_EQ,
-                    0.0,
-                )
+    conv = zip(*(
+        _windowed_rows(
+            layout, layout.z_base + ui * n + np.arange(n), np.full(n, -1.0),
+            [inst.kernel(u, t) for t in ids], not_pre,
+        )
+        for ui, u in enumerate(mids)
+    ))
+    blocks.append(_block(
+        "conv", "conv_u{}_i{}_j{}", unit_labels, *map(np.concatenate, conv), SENSE_EQ, 0.0
+    ))
 
     # Big-M linearization of zbar = min(z, delta); y = 1 marks z <= delta.
-    for ui, u in enumerate(layout.measure_ids):
-        d, m = deltas[u], big_m[u]
-        for i in range(w):
-            for j in range(h):
-                zi = layout.z(ui, i, j)
-                zbi = layout.zbar(ui, i, j)
-                yi = layout.y(ui, i, j)
-                suffix = f"u{ui}_i{i}_j{j}"
-                add(f"bigm1_{suffix}", "bigm", [zi, yi], [1.0, m], SENSE_LE, d + m)
-                add(f"bigm2_{suffix}", "bigm", [zi, yi], [1.0, m], SENSE_GE, d)
-                add(f"bigm3_{suffix}", "bigm", [zbi, zi], [1.0, -1.0], SENSE_LE, 0.0)
-                add(f"bigm4_{suffix}", "bigm", [zbi], [1.0], SENSE_LE, d)
-                add(
-                    f"bigm5_{suffix}",
-                    "bigm",
-                    [zbi, zi, yi],
-                    [1.0, -1.0, -m],
-                    SENSE_GE,
-                    -m,
-                )
-                add(f"bigm6_{suffix}", "bigm", [zbi, yi], [1.0, m], SENSE_GE, d)
+    # Six rows per (u, cell), interleaved: bigm1 .. bigm6.
+    z = layout.z_base + unit_cells
+    zb = layout.zbar_base + unit_cells
+    y = layout.y_base + unit_cells
+    d = np.repeat([inst.delta(u) for u in mids], n)
+    m = np.repeat([big_m[u] for u in mids], n)
+    one = np.ones(n_u * n)
+    k = np.tile(np.arange(1, 7), n_u * n)
+    blocks.append(_block(
+        "bigm", "bigm{}_u{}_i{}_j{}", np.column_stack((k, np.repeat(unit_labels, 6, axis=0))),
+        [2, 2, 2, 1, 3, 2],
+        np.column_stack((z, y, z, y, zb, z, zb, zb, z, y, zb, y)).ravel(),
+        np.column_stack((one, m, one, m, one, -one, one, one, -one, -m, one, m)).ravel(),
+        [SENSE_LE, SENSE_GE, SENSE_LE, SENSE_LE, SENSE_GE, SENSE_GE],
+        np.column_stack((d + m, d, np.zeros(n_u * n), d, -m, d)).ravel(),
+    ))
 
     # Peak rows: zmax dominates every reduced value.
-    for ui, u in enumerate(layout.measure_ids):
-        a = inst.measure_by_id(u).field
-        for i in range(w):
-            for j in range(h):
-                add(
-                    f"peak_u{ui}_i{i}_j{j}",
-                    "peak",
-                    [layout.zmax(ui), layout.zbar(ui, i, j)],
-                    [1.0, 1.0],
-                    SENSE_GE,
-                    float(a[i, j]),
-                )
+    fields = [inst.measure_by_id(u).field for u in mids]
+    blocks.append(_block(
+        "peak", "peak_u{}_i{}_j{}", unit_labels, 2,
+        np.column_stack((layout.zmax_base + unit_cells // n, zb)).ravel(),
+        np.ones(2 * n_u * n), SENSE_GE, np.concatenate([a.ravel() for a in fields]),
+    ))
 
     # Mean rows: zavg equals the average reduced value.
-    inv_n = 1.0 / n
-    for ui, u in enumerate(layout.measure_ids):
-        a = inst.measure_by_id(u).field
-        idx = [layout.zavg(ui)] + [
-            layout.zbar(ui, i, j) for i in range(w) for j in range(h)
-        ]
-        coef = [1.0] + [inv_n] * n
-        add(f"avg_u{ui}", "avg", idx, coef, SENSE_EQ, float(a.mean()))
+    blocks.append(_block(
+        "avg", "avg_u{}", np.arange(n_u)[:, None], n + 1,
+        np.column_stack((layout.zavg_base + np.arange(n_u), zb.reshape(n_u, n))).ravel(),
+        np.tile(np.r_[1.0, np.full(n, 1.0 / n)], n_u), SENSE_EQ,
+        [float(a.mean()) for a in fields],
+    ))
 
     # Fairness rows: f equals the population-weighted accessibility sum.
-    fairness_offsets = {
-        t: _kernel_offsets(inst.fairness_kernels[t]) for t in layout.nbs_ids
-    }
-    pop = inst.population
-    for i in range(w):
-        for j in range(h):
-            p = float(pop[i, j])
-            idx_parts = [np.array([layout.f(i, j)], dtype=np.int64)]
-            coef_parts = [np.array([1.0])]
-            if p != 0.0:
-                for ti, t in enumerate(layout.nbs_ids):
-                    dis, djs, vals = fairness_offsets[t]
-                    src_i = i + dis
-                    src_j = j + djs
-                    keep = (src_i >= 0) & (src_i < w) & (src_j >= 0) & (src_j < h)
-                    if not keep.any():
-                        continue
-                    cells = src_i[keep] * h + src_j[keep]
-                    idx_parts.append(layout.x_base + ti * n + cells)
-                    coef_parts.append(-p * vals[keep])
-            add(
-                f"fair_i{i}_j{j}",
-                "fairness",
-                np.concatenate(idx_parts),
-                np.concatenate(coef_parts),
-                SENSE_EQ,
-                0.0,
-            )
+    counts, cols, coefs = _windowed_rows(
+        layout, layout.f_base + np.arange(n), -inst.population.ravel(),
+        [inst.fairness_kernels[t] for t in ids], [np.ones(n, dtype=bool)] * n_t,
+    )
+    blocks.append(_block(
+        "fairness", "fair_i{}_j{}", cells, counts, cols, coefs, SENSE_EQ, 0.0
+    ))
 
     # Objective: weighted normalized peak + mean + cost - fairness.
-    obj_idx: list[int] = []
-    obj_coef: list[float] = []
-    for ui, u in enumerate(layout.measure_ids):
-        wp = inst.weights.peak[u] * norms.peak_scale[u]
-        if wp != 0.0:
-            obj_idx.append(layout.zmax(ui))
-            obj_coef.append(wp)
-        wa = inst.weights.avg[u] * norms.peak_scale[u]
-        if wa != 0.0:
-            obj_idx.append(layout.zavg(ui))
-            obj_coef.append(wa)
+    obj_idx: list = [np.zeros(0, dtype=np.int64)]
+    obj_coef: list = [np.zeros(0)]
+    for ui, u in enumerate(mids):
+        for col, weight in (
+            (layout.zmax(ui), inst.weights.peak[u]),
+            (layout.zavg(ui), inst.weights.avg[u]),
+        ):
+            coef = weight * norms.peak_scale[u]
+            if coef != 0.0:
+                obj_idx.append([col])
+                obj_coef.append([coef])
     if inst.weights.cost != 0.0:
-        for ti, t in enumerate(layout.nbs_ids):
-            coef = inst.weights.cost * inst.nbs_by_id(t).cost * norms.cost_scale
-            pre = inst.masks.pre_existing[t]
-            for i in range(w):
-                for j in range(h):
-                    if (i, j) not in pre:
-                        obj_idx.append(layout.x(ti, i, j))
-                        obj_coef.append(coef)
+        for cols, cost in zip(new_cols, costs):
+            obj_idx.append(cols)
+            obj_coef.append(np.full(len(cols), inst.weights.cost * cost * norms.cost_scale))
     constant = 0.0
     if inst.weights.fairness != 0.0:
         wf = inst.weights.fairness * norms.fairness_scale
-        for i in range(w):
-            for j in range(h):
-                obj_idx.append(layout.f(i, j))
-                obj_coef.append(-wf)
+        obj_idx.append(layout.f_base + np.arange(n))
+        obj_coef.append(np.full(n, -wf))
         constant = wf * norms.fairness_min
 
     return MilpModel(
-        variable_names=names,
-        variable_kinds=kinds,
         lower=lower,
         upper=upper,
         is_integer=is_integer,
-        constraints=constraints,
-        objective_indices=np.asarray(obj_idx, dtype=np.int64),
-        objective_coeffs=np.asarray(obj_coef, dtype=float),
+        constraints=blocks,
+        objective_indices=np.concatenate(obj_idx).astype(np.int64),
+        objective_coeffs=np.concatenate(obj_coef).astype(float),
         objective_constant=constant,
         layout=layout,
     )
@@ -692,24 +639,3 @@ def evaluate_solution(
         fairness_term=fairness_term,
         total=total,
     )
-
-
-def clamp_witness(
-    z: float, delta: float, big_m: float
-) -> tuple[int, float, float]:
-    """Pick y and zbar satisfying the six big-M rows for a given raw impact.
-
-    Returns (y, zbar, residual) where residual is the largest constraint
-    violation; a correct linearization yields residual <= 0 up to rounding.
-    """
-    y = 1 if z <= delta else 0
-    zbar = min(z, delta)
-    residuals = (
-        z - (delta + big_m * (1 - y)),
-        (delta - big_m * y) - z,
-        zbar - z,
-        zbar - delta,
-        (z - big_m * (1 - y)) - zbar,
-        (delta - big_m * y) - zbar,
-    )
-    return y, zbar, max(residuals)

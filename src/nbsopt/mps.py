@@ -14,11 +14,13 @@ not supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
+from scipy import sparse
 
 from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
 
@@ -28,6 +30,7 @@ _CODE_TO_SENSE = {v: k for k, v in _SENSE_TO_CODE.items()}
 OBJECTIVE_ROW = "obj"
 RHS_SET = "rhs"
 BOUND_SET = "bnd"
+CHUNK_LINES = 1 << 14
 
 
 class MpsFormatError(ValueError):
@@ -38,93 +41,107 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def iter_mps_lines(model: MilpModel, name: str = "nbsopt") -> Iterator[str]:
-    """Yield the MPS file lines (without newlines) for a model."""
-    yield f"NAME {name}"
-    yield "ROWS"
-    yield f" N {OBJECTIVE_ROW}"
-    for con in model.constraints:
-        yield f" {_SENSE_TO_CODE[con.sense]} {con.name}"
+def _chunks(line: Callable[..., str], *fields: np.ndarray) -> Iterator[str]:
+    """`line` applied across aligned arrays, joined CHUNK_LINES lines at a time."""
+    for lo in range(0, len(fields[0]), CHUNK_LINES):
+        yield "".join(map(line, *(f[lo : lo + CHUNK_LINES].tolist() for f in fields)))
 
-    # Gather all coefficients as (column, emission order, row name, value) and
-    # sort by column, keeping objective entries first within each column.
-    n_entries = sum(len(c.indices) for c in model.constraints) + len(
-        model.objective_indices
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """`repr` of every value, computed once per distinct bit pattern."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse]
+
+
+def _bound_lines(name: str, lower: float, upper: float, binary: bool) -> str:
+    if binary:
+        return f" BV {BOUND_SET} {name}\n"
+    lo = f" LO {BOUND_SET} {name} {lower!r}\n" if lower != 0.0 else ""
+    up = f" UP {BOUND_SET} {name} {upper!r}\n" if math.isfinite(upper) else ""
+    return lo + up
+
+
+def _columns_with_objective(model: MilpModel) -> sparse.csc_matrix:
+    """Every coefficient in one CSC matrix whose row 0 is the objective.
+
+    Within a column the entries are sorted by row, so objective first.
+    """
+    blocks = model.constraints
+    counts = [[len(model.objective_indices)]] + [np.diff(b.indptr) for b in blocks]
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    indices = np.concatenate([model.objective_indices] + [b.indices for b in blocks])
+    coeffs = np.concatenate([model.objective_coeffs] + [b.coeffs for b in blocks])
+    shape = (len(indptr) - 1, model.n_variables)
+    return sparse.csr_matrix((coeffs, indices, indptr), shape=shape).tocsc()
+
+
+def iter_mps_text(model: MilpModel, name: str = "nbsopt") -> Iterator[str]:
+    """Yield the MPS file text for a model, a bounded number of lines at a time."""
+    col_names = np.array(model.layout.column_names(), dtype=object)
+    row_names = np.array(
+        [OBJECTIVE_ROW] + [s for b in model.constraints for s in b.row_names()],
+        dtype=object,
     )
-    cols = np.empty(n_entries, dtype=np.int64)
-    order = np.empty(n_entries, dtype=np.int64)
-    vals = np.empty(n_entries, dtype=float)
-    rows: list[str] = [""] * (len(model.constraints) + 1)
-    rows[0] = OBJECTIVE_ROW
-    pos = len(model.objective_indices)
-    cols[:pos] = model.objective_indices
-    order[:pos] = 0
-    vals[:pos] = model.objective_coeffs
-    for k, con in enumerate(model.constraints):
-        rows[k + 1] = con.name
-        nxt = pos + len(con.indices)
-        cols[pos:nxt] = con.indices
-        order[pos:nxt] = k + 1
-        vals[pos:nxt] = con.coeffs
-        pos = nxt
+    sense = np.concatenate([b.sense for b in model.constraints])
+    rhs = np.concatenate([b.rhs for b in model.constraints])
+    a = _columns_with_objective(model)
 
-    covered = np.zeros(model.n_variables, dtype=bool)
-    covered[cols] = True
+    covered = np.diff(a.indptr) > 0
     if not covered.all():
-        missing = model.variable_names[int(np.argmin(covered))]
+        missing = col_names[int(np.argmin(covered))]
         raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
 
-    perm = np.lexsort((order, cols))
-    cols = cols[perm]
-    order = order[perm]
-    vals = vals[perm]
+    yield f"NAME {name}\nROWS\n N {OBJECTIVE_ROW}\n"
+    codes = np.array([_SENSE_TO_CODE[s] for s in sense.tolist()], dtype=object)
+    yield from _chunks(lambda code, row: f" {code} {row}\n", codes, row_names[1:])
 
-    yield "COLUMNS"
-    in_integer = False
-    marker = 0
-    current = -1
-    names = model.variable_names
+    # Columns in index order, each run of equal integrality between markers.
+    yield "COLUMNS\n"
     is_integer = model.is_integer
-    for k in range(n_entries):
-        c = int(cols[k])
-        if c != current:
-            want = bool(is_integer[c])
-            if want != in_integer:
-                kind = "INTORG" if want else "INTEND"
-                yield f" M{marker} 'MARKER' '{kind}'"
-                marker += 1
-                in_integer = want
-            current = c
-        yield f" {names[c]} {rows[int(order[k])]} {_fmt(vals[k])}"
+    edges = np.flatnonzero(is_integer[1:] != is_integer[:-1]) + 1
+    in_integer, marker = False, 0
+    for start, stop in zip([0, *edges.tolist()], [*edges.tolist(), model.n_variables]):
+        if is_integer[start] != in_integer:
+            in_integer = not in_integer
+            yield f" M{marker} 'MARKER' '{'INTORG' if in_integer else 'INTEND'}'\n"
+            marker += 1
+        for lo in range(a.indptr[start], a.indptr[stop], CHUNK_LINES):
+            entries = np.arange(lo, min(lo + CHUNK_LINES, a.indptr[stop]))
+            cols = np.searchsorted(a.indptr, entries, side="right") - 1
+            yield from _chunks(
+                lambda col, row, value: f" {col} {row} {value}\n",
+                col_names[cols],
+                row_names[a.indices[entries]],
+                _reprs(a.data[entries]),
+            )
     if in_integer:
-        yield f" M{marker} 'MARKER' 'INTEND'"
+        yield f" M{marker} 'MARKER' 'INTEND'\n"
 
-    yield "RHS"
+    yield "RHS\n"
     if model.objective_constant != 0.0:
-        yield f" {RHS_SET} {OBJECTIVE_ROW} {_fmt(-model.objective_constant)}"
-    for con in model.constraints:
-        if con.rhs != 0.0:
-            yield f" {RHS_SET} {con.name} {_fmt(con.rhs)}"
+        yield f" {RHS_SET} {OBJECTIVE_ROW} {_fmt(-model.objective_constant)}\n"
+    nonzero = np.flatnonzero(rhs != 0.0)
+    yield from _chunks(
+        lambda row, value: f" {RHS_SET} {row} {value}\n",
+        row_names[1:][nonzero],
+        _reprs(rhs[nonzero]),
+    )
 
-    yield "BOUNDS"
-    for c in range(model.n_variables):
-        if is_integer[c] and model.lower[c] == 0.0 and model.upper[c] == 1.0:
-            yield f" BV {BOUND_SET} {names[c]}"
-        else:
-            if model.lower[c] != 0.0:
-                yield f" LO {BOUND_SET} {names[c]} {_fmt(model.lower[c])}"
-            if np.isfinite(model.upper[c]):
-                yield f" UP {BOUND_SET} {names[c]} {_fmt(model.upper[c])}"
-    yield "ENDATA"
+    yield "BOUNDS\n"
+    lower, upper = model.lower, model.upper
+    binary = is_integer & (lower == 0.0) & (upper == 1.0)
+    bounded = np.flatnonzero(binary | (lower != 0.0) | np.isfinite(upper))
+    yield from _chunks(
+        _bound_lines, col_names[bounded], lower[bounded], upper[bounded], binary[bounded]
+    )
+    yield "ENDATA\n"
 
 
 def export_interchange(model: MilpModel, path: str | Path, name: str = "nbsopt") -> None:
     """Write the model as a free-format MPS file (byte-deterministic)."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for line in iter_mps_lines(model, name=name):
-            fh.write(line)
-            fh.write("\n")
+        fh.writelines(iter_mps_text(model, name=name))
 
 
 @dataclass

@@ -8,7 +8,7 @@ capped by a decision-unit budget.
 
 The external backend writes the model to a free-format MPS file, invokes a
 solver subprocess through a configurable command template with {model},
-{solution} and {timelimit} placeholders, parses the whitespace-separated
+{solution}, {timelimit} and {gap} placeholders, parses the whitespace-separated
 "name value" solution file it leaves behind, and re-verifies feasibility and
 the objective before trusting the answer. The default template runs the
 bundled HiGHS-backed CLI (python -m nbsopt.solver_cli); any solver that can
@@ -63,7 +63,7 @@ class OracleCapExceeded(ValueError):
 def default_solver_cmd() -> str:
     return (
         f"{shlex.quote(sys.executable)} -m nbsopt.solver_cli"
-        " {model} {solution} {timelimit}"
+        " {model} {solution} {timelimit} --gap {gap}"
     )
 
 
@@ -150,49 +150,44 @@ def _unit_for_cells(inst: Instance, nbs_id: str, cells: list[Cell], kind: str) -
     )
 
 
-def _build_slots(inst: Instance) -> tuple[list[_Slot], int]:
-    """Canonical decision slots and the total decision-unit count."""
-    slots: list[_Slot] = []
-    n_units = 0
-    clustered_cells: dict[str, set[Cell]] = {t: set() for t in inst.nbs_ids}
+def _free_units(inst: Instance) -> list[tuple[tuple, str, list[Cell]]]:
+    """Free decision units as (slot label, NBS id, cells), in canonical order.
+
+    Clusters come first, one slot each. Then come the eligible unclustered
+    (cell, type) pairs, cells row-major and types in catalog order; the pairs
+    of one cell share its slot.
+    """
+    units: list[tuple[tuple, str, list[Cell]]] = []
+    clustered: dict[str, set[Cell]] = {t: set() for t in inst.nbs_ids}
     for t in inst.nbs_ids:
         for q, group in enumerate(inst.clusters_for(t)):
-            clustered_cells[t].update(group)
-            slots.append(
-                _Slot(
-                    options=[_unit_for_cells(inst, t, list(group), "cluster")],
-                    label=("cluster", t, q),
-                )
-            )
-            n_units += 1
-
+            clustered[t].update(group)
+            units.append((("cluster", t, q), t, list(group)))
     eligible = {t: inst.eligible_mask(t) for t in inst.nbs_ids}
     w, h = inst.dims.shape
     for i in range(w):
         for j in range(h):
-            options = [
-                _unit_for_cells(inst, t, [(i, j)], "cell")
-                for t in inst.nbs_ids
-                if eligible[t][i, j] and (i, j) not in clustered_cells[t]
-            ]
-            if options:
-                slots.append(_Slot(options=options, label=("cell", i, j)))
-                n_units += len(options)
-    return slots, n_units
+            for t in inst.nbs_ids:
+                if eligible[t][i, j] and (i, j) not in clustered[t]:
+                    units.append((("cell", i, j), t, [(i, j)]))
+    return units
+
+
+def _build_slots(inst: Instance) -> list[_Slot]:
+    """Canonical decision slots, one per cluster and one per cell with options."""
+    slots: list[_Slot] = []
+    for label, t, cells in _free_units(inst):
+        unit = _unit_for_cells(inst, t, cells, label[0])
+        if slots and slots[-1].label == label:
+            slots[-1].options.append(unit)
+        else:
+            slots.append(_Slot(options=[unit], label=label))
+    return slots
 
 
 def count_decision_units(inst: Instance) -> int:
     """Free binary choices: one per cluster plus one per eligible (cell, type)."""
-    n = sum(len(inst.clusters_for(t)) for t in inst.nbs_ids)
-    clustered: dict[str, set[Cell]] = {
-        t: {c for group in inst.clusters_for(t) for c in group} for t in inst.nbs_ids
-    }
-    for t in inst.nbs_ids:
-        mask = inst.eligible_mask(t).copy()
-        for i, j in clustered[t]:
-            mask[i, j] = False
-        n += int(mask.sum())
-    return n
+    return len(_free_units(inst))
 
 
 def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResult:
@@ -203,11 +198,12 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
     row-major order, types in catalog order).
     """
     t0 = time.perf_counter()
-    slots, n_units = _build_slots(inst)
+    n_units = count_decision_units(inst)
     if n_units > unit_cap:
         raise OracleCapExceeded(
             f"instance has {n_units} decision units, oracle cap is {unit_cap}"
         )
+    slots = _build_slots(inst)
 
     norms = objective_normalizers(inst)
     base = engine.Placement.do_nothing(inst)
@@ -334,14 +330,15 @@ def placement_from_values(
 ) -> engine.Placement:
     """Rebuild a placement from solved x column values; unknown names warn."""
     layout = model.layout
+    index = {name: k for k, name in enumerate(layout.column_names())}
     placement = engine.Placement.empty(inst)
     h = inst.dims.height
     for name, value in values.items():
-        idx = model.index_of(name)
+        idx = index.get(name)
         if idx is None:
             logger.warning("solution contains unknown variable %r; ignored", name)
             continue
-        if model.variable_kinds[idx] == "x" and value > 0.5:
+        if layout.x_base <= idx < layout.y_base and value > 0.5:
             ti, cell = divmod(idx - layout.x_base, layout.n_cells)
             placement.masks[layout.nbs_ids[ti]][cell // h, cell % h] = True
     return placement
@@ -380,6 +377,7 @@ def solve_external(
             model=shlex.quote(str(model_path)),
             solution=shlex.quote(str(solution_path)),
             timelimit=config.time_limit,
+            gap=config.gap,
         )
         logger.info("invoking external solver: %s", cmd)
         # grace covers model parsing and solution IO on top of the solver's

@@ -14,7 +14,7 @@ from nbsopt import GridDims, Instance, Masks, NbsType, ObjectiveWeights, UcMeasu
 from nbsopt.engine import Placement
 from nbsopt.instance import validate_instance
 from nbsopt.kernels import Kernel
-from nbsopt.model import MilpModel, clamp_witness, linearization_big_m
+from nbsopt.model import MilpModel, linearization_big_m
 
 
 def naive_correlate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -145,15 +145,39 @@ def variable_vector(inst: Instance, model: MilpModel, placement: Placement) -> n
     return vals
 
 
+def clamp_witness(
+    z: float, delta: float, big_m: float
+) -> tuple[int, float, float]:
+    """Pick y and zbar satisfying the six big-M rows for a given raw impact.
+
+    Returns (y, zbar, residual) where residual is the largest constraint
+    violation; a correct linearization yields residual <= 0 up to rounding.
+    """
+    y = 1 if z <= delta else 0
+    zbar = min(z, delta)
+    residuals = (
+        z - (delta + big_m * (1 - y)),
+        (delta - big_m * y) - z,
+        zbar - z,
+        zbar - delta,
+        (z - big_m * (1 - y)) - zbar,
+        (delta - big_m * y) - zbar,
+    )
+    return y, zbar, max(residuals)
+
+
 def constraint_residuals(model: MilpModel, vals: np.ndarray) -> float:
     """Largest violation of any model row at the given point (<= 0 is feasible)."""
     worst = -np.inf
-    for con in model.constraints:
-        lhs = float(vals[con.indices] @ con.coeffs)
-        if con.sense == "<=":
-            worst = max(worst, lhs - con.rhs)
-        elif con.sense == ">=":
-            worst = max(worst, con.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - con.rhs))
+    for block in model.constraints:
+        for r in range(block.n_rows):
+            entries = slice(block.indptr[r], block.indptr[r + 1])
+            lhs = float(vals[block.indices[entries]] @ block.coeffs[entries])
+            rhs = float(block.rhs[r])
+            if block.sense[r] == "<=":
+                worst = max(worst, lhs - rhs)
+            elif block.sense[r] == ">=":
+                worst = max(worst, rhs - lhs)
+            else:
+                worst = max(worst, abs(lhs - rhs))
     return worst

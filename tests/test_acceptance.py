@@ -109,9 +109,10 @@ def test_c02_linearization_property(suite_results):
     results, _ = suite_results
     for seed, inst, model, _, external in results:
         layout = model.layout
+        index = {name: k for k, name in enumerate(layout.column_names())}
         vals = np.zeros(model.n_variables)
         for name, value in external.variables.items():
-            idx = model.index_of(name)
+            idx = index.get(name)
             if idx is not None:
                 vals[idx] = value
         n = layout.n_cells

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import shlex
+import sys
 
 import pytest
 
@@ -110,6 +113,21 @@ class TestSolveAndReport:
         assert code == 0
         assert (tmp_path / "w" / "model.mps").exists()
 
+    def test_gap_reaches_the_solver(self, tiny_instance_path, tmp_path):
+        argv_file = tmp_path / "argv.json"
+        fake = tmp_path / "fake_solver.py"
+        fake.write_text(
+            "import json, sys\n"
+            f"open({str(argv_file)!r}, 'w').write(json.dumps(sys.argv[1:]))\n"
+            "open(sys.argv[2], 'w').write('# status infeasible\\n')\n"
+        )
+        template = (f"{shlex.quote(sys.executable)} {shlex.quote(str(fake))}"
+                    " {model} {solution} {timelimit} --gap {gap}")
+        assert run(["solve", str(tiny_instance_path), "--backend", "external",
+                    "--solver-cmd", template, "--gap", "0.25"]) == 0
+        argv = json.loads(argv_file.read_text())
+        assert argv[-2:] == ["--gap", "0.25"]
+
 
 class TestBuild:
     def test_writes_mps(self, tiny_instance_path, tmp_path, capsys):
@@ -119,6 +137,20 @@ class TestBuild:
         head = out.read_text().splitlines()[0]
         assert head.startswith("NAME")
         assert "columns" in capsys.readouterr().out
+
+    def test_column_count_mismatch_is_an_error(self, tiny_instance_path, tmp_path,
+                                               monkeypatch, capsys):
+        from nbsopt import cli
+
+        real = cli.expected_variable_count
+        monkeypatch.setattr(cli, "expected_variable_count", lambda inst: real(inst) + 1)
+        out = tmp_path / "model.mps"
+        assert run(["build", str(tiny_instance_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "solve.error" in err
+        n = real(cli.load_instance(str(tiny_instance_path)))
+        assert f"model has {n} columns, the closed form gives {n + 1}" in err
+        assert not out.exists()
 
 
 class TestBench:
@@ -146,6 +178,47 @@ class TestBench:
         p = json.loads((parallel / "stats.json").read_text())
         s.pop("mean_wall_time"), p.pop("mean_wall_time")
         assert s == p
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_seeds_are_recorded(self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.setenv("NBSOPT_SOLVER_CMD", "false {model} {solution} {timelimit}")
+        out_dir = tmp_path / "bench"
+        code = run(["bench", "--seeds", "2", "--backend", "external", "--jobs", jobs,
+                    "--out-dir", str(out_dir)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "bench.failed" in captured.err
+        stats = json.loads((out_dir / "stats.json").read_text())
+        assert json.loads(captured.out) == stats
+        assert [f["status"] for f in stats["failed"]] == ["error", "error"]
+        assert len({f["seed"] for f in stats["failed"]}) == 2
+        assert all("exited with 1" in f["message"] for f in stats["failed"])
+
+
+    def test_stats_cover_the_seeds_that_succeeded(self, tmp_path, monkeypatch):
+        import nbsopt
+
+        flag = tmp_path / "failed-once"
+        fake = tmp_path / "fail_first.py"
+        fake.write_text(
+            "import pathlib, sys\n"
+            f"flag = pathlib.Path({str(flag)!r})\n"
+            "if not flag.exists():\n"
+            "    flag.touch()\n"
+            "    sys.exit(1)\n"
+            f"sys.path.insert(0, {str(pathlib.Path(nbsopt.__file__).parents[1])!r})\n"
+            "from nbsopt import solver_cli\n"
+            "sys.exit(solver_cli.main(sys.argv[1:]))\n"
+        )
+        monkeypatch.setenv("NBSOPT_SOLVER_CMD", f"{shlex.quote(sys.executable)} "
+                           f"{shlex.quote(str(fake))} {{model}} {{solution}} {{timelimit}}")
+        out_dir = tmp_path / "bench"
+        assert run(["bench", "--seeds", "2", "--backend", "external",
+                    "--out-dir", str(out_dir)]) == 3
+        stats = json.loads((out_dir / "stats.json").read_text())
+        assert stats["count"] == 1 and stats["pct_optimal"] == 100.0
+        assert [f["status"] for f in stats["failed"]] == ["error"]
 
 
 class TestConfigFile:

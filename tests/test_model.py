@@ -12,7 +12,6 @@ from nbsopt.model import (
     big_m_values,
     build_model,
     check_placement,
-    clamp_witness,
     evaluate_solution,
     expected_variable_count,
     linearization_big_m,
@@ -20,7 +19,7 @@ from nbsopt.model import (
 )
 from nbsopt.solve import solve_oracle
 
-from _helpers import constraint_residuals, make_instance, variable_vector
+from _helpers import clamp_witness, constraint_residuals, make_instance, variable_vector
 
 
 class TestModelShape:
@@ -29,7 +28,7 @@ class TestModelShape:
         model = build_model(inst)
         assert model.n_variables == 7
         assert model.n_constraints == 12
-        tags = Counter(c.tag for c in model.constraints)
+        tags = {b.tag: b.n_rows for b in model.constraints if b.n_rows}
         assert tags == {
             "one_type": 1, "budget": 1, "conv": 1, "bigm": 6,
             "peak": 1, "avg": 1, "fairness": 1,
@@ -39,11 +38,10 @@ class TestModelShape:
         inst = generate_synthetic(0, GridDims(2, 2), nbs_count=2, measure_count=1,
                                   forbidden_fraction=0.0, pre_existing_fraction=0.0)
         model = build_model(inst)
-        kinds = Counter(model.variable_kinds)
-        assert kinds["x"] == 8 and kinds["y"] == 4
-        assert sum(model.is_integer[k] for k, kind in enumerate(model.variable_kinds)
-                   if kind == "x") == 8
-        tags = Counter(c.tag for c in model.constraints)
+        kinds = [name.split("_")[0] for name in model.layout.column_names()]
+        assert Counter(kinds)["x"] == 8 and Counter(kinds)["y"] == 4
+        assert sum(model.is_integer[k] for k, kind in enumerate(kinds) if kind == "x") == 8
+        tags = {b.tag: b.n_rows for b in model.constraints}
         assert tags["conv"] == 4
         assert tags["bigm"] == 24
 
@@ -58,17 +56,18 @@ class TestModelShape:
     def test_forbidden_and_pre_existing_rows(self):
         inst = make_instance(np.ones((2, 2)), forbidden={(0, 0)}, pre_existing={(1, 1)})
         model = build_model(inst)
-        tags = Counter(c.tag for c in model.constraints)
+        tags = {b.tag: b.n_rows for b in model.constraints}
         assert tags["forbidden"] == 1 and tags["pre_existing"] == 1
 
     def test_variable_name_scheme(self):
         inst = make_instance(np.ones((2, 3)))
         model = build_model(inst)
         layout = model.layout
-        assert model.variable_names[layout.x(0, 1, 2)] == "x_t0_i1_j2"
-        assert model.variable_names[layout.zbar(0, 0, 1)] == "zbar_u0_i0_j1"
-        assert model.variable_names[layout.zmax(0)] == "zmax_u0"
-        assert model.variable_names[layout.f(1, 0)] == "f_i1_j0"
+        names = layout.column_names()
+        assert names[layout.x(0, 1, 2)] == "x_t0_i1_j2"
+        assert names[layout.zbar(0, 0, 1)] == "zbar_u0_i0_j1"
+        assert names[layout.zmax(0)] == "zmax_u0"
+        assert names[layout.f(1, 0)] == "f_i1_j0"
 
 
 class TestNormalizers:

@@ -1,17 +1,19 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from nbsopt import GridDims, generate_synthetic
+from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.model import build_model
 from nbsopt.mps import (
     MpsFormatError,
     export_interchange,
-    iter_mps_lines,
+    iter_mps_text,
     read_mps,
 )
-from nbsopt.suite import cluster_demo_instance
+from nbsopt.suite import cluster_demo_instance, desk_suite
 
 from _helpers import make_instance
 
@@ -65,11 +67,11 @@ class TestWriter:
 
     def test_round_trip_preserves_rows_semantics(self, small_model):
         inst, model = small_model
-        text = "\n".join(iter_mps_lines(model)) + "\n"
+        text = "".join(iter_mps_text(model))
         data = read_mps(io.StringIO(text))
-        assert data.column_names == model.variable_names
-        assert data.row_names == [c.name for c in model.constraints]
-        assert data.row_senses == [c.sense for c in model.constraints]
+        assert data.column_names == model.layout.column_names()
+        assert data.row_names == [s for b in model.constraints for s in b.row_names()]
+        assert data.row_senses == [s for b in model.constraints for s in b.sense.tolist()]
 
         import scipy.sparse as sp
 
@@ -77,11 +79,15 @@ class TestWriter:
             (data.entry_vals, (data.entry_rows, data.entry_cols)),
             shape=(data.n_rows, data.n_columns),
         ).toarray()
-        for k, con in enumerate(model.constraints):
-            ref = np.zeros(model.n_variables)
-            ref[con.indices] = con.coeffs
-            np.testing.assert_array_equal(a[k], ref)
-            assert data.rhs.get(k, 0.0) == con.rhs
+        k = 0
+        for block in model.constraints:
+            for r in range(block.n_rows):
+                entries = slice(block.indptr[r], block.indptr[r + 1])
+                ref = np.zeros(model.n_variables)
+                ref[block.indices[entries]] = block.coeffs[entries]
+                np.testing.assert_array_equal(a[k], ref)
+                assert data.rhs.get(k, 0.0) == block.rhs[r]
+                k += 1
 
         np.testing.assert_array_equal(data.objective_vector()[model.objective_indices],
                                       model.objective_coeffs)
@@ -93,8 +99,54 @@ class TestWriter:
     def test_objective_constant_encoded_in_rhs(self, small_model):
         _, model = small_model
         assert model.objective_constant != 0.0
-        text = "\n".join(iter_mps_lines(model))
+        text = "".join(iter_mps_text(model))
         assert f" rhs obj {-model.objective_constant!r}" in text
+
+
+# Byte-identical MPS output is a documented guarantee (docs/formats.md); these
+# SHA-256 digests pin the exact bytes of each desk-suite instance's file and
+# of one 30x30 instance with clustered urban parks.
+DESK_DIGESTS = {
+    1: "c6b5be268be4cf044778c3b1b4a93d75ecdc1f45b2ddc09e3131503b142f0995",
+    2: "bd449cfc90a873a9c1054c494129a128974bcb9eb301200e424ed7daa9de0e93",
+    3: "e695b0bfef012492ad1dbef770468a9a52a4ad57b455c2b0b17741bdf7441bd3",
+    5: "a6f675ba3c09117639dd60f72c00ec057c1bf3086b6098895cd10c5549499990",
+    8: "9fe30840883ecfed874495cde02ca917a3c1c79ceedad77fcf82e3fb885bf22a",
+    10: "eaaefeb733c74e3f355315292b668ebaa27e7fc0d82aeeb0e528d679001439c4",
+    11: "54634c11508d88072f43aea376dfd1455722ae5660fc4ed2d9e5edfe3e3bdb7f",
+    13: "52b6193d5cd3efbe680f7dc908c905b0146e4a4d427da832f1399200a0a4f229",
+    14: "760a71f53f67edfd4da71ba50e49f1caa42eb1e24fd62447b7d97400652229c1",
+    15: "d0e6bdbc5e9a25945ea221f406910c680c38812c69192c4ed0ca8e93351e0240",
+    16: "e34852280b337145571e396084660b132bc8607d7ac7bf8dc9ed63cbc8cd4b48",
+    17: "c2a314c03e911169e3fde04c47bd5dbbdea8b6c60b1365541e48f24212df90cf",
+    18: "5b1afb53eb9db6d96501e4c107b575d1ec5b054e42373e7f64428df567836de9",
+    19: "0e1a8aeb2248d2c71a91ab2618f0264a14f16320b48f7eb226ae0747eaa912b5",
+    20: "ce6fb1f4b7347441427d8bc827c18d35980fe777683e66d2333f0cd3606fd9b1",
+    21: "fb56b266ead4600b6e98473d68094f9b44fbe7174e2d28ecfbe3c8e8448dd573",
+    23: "545a9bd0394b2b694ab405282404a02fd5ee5f09a1a47f9184335c23e0cf32cd",
+    24: "41678c6d41a7efccabe699d236066b608ec99c5c6a4f0bb07398248791483af9",
+    25: "e7f0e3b0035678da9fbb9e0767832e8d3e20b3213db4545f4fb1bdb246c4006a",
+    26: "6a8bcec3acf13af4a65b808db8b6c32af993537b3bb156a9476b1a8fe8cfba67",
+}
+GRID30_DIGEST = "50680572475110e429690f2c0731fa5a286137145cdddd5de40004184c876a94"
+
+
+def _file_digest(inst, path) -> str:
+    export_interchange(build_model(inst), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenBytes:
+    def test_desk_suite(self, tmp_path):
+        path = tmp_path / "m.mps"
+        digests = {seed: _file_digest(inst, path) for seed, inst in desk_suite(20)}
+        assert digests == DESK_DIGESTS
+
+    def test_thirty_by_thirty_with_clusters(self, tmp_path):
+        inst = generate_synthetic(7, GridDims(30, 30), nbs_count=4, measure_count=4,
+                                  forbidden_fraction=0.55, pre_existing_fraction=0.05)
+        inst = with_clusters(inst, partition_instance(inst, ["UP"]))
+        assert _file_digest(inst, tmp_path / "m.mps") == GRID30_DIGEST
 
 
 class TestReader:

@@ -295,9 +295,10 @@ class TestSolverCli:
         assert solver_cli.main([str(mps), str(out), "30"]) == 0
         meta, values = parse_solution_file(out)
         assert meta["status"] == "optimal"
+        index = {name: k for k, name in enumerate(model.layout.column_names())}
         vals = np.zeros(model.n_variables)
         for name, v in values.items():
-            vals[model.index_of(name)] = v
+            vals[index[name]] = v
         assert float(meta["objective"]) == pytest.approx(
             model.objective_value(vals), abs=1e-9
         )
