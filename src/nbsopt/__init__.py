@@ -2,7 +2,8 @@
 
 Builds the placement MILP from a grid instance (impact kernels, budget,
 forbidden/pre-existing masks, clusters, fairness), solves it via an
-exhaustive oracle or an external MILP solver over an MPS interchange file,
+exhaustive oracle or a MILP solver (the bundled HiGHS in-process, or any
+solver command over an MPS interchange file),
 and reports reductions, budget breakdowns, and equity metrics.
 """
 

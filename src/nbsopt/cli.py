@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, help="relative MIP gap (default 0)")
     p.add_argument("--solver-cmd", dest="solver_cmd", help="command template")
     p.add_argument("--cap", type=int, help="oracle decision-unit cap (default 16)")
-    p.add_argument("--workdir", help="keep model/solution files here")
+    p.add_argument("--workdir", help="keep the solve's model.mps and solution.sol here "
+                   "(the default solves in-process; --solver-cmd runs a subprocess over MPS)")
     p.add_argument("--out", help="write the result JSON here")
     p.add_argument("--config")
     p.set_defaults(func=cmd_solve)

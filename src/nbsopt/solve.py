@@ -1,4 +1,4 @@
-"""Solving: exhaustive enumeration oracle and external-solver bridge.
+"""Solving: exhaustive enumeration oracle and MILP solver bridge.
 
 The oracle enumerates every feasible placement of the free decision units
 (clusters, plus per-cell type choices) and evaluates each with the direct
@@ -6,13 +6,18 @@ objective evaluation; it never touches the big-M linearization, which makes
 it an independent check of the MILP. It is exact but exponential, so it is
 capped by a decision-unit budget.
 
-The external backend writes the model to a free-format MPS file, invokes a
-solver subprocess through a configurable command template with {model},
-{solution}, {timelimit} and {gap} placeholders, parses the whitespace-separated
-"name value" solution file it leaves behind, and re-verifies feasibility and
-the objective before trusting the answer. The default template runs the
-bundled HiGHS-backed CLI (python -m nbsopt.solver_cli); any solver that can
-read MPS and write the documented solution format can be swapped in.
+The external backend solves the MILP with a MILP solver. By default it hands
+the model's arrays (one CSR matrix stacked from the constraint blocks, row
+bounds, objective vector, integrality and column bounds) to the bundled HiGHS
+in-process, through the same entry point as `python -m nbsopt.solver_cli`;
+no name is formatted and no file is written. A command template (the
+solver_cmd setting or the NBSOPT_SOLVER_CMD environment variable) with
+{model}, {solution}, {timelimit} and {gap} placeholders swaps in any other
+solver: the model is written to a free-format MPS file, the command runs as a
+subprocess, and the whitespace-separated "name value" solution file it leaves
+behind is mapped into the column vector. Both paths end in one verification
+step that re-checks feasibility and re-computes the objective before trusting
+the answer.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import logging
 import os
 import shlex
 import subprocess
-import sys
 import tempfile
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +37,8 @@ import numpy as np
 from . import engine
 from .instance import Cell, Instance
 from .model import (
+    SENSE_GE,
+    SENSE_LE,
     InfeasiblePlacement,
     MilpModel,
     ObjectiveBreakdown,
@@ -60,13 +67,6 @@ class OracleCapExceeded(ValueError):
     """Instance has more free decision units than the oracle is allowed."""
 
 
-def default_solver_cmd() -> str:
-    return (
-        f"{shlex.quote(sys.executable)} -m nbsopt.solver_cli"
-        " {model} {solution} {timelimit} --gap {gap}"
-    )
-
-
 @dataclass
 class SolveConfig:
     backend: str = "oracle"
@@ -76,11 +76,9 @@ class SolveConfig:
     unit_cap: int = DEFAULT_UNIT_CAP
     workdir: Path | None = None
 
-    def resolved_solver_cmd(self) -> str:
-        if self.solver_cmd:
-            return self.solver_cmd
-        env = os.environ.get(SOLVER_CMD_ENV)
-        return env if env else default_solver_cmd()
+    def resolved_solver_cmd(self) -> str | None:
+        """The solver command template, or None to solve in-process."""
+        return self.solver_cmd or os.environ.get(SOLVER_CMD_ENV) or None
 
 
 @dataclass
@@ -92,7 +90,7 @@ class SolveResult:
     bound: float | None = None
     wall_time: float = 0.0
     breakdown: ObjectiveBreakdown | None = None
-    variables: dict[str, float] | None = None
+    variables: np.ndarray | None = None  # solved columns, VariableLayout order
     message: str = ""
 
     @property
@@ -325,23 +323,35 @@ def parse_solution_file(path: Path) -> tuple[dict[str, str], dict[str, float]]:
     return meta, values
 
 
-def placement_from_values(
-    inst: Instance, model: MilpModel, values: dict[str, float]
-) -> engine.Placement:
-    """Rebuild a placement from solved x column values; unknown names warn."""
-    layout = model.layout
-    index = {name: k for k, name in enumerate(layout.column_names())}
-    placement = engine.Placement.empty(inst)
-    h = inst.dims.height
+def solution_vector(model: MilpModel, values: Mapping[str, float]) -> np.ndarray:
+    """Named solution values as one column vector in layout order.
+
+    Unknown names warn and are ignored; columns without a value read 0.
+    """
+    index = {name: k for k, name in enumerate(model.layout.column_names())}
+    vector = np.zeros(model.n_variables)
     for name, value in values.items():
         idx = index.get(name)
         if idx is None:
             logger.warning("solution contains unknown variable %r; ignored", name)
-            continue
-        if layout.x_base <= idx < layout.y_base and value > 0.5:
-            ti, cell = divmod(idx - layout.x_base, layout.n_cells)
-            placement.masks[layout.nbs_ids[ti]][cell // h, cell % h] = True
-    return placement
+        else:
+            vector[idx] = value
+    return vector
+
+
+def placement_from_values(
+    inst: Instance, model: MilpModel, values: np.ndarray | Mapping[str, float]
+) -> engine.Placement:
+    """Rebuild a placement from the solved x columns of a column vector.
+
+    A name -> value mapping is first mapped by `solution_vector`.
+    """
+    if isinstance(values, Mapping):
+        values = solution_vector(model, values)
+    layout = model.layout
+    x = values[layout.x_base : layout.y_base] > 0.5
+    masks = x.reshape(len(inst.nbs_ids), *inst.dims.shape)
+    return engine.Placement(dict(zip(inst.nbs_ids, masks)))
 
 
 def _meta_float(meta: dict[str, str], key: str) -> float | None:
@@ -351,15 +361,146 @@ def _meta_float(meta: dict[str, str], key: str) -> float | None:
         return None
 
 
-def solve_external(
-    inst: Instance, config: SolveConfig | None = None, model: MilpModel | None = None
+def _verify(
+    inst: Instance,
+    model: MilpModel,
+    status: str,
+    values: np.ndarray | None,
+    reported: float | None,
+    bound: float | None,
+    t0: float,
+    message: str = "",
 ) -> SolveResult:
-    """Export, invoke the external solver, parse, and re-verify its answer."""
-    config = config or SolveConfig(backend="external")
-    t0 = time.perf_counter()
-    if model is None:
-        model = build_model(inst)
+    """Turn a solver's answer into a result, trusting none of it unchecked.
 
+    `status` is a solution-file status name. The placement is read from the
+    x columns of `values`, checked against every constraint family, and its
+    objective re-computed directly from the fields; a reported objective that
+    differs by more than OBJECTIVE_MATCH_TOL is an error.
+    """
+    wall = time.perf_counter() - t0
+    if status == "infeasible":
+        return SolveResult(
+            status=STATUS_INFEASIBLE, backend="external", wall_time=wall, bound=bound
+        )
+    if status == "no-incumbent":
+        # Nothing found within the limit; the pre-existing-only placement
+        # is always feasible, so report it rather than failing.
+        placement = engine.Placement.do_nothing(inst)
+        breakdown = evaluate_solution(inst, placement)
+        return SolveResult(
+            status=STATUS_TIMEOUT,
+            backend="external",
+            placement=placement,
+            objective=breakdown.total,
+            bound=bound,
+            wall_time=wall,
+            breakdown=breakdown,
+            message="no incumbent within the time limit; reporting do-nothing",
+        )
+    if status not in ("optimal", "feasible-timeout"):
+        return SolveResult(
+            status=STATUS_ERROR,
+            backend="external",
+            wall_time=wall,
+            message=f"solver reported status {status!r}: {message}",
+        )
+
+    placement = placement_from_values(inst, model, values)
+    violations = check_placement(inst, placement)
+    if violations:
+        families = sorted({v.family for v in violations})
+        return SolveResult(
+            status=STATUS_ERROR,
+            backend="external",
+            wall_time=wall,
+            variables=values,
+            message=f"solver placement violates: {', '.join(families)}",
+        )
+    try:
+        breakdown = evaluate_solution(inst, placement, check=False)
+    except InfeasiblePlacement as exc:  # pragma: no cover - checked above
+        return SolveResult(
+            status=STATUS_ERROR, backend="external", wall_time=wall, message=str(exc)
+        )
+
+    if reported is not None and not values_close(breakdown.total, reported):
+        return SolveResult(
+            status=STATUS_ERROR,
+            backend="external",
+            wall_time=wall,
+            variables=values,
+            message=(
+                f"objective mismatch: solver {reported!r}, "
+                f"re-evaluated {breakdown.total!r}"
+            ),
+        )
+    return SolveResult(
+        status=STATUS_OPTIMAL if status == "optimal" else STATUS_TIMEOUT,
+        backend="external",
+        placement=placement,
+        objective=breakdown.total,
+        bound=bound if bound is not None else breakdown.total,
+        wall_time=wall,
+        breakdown=breakdown,
+        variables=values,
+    )
+
+
+def _solve_in_process(
+    inst: Instance, model: MilpModel, config: SolveConfig, t0: float
+) -> SolveResult:
+    """Hand the model's arrays to the bundled HiGHS, then verify its answer."""
+    # imported on the first solve: scipy.optimize would slow `import nbsopt`
+    from scipy import sparse
+
+    from . import solver_cli
+
+    blocks = model.constraints
+    counts = np.concatenate([np.diff(b.indptr) for b in blocks])
+    a = sparse.csr_matrix(
+        (
+            np.concatenate([b.coeffs for b in blocks]),
+            np.concatenate([b.indices for b in blocks]),
+            np.concatenate([[0], np.cumsum(counts)]),
+        ),
+        shape=(len(counts), model.n_variables),
+    )
+    a.sum_duplicates()  # sorted rows, as the MPS reader builds them
+    sense = np.concatenate([b.sense for b in blocks])
+    rhs = np.concatenate([b.rhs for b in blocks])
+    c = np.bincount(
+        model.objective_indices, weights=model.objective_coeffs, minlength=model.n_variables
+    )
+    started = time.perf_counter()
+    res = solver_cli.solve_arrays(
+        c,
+        a,
+        np.where(sense == SENSE_LE, -np.inf, rhs),
+        np.where(sense == SENSE_GE, np.inf, rhs),
+        model.is_integer.astype(int),
+        model.lower,
+        model.upper,
+        config.time_limit,
+        config.gap,
+    )
+    constant = model.objective_constant
+    if config.workdir is not None:
+        workdir = Path(config.workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
+        export_interchange(model, workdir / "model.mps")
+        text = solver_cli.solution_text(
+            model.layout.column_names(), constant, res, time.perf_counter() - started
+        )
+        (workdir / "solution.sol").write_text(text, encoding="utf-8")
+    status, reported, bound = solver_cli.summary(res, constant)
+    return _verify(inst, model, status, res.x, reported, bound, t0, res.message)
+
+
+def _solve_with_command(
+    inst: Instance, model: MilpModel, config: SolveConfig, template: str, t0: float
+) -> SolveResult:
+    """Export MPS, run the solver command, and verify the solution file it writes."""
     cleanup: tempfile.TemporaryDirectory | None = None
     if config.workdir is None:
         cleanup = tempfile.TemporaryDirectory(prefix="nbsopt-solve-")
@@ -373,7 +514,7 @@ def solve_external(
         solution_path = workdir / "solution.sol"
         export_interchange(model, model_path)
 
-        cmd = config.resolved_solver_cmd().format(
+        cmd = template.format(
             model=shlex.quote(str(model_path)),
             solution=shlex.quote(str(solution_path)),
             timelimit=config.time_limit,
@@ -408,80 +549,34 @@ def solve_external(
             )
 
         meta, values = parse_solution_file(solution_path)
-        status = meta.get("status", "")
-        wall = time.perf_counter() - t0
-        bound = _meta_float(meta, "bound")
-
-        if status == "infeasible":
-            return SolveResult(
-                status=STATUS_INFEASIBLE, backend="external", wall_time=wall, bound=bound
-            )
-        if status == "no-incumbent":
-            # Nothing found within the limit; the pre-existing-only placement
-            # is always feasible, so report it rather than failing.
-            placement = engine.Placement.do_nothing(inst)
-            breakdown = evaluate_solution(inst, placement)
-            return SolveResult(
-                status=STATUS_TIMEOUT,
-                backend="external",
-                placement=placement,
-                objective=breakdown.total,
-                bound=bound,
-                wall_time=wall,
-                breakdown=breakdown,
-                message="no incumbent within the time limit; reporting do-nothing",
-            )
-        if status not in ("optimal", "feasible-timeout"):
-            return SolveResult(
-                status=STATUS_ERROR,
-                backend="external",
-                wall_time=wall,
-                message=f"solver reported status {status!r}: {meta.get('message', '')}",
-            )
-
-        placement = placement_from_values(inst, model, values)
-        violations = check_placement(inst, placement)
-        if violations:
-            families = sorted({v.family for v in violations})
-            return SolveResult(
-                status=STATUS_ERROR,
-                backend="external",
-                wall_time=wall,
-                variables=values,
-                message=f"solver placement violates: {', '.join(families)}",
-            )
-        try:
-            breakdown = evaluate_solution(inst, placement, check=False)
-        except InfeasiblePlacement as exc:  # pragma: no cover - checked above
-            return SolveResult(
-                status=STATUS_ERROR, backend="external", wall_time=wall, message=str(exc)
-            )
-
-        reported = _meta_float(meta, "objective")
-        if reported is not None and not values_close(breakdown.total, reported):
-            return SolveResult(
-                status=STATUS_ERROR,
-                backend="external",
-                wall_time=wall,
-                variables=values,
-                message=(
-                    f"objective mismatch: solver {reported!r}, "
-                    f"re-evaluated {breakdown.total!r}"
-                ),
-            )
-        return SolveResult(
-            status=STATUS_OPTIMAL if status == "optimal" else STATUS_TIMEOUT,
-            backend="external",
-            placement=placement,
-            objective=breakdown.total,
-            bound=bound if bound is not None else breakdown.total,
-            wall_time=wall,
-            breakdown=breakdown,
-            variables=values,
+        return _verify(
+            inst,
+            model,
+            meta.get("status", ""),
+            solution_vector(model, values),
+            _meta_float(meta, "objective"),
+            _meta_float(meta, "bound"),
+            t0,
+            meta.get("message", ""),
         )
     finally:
         if cleanup is not None:
             cleanup.cleanup()
+
+
+def solve_external(
+    inst: Instance, config: SolveConfig | None = None, model: MilpModel | None = None
+) -> SolveResult:
+    """Solve the MILP in-process with HiGHS, or with the configured solver
+    command, and re-verify the answer."""
+    config = config or SolveConfig(backend="external")
+    t0 = time.perf_counter()
+    if model is None:
+        model = build_model(inst)
+    template = config.resolved_solver_cmd()
+    if template is None:
+        return _solve_in_process(inst, model, config, t0)
+    return _solve_with_command(inst, model, config, template, t0)
 
 
 def solve(inst: Instance, config: SolveConfig | None = None) -> SolveResult:

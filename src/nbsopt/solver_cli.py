@@ -1,5 +1,5 @@
-"""Bundled MILP solver subprocess: reads MPS, solves with HiGHS, writes a
-solution file.
+"""Bundled HiGHS solver: the entry point the in-process solve calls, and a
+subprocess that reads MPS, solves with HiGHS and writes a solution file.
 
 Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
@@ -23,21 +23,32 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .mps import MpsData, read_mps
 
 
-def solve_mps(data: MpsData, time_limit: float, gap: float = 0.0):
-    """Run HiGHS on parsed MPS arrays; returns the scipy result object."""
-    n = data.n_columns
-    c = data.objective_vector()
-    con_lb, con_ub = data.constraint_bounds()
-    a = sparse.csr_matrix(
-        (data.entry_vals, (data.entry_rows, data.entry_cols)),
-        shape=(data.n_rows, n),
-    )
+def solve_arrays(
+    c, a, row_lower, row_upper, integrality, lower, upper, time_limit: float, gap: float = 0.0
+):
+    """Run HiGHS on a MILP in arrays; returns the scipy result object.
+
+    Minimizes `c @ x` subject to `row_lower <= a @ x <= row_upper` and
+    `lower <= x <= upper`, with `integrality` 1 on the integer columns.
+    """
     return milp(
         c,
-        constraints=LinearConstraint(a, con_lb, con_ub),
-        integrality=data.is_integer.astype(int),
-        bounds=Bounds(data.lower, data.upper),
+        constraints=LinearConstraint(a, row_lower, row_upper),
+        integrality=integrality,
+        bounds=Bounds(lower, upper),
         options={"time_limit": float(time_limit), "mip_rel_gap": float(gap)},
+    )
+
+
+def solve_mps(data: MpsData, time_limit: float, gap: float = 0.0):
+    """Run HiGHS on parsed MPS arrays; returns the scipy result object."""
+    a = sparse.csr_matrix(
+        (data.entry_vals, (data.entry_rows, data.entry_cols)),
+        shape=(data.n_rows, data.n_columns),
+    )
+    return solve_arrays(
+        data.objective_vector(), a, *data.constraint_bounds(),
+        data.is_integer.astype(int), data.lower, data.upper, time_limit, gap,
     )
 
 
@@ -53,21 +64,36 @@ def _status_name(res) -> str:
     return "error"
 
 
-def write_solution(path: Path, data: MpsData, res, wall_time: float) -> None:
-    lines = ["# solver nbsopt-highs-cli", f"# status {_status_name(res)}"]
-    constant = data.objective_constant
+def summary(res, constant: float) -> tuple[str, float | None, float | None]:
+    """Status name, objective and dual bound of a HiGHS result, the objective
+    constant added back; objective and bound are None when HiGHS has none."""
+    objective = None
     if res.x is not None and res.fun is not None:
-        lines.append(f"# objective {float(res.fun) + constant!r}")
+        objective = float(res.fun) + constant
     bound = getattr(res, "mip_dual_bound", None)
+    return _status_name(res), objective, None if bound is None else float(bound) + constant
+
+
+def solution_text(column_names: list[str], constant: float, res, wall_time: float) -> str:
+    """The solution file for a HiGHS result over the named columns."""
+    status, objective, bound = summary(res, constant)
+    lines = ["# solver nbsopt-highs-cli", f"# status {status}"]
+    if objective is not None:
+        lines.append(f"# objective {objective!r}")
     if bound is not None:
-        lines.append(f"# bound {float(bound) + constant!r}")
+        lines.append(f"# bound {bound!r}")
     lines.append(f"# walltime {float(wall_time)!r}")
     if res.message:
         lines.append(f"# message {res.message}")
     if res.x is not None:
-        for name, value in zip(data.column_names, res.x):
+        for name, value in zip(column_names, res.x):
             lines.append(f"{name} {float(value)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_solution(path: Path, data: MpsData, res, wall_time: float) -> None:
+    text = solution_text(data.column_names, data.objective_constant, res, wall_time)
+    path.write_text(text, encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,15 +6,53 @@ independent of the production code paths they check.
 
 from __future__ import annotations
 
+import shlex
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
+import nbsopt
 from nbsopt import GridDims, Instance, Masks, NbsType, ObjectiveWeights, UcMeasure
 from nbsopt.engine import Placement
 from nbsopt.instance import validate_instance
 from nbsopt.kernels import Kernel
 from nbsopt.model import MilpModel, linearization_big_m
+
+# The directory holding the package under test, for child processes to import
+# it from whether or not PYTHONPATH names it.
+SRC = Path(nbsopt.__file__).resolve().parents[1]
+
+
+def solver_cli_template() -> str:
+    """Solver command template running the bundled `python -m nbsopt.solver_cli`."""
+    return (
+        f"env PYTHONPATH={shlex.quote(str(SRC))} {shlex.quote(sys.executable)}"
+        " -m nbsopt.solver_cli {model} {solution} {timelimit} --gap {gap}"
+    )
+
+
+def spy_on_highs(monkeypatch) -> list[tuple[np.ndarray, dict]]:
+    """Record the arguments of every in-process HiGHS call, then make the call.
+
+    Each entry is the objective vector and the keyword arguments handed to
+    `scipy.optimize.milp` through `nbsopt.solver_cli`. The solver-command
+    environment variable is cleared, so solves without a template run here.
+    """
+    from nbsopt import solver_cli
+    from nbsopt.solve import SOLVER_CMD_ENV
+
+    monkeypatch.delenv(SOLVER_CMD_ENV, raising=False)
+    calls: list[tuple[np.ndarray, dict]] = []
+    real = solver_cli.milp
+
+    def spy(c, **kwargs):
+        calls.append((c, kwargs))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(solver_cli, "milp", spy)
+    return calls
 
 
 def naive_correlate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -109,12 +109,7 @@ def test_c02_linearization_property(suite_results):
     results, _ = suite_results
     for seed, inst, model, _, external in results:
         layout = model.layout
-        index = {name: k for k, name in enumerate(layout.column_names())}
-        vals = np.zeros(model.n_variables)
-        for name, value in external.variables.items():
-            idx = index.get(name)
-            if idx is not None:
-                vals[idx] = value
+        vals = external.variables
         n = layout.n_cells
         for ui, u in enumerate(layout.measure_ids):
             delta = inst.delta(u)

@@ -7,6 +7,8 @@ import pytest
 
 from nbsopt.cli import main
 
+from _helpers import spy_on_highs
+
 
 def run(argv):
     return main(argv)
@@ -127,6 +129,14 @@ class TestSolveAndReport:
                     "--solver-cmd", template, "--gap", "0.25"]) == 0
         argv = json.loads(argv_file.read_text())
         assert argv[-2:] == ["--gap", "0.25"]
+
+    def test_gap_and_timelimit_reach_in_process_highs(self, tiny_instance_path,
+                                                      monkeypatch):
+        calls = spy_on_highs(monkeypatch)
+        assert run(["solve", str(tiny_instance_path), "--backend", "external",
+                    "--timelimit", "7.5", "--gap", "0.25"]) == 0
+        [(_, kwargs)] = calls
+        assert kwargs["options"] == {"time_limit": 7.5, "mip_rel_gap": 0.25}
 
 
 class TestBuild:

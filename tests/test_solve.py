@@ -1,11 +1,15 @@
 import itertools
+import os
 import shlex
+import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from nbsopt import GridDims, generate_synthetic
+from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement
 from nbsopt.model import build_model, check_placement, evaluate_solution
 from nbsopt.solve import (
@@ -13,14 +17,16 @@ from nbsopt.solve import (
     SolveConfig,
     count_decision_units,
     parse_solution_file,
+    solution_vector,
     solve,
     solve_external,
     solve_oracle,
     values_close,
 )
-from nbsopt.suite import cluster_demo_instance
+from nbsopt.mps import export_interchange, read_mps
+from nbsopt.suite import cluster_demo_instance, desk_suite
 
-from _helpers import make_instance
+from _helpers import SRC, make_instance, solver_cli_template, spy_on_highs
 
 EXTERNAL = SolveConfig(backend="external", time_limit=60.0)
 
@@ -160,6 +166,79 @@ class TestExternal:
         assert solve(inst, SolveConfig(backend="oracle")).status == "optimal"
         with pytest.raises(ValueError):
             solve(inst, SolveConfig(backend="nope"))
+
+
+@pytest.fixture(scope="module")
+def problem_instances():
+    """The 20 desk-suite instances and the 14x14 seed-4 instance of the
+    mid-size benchmark, urban parks clustered."""
+    inst = generate_synthetic(4, GridDims(14, 14), nbs_count=4, measure_count=4,
+                              forbidden_fraction=0.55, pre_existing_fraction=0.05)
+    mid = with_clusters(inst, partition_instance(inst, ["UP"]))
+    return [inst for _, inst in desk_suite(20)] + [mid]
+
+
+class TestInProcess:
+    def test_highs_gets_the_problem_the_solver_cli_reads(self, tmp_path, monkeypatch,
+                                                         problem_instances):
+        from nbsopt import solver_cli
+
+        calls = spy_on_highs(monkeypatch)
+        for inst in problem_instances:
+            model = build_model(inst)
+            assert solve_external(inst, EXTERNAL, model=model).status == "optimal"
+            export_interchange(model, tmp_path / "m.mps")
+            solver_cli.solve_mps(read_mps(tmp_path / "m.mps"), 60.0)
+        assert len(calls) == 2 * len(problem_instances)
+        for (c_mem, mem), (c_file, file) in zip(calls[::2], calls[1::2]):
+            np.testing.assert_array_equal(c_mem, c_file)
+            a_mem, a_file = (sparse.csr_matrix(k["constraints"].A) for k in (mem, file))
+            assert a_mem.has_sorted_indices and a_file.has_sorted_indices
+            assert a_mem.shape == a_file.shape
+            np.testing.assert_array_equal(a_mem.indptr, a_file.indptr)
+            np.testing.assert_array_equal(a_mem.indices, a_file.indices)
+            np.testing.assert_array_equal(a_mem.data, a_file.data)
+            np.testing.assert_array_equal(mem["constraints"].lb, file["constraints"].lb)
+            np.testing.assert_array_equal(mem["constraints"].ub, file["constraints"].ub)
+            np.testing.assert_array_equal(mem["integrality"], file["integrality"])
+            np.testing.assert_array_equal(mem["bounds"].lb, file["bounds"].lb)
+            np.testing.assert_array_equal(mem["bounds"].ub, file["bounds"].ub)
+            assert mem["options"] == file["options"]
+
+    def test_matches_the_solver_cli_template(self, problem_instances):
+        template = SolveConfig(backend="external", time_limit=60.0,
+                               solver_cmd=solver_cli_template())
+        for inst in problem_instances:
+            a = solve_external(inst, EXTERNAL)
+            b = solve_external(inst, template)
+            assert (a.status, a.objective, a.bound) == (b.status, b.objective, b.bound)
+            for t in inst.nbs_ids:
+                np.testing.assert_array_equal(a.placement.masks[t], b.placement.masks[t])
+            np.testing.assert_array_equal(a.variables, b.variables)
+
+    def test_workdir_files_describe_the_solve(self, tmp_path):
+        inst = generate_synthetic(2, GridDims(3, 3), nbs_count=1, measure_count=1,
+                                  forbidden_fraction=0.7, pre_existing_fraction=0.0)
+        model = build_model(inst)
+        cfg = SolveConfig(backend="external", time_limit=60, workdir=tmp_path / "w")
+        result = solve_external(inst, cfg, model=model)
+        assert result.status == "optimal"
+        export_interchange(model, tmp_path / "expected.mps")
+        assert ((tmp_path / "w" / "model.mps").read_bytes()
+                == (tmp_path / "expected.mps").read_bytes())
+        meta, values = parse_solution_file(tmp_path / "w" / "solution.sol")
+        assert meta["status"] == "optimal"
+        assert float(meta["bound"]) == result.bound
+        assert values_close(float(meta["objective"]), result.objective)
+        np.testing.assert_array_equal(solution_vector(model, values), result.variables)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        code = "import sys, nbsopt; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.stdout.split() == ["False"]
 
 
 class TestSolutionParsing:
