@@ -16,9 +16,10 @@ installed cells; forbidden fixing (x = 0); pre-existing fixing (x = 1);
 cluster linking (x = lam); impact definition (windowed sums excluding
 pre-existing cells, zero padded); six big-M rows per (u, i, j) encoding
 zbar = min(z, delta); peak rows zmax >= a - zbar; mean rows; fairness rows.
-Each family is one ConstraintBlock of CSR rows built from whole index
-arrays; the windowed sums apply each kernel's offsets to the full cell grid.
-Row and column names are formatted only on request.
+Each family's rows are built from whole index arrays (the windowed sums
+apply each kernel's offsets to the full cell grid), then every family is
+stacked once into one row-sorted CSR matrix; a ConstraintBlock names a
+family's rows. Row and column names are formatted only on request.
 
 The minimized objective is the weighted sum of normalized peak, mean, and
 cost terms minus the normalized total fairness. Peak and mean terms divide by
@@ -29,12 +30,16 @@ the pre-existing-only total and the best single-type-everywhere total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import engine
 from .instance import Cell, Instance
 from .kernels import Kernel, compute_big_m
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 SENSE_LE = "<="
 SENSE_EQ = "="
@@ -55,59 +60,88 @@ def _format_labels(name_format: str, labels: np.ndarray) -> list[str]:
 
 @dataclass(eq=False)
 class ConstraintBlock:
-    """One constraint family: CSR rows with a per-row sense and right-hand side.
+    """One constraint family: a run of consecutive rows of `MilpModel.a`.
 
-    Row r holds `coeffs[indptr[r]:indptr[r + 1]]` on the columns
-    `indices[indptr[r]:indptr[r + 1]]`. Its name is `name_format` filled with
-    `labels[r]`.
+    `indices` is the family's slice of `a.indices`, a view, so its columns and
+    coefficients are stored once, in the model's matrix. Row r's name is
+    `name_format` filled with `labels[r]`.
     """
 
     tag: str
-    indptr: np.ndarray
-    indices: np.ndarray
-    coeffs: np.ndarray
-    sense: np.ndarray
-    rhs: np.ndarray
     name_format: str
     labels: np.ndarray
+    indices: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return len(self.rhs)
+        return len(self.labels)
 
     def row_names(self) -> list[str]:
         return _format_labels(self.name_format, self.labels)
 
 
-def _block(
+def _rows(
     tag: str, name_format: str, labels: np.ndarray, counts, indices, coeffs, sense, rhs
-) -> ConstraintBlock:
-    """A block from per-row entry counts; a scalar or a shorter pattern of
+) -> tuple:
+    """A family's rows before stacking, from per-row entry counts then the
+    columns and coefficients row by row; a scalar or a shorter pattern of
     counts, senses or right-hand sides repeats over every row."""
     n_rows = len(labels)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.resize(np.asarray(counts, dtype=np.int64), n_rows), out=indptr[1:])
-    return ConstraintBlock(
-        tag=tag,
-        indptr=indptr,
-        indices=np.asarray(indices, dtype=np.int64),
-        coeffs=np.asarray(coeffs, dtype=float),
-        sense=np.resize(np.asarray(sense), n_rows),
-        rhs=np.resize(np.asarray(rhs, dtype=float), n_rows),
-        name_format=name_format,
-        labels=labels,
+    return (
+        tag,
+        name_format,
+        labels,
+        np.resize(np.asarray(counts, dtype=np.int64), n_rows),
+        # column indices fit int32, the type scipy keeps them in at these sizes
+        np.asarray(indices, dtype=np.int32),
+        np.asarray(coeffs, dtype=float),
+        np.resize(np.asarray(sense), n_rows),
+        np.resize(np.asarray(rhs, dtype=float), n_rows),
     )
+
+
+def _stack(families: list[tuple], n_cols: int):
+    """Every family's rows, in order, as one CSR matrix with sorted columns in
+    each row, with the per-row sense and right-hand side and one
+    ConstraintBlock per family. Empties `families`, so each family's arrays
+    are freed once stacked."""
+    from scipy import sparse
+
+    tags, formats, labels, counts, indices, coeffs, sense, rhs = zip(*families)
+    families.clear()
+    indptr = np.zeros(sum(map(len, labels)) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    indices = np.concatenate(indices)
+    coeffs = np.concatenate(coeffs)
+    a = sparse.csr_matrix((coeffs, indices, indptr), shape=(len(indptr) - 1, n_cols))
+    a.sum_duplicates()  # sorted rows, as the MPS reader builds them
+    bounds = np.cumsum([0, *map(len, labels)])
+    blocks = [
+        ConstraintBlock(tag, name_format, rows, a.indices[a.indptr[lo] : a.indptr[hi]])
+        for tag, name_format, rows, lo, hi in zip(tags, formats, labels, bounds, bounds[1:])
+    ]
+    return a, np.concatenate(sense), np.concatenate(rhs), blocks
 
 
 @dataclass(eq=False)
 class MilpModel:
+    """Minimize `c @ x + objective_constant` subject to `a @ x` against `rhs`
+    row by row, with the row's `sense`, and `lower <= x <= upper`, integer
+    where `is_integer`.
+
+    `a` is one CSR matrix with sorted columns in every row; `constraints`
+    names its row families in order.
+    """
+
+    a: sparse.csr_matrix
+    sense: np.ndarray
+    rhs: np.ndarray
+    c: np.ndarray
+    objective_constant: float
     lower: np.ndarray
     upper: np.ndarray
     is_integer: np.ndarray
     constraints: list[ConstraintBlock]
-    objective_indices: np.ndarray
-    objective_coeffs: np.ndarray
-    objective_constant: float
     layout: "VariableLayout"
 
     @property
@@ -116,13 +150,10 @@ class MilpModel:
 
     @property
     def n_constraints(self) -> int:
-        return sum(b.n_rows for b in self.constraints)
+        return self.a.shape[0]
 
     def objective_value(self, values: np.ndarray) -> float:
-        return float(
-            values[self.objective_indices] @ self.objective_coeffs
-            + self.objective_constant
-        )
+        return float(values @ self.c + self.objective_constant)
 
 
 class VariableLayout:
@@ -152,33 +183,6 @@ class VariableLayout:
             self.lam_offsets[t] = offset
             offset += len(self.cluster_lists[t])
         self.n_variables = offset
-
-    def cell(self, i: int, j: int) -> int:
-        return i * self.height + j
-
-    def x(self, ti: int, i: int, j: int) -> int:
-        return self.x_base + ti * self.n_cells + self.cell(i, j)
-
-    def y(self, ui: int, i: int, j: int) -> int:
-        return self.y_base + ui * self.n_cells + self.cell(i, j)
-
-    def z(self, ui: int, i: int, j: int) -> int:
-        return self.z_base + ui * self.n_cells + self.cell(i, j)
-
-    def zbar(self, ui: int, i: int, j: int) -> int:
-        return self.zbar_base + ui * self.n_cells + self.cell(i, j)
-
-    def zmax(self, ui: int) -> int:
-        return self.zmax_base + ui
-
-    def zavg(self, ui: int) -> int:
-        return self.zavg_base + ui
-
-    def f(self, i: int, j: int) -> int:
-        return self.f_base + self.cell(i, j)
-
-    def lam(self, nbs_id: str, q: int) -> int:
-        return self.lam_offsets[nbs_id] + q
 
     def column_names(self) -> list[str]:
         """Every column's name in index order, formatted on each call."""
@@ -327,17 +331,17 @@ def build_model(inst: Instance) -> MilpModel:
     # x columns of cells that are not pre-existing: they carry cost
     new_cols = [layout.x_base + ti * n + np.flatnonzero(ok) for ti, ok in enumerate(not_pre)]
     costs = [inst.nbs_by_id(t).cost for t in ids]
-    blocks: list[ConstraintBlock] = []
+    families: list[tuple] = []
 
     # One NBS type per cell.
-    blocks.append(_block(
+    families.append(_rows(
         "one_type", "one_type_i{}_j{}", cells, n_t,
         (np.arange(n)[:, None] + layout.x_base + n * np.arange(n_t)).ravel(),
         np.ones(n * n_t), SENSE_LE, 1.0,
     ))
 
     # Budget over newly installed cells; pre-existing ones are cost-free.
-    blocks.append(_block(
+    families.append(_rows(
         "budget", "budget", np.zeros((1, 0), dtype=np.int64), sum(map(len, new_cols)),
         np.concatenate(new_cols), np.repeat(costs, list(map(len, new_cols))),
         SENSE_LE, inst.budget,
@@ -349,7 +353,7 @@ def build_model(inst: Instance) -> MilpModel:
         ("pre_existing", "pre", inst.pre_mask, 1.0),
     ):
         ti, cell = np.nonzero(np.stack([mask_of(t).ravel() for t in ids]))
-        blocks.append(_block(
+        families.append(_rows(
             tag, prefix + "_t{}_i{}_j{}", np.column_stack((ti, cells[cell])), 1,
             layout.x_base + ti * n + cell, np.ones(len(cell)), SENSE_EQ, value,
         ))
@@ -362,23 +366,25 @@ def build_model(inst: Instance) -> MilpModel:
     ])  # (ti, q, i, j) per linked cell
     lam_base = np.array([layout.lam_offsets[t] for t in ids], dtype=np.int64)
     link_x = layout.x_base + link[:, 0] * n + link[:, 2] * layout.height + link[:, 3]
-    blocks.append(_block(
+    families.append(_rows(
         "cluster", "link_t{}_q{}_i{}_j{}", link, 2,
         np.column_stack((link_x, lam_base[link[:, 0]] + link[:, 1])).ravel(),
         np.tile([1.0, -1.0], len(link)), SENSE_EQ, 0.0,
     ))
 
     # Impact definition: z minus the windowed sums of new installations.
-    conv = zip(*(
+    conv = [
         _windowed_rows(
             layout, layout.z_base + ui * n + np.arange(n), np.full(n, -1.0),
             [inst.kernel(u, t) for t in ids], not_pre,
         )
         for ui, u in enumerate(mids)
+    ]
+    families.append(_rows(
+        "conv", "conv_u{}_i{}_j{}", unit_labels, *map(np.concatenate, zip(*conv)),
+        SENSE_EQ, 0.0,
     ))
-    blocks.append(_block(
-        "conv", "conv_u{}_i{}_j{}", unit_labels, *map(np.concatenate, conv), SENSE_EQ, 0.0
-    ))
+    del conv
 
     # Big-M linearization of zbar = min(z, delta); y = 1 marks z <= delta.
     # Six rows per (u, cell), interleaved: bigm1 .. bigm6.
@@ -389,7 +395,7 @@ def build_model(inst: Instance) -> MilpModel:
     m = np.repeat([big_m[u] for u in mids], n)
     one = np.ones(n_u * n)
     k = np.tile(np.arange(1, 7), n_u * n)
-    blocks.append(_block(
+    families.append(_rows(
         "bigm", "bigm{}_u{}_i{}_j{}", np.column_stack((k, np.repeat(unit_labels, 6, axis=0))),
         [2, 2, 2, 1, 3, 2],
         np.column_stack((z, y, z, y, zb, z, zb, zb, z, y, zb, y)).ravel(),
@@ -400,14 +406,14 @@ def build_model(inst: Instance) -> MilpModel:
 
     # Peak rows: zmax dominates every reduced value.
     fields = [inst.measure_by_id(u).field for u in mids]
-    blocks.append(_block(
+    families.append(_rows(
         "peak", "peak_u{}_i{}_j{}", unit_labels, 2,
         np.column_stack((layout.zmax_base + unit_cells // n, zb)).ravel(),
         np.ones(2 * n_u * n), SENSE_GE, np.concatenate([a.ravel() for a in fields]),
     ))
 
     # Mean rows: zavg equals the average reduced value.
-    blocks.append(_block(
+    families.append(_rows(
         "avg", "avg_u{}", np.arange(n_u)[:, None], n + 1,
         np.column_stack((layout.zavg_base + np.arange(n_u), zb.reshape(n_u, n))).ravel(),
         np.tile(np.r_[1.0, np.full(n, 1.0 / n)], n_u), SENSE_EQ,
@@ -419,41 +425,31 @@ def build_model(inst: Instance) -> MilpModel:
         layout, layout.f_base + np.arange(n), -inst.population.ravel(),
         [inst.fairness_kernels[t] for t in ids], [np.ones(n, dtype=bool)] * n_t,
     )
-    blocks.append(_block(
+    families.append(_rows(
         "fairness", "fair_i{}_j{}", cells, counts, cols, coefs, SENSE_EQ, 0.0
     ))
 
     # Objective: weighted normalized peak + mean + cost - fairness.
-    obj_idx: list = [np.zeros(0, dtype=np.int64)]
-    obj_coef: list = [np.zeros(0)]
+    c = np.zeros(n_vars)
     for ui, u in enumerate(mids):
-        for col, weight in (
-            (layout.zmax(ui), inst.weights.peak[u]),
-            (layout.zavg(ui), inst.weights.avg[u]),
-        ):
-            coef = weight * norms.peak_scale[u]
-            if coef != 0.0:
-                obj_idx.append([col])
-                obj_coef.append([coef])
-    if inst.weights.cost != 0.0:
-        for cols, cost in zip(new_cols, costs):
-            obj_idx.append(cols)
-            obj_coef.append(np.full(len(cols), inst.weights.cost * cost * norms.cost_scale))
-    constant = 0.0
-    if inst.weights.fairness != 0.0:
-        wf = inst.weights.fairness * norms.fairness_scale
-        obj_idx.append(layout.f_base + np.arange(n))
-        obj_coef.append(np.full(n, -wf))
-        constant = wf * norms.fairness_min
+        c[layout.zmax_base + ui] = inst.weights.peak[u] * norms.peak_scale[u]
+        c[layout.zavg_base + ui] = inst.weights.avg[u] * norms.peak_scale[u]
+    for cols, cost in zip(new_cols, costs):
+        c[cols] = inst.weights.cost * cost * norms.cost_scale
+    wf = inst.weights.fairness * norms.fairness_scale
+    c[layout.f_base : layout.lam_base] = -wf
 
+    a, sense, rhs, blocks = _stack(families, n_vars)
     return MilpModel(
+        a=a,
+        sense=sense,
+        rhs=rhs,
+        c=c,
+        objective_constant=wf * norms.fairness_min,
         lower=lower,
         upper=upper,
         is_integer=is_integer,
         constraints=blocks,
-        objective_indices=np.concatenate(obj_idx).astype(np.int64),
-        objective_coeffs=np.concatenate(obj_coef).astype(float),
-        objective_constant=constant,
         layout=layout,
     )
 

@@ -4,12 +4,15 @@ The emitted dialect is plain free MPS: NAME / ROWS / COLUMNS (with
 INTORG/INTEND integrality markers) / RHS / BOUNDS / ENDATA, one coefficient
 per line, names as written by the model builder. Binary variables carry BV
 bounds. An objective constant is encoded as minus the RHS entry of the
-objective row, the convention shared by common solvers. Output is
-byte-deterministic for a given model.
+objective row, the convention shared by common solvers. The writer reads the
+model's one constraint matrix, with the nonzeros of the objective vector as
+an extra first row. Output is byte-deterministic for a given model.
 
 The reader accepts the same dialect plus the usual bound codes (UP, LO, FX,
 MI, PL, BV, UI, LI) and comment lines starting with '*'. RANGES sections are
-not supported.
+not supported. It returns the problem under MilpModel's field names (one
+CSR matrix `a`, per-row `sense` and `rhs`, objective vector `c`), so the
+solver entry point takes either.
 """
 
 from __future__ import annotations
@@ -61,20 +64,6 @@ def _bound_lines(name: str, lower: float, upper: float, binary: bool) -> str:
     return lo + up
 
 
-def _columns_with_objective(model: MilpModel) -> sparse.csc_matrix:
-    """Every coefficient in one CSC matrix whose row 0 is the objective.
-
-    Within a column the entries are sorted by row, so objective first.
-    """
-    blocks = model.constraints
-    counts = [[len(model.objective_indices)]] + [np.diff(b.indptr) for b in blocks]
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    indices = np.concatenate([model.objective_indices] + [b.indices for b in blocks])
-    coeffs = np.concatenate([model.objective_coeffs] + [b.coeffs for b in blocks])
-    shape = (len(indptr) - 1, model.n_variables)
-    return sparse.csr_matrix((coeffs, indices, indptr), shape=shape).tocsc()
-
-
 def iter_mps_text(model: MilpModel, name: str = "nbsopt") -> Iterator[str]:
     """Yield the MPS file text for a model, a bounded number of lines at a time."""
     col_names = np.array(model.layout.column_names(), dtype=object)
@@ -82,9 +71,9 @@ def iter_mps_text(model: MilpModel, name: str = "nbsopt") -> Iterator[str]:
         [OBJECTIVE_ROW] + [s for b in model.constraints for s in b.row_names()],
         dtype=object,
     )
-    sense = np.concatenate([b.sense for b in model.constraints])
-    rhs = np.concatenate([b.rhs for b in model.constraints])
-    a = _columns_with_objective(model)
+    rhs = model.rhs
+    # the objective's nonzeros as row 0; each column's entries sorted by row
+    a = sparse.vstack([sparse.csr_matrix(model.c[None, :]), model.a], format="csc")
 
     covered = np.diff(a.indptr) > 0
     if not covered.all():
@@ -92,7 +81,7 @@ def iter_mps_text(model: MilpModel, name: str = "nbsopt") -> Iterator[str]:
         raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
 
     yield f"NAME {name}\nROWS\n N {OBJECTIVE_ROW}\n"
-    codes = np.array([_SENSE_TO_CODE[s] for s in sense.tolist()], dtype=object)
+    codes = np.array([_SENSE_TO_CODE[s] for s in model.sense.tolist()], dtype=object)
     yield from _chunks(lambda code, row: f" {code} {row}\n", codes, row_names[1:])
 
     # Columns in index order, each run of equal integrality between markers.
@@ -146,18 +135,21 @@ def export_interchange(model: MilpModel, path: str | Path, name: str = "nbsopt")
 
 @dataclass
 class MpsData:
-    """Parsed MPS content, sufficient to rebuild the arrays a solver needs."""
+    """Parsed MPS content in the field names of MilpModel, plus the file's names.
+
+    `a` is the constraint matrix (CSR, duplicate entries summed, sorted columns
+    in every row), `sense` and `rhs` are per row and `c` is the objective
+    vector; the objective row is not a row of `a`.
+    """
 
     name: str
     row_names: list[str]
-    row_senses: list[str]
     column_names: list[str]
-    entry_rows: np.ndarray
-    entry_cols: np.ndarray
-    entry_vals: np.ndarray
-    objective: dict[int, float]
+    a: sparse.csr_matrix
+    sense: np.ndarray
+    rhs: np.ndarray
+    c: np.ndarray
     objective_constant: float
-    rhs: dict[int, float]
     lower: np.ndarray
     upper: np.ndarray
     is_integer: np.ndarray
@@ -170,26 +162,6 @@ class MpsData:
     @property
     def n_columns(self) -> int:
         return len(self.column_names)
-
-    def constraint_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row (lower, upper) bounds from sense and RHS."""
-        lb = np.full(self.n_rows, -np.inf)
-        ub = np.full(self.n_rows, np.inf)
-        for r, sense in enumerate(self.row_senses):
-            rhs = self.rhs.get(r, 0.0)
-            if sense == SENSE_LE:
-                ub[r] = rhs
-            elif sense == SENSE_GE:
-                lb[r] = rhs
-            else:
-                lb[r] = ub[r] = rhs
-        return lb, ub
-
-    def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.n_columns)
-        for col, val in self.objective.items():
-            c[col] = val
-        return c
 
 
 class _MpsParser:
@@ -302,21 +274,26 @@ class _MpsParser:
                     lower[col] = -np.inf
             else:
                 raise MpsFormatError(f"unknown bound code {code!r}")
-        if self.entries:
-            rows, cols, vals = zip(*self.entries)
-        else:
-            rows, cols, vals = (), (), ()
+        n_rows = len(self.row_names)
+        rows, cols, vals = zip(*self.entries) if self.entries else ((), (), ())
+        a = sparse.csr_matrix(
+            (np.asarray(vals, dtype=float), (np.asarray(rows, dtype=np.int64),
+                                              np.asarray(cols, dtype=np.int64))),
+            shape=(n_rows, n_cols),
+        )
+        rhs = np.zeros(n_rows)
+        rhs[list(self.rhs)] = list(self.rhs.values())
+        c = np.zeros(n_cols)
+        c[list(self.objective)] = list(self.objective.values())
         return MpsData(
             name=self.name,
             row_names=self.row_names,
-            row_senses=self.row_senses,
             column_names=self.column_names,
-            entry_rows=np.asarray(rows, dtype=np.int64),
-            entry_cols=np.asarray(cols, dtype=np.int64),
-            entry_vals=np.asarray(vals, dtype=float),
-            objective=self.objective,
+            a=a,
+            sense=np.array(self.row_senses, dtype=str),
+            rhs=rhs,
+            c=c,
             objective_constant=self.objective_constant,
-            rhs=self.rhs,
             lower=lower,
             upper=upper,
             is_integer=is_integer,

@@ -7,15 +7,16 @@ it an independent check of the MILP. It is exact but exponential, so it is
 capped by a decision-unit budget.
 
 The external backend solves the MILP with a MILP solver. By default it hands
-the model's arrays (one CSR matrix stacked from the constraint blocks, row
-bounds, objective vector, integrality and column bounds) to the bundled HiGHS
-in-process, through the same entry point as `python -m nbsopt.solver_cli`;
-no name is formatted and no file is written. A command template (the
-solver_cmd setting or the NBSOPT_SOLVER_CMD environment variable) with
-{model}, {solution}, {timelimit} and {gap} placeholders swaps in any other
-solver: the model is written to a free-format MPS file, the command runs as a
-subprocess, and the whitespace-separated "name value" solution file it leaves
-behind is mapped into the column vector. Both paths end in one verification
+the model itself (its one constraint matrix, per-row senses and right-hand
+sides, objective vector, integrality and column bounds) to the bundled HiGHS
+in-process, through `solver_cli.solve_mps`, which `python -m
+nbsopt.solver_cli` also runs on the MPS file it reads; no name is formatted
+and no file is written. A command template (the solver_cmd setting or the
+NBSOPT_SOLVER_CMD environment variable) with {model}, {solution},
+{timelimit} and {gap} placeholders swaps in any other solver: the model is
+written to a free-format MPS file, the command runs as a subprocess, and the
+whitespace-separated "name value" solution file it leaves behind is mapped
+into the column vector. Both paths end in one verification
 step that re-checks feasibility and re-computes the objective before trusting
 the answer.
 """
@@ -37,9 +38,6 @@ import numpy as np
 from . import engine
 from .instance import Cell, Instance
 from .model import (
-    SENSE_GE,
-    SENSE_LE,
-    InfeasiblePlacement,
     MilpModel,
     ObjectiveBreakdown,
     build_model,
@@ -340,14 +338,9 @@ def solution_vector(model: MilpModel, values: Mapping[str, float]) -> np.ndarray
 
 
 def placement_from_values(
-    inst: Instance, model: MilpModel, values: np.ndarray | Mapping[str, float]
+    inst: Instance, model: MilpModel, values: np.ndarray
 ) -> engine.Placement:
-    """Rebuild a placement from the solved x columns of a column vector.
-
-    A name -> value mapping is first mapped by `solution_vector`.
-    """
-    if isinstance(values, Mapping):
-        values = solution_vector(model, values)
+    """Rebuild a placement from the solved x columns of a column vector."""
     layout = model.layout
     x = values[layout.x_base : layout.y_base] > 0.5
     masks = x.reshape(len(inst.nbs_ids), *inst.dims.shape)
@@ -417,12 +410,7 @@ def _verify(
             variables=values,
             message=f"solver placement violates: {', '.join(families)}",
         )
-    try:
-        breakdown = evaluate_solution(inst, placement, check=False)
-    except InfeasiblePlacement as exc:  # pragma: no cover - checked above
-        return SolveResult(
-            status=STATUS_ERROR, backend="external", wall_time=wall, message=str(exc)
-        )
+    breakdown = evaluate_solution(inst, placement, check=False)
 
     if reported is not None and not values_close(breakdown.total, reported):
         return SolveResult(
@@ -450,40 +438,12 @@ def _verify(
 def _solve_in_process(
     inst: Instance, model: MilpModel, config: SolveConfig, t0: float
 ) -> SolveResult:
-    """Hand the model's arrays to the bundled HiGHS, then verify its answer."""
+    """Hand the model to the bundled HiGHS, then verify its answer."""
     # imported on the first solve: scipy.optimize would slow `import nbsopt`
-    from scipy import sparse
-
     from . import solver_cli
 
-    blocks = model.constraints
-    counts = np.concatenate([np.diff(b.indptr) for b in blocks])
-    a = sparse.csr_matrix(
-        (
-            np.concatenate([b.coeffs for b in blocks]),
-            np.concatenate([b.indices for b in blocks]),
-            np.concatenate([[0], np.cumsum(counts)]),
-        ),
-        shape=(len(counts), model.n_variables),
-    )
-    a.sum_duplicates()  # sorted rows, as the MPS reader builds them
-    sense = np.concatenate([b.sense for b in blocks])
-    rhs = np.concatenate([b.rhs for b in blocks])
-    c = np.bincount(
-        model.objective_indices, weights=model.objective_coeffs, minlength=model.n_variables
-    )
     started = time.perf_counter()
-    res = solver_cli.solve_arrays(
-        c,
-        a,
-        np.where(sense == SENSE_LE, -np.inf, rhs),
-        np.where(sense == SENSE_GE, np.inf, rhs),
-        model.is_integer.astype(int),
-        model.lower,
-        model.upper,
-        config.time_limit,
-        config.gap,
-    )
+    res = solver_cli.solve_mps(model, config.time_limit, config.gap)
     constant = model.objective_constant
     if config.workdir is not None:
         workdir = Path(config.workdir)

@@ -3,6 +3,9 @@ subprocess that reads MPS, solves with HiGHS and writes a solution file.
 
 Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
+Both go through `solve_mps`, which takes a MilpModel or the MpsData read from
+a file: they share the field names of one problem in arrays.
+
 The solution file starts with '# key value' metadata lines (solver, status,
 objective, bound, walltime) followed by one 'name value' line per column.
 Statuses: optimal, feasible-timeout, no-incumbent, infeasible, unbounded,
@@ -17,38 +20,31 @@ import sys
 import time
 from pathlib import Path
 
-from scipy import sparse
+import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from .model import SENSE_GE, SENSE_LE, MilpModel
 from .mps import MpsData, read_mps
 
 
-def solve_arrays(
-    c, a, row_lower, row_upper, integrality, lower, upper, time_limit: float, gap: float = 0.0
-):
-    """Run HiGHS on a MILP in arrays; returns the scipy result object.
+def solve_mps(data: MpsData | MilpModel, time_limit: float, gap: float = 0.0):
+    """Run HiGHS on a MilpModel or MpsData; returns the scipy result object.
 
-    Minimizes `c @ x` subject to `row_lower <= a @ x <= row_upper` and
-    `lower <= x <= upper`, with `integrality` 1 on the integer columns.
+    Minimizes `c @ x` subject to each row of `a @ x` against `rhs` with the
+    row's `sense`, `lower <= x <= upper`, and integrality where `is_integer`.
+    The objective constant is left to the caller.
     """
+    sense, rhs = data.sense, data.rhs
     return milp(
-        c,
-        constraints=LinearConstraint(a, row_lower, row_upper),
-        integrality=integrality,
-        bounds=Bounds(lower, upper),
+        data.c,
+        constraints=LinearConstraint(
+            data.a,
+            np.where(sense == SENSE_LE, -np.inf, rhs),
+            np.where(sense == SENSE_GE, np.inf, rhs),
+        ),
+        integrality=data.is_integer.astype(int),
+        bounds=Bounds(data.lower, data.upper),
         options={"time_limit": float(time_limit), "mip_rel_gap": float(gap)},
-    )
-
-
-def solve_mps(data: MpsData, time_limit: float, gap: float = 0.0):
-    """Run HiGHS on parsed MPS arrays; returns the scipy result object."""
-    a = sparse.csr_matrix(
-        (data.entry_vals, (data.entry_rows, data.entry_cols)),
-        shape=(data.n_rows, data.n_columns),
-    )
-    return solve_arrays(
-        data.objective_vector(), a, *data.constraint_bounds(),
-        data.is_integer.astype(int), data.lower, data.upper, time_limit, gap,
     )
 
 

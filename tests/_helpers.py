@@ -154,6 +154,7 @@ def variable_vector(inst: Instance, model: MilpModel, placement: Placement) -> n
     from nbsopt import engine
 
     layout = model.layout
+    n, h = layout.n_cells, layout.height
     vals = np.zeros(model.n_variables)
     big_m = linearization_big_m(inst)
     for ti, t in enumerate(layout.nbs_ids):
@@ -161,9 +162,9 @@ def variable_vector(inst: Instance, model: MilpModel, placement: Placement) -> n
         for i in range(layout.width):
             for j in range(layout.height):
                 if mask[i, j]:
-                    vals[layout.x(ti, i, j)] = 1.0
+                    vals[layout.x_base + ti * n + i * h + j] = 1.0
         for q, group in enumerate(layout.cluster_lists[t]):
-            vals[layout.lam(t, q)] = 1.0 if mask[group[0]] else 0.0
+            vals[layout.lam_offsets[t] + q] = 1.0 if mask[group[0]] else 0.0
     for ui, u in enumerate(layout.measure_ids):
         z = engine.measure_impact(inst, placement, u)
         d = inst.delta(u)
@@ -171,15 +172,15 @@ def variable_vector(inst: Instance, model: MilpModel, placement: Placement) -> n
         for i in range(layout.width):
             for j in range(layout.height):
                 y, zbar, _ = clamp_witness(float(z[i, j]), d, big_m[u])
-                vals[layout.z(ui, i, j)] = z[i, j]
-                vals[layout.zbar(ui, i, j)] = zbar
-                vals[layout.y(ui, i, j)] = y
-        vals[layout.zmax(ui)] = max(0.0, float(reduced.max()))
-        vals[layout.zavg(ui)] = float(reduced.mean())
+                vals[layout.z_base + ui * n + i * h + j] = z[i, j]
+                vals[layout.zbar_base + ui * n + i * h + j] = zbar
+                vals[layout.y_base + ui * n + i * h + j] = y
+        vals[layout.zmax_base + ui] = max(0.0, float(reduced.max()))
+        vals[layout.zavg_base + ui] = float(reduced.mean())
     f = engine.fairness(inst, placement)
     for i in range(layout.width):
         for j in range(layout.height):
-            vals[layout.f(i, j)] = f[i, j]
+            vals[layout.f_base + i * h + j] = f[i, j]
     return vals
 
 
@@ -206,16 +207,10 @@ def clamp_witness(
 
 def constraint_residuals(model: MilpModel, vals: np.ndarray) -> float:
     """Largest violation of any model row at the given point (<= 0 is feasible)."""
-    worst = -np.inf
-    for block in model.constraints:
-        for r in range(block.n_rows):
-            entries = slice(block.indptr[r], block.indptr[r + 1])
-            lhs = float(vals[block.indices[entries]] @ block.coeffs[entries])
-            rhs = float(block.rhs[r])
-            if block.sense[r] == "<=":
-                worst = max(worst, lhs - rhs)
-            elif block.sense[r] == ">=":
-                worst = max(worst, rhs - lhs)
-            else:
-                worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = model.a @ vals
+    worst = np.where(
+        model.sense == "<=",
+        lhs - model.rhs,
+        np.where(model.sense == ">=", model.rhs - lhs, np.abs(lhs - model.rhs)),
+    )
+    return float(worst.max(initial=-np.inf))

@@ -118,7 +118,7 @@ def test_c02_linearization_property(suite_results):
             err = np.abs(zbar - np.minimum(z, delta)).max()
             assert err <= 1e-6, f"seed {seed}, {u}: |zbar - min(z, delta)| = {err}"
             a = inst.measure_by_id(u).field.ravel()
-            zmax = vals[layout.zmax(ui)]
+            zmax = vals[layout.zmax_base + ui]
             assert abs(zmax - (a - zbar).max()) <= 1e-6, (
                 f"seed {seed}, {u}: zmax {zmax} vs {(a - zbar).max()}"
             )

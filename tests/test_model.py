@@ -18,6 +18,7 @@ from nbsopt.model import (
     objective_normalizers,
 )
 from nbsopt.solve import solve_oracle
+from nbsopt.suite import cluster_demo_instance, desk_suite
 
 from _helpers import clamp_witness, constraint_residuals, make_instance, variable_vector
 
@@ -64,10 +65,39 @@ class TestModelShape:
         model = build_model(inst)
         layout = model.layout
         names = layout.column_names()
-        assert names[layout.x(0, 1, 2)] == "x_t0_i1_j2"
-        assert names[layout.zbar(0, 0, 1)] == "zbar_u0_i0_j1"
-        assert names[layout.zmax(0)] == "zmax_u0"
-        assert names[layout.f(1, 0)] == "f_i1_j0"
+        h = layout.height
+        assert names[layout.x_base + 1 * h + 2] == "x_t0_i1_j2"
+        assert names[layout.zbar_base + 0 * h + 1] == "zbar_u0_i0_j1"
+        assert names[layout.zmax_base] == "zmax_u0"
+        assert names[layout.f_base + 1 * h + 0] == "f_i1_j0"
+
+
+@pytest.fixture(scope="module")
+def suite_models():
+    """Models of the 20 desk-suite instances and of the cluster demo."""
+    insts = [inst for _, inst in desk_suite(20)] + [cluster_demo_instance()]
+    return [build_model(inst) for inst in insts]
+
+
+class TestOneMatrix:
+    def test_families_are_views_of_the_one_matrix(self, suite_models):
+        for model in suite_models:
+            for block in model.constraints:
+                if len(block.indices):
+                    assert np.shares_memory(block.indices, model.a.indices), block.tag
+
+    def test_rows_have_sorted_columns(self, suite_models):
+        for model in suite_models:
+            assert model.a.has_sorted_indices
+
+    def test_families_tile_the_rows_in_order(self, suite_models):
+        for model in suite_models:
+            blocks = model.constraints
+            assert sum(b.n_rows for b in blocks) == model.n_constraints == len(model.rhs)
+            assert sum(len(b.indices) for b in blocks) == model.a.nnz
+            np.testing.assert_array_equal(
+                np.concatenate([b.indices for b in blocks]), model.a.indices
+            )
 
 
 class TestNormalizers:

@@ -53,13 +53,10 @@ class TestWriter:
         link_rows = [r for r, name in enumerate(data.row_names) if name.startswith("link_")]
         assert len(link_rows) == 5  # one row per cluster cell
         for r in link_rows:
-            entries = {
-                data.column_names[c]: v
-                for rr, c, v in zip(data.entry_rows, data.entry_cols, data.entry_vals)
-                if rr == r
-            }
-            assert data.row_senses[r] == "="
-            assert data.rhs.get(r, 0.0) == 0.0
+            row = data.a[[r]]
+            entries = {data.column_names[c]: v for c, v in zip(row.indices, row.data)}
+            assert data.sense[r] == "="
+            assert data.rhs[r] == 0.0
             assert entries["lam_t0_q0"] == -1.0
             xs = [v for name, v in entries.items() if name.startswith("x_")]
             assert xs == [1.0]
@@ -71,26 +68,10 @@ class TestWriter:
         data = read_mps(io.StringIO(text))
         assert data.column_names == model.layout.column_names()
         assert data.row_names == [s for b in model.constraints for s in b.row_names()]
-        assert data.row_senses == [s for b in model.constraints for s in b.sense.tolist()]
-
-        import scipy.sparse as sp
-
-        a = sp.csr_matrix(
-            (data.entry_vals, (data.entry_rows, data.entry_cols)),
-            shape=(data.n_rows, data.n_columns),
-        ).toarray()
-        k = 0
-        for block in model.constraints:
-            for r in range(block.n_rows):
-                entries = slice(block.indptr[r], block.indptr[r + 1])
-                ref = np.zeros(model.n_variables)
-                ref[block.indices[entries]] = block.coeffs[entries]
-                np.testing.assert_array_equal(a[k], ref)
-                assert data.rhs.get(k, 0.0) == block.rhs[r]
-                k += 1
-
-        np.testing.assert_array_equal(data.objective_vector()[model.objective_indices],
-                                      model.objective_coeffs)
+        np.testing.assert_array_equal(data.sense, model.sense)
+        np.testing.assert_array_equal(data.a.toarray(), model.a.toarray())
+        np.testing.assert_array_equal(data.rhs, model.rhs)
+        np.testing.assert_array_equal(data.c, model.c)
         assert data.objective_constant == model.objective_constant
         np.testing.assert_array_equal(data.lower, model.lower)
         np.testing.assert_array_equal(data.upper, model.upper)
@@ -188,7 +169,8 @@ class TestReader:
         )
         data = read_mps(io.StringIO(text))
         assert data.n_rows == 2 and data.n_columns == 1
-        assert data.objective == {0: 1.0}
-        lb, ub = data.constraint_bounds()
-        assert ub[0] == 4.0 and lb[1] == 1.0
+        assert data.c.tolist() == [1.0]
+        assert data.sense.tolist() == ["<=", ">="]
+        assert data.rhs.tolist() == [4.0, 1.0]
+        assert data.a.toarray().tolist() == [[2.0], [3.0]]
         assert data.upper[0] == 9.0

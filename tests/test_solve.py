@@ -11,6 +11,7 @@ from scipy import sparse
 from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement
+from nbsopt.instance import ObjectiveWeights
 from nbsopt.model import build_model, check_placement, evaluate_solution
 from nbsopt.solve import (
     OracleCapExceeded,
@@ -168,6 +169,44 @@ class TestExternal:
             solve(inst, SolveConfig(backend="nope"))
 
 
+class TestAvgDomain:
+    """zavg is a nonnegative column, so no placement may drive a measure's mean
+    reduced value below zero, even one with a better objective."""
+
+    @pytest.fixture
+    def inst(self):
+        return make_instance(
+            np.array([[6.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), delta=4.0, cost=1.0, budget=10.0,
+            weights=ObjectiveWeights(peak={"M": 0.5}, avg={"M": 0.5}, cost=0.0, fairness=0.0),
+        )
+
+    def test_all_cells_break_the_domain(self, inst):
+        placement = Placement.empty(inst)
+        placement.masks["GW"][:] = True
+        assert [v.family for v in check_placement(inst, placement)] == ["avg_nonneg"]
+
+    def test_the_best_placement_ignoring_the_domain_is_rejected(self, inst):
+        placements = []
+        for bits in itertools.product([False, True], repeat=inst.dims.n_cells):
+            placement = Placement.empty(inst)
+            placement.masks["GW"] = np.array(bits).reshape(inst.dims.shape)
+            placements.append(placement)
+        totals = [evaluate_solution(inst, p, check=False).total for p in placements]
+        best = min(totals)
+        assert best == pytest.approx(-1 / 72, abs=1e-12)
+        winners = [p for p, total in zip(placements, totals) if total == best]
+        assert 5 in {int(p.masks["GW"].sum()) for p in winners}
+        for p in winners:
+            assert [v.family for v in check_placement(inst, p)] == ["avg_nonneg"]
+
+    def test_oracle_and_highs_keep_the_domain(self, inst):
+        for result in (solve_oracle(inst), solve_external(inst, EXTERNAL)):
+            assert result.status == "optimal"
+            assert result.objective == pytest.approx(19 / 72, abs=1e-9)
+            assert result.placement.new_cells(inst) == {"GW": [(0, 0), (1, 0)]}
+            assert check_placement(inst, result.placement) == []
+
+
 @pytest.fixture(scope="module")
 def problem_instances():
     """The 20 desk-suite instances and the 14x14 seed-4 instance of the
@@ -259,7 +298,8 @@ class TestSolutionParsing:
         from nbsopt.solve import placement_from_values
 
         with caplog.at_level("WARNING"):
-            placement = placement_from_values(inst, model, {"mystery_var": 1.0})
+            values = solution_vector(model, {"mystery_var": 1.0})
+            placement = placement_from_values(inst, model, values)
         assert "mystery_var" in caplog.text
         assert all(not placement.masks[t].any() for t in inst.nbs_ids)
 
