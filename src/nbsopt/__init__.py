@@ -26,10 +26,8 @@ from .instance import (
     SchemaError,
     UcMeasure,
     ValidationError,
-    instances_equal,
     load_instance,
     save_instance,
-    split_grid,
 )
 from .kernels import (
     ImpactSpec,
@@ -95,7 +93,6 @@ __all__ = [
     "generate_synthetic",
     "gini",
     "impact_field",
-    "instances_equal",
     "label_components",
     "load_instance",
     "objective_normalizers",
@@ -106,5 +103,4 @@ __all__ = [
     "solve",
     "solve_external",
     "solve_oracle",
-    "split_grid",
 ]

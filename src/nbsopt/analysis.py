@@ -88,12 +88,6 @@ class Report:
     placement_categories: dict[str, np.ndarray]
     metadata: dict
 
-    def measure(self, measure_id: str) -> MeasureReport:
-        for m in self.measures:
-            if m.measure_id == measure_id:
-                return m
-        raise KeyError(measure_id)
-
 
 def build_report(inst: Instance, result: SolveResult) -> Report:
     """Summarize a feasible solve result against the instance's initial state."""
@@ -208,11 +202,6 @@ def write_matrix_csv(matrix: np.ndarray, path: Path) -> None:
         writer = csv.writer(fh)
         for row in np.asarray(matrix):
             writer.writerow([repr(float(v)) for v in row])
-
-
-def read_matrix_csv(path: Path) -> np.ndarray:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        return np.array([[float(v) for v in row] for row in csv.reader(fh)])
 
 
 def write_pgm(levels: np.ndarray, path: Path, comment: str = "") -> None:

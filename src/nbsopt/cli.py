@@ -26,10 +26,11 @@ from .instance import (
     InstanceError,
     SchemaError,
     ValidationError,
+    _parse_cells,
     load_instance,
     save_instance,
 )
-from .model import build_model, expected_variable_count
+from .model import InfeasiblePlacement, build_model, expected_variable_count
 from .mps import export_interchange
 from .solve import (
     DEFAULT_TIME_LIMIT,
@@ -96,21 +97,41 @@ def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
     }
 
 
-def _result_from_dict(raw: dict[str, Any], inst: Instance) -> SolveResult:
+def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
+    """A result file's content; SchemaError unless it is an object whose
+    `new_cells` name known NBS ids and integer [i, j] cells inside the grid,
+    and whose `metadata` is an object with a numeric `wall_time`."""
+    if not isinstance(raw, dict):
+        raise SchemaError("result", "expected a JSON object")
     placement = None
-    if raw.get("new_cells") is not None:
-        placement = Placement.from_new_cells(
-            inst,
-            {t: [tuple(c) for c in cells] for t, cells in raw["new_cells"].items()},
-        )
+    new_cells = raw.get("new_cells")
+    if new_cells is not None:
+        if not isinstance(new_cells, dict):
+            raise SchemaError("result.new_cells", "expected an object keyed by NBS id")
+        w, h = inst.dims.shape
+        by_type = {}
+        for t, raw_cells in new_cells.items():
+            where = f"result.new_cells.{t}"
+            if t not in inst.nbs_ids:
+                raise SchemaError(where, "unknown NBS id")
+            by_type[t] = _parse_cells(raw_cells, where)
+            for i, j in sorted(by_type[t]):
+                if not (0 <= i < w and 0 <= j < h):
+                    raise SchemaError(where, f"cell [{i}, {j}] outside the {w}x{h} grid")
+        placement = Placement.from_new_cells(inst, by_type)
     meta = raw.get("metadata") or {}
+    if not isinstance(meta, dict):
+        raise SchemaError("result.metadata", "expected a JSON object")
+    wall_time = meta.get("wall_time") or 0.0
+    if not isinstance(wall_time, (int, float)):
+        raise SchemaError("result.metadata.wall_time", "expected a number")
     return SolveResult(
         status=raw.get("status", "error"),
         backend=meta.get("backend", "unknown"),
         placement=placement,
         objective=raw.get("objective"),
         bound=raw.get("bound"),
-        wall_time=float(meta.get("wall_time") or 0.0),
+        wall_time=float(wall_time),
         message=meta.get("message", ""),
     )
 
@@ -383,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("instance.validation", str(exc), EXIT_VALIDATION)
     except InstanceError as exc:
         return _fail("instance.error", str(exc), EXIT_VALIDATION)
+    except InfeasiblePlacement as exc:
+        return _fail("placement.infeasible", str(exc), EXIT_VALIDATION)
     except OracleCapExceeded as exc:
         return _fail("solve.cap", str(exc), EXIT_SOLVE)
     except FileNotFoundError as exc:

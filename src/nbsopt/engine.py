@@ -1,8 +1,10 @@
 """Windowed kernel application over placement grids.
 
 Computes raw impact fields (newly installed cells only), capped reductions,
-population-weighted fairness fields, and reduced measures. The same routines
-back constraint generation, the enumeration oracle, and post-solve analysis.
+population-weighted fairness fields, and reduced measures. One windowed-sum
+routine, `correlate`, applies every kernel: the enumeration oracle runs it on
+each decision unit's cell indicator, and the objective evaluation and
+post-solve analysis run it on whole placements.
 
 Boundary cells outside the grid contribute zero. Orientation is
 cross-correlation (no kernel flip); all bundled kernels are symmetric so the
@@ -130,29 +132,6 @@ def reduced_measure(observed: np.ndarray, zbar: np.ndarray) -> np.ndarray:
     if observed.shape != zbar.shape:
         raise ValueError(f"shape mismatch: {observed.shape} vs {zbar.shape}")
     return observed - zbar
-
-
-def stamp_kernel(
-    target: np.ndarray, kernel: Kernel, i: int, j: int, weight: float = 1.0
-) -> None:
-    """Accumulate the impact of one installed cell at (i, j) in place.
-
-    Exactly `weight` times correlate() of a single-cell indicator: the
-    windowed sum gathers kernel entries in reading order, so its impulse
-    response is the point-reflected kernel (identical for the symmetric
-    bundled kernels). Used for incremental impact updates.
-    """
-    w, h = target.shape
-    cw, ch = kernel.width // 2, kernel.height // 2
-    i0, i1 = max(0, i - cw), min(w, i + cw + 1)
-    j0, j1 = max(0, j - ch), min(h, j + ch + 1)
-    if i0 >= i1 or j0 >= j1:
-        return
-    flipped = kernel.entries[::-1, ::-1]
-    ki0, kj0 = i0 - (i - cw), j0 - (j - ch)
-    target[i0:i1, j0:j1] += weight * flipped[
-        ki0 : ki0 + (i1 - i0), kj0 : kj0 + (j1 - j0)
-    ]
 
 
 # --- Instance-level conveniences --------------------------------------------

@@ -61,11 +61,6 @@ class GridDims:
     def n_cells(self) -> int:
         return self.width * self.height
 
-    @property
-    def cell_area(self) -> float:
-        """Ground area of one cell in square meters."""
-        return self.resolution * self.resolution
-
 
 @dataclass(frozen=True)
 class NbsType:
@@ -570,48 +565,3 @@ def save_instance(inst: Instance, path: str | Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(instance_to_dict(inst), fh, indent=2)
         fh.write("\n")
-
-
-def instances_equal(a: Instance, b: Instance) -> bool:
-    """Structural equality, exact on every numeric field."""
-    if a.dims != b.dims or a.nbs != b.nbs or a.budget != b.budget:
-        return False
-    if len(a.measures) != len(b.measures):
-        return False
-    for ua, ub in zip(a.measures, b.measures):
-        if (ua.id, ua.unit, ua.delta) != (ub.id, ub.unit, ub.delta):
-            return False
-        if not np.array_equal(ua.field, ub.field):
-            return False
-    if a.kernels != b.kernels or a.fairness_kernels != b.fairness_kernels:
-        return False
-    if a.masks.forbidden != b.masks.forbidden:
-        return False
-    if a.masks.pre_existing != b.masks.pre_existing:
-        return False
-    if not np.array_equal(a.population, b.population):
-        return False
-    if (a.weights.peak, a.weights.avg, a.weights.cost, a.weights.fairness) != (
-        b.weights.peak,
-        b.weights.avg,
-        b.weights.cost,
-        b.weights.fairness,
-    ):
-        return False
-    return a.clusters == b.clusters
-
-
-def split_grid(field: np.ndarray, tile: int) -> list[np.ndarray]:
-    """Cut a matrix into non-overlapping tile x tile sub-matrices.
-
-    Tiles are returned row-major; trailing strips narrower than `tile` are
-    dropped so every output has the full tile size.
-    """
-    if tile < 1:
-        raise ValueError(f"tile must be >= 1, got {tile}")
-    field = np.asarray(field)
-    out: list[np.ndarray] = []
-    for i0 in range(0, field.shape[0] - tile + 1, tile):
-        for j0 in range(0, field.shape[1] - tile + 1, tile):
-            out.append(field[i0 : i0 + tile, j0 : j0 + tile].copy())
-    return out

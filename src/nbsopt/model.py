@@ -72,10 +72,6 @@ class ConstraintBlock:
     labels: np.ndarray
     indices: np.ndarray
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.labels)
-
     def row_names(self) -> list[str]:
         return _format_labels(self.name_format, self.labels)
 
@@ -84,19 +80,23 @@ def _rows(
     tag: str, name_format: str, labels: np.ndarray, counts, indices, coeffs, sense, rhs
 ) -> tuple:
     """A family's rows before stacking, from per-row entry counts then the
-    columns and coefficients row by row; a scalar or a shorter pattern of
-    counts, senses or right-hand sides repeats over every row."""
+    columns and coefficients row by row; counts, senses or right-hand sides
+    given as a scalar, or as a pattern whose length divides the row count,
+    repeat over every row."""
     n_rows = len(labels)
+    counts = np.asarray(counts, dtype=np.int64)
+    sense = np.asarray(sense)
+    rhs = np.asarray(rhs, dtype=float)
     return (
         tag,
         name_format,
         labels,
-        np.resize(np.asarray(counts, dtype=np.int64), n_rows),
+        np.tile(counts, n_rows // counts.size),
         # column indices fit int32, the type scipy keeps them in at these sizes
         np.asarray(indices, dtype=np.int32),
         np.asarray(coeffs, dtype=float),
-        np.resize(np.asarray(sense), n_rows),
-        np.resize(np.asarray(rhs, dtype=float), n_rows),
+        np.tile(sense, n_rows // sense.size),
+        np.tile(rhs, n_rows // rhs.size),
     )
 
 
@@ -130,7 +130,8 @@ class MilpModel:
     where `is_integer`.
 
     `a` is one CSR matrix with sorted columns in every row; `constraints`
-    names its row families in order.
+    names its row families in order. `norms` are the objective normalizers
+    `c` and `objective_constant` were scaled with.
     """
 
     a: sparse.csr_matrix
@@ -143,6 +144,7 @@ class MilpModel:
     is_integer: np.ndarray
     constraints: list[ConstraintBlock]
     layout: "VariableLayout"
+    norms: "Normalizers"
 
     @property
     def n_variables(self) -> int:
@@ -151,9 +153,6 @@ class MilpModel:
     @property
     def n_constraints(self) -> int:
         return self.a.shape[0]
-
-    def objective_value(self, values: np.ndarray) -> float:
-        return float(values @ self.c + self.objective_constant)
 
 
 class VariableLayout:
@@ -451,6 +450,7 @@ def build_model(inst: Instance) -> MilpModel:
         is_integer=is_integer,
         constraints=blocks,
         layout=layout,
+        norms=norms,
     )
 
 
@@ -588,7 +588,9 @@ def evaluate_solution(
 
     Uses the same normalizers and term structure as build_model, with no MILP
     involved, so it doubles as the independent evaluation for the enumeration
-    oracle and for verifying solver output.
+    oracle and for verifying solver output. `norms` are computed from the
+    instance when not given; callers holding a model pass its `norms`, the
+    ones its objective was built with.
     """
     if check:
         violations = check_placement(inst, placement)

@@ -154,15 +154,6 @@ class MpsData:
     upper: np.ndarray
     is_integer: np.ndarray
 
-    @property
-    def n_rows(self) -> int:
-        """Constraint rows (the objective row is not counted)."""
-        return len(self.row_names)
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.column_names)
-
 
 class _MpsParser:
     def __init__(self) -> None:

@@ -1,10 +1,12 @@
 """Solving: exhaustive enumeration oracle and MILP solver bridge.
 
 The oracle enumerates every feasible placement of the free decision units
-(clusters, plus per-cell type choices) and evaluates each with the direct
-objective evaluation; it never touches the big-M linearization, which makes
-it an independent check of the MILP. It is exact but exponential, so it is
-capped by a decision-unit budget.
+(clusters, plus per-cell type choices). Each unit's impact and fairness
+increments come from `engine.correlate` over the unit's cell indicator, the
+windowed sum the direct objective evaluation also uses, and the optimum is
+re-evaluated directly before it is returned; the oracle never touches the
+MILP or its big-M linearization, which makes it an independent check of the
+MILP. It is exact but exponential, so it is capped by a decision-unit budget.
 
 The external backend solves the MILP with a MILP solver. By default it hands
 the model itself (its one constraint matrix, per-row senses and right-hand
@@ -107,7 +109,6 @@ def values_close(a: float, b: float, rel: float = OBJECTIVE_MATCH_TOL) -> bool:
 class _Unit:
     """One selectable decision: a whole cluster or one (cell, type) option."""
 
-    kind: str  # "cluster" | "cell"
     nbs_id: str
     cells: list[Cell]
     cost: float
@@ -124,25 +125,23 @@ class _Slot:
     label: tuple
 
 
-def _unit_for_cells(inst: Instance, nbs_id: str, cells: list[Cell], kind: str) -> _Unit:
-    shape = inst.dims.shape
-    h = inst.dims.height
-    cost = inst.nbs_by_id(nbs_id).cost * len(cells)
-    dz: dict[str, np.ndarray] = {}
-    for u in inst.measure_ids:
-        acc = np.zeros(shape)
-        kernel = inst.kernel(u, nbs_id)
-        for i, j in cells:
-            engine.stamp_kernel(acc, kernel, i, j)
-        dz[u] = acc.ravel()
-    acc = np.zeros(shape)
-    kernel = inst.fairness_kernels[nbs_id]
-    for i, j in cells:
-        engine.stamp_kernel(acc, kernel, i, j)
-    df_sum = float((inst.population * acc).sum())
-    cover = np.array(sorted(i * h + j for i, j in cells), dtype=np.int64)
+def _unit_for_cells(inst: Instance, nbs_id: str, cells: list[Cell]) -> _Unit:
+    """The unit's cost and its impact and fairness increments, each the
+    windowed sum of the unit's cell indicator, as the evaluation computes them."""
+    indicator = np.zeros(inst.dims.shape)
+    indicator[tuple(np.array(cells).T)] = 1.0
+    dz = {
+        u: engine.correlate(indicator, inst.kernel(u, nbs_id)).ravel()
+        for u in inst.measure_ids
+    }
+    access = engine.correlate(indicator, inst.fairness_kernels[nbs_id])
     return _Unit(
-        kind=kind, nbs_id=nbs_id, cells=cells, cost=cost, dz=dz, df_sum=df_sum, cover=cover
+        nbs_id=nbs_id,
+        cells=cells,
+        cost=inst.nbs_by_id(nbs_id).cost * len(cells),
+        dz=dz,
+        df_sum=float((inst.population * access).sum()),
+        cover=np.flatnonzero(indicator),
     )
 
 
@@ -173,7 +172,7 @@ def _build_slots(inst: Instance) -> list[_Slot]:
     """Canonical decision slots, one per cluster and one per cell with options."""
     slots: list[_Slot] = []
     for label, t, cells in _free_units(inst):
-        unit = _unit_for_cells(inst, t, cells, label[0])
+        unit = _unit_for_cells(inst, t, cells)
         if slots and slots[-1].label == label:
             slots[-1].options.append(unit)
         else:
@@ -209,7 +208,7 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
     n_cells = inst.dims.n_cells
 
     z_acc = {u: np.zeros(n_cells) for u in inst.measure_ids}
-    f_total = float(engine.fairness(inst, base).sum())
+    f_total = norms.fairness_min  # the fairness total of `base`
     occupancy = np.zeros(n_cells, dtype=np.int8)
 
     best_obj = np.inf
@@ -368,8 +367,9 @@ def _verify(
 
     `status` is a solution-file status name. The placement is read from the
     x columns of `values`, checked against every constraint family, and its
-    objective re-computed directly from the fields; a reported objective that
-    differs by more than OBJECTIVE_MATCH_TOL is an error.
+    objective re-computed directly from the fields with the model's
+    normalizers; a reported objective that differs by more than
+    OBJECTIVE_MATCH_TOL is an error.
     """
     wall = time.perf_counter() - t0
     if status == "infeasible":
@@ -380,7 +380,7 @@ def _verify(
         # Nothing found within the limit; the pre-existing-only placement
         # is always feasible, so report it rather than failing.
         placement = engine.Placement.do_nothing(inst)
-        breakdown = evaluate_solution(inst, placement)
+        breakdown = evaluate_solution(inst, placement, norms=model.norms)
         return SolveResult(
             status=STATUS_TIMEOUT,
             backend="external",
@@ -410,7 +410,7 @@ def _verify(
             variables=values,
             message=f"solver placement violates: {', '.join(families)}",
         )
-    breakdown = evaluate_solution(inst, placement, check=False)
+    breakdown = evaluate_solution(inst, placement, norms=model.norms, check=False)
 
     if reported is not None and not values_close(breakdown.total, reported):
         return SolveResult(

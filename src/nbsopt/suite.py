@@ -13,16 +13,7 @@ import numpy as np
 
 from .clustering import partition_instance, with_clusters
 from .generator import generate_synthetic
-from .instance import (
-    GridDims,
-    Instance,
-    Masks,
-    NbsType,
-    ObjectiveWeights,
-    UcMeasure,
-    validate_instance,
-)
-from .kernels import TEMP_MAX, default_kernel_set
+from .instance import GridDims, Instance, validate_instance
 from .solve import DEFAULT_UNIT_CAP, count_decision_units
 
 
@@ -73,46 +64,3 @@ def desk_suite(
         seed += 1
         attempts += 1
     return out
-
-
-def cluster_demo_instance() -> Instance:
-    """Hand-built 6x6 urban-park instance with one 5-cell cluster.
-
-    Eligible cells are a plus-shaped region around (2, 2) plus two isolated
-    cells; one pre-existing park sits at (5, 0). The budget covers the cluster
-    and one extra cell but not everything, so the trade-off is nontrivial.
-    Decision units: 1 cluster + 2 free cells = 3.
-    """
-    dims = GridDims(6, 6)
-    plus = {(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)}
-    singles = {(0, 0), (5, 5)}
-    pre = {(5, 0)}
-    forbidden = {
-        (i, j)
-        for i in range(6)
-        for j in range(6)
-        if (i, j) not in plus | singles | pre
-    }
-
-    field = np.array(
-        [[30.0 - abs(i - 2) - abs(j - 2) for j in range(6)] for i in range(6)]
-    )
-    kernels, fairness = default_kernel_set(nbs_ids=["UP"], measure_ids=[TEMP_MAX])
-    cost = 37.8 * dims.cell_area
-    inst = Instance(
-        dims=dims,
-        nbs=[NbsType(id="UP", name="Urban Park", cost=cost)],
-        measures=[UcMeasure(id=TEMP_MAX, unit="degC", field=field)],
-        kernels=kernels,
-        fairness_kernels=fairness,
-        masks=Masks(forbidden={"UP": forbidden}, pre_existing={"UP": pre}),
-        population=np.full(dims.shape, 1.0 / dims.n_cells),
-        budget=6.5 * cost,
-        weights=ObjectiveWeights(
-            peak={TEMP_MAX: 0.25}, avg={TEMP_MAX: 0.25}, cost=0.25, fairness=0.25
-        ),
-        clusters=None,
-    )
-    inst = with_clusters(inst, partition_instance(inst, ["UP"]))
-    validate_instance(inst)
-    return inst

@@ -6,6 +6,7 @@ independent of the production code paths they check.
 
 from __future__ import annotations
 
+import csv
 import shlex
 import sys
 from collections import deque
@@ -15,9 +16,10 @@ import numpy as np
 
 import nbsopt
 from nbsopt import GridDims, Instance, Masks, NbsType, ObjectiveWeights, UcMeasure
+from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement
 from nbsopt.instance import validate_instance
-from nbsopt.kernels import Kernel
+from nbsopt.kernels import TEMP_MAX, Kernel, default_kernel_set
 from nbsopt.model import MilpModel, linearization_big_m
 
 # The directory holding the package under test, for child processes to import
@@ -143,6 +145,84 @@ def make_instance(
     )
     validate_instance(inst)
     return inst
+
+
+def cluster_demo_instance() -> Instance:
+    """Hand-built 6x6 urban-park instance with one 5-cell cluster.
+
+    Eligible cells are a plus-shaped region around (2, 2) plus two isolated
+    cells; one pre-existing park sits at (5, 0). The budget covers the cluster
+    and one extra cell but not everything, so the trade-off is nontrivial.
+    Decision units: 1 cluster + 2 free cells = 3.
+    """
+    dims = GridDims(6, 6)
+    plus = {(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)}
+    singles = {(0, 0), (5, 5)}
+    pre = {(5, 0)}
+    forbidden = {
+        (i, j)
+        for i in range(6)
+        for j in range(6)
+        if (i, j) not in plus | singles | pre
+    }
+
+    field = np.array(
+        [[30.0 - abs(i - 2) - abs(j - 2) for j in range(6)] for i in range(6)]
+    )
+    kernels, fairness = default_kernel_set(nbs_ids=["UP"], measure_ids=[TEMP_MAX])
+    cost = 37.8 * dims.resolution**2
+    inst = Instance(
+        dims=dims,
+        nbs=[NbsType(id="UP", name="Urban Park", cost=cost)],
+        measures=[UcMeasure(id=TEMP_MAX, unit="degC", field=field)],
+        kernels=kernels,
+        fairness_kernels=fairness,
+        masks=Masks(forbidden={"UP": forbidden}, pre_existing={"UP": pre}),
+        population=np.full(dims.shape, 1.0 / dims.n_cells),
+        budget=6.5 * cost,
+        weights=ObjectiveWeights(
+            peak={TEMP_MAX: 0.25}, avg={TEMP_MAX: 0.25}, cost=0.25, fairness=0.25
+        ),
+        clusters=None,
+    )
+    inst = with_clusters(inst, partition_instance(inst, ["UP"]))
+    validate_instance(inst)
+    return inst
+
+
+def instances_equal(a: Instance, b: Instance) -> bool:
+    """Structural equality, exact on every numeric field."""
+    if a.dims != b.dims or a.nbs != b.nbs or a.budget != b.budget:
+        return False
+    if len(a.measures) != len(b.measures):
+        return False
+    for ua, ub in zip(a.measures, b.measures):
+        if (ua.id, ua.unit, ua.delta) != (ub.id, ub.unit, ub.delta):
+            return False
+        if not np.array_equal(ua.field, ub.field):
+            return False
+    if a.kernels != b.kernels or a.fairness_kernels != b.fairness_kernels:
+        return False
+    if a.masks.forbidden != b.masks.forbidden:
+        return False
+    if a.masks.pre_existing != b.masks.pre_existing:
+        return False
+    if not np.array_equal(a.population, b.population):
+        return False
+    if (a.weights.peak, a.weights.avg, a.weights.cost, a.weights.fairness) != (
+        b.weights.peak,
+        b.weights.avg,
+        b.weights.cost,
+        b.weights.fairness,
+    ):
+        return False
+    return a.clusters == b.clusters
+
+
+def read_matrix_csv(path: Path) -> np.ndarray:
+    """A reduction CSV written by `analysis.write_matrix_csv`, as a matrix."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        return np.array([[float(v) for v in row] for row in csv.reader(fh)])
 
 
 def variable_vector(inst: Instance, model: MilpModel, placement: Placement) -> np.ndarray:

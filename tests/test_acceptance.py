@@ -28,9 +28,9 @@ from nbsopt.model import (
 )
 from nbsopt.mps import export_interchange
 from nbsopt.solve import SolveConfig, solve_external, solve_oracle
-from nbsopt.suite import cluster_demo_instance, desk_suite
+from nbsopt.suite import desk_suite
 
-from _helpers import make_instance
+from _helpers import cluster_demo_instance, make_instance
 
 SUITE_SIZE = 50
 REL_TOL = 1e-6

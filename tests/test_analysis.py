@@ -15,14 +15,13 @@ from nbsopt.analysis import (
     build_report,
     export_heatmaps,
     gini,
-    read_matrix_csv,
     report_to_dict,
     write_report,
 )
 from nbsopt.engine import Placement
 from nbsopt.solve import SolveConfig, SolveResult, solve, solve_oracle
 
-from _helpers import make_instance
+from _helpers import cluster_demo_instance, make_instance, read_matrix_csv
 
 
 class TestGini:
@@ -93,8 +92,6 @@ class TestBuildReport:
             assert t.new_cells == 0 and t.spend == 0.0
 
     def test_urban_park_cell_costs_3780_per_year(self):
-        from nbsopt.suite import cluster_demo_instance
-
         inst = cluster_demo_instance()
         result = solve_oracle(inst)
         report = build_report(inst, result)

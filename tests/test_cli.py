@@ -92,6 +92,34 @@ class TestSolveAndReport:
         assert (out_dir / "placement_GW.pgm").exists()
         assert (out_dir / "heatmap_scales.json").exists()
 
+    @pytest.mark.parametrize("case, code", [
+        ("not_an_object", "instance.schema"),
+        ("unknown_nbs", "instance.schema"),
+        ("outside_grid", "instance.schema"),
+        ("negative_index", "instance.schema"),
+        ("not_an_integer", "instance.schema"),
+        ("wall_time_not_a_number", "instance.schema"),
+        ("forbidden_cell", "placement.infeasible"),
+    ])
+    def test_bad_result_file_exits_2(self, case, code, tiny_instance_path, tmp_path, capsys):
+        forbidden = json.loads(tiny_instance_path.read_text())["forbidden"]["GW"][0]
+        fields = {
+            "unknown_nbs": {"new_cells": {"XX": [[0, 0]]}},
+            "outside_grid": {"new_cells": {"GW": [[50, 0]]}},
+            "negative_index": {"new_cells": {"GW": [[-1, 0]]}},
+            "not_an_integer": {"new_cells": {"GW": [[1.5, 0]]}},
+            "wall_time_not_a_number": {"new_cells": {"GW": []}, "metadata": {"wall_time": "1s"}},
+            "forbidden_cell": {"new_cells": {"GW": [forbidden]}},
+        }
+        raw = {"status": "optimal", **fields[case]} if case in fields else []
+        result_path = tmp_path / "result.json"
+        result_path.write_text(json.dumps(raw))
+        code_seen = run(["report", str(tiny_instance_path), str(result_path),
+                         "--out-dir", str(tmp_path / "rep")])
+        err = capsys.readouterr().err.splitlines()
+        assert code_seen == 2
+        assert len(err) == 1 and err[0].startswith(f"error code={code} message=")
+
     def test_result_json_deterministic_modulo_metadata(self, tiny_instance_path, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
         for p in paths:

@@ -9,7 +9,6 @@ from nbsopt.engine import (
     impact_field,
     measure_impact,
     reduced_measure,
-    stamp_kernel,
 )
 from nbsopt.kernels import Kernel, compute_big_m, default_kernel_set
 
@@ -33,16 +32,6 @@ class TestCorrelate:
         np.testing.assert_allclose(
             correlate(field, kernel), naive_correlate(field, kernel.entries), atol=1e-12
         )
-
-    def test_stamp_matches_single_cell_correlation(self):
-        rng = np.random.default_rng(3)
-        kernel = random_kernel(rng)
-        field = np.zeros((6, 7))
-        field[2, 5] = 1.0
-        expected = correlate(field, kernel)
-        out = np.zeros((6, 7))
-        stamp_kernel(out, kernel, 2, 5)
-        np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
 class TestImpactField:

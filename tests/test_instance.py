@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nbsopt import GridDims, generate_synthetic, instances_equal, split_grid
+from nbsopt import GridDims, generate_synthetic
 from nbsopt.instance import (
     SchemaError,
     ValidationError,
@@ -14,7 +14,7 @@ from nbsopt.instance import (
     validate_instance,
 )
 
-from _helpers import make_instance
+from _helpers import cluster_demo_instance, instances_equal, make_instance
 
 
 def minimal_dict():
@@ -157,8 +157,6 @@ class TestRoundTrip:
         assert raw["pre_existing"] == {"GW": [], "GR": []}
 
     def test_clustered_instance_round_trip(self, tmp_path):
-        from nbsopt.suite import cluster_demo_instance
-
         inst = cluster_demo_instance()
         path = tmp_path / "c.json"
         save_instance(inst, path)
@@ -225,39 +223,6 @@ class TestGenerator:
             inst = generate_synthetic(seed, GridDims(5, 7), nbs_count=2, measure_count=3,
                                       forbidden_fraction=0.4, pre_existing_fraction=0.2)
             validate_instance(inst)  # raises on failure
-
-
-class TestSplitGrid:
-    def test_exact_division(self):
-        field = np.arange(100 * 100, dtype=float).reshape(100, 100)
-        tiles = split_grid(field, 50)
-        assert len(tiles) == 4
-        assert all(t.shape == (50, 50) for t in tiles)
-
-    def test_partial_strip_dropped(self):
-        field = np.zeros((120, 100))
-        tiles = split_grid(field, 50)
-        assert len(tiles) == 4
-
-    def test_identity_tile(self):
-        field = np.random.default_rng(0).random((50, 50))
-        tiles = split_grid(field, 50)
-        assert len(tiles) == 1
-        np.testing.assert_array_equal(tiles[0], field)
-
-    def test_tiles_match_windows(self):
-        field = np.arange(7 * 9, dtype=float).reshape(7, 9)
-        tiles = split_grid(field, 3)
-        assert len(tiles) == 2 * 3
-        k = 0
-        for i0 in range(0, 6, 3):
-            for j0 in range(0, 9, 3):
-                np.testing.assert_array_equal(tiles[k], field[i0:i0 + 3, j0:j0 + 3])
-                k += 1
-
-    def test_bad_tile_rejected(self):
-        with pytest.raises(ValueError):
-            split_grid(np.zeros((4, 4)), 0)
 
 
 def test_json_numbers_survive_python_json(tmp_path):

@@ -18,9 +18,15 @@ from nbsopt.model import (
     objective_normalizers,
 )
 from nbsopt.solve import solve_oracle
-from nbsopt.suite import cluster_demo_instance, desk_suite
+from nbsopt.suite import desk_suite
 
-from _helpers import clamp_witness, constraint_residuals, make_instance, variable_vector
+from _helpers import (
+    clamp_witness,
+    cluster_demo_instance,
+    constraint_residuals,
+    make_instance,
+    variable_vector,
+)
 
 
 class TestModelShape:
@@ -29,7 +35,7 @@ class TestModelShape:
         model = build_model(inst)
         assert model.n_variables == 7
         assert model.n_constraints == 12
-        tags = {b.tag: b.n_rows for b in model.constraints if b.n_rows}
+        tags = {b.tag: len(b.labels) for b in model.constraints if len(b.labels)}
         assert tags == {
             "one_type": 1, "budget": 1, "conv": 1, "bigm": 6,
             "peak": 1, "avg": 1, "fairness": 1,
@@ -42,7 +48,7 @@ class TestModelShape:
         kinds = [name.split("_")[0] for name in model.layout.column_names()]
         assert Counter(kinds)["x"] == 8 and Counter(kinds)["y"] == 4
         assert sum(model.is_integer[k] for k, kind in enumerate(kinds) if kind == "x") == 8
-        tags = {b.tag: b.n_rows for b in model.constraints}
+        tags = {b.tag: len(b.labels) for b in model.constraints}
         assert tags["conv"] == 4
         assert tags["bigm"] == 24
 
@@ -57,7 +63,7 @@ class TestModelShape:
     def test_forbidden_and_pre_existing_rows(self):
         inst = make_instance(np.ones((2, 2)), forbidden={(0, 0)}, pre_existing={(1, 1)})
         model = build_model(inst)
-        tags = {b.tag: b.n_rows for b in model.constraints}
+        tags = {b.tag: len(b.labels) for b in model.constraints}
         assert tags["forbidden"] == 1 and tags["pre_existing"] == 1
 
     def test_variable_name_scheme(self):
@@ -93,7 +99,7 @@ class TestOneMatrix:
     def test_families_tile_the_rows_in_order(self, suite_models):
         for model in suite_models:
             blocks = model.constraints
-            assert sum(b.n_rows for b in blocks) == model.n_constraints == len(model.rhs)
+            assert sum(len(b.labels) for b in blocks) == model.n_constraints == len(model.rhs)
             assert sum(len(b.indices) for b in blocks) == model.a.nnz
             np.testing.assert_array_equal(
                 np.concatenate([b.indices for b in blocks]), model.a.indices
@@ -185,8 +191,6 @@ class TestEvaluateSolution:
         assert families == {"forbidden", "pre_existing"}
 
     def test_partial_cluster_violation(self):
-        from nbsopt.suite import cluster_demo_instance
-
         inst = cluster_demo_instance()
         cluster = inst.clusters["UP"][0]
         placement = Placement.do_nothing(inst)
@@ -214,7 +218,8 @@ class TestEvaluateSolution:
             vals = variable_vector(inst, model, placement)
             assert constraint_residuals(model, vals) <= 1e-9
             breakdown = evaluate_solution(inst, placement, norms)
-            assert model.objective_value(vals) == pytest.approx(breakdown.total, abs=1e-9)
+            objective = vals @ model.c + model.objective_constant
+            assert objective == pytest.approx(breakdown.total, abs=1e-9)
 
 
 class TestAllForbidden:

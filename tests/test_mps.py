@@ -13,9 +13,9 @@ from nbsopt.mps import (
     iter_mps_text,
     read_mps,
 )
-from nbsopt.suite import cluster_demo_instance, desk_suite
+from nbsopt.suite import desk_suite
 
-from _helpers import make_instance
+from _helpers import cluster_demo_instance, make_instance
 
 
 @pytest.fixture
@@ -32,8 +32,8 @@ class TestWriter:
         path = tmp_path / "m.mps"
         export_interchange(model, path)
         data = read_mps(path)
-        assert data.n_rows == 12
-        assert data.n_columns == 7
+        assert len(data.row_names) == 12
+        assert len(data.column_names) == 7
 
     def test_byte_deterministic(self, tmp_path, small_model):
         _, model = small_model
@@ -168,7 +168,7 @@ class TestReader:
             "ENDATA\n"
         )
         data = read_mps(io.StringIO(text))
-        assert data.n_rows == 2 and data.n_columns == 1
+        assert len(data.row_names) == 2 and len(data.column_names) == 1
         assert data.c.tolist() == [1.0]
         assert data.sense.tolist() == ["<=", ">="]
         assert data.rhs.tolist() == [4.0, 1.0]

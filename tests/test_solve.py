@@ -25,9 +25,15 @@ from nbsopt.solve import (
     values_close,
 )
 from nbsopt.mps import export_interchange, read_mps
-from nbsopt.suite import cluster_demo_instance, desk_suite
+from nbsopt.suite import desk_suite
 
-from _helpers import SRC, make_instance, solver_cli_template, spy_on_highs
+from _helpers import (
+    SRC,
+    cluster_demo_instance,
+    make_instance,
+    solver_cli_template,
+    spy_on_highs,
+)
 
 EXTERNAL = SolveConfig(backend="external", time_limit=60.0)
 
@@ -255,6 +261,25 @@ class TestInProcess:
                 np.testing.assert_array_equal(a.placement.masks[t], b.placement.masks[t])
             np.testing.assert_array_equal(a.variables, b.variables)
 
+    @pytest.mark.parametrize("template", [None, solver_cli_template()],
+                             ids=["in-process", "solver-cli"])
+    def test_normalizers_computed_once_per_solve(self, monkeypatch, template):
+        from nbsopt import model as model_module
+
+        monkeypatch.delenv("NBSOPT_SOLVER_CMD", raising=False)
+        calls = []
+        real = model_module.objective_normalizers
+
+        def spy(inst):
+            calls.append(inst)
+            return real(inst)
+
+        monkeypatch.setattr(model_module, "objective_normalizers", spy)
+        _, inst = desk_suite(1)[0]
+        cfg = SolveConfig(backend="external", time_limit=60.0, solver_cmd=template)
+        assert solve_external(inst, cfg).status == "optimal"
+        assert len(calls) == 1
+
     def test_workdir_files_describe_the_solve(self, tmp_path):
         inst = generate_synthetic(2, GridDims(3, 3), nbs_count=1, measure_count=1,
                                   forbidden_fraction=0.7, pre_existing_fraction=0.0)
@@ -419,5 +444,5 @@ class TestSolverCli:
         for name, v in values.items():
             vals[index[name]] = v
         assert float(meta["objective"]) == pytest.approx(
-            model.objective_value(vals), abs=1e-9
+            vals @ model.c + model.objective_constant, abs=1e-9
         )
