@@ -91,6 +91,7 @@ def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
         "objective_terms": result.breakdown.to_dict() if result.breakdown else None,
         "metadata": {
             "backend": result.backend,
+            "formulation": result.formulation,
             "wall_time": result.wall_time,
             "message": result.message,
         },
@@ -133,6 +134,7 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
         bound=raw.get("bound"),
         wall_time=float(wall_time),
         message=meta.get("message", ""),
+        formulation=meta.get("formulation"),
     )
 
 
@@ -389,6 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _schema_owner(field: str) -> str:
+    """The file a malformed field belongs to: the result, the config, or else
+    the instance."""
+    root = field.split(".", 1)[0]
+    return root if root in ("result", "config") else "instance"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -399,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(getattr(args, "config", None))
         return args.func(args, config)
     except SchemaError as exc:
-        return _fail("instance.schema", str(exc), EXIT_VALIDATION)
+        return _fail(f"{_schema_owner(exc.field)}.schema", str(exc), EXIT_VALIDATION)
     except ValidationError as exc:
         return _fail("instance.validation", str(exc), EXIT_VALIDATION)
     except InstanceError as exc:

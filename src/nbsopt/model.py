@@ -25,6 +25,11 @@ The minimized objective is the weighted sum of normalized peak, mean, and
 cost terms minus the normalized total fairness. Peak and mean terms divide by
 the field maximum, cost by the budget, and fairness is min-max scaled between
 the pre-existing-only total and the best single-type-everywhere total.
+
+This is the paper's model; the MPS export writes it. The in-process solve
+hands HiGHS the compact model sliced from its matrix (`compact_model`), lifts
+the compact optimum back into this layout (`lift`) and certifies it on these
+rows (`certify`).
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ SENSE_GE = ">="
 
 FEAS_TOL = 1e-9
 DEGENERATE_SCALE_TOL = 1e-12
+OBJECTIVE_MATCH_TOL = 1e-6
+
+
+def values_close(a: float, b: float, rel: float = OBJECTIVE_MATCH_TOL) -> bool:
+    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
 
 
 def _grid_labels(*shape: int) -> np.ndarray:
@@ -153,6 +163,15 @@ class MilpModel:
     @property
     def n_constraints(self) -> int:
         return self.a.shape[0]
+
+    def rows(self, tag: str) -> slice:
+        """The rows of the constraint family `tag`, as a slice of `a`."""
+        start = 0
+        for block in self.constraints:
+            if block.tag == tag:
+                return slice(start, start + len(block.labels))
+            start += len(block.labels)
+        raise KeyError(tag)
 
 
 class VariableLayout:
@@ -461,6 +480,155 @@ def expected_variable_count(inst: Instance) -> int:
     n_u = len(inst.measures)
     n_clusters = sum(len(inst.clusters_for(t)) for t in inst.nbs_ids)
     return n * n_t + 3 * n * n_u + 2 * n_u + n + n_clusters
+
+
+# --- Compact solve model -------------------------------------------------------
+
+
+@dataclass(eq=False)
+class CompactModel:
+    """The model the in-process solve hands HiGHS, sliced from a MilpModel.
+
+    Its fields mean what MilpModel's do; `columns` holds the MilpModel column
+    of each compact column.
+    """
+
+    a: sparse.csr_matrix
+    sense: np.ndarray
+    rhs: np.ndarray
+    c: np.ndarray
+    objective_constant: float
+    lower: np.ndarray
+    upper: np.ndarray
+    is_integer: np.ndarray
+    columns: np.ndarray
+
+
+def _deltas(model: MilpModel) -> np.ndarray:
+    """The cap of every zbar column: bigm4, the fourth row of each (u, cell)
+    group, reads zbar <= delta."""
+    return model.rhs[model.rows("bigm")][3::6]
+
+
+def compact_model(model: MilpModel) -> CompactModel:
+    """The paper model without its big-M rows and its defined columns.
+
+    The bigm and fairness rows go, and so do the y, zavg and f columns; each
+    z column is mapped onto its zbar column. So the conv rows read
+    `zbar - Kx <= 0`, the avg rows `mean(zbar) <= mean(a)`, and zbar takes
+    the cap `delta` as its upper bound. zavg and f leave the objective
+    through the avg and fairness rows that define them. A paper solution
+    keeps its objective in the compact model, so the compact optimum is a
+    lower bound on the paper optimum.
+    """
+    from scipy import sparse
+
+    layout = model.layout
+    a, n_rows, n_vars = model.a, model.n_constraints, model.n_variables
+    avg, fair = model.rows("avg"), model.rows("fairness")
+
+    # c' = c - c_def @ A_def and const' = const + c_def @ rhs_def; each defined
+    # column leads its row with coefficient 1, so its own cost cancels
+    c_def = np.zeros(n_rows)
+    c_def[avg] = model.c[layout.zavg_base : layout.f_base]
+    c_def[fair] = model.c[layout.f_base : layout.lam_base]
+    c = model.c - a.T @ c_def
+    constant = model.objective_constant + float(c_def @ model.rhs)
+
+    keep_col = np.ones(n_vars, dtype=bool)
+    keep_col[layout.y_base : layout.zbar_base] = False  # y and z
+    keep_col[layout.zavg_base : layout.lam_base] = False  # zavg and f
+    columns = np.flatnonzero(keep_col)
+    new_col = np.full(n_vars, -1, dtype=a.indices.dtype)
+    new_col[columns] = np.arange(len(columns))
+    # z sits after every x column and zbar after every z, so rows stay sorted
+    new_col[layout.z_base : layout.zbar_base] = new_col[layout.zbar_base : layout.zmax_base]
+
+    keep_row = np.ones(n_rows, dtype=bool)
+    keep_row[model.rows("bigm")] = False
+    keep_row[fair] = False
+    sense = model.sense.copy()
+    sense[model.rows("conv")] = SENSE_LE
+    sense[avg] = SENSE_LE
+
+    col = new_col[a.indices]
+    keep = np.repeat(keep_row, np.diff(a.indptr)) & (col >= 0)
+    starts = a.indptr[np.append(np.flatnonzero(keep_row), n_rows)]
+    indptr = np.concatenate(([0], np.cumsum(keep)))[starts]
+    upper = model.upper[columns]
+    upper[new_col[layout.zbar_base : layout.zmax_base]] = _deltas(model)
+    shape = (len(starts) - 1, len(columns))
+    return CompactModel(
+        a=sparse.csr_matrix((a.data[keep], col[keep], indptr), shape=shape),
+        sense=sense[keep_row],
+        rhs=model.rhs[keep_row],
+        c=c[columns],
+        objective_constant=constant,
+        lower=model.lower[columns],
+        upper=upper,
+        is_integer=model.is_integer[columns],
+        columns=columns,
+    )
+
+
+def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndarray:
+    """The paper-layout column vector of a compact solution.
+
+    x and lam are the compact values rounded. Every other column takes the
+    value its rows define: z from the conv rows, `zbar = min(z, delta)`,
+    `y = [z <= delta]`, zmax the largest reduced value (at least 0), zavg
+    from the avg rows and f from the fairness rows.
+    """
+    layout = model.layout
+    v = np.zeros(model.n_variables)
+    v[compact.columns] = np.round(values)
+    v[layout.y_base : layout.lam_base] = 0.0
+
+    def defined(tag: str) -> np.ndarray:
+        """Each row of `tag` solved for its lead column, which is 0 in v."""
+        rows = model.rows(tag)
+        return model.rhs[rows] - model.a[rows] @ v
+
+    z, delta = defined("conv"), _deltas(model)
+    v[layout.y_base : layout.z_base] = z <= delta
+    v[layout.z_base : layout.zbar_base] = z
+    v[layout.zbar_base : layout.zmax_base] = np.minimum(z, delta)
+    reduced = defined("peak").reshape(len(layout.measure_ids), layout.n_cells)
+    v[layout.zmax_base : layout.zavg_base] = np.maximum(reduced.max(axis=1), 0.0)
+    v[layout.zavg_base : layout.f_base] = defined("avg")
+    v[layout.f_base : layout.lam_base] = defined("fairness")
+    return v
+
+
+def constraint_residuals(model, values: np.ndarray) -> float:
+    """Largest violation of any row or column bound of `model` at `values`
+    (<= 0 is feasible). Row violations are relative to 1 + |rhs|, as
+    check_placement measures the budget's."""
+    lhs = model.a @ values
+    gap = np.where(
+        model.sense == SENSE_LE,
+        lhs - model.rhs,
+        np.where(model.sense == SENSE_GE, model.rhs - lhs, np.abs(lhs - model.rhs)),
+    )
+    rows = gap / (1.0 + np.abs(model.rhs))
+    cols = np.maximum(model.lower - values, values - model.upper)
+    return float(max(rows.max(initial=-np.inf), cols.max(initial=-np.inf)))
+
+
+def certify(model: MilpModel, values: np.ndarray, objective: float) -> str:
+    """Why the paper-layout vector `values` is not a solution of `model` with
+    an objective at most `objective`, or "" when it is.
+
+    A vector that passes, lifted from an optimum of the compact model (a
+    relaxation of `model`), is optimal for `model` too.
+    """
+    worst = constraint_residuals(model, values)
+    if worst > FEAS_TOL:
+        return f"a row or column bound is violated by {worst:.3g}"
+    lifted = float(values @ model.c) + model.objective_constant
+    if lifted > objective and not values_close(lifted, objective):
+        return f"lifted objective {lifted!r} exceeds the compact {objective!r}"
+    return ""
 
 
 # --- Placement feasibility and objective evaluation --------------------------

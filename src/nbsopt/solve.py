@@ -8,19 +8,30 @@ re-evaluated directly before it is returned; the oracle never touches the
 MILP or its big-M linearization, which makes it an independent check of the
 MILP. It is exact but exponential, so it is capped by a decision-unit budget.
 
-The external backend solves the MILP with a MILP solver. By default it hands
-the model itself (its one constraint matrix, per-row senses and right-hand
-sides, objective vector, integrality and column bounds) to the bundled HiGHS
-in-process, through `solver_cli.solve_mps`, which `python -m
-nbsopt.solver_cli` also runs on the MPS file it reads; no name is formatted
-and no file is written. A command template (the solver_cmd setting or the
-NBSOPT_SOLVER_CMD environment variable) with {model}, {solution},
-{timelimit} and {gap} placeholders swaps in any other solver: the model is
-written to a free-format MPS file, the command runs as a subprocess, and the
+The external backend solves the MILP with a MILP solver. By default it
+solves in-process with the bundled HiGHS, through `solver_cli.solve_mps`,
+which `python -m nbsopt.solver_cli` also runs on the MPS file it reads; no
+name is formatted and no file is written. HiGHS gets the compact model that
+`model.compact_model` slices from the paper model's one constraint matrix:
+no big-M rows, no y, z, zavg or f columns. Its optimum is lifted back into
+the paper layout (`model.lift`) and certified on the paper model's rows,
+column bounds and objective (`model.certify`). The compact model relaxes the
+paper model, so a lifted optimum that passes is the paper model's optimum,
+and the compact bound is a bound for it; if the compact model is infeasible,
+so is the paper model. Only when the certificate fails (so far only through
+the `zavg >= 0` domain) is the paper model itself solved, in the time that
+remains, and the better of the two bounds is kept. The result's
+`formulation` names the model whose answer it is. The relative gap applies
+to HiGHS's own objective, which leaves out a constant in both models.
+
+A command template (the solver_cmd setting or the NBSOPT_SOLVER_CMD
+environment variable) with {model}, {solution}, {timelimit} and {gap}
+placeholders swaps in any other solver: the paper model is written to a
+free-format MPS file, the command runs as a subprocess, and the
 whitespace-separated "name value" solution file it leaves behind is mapped
-into the column vector. Both paths end in one verification
-step that re-checks feasibility and re-computes the objective before trusting
-the answer.
+into the column vector. Both paths end in one verification step that
+re-checks feasibility and re-computes the objective before trusting the
+answer.
 """
 
 from __future__ import annotations
@@ -43,9 +54,13 @@ from .model import (
     MilpModel,
     ObjectiveBreakdown,
     build_model,
+    certify,
     check_placement,
+    compact_model,
     evaluate_solution,
+    lift,
     objective_normalizers,
+    values_close,
 )
 from .mps import export_interchange
 
@@ -54,7 +69,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIME_LIMIT = 1800.0
 DEFAULT_UNIT_CAP = 16
 SOLVER_CMD_ENV = "NBSOPT_SOLVER_CMD"
-OBJECTIVE_MATCH_TOL = 1e-6
 SUBPROCESS_GRACE = 60.0
 
 STATUS_OPTIMAL = "optimal"
@@ -92,14 +106,11 @@ class SolveResult:
     breakdown: ObjectiveBreakdown | None = None
     variables: np.ndarray | None = None  # solved columns, VariableLayout order
     message: str = ""
+    formulation: str | None = None  # the MILP solved: "compact" or "paper"
 
     @property
     def ok(self) -> bool:
         return self.status in (STATUS_OPTIMAL, STATUS_TIMEOUT)
-
-
-def values_close(a: float, b: float, rel: float = OBJECTIVE_MATCH_TOL) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
 
 
 # --- Exhaustive oracle -------------------------------------------------------
@@ -435,15 +446,19 @@ def _verify(
     )
 
 
-def _solve_in_process(
-    inst: Instance, model: MilpModel, config: SolveConfig, t0: float
+def _finish(
+    inst: Instance,
+    model: MilpModel,
+    config: SolveConfig,
+    res,
+    started: float,
+    t0: float,
+    formulation: str,
 ) -> SolveResult:
-    """Hand the model to the bundled HiGHS, then verify its answer."""
-    # imported on the first solve: scipy.optimize would slow `import nbsopt`
+    """Verify a HiGHS result over the model's columns, first writing the
+    model and that result to `config.workdir` when it is set."""
     from . import solver_cli
 
-    started = time.perf_counter()
-    res = solver_cli.solve_mps(model, config.time_limit, config.gap)
     constant = model.objective_constant
     if config.workdir is not None:
         workdir = Path(config.workdir)
@@ -454,7 +469,76 @@ def _solve_in_process(
         )
         (workdir / "solution.sol").write_text(text, encoding="utf-8")
     status, reported, bound = solver_cli.summary(res, constant)
-    return _verify(inst, model, status, res.x, reported, bound, t0, res.message)
+    result = _verify(inst, model, status, res.x, reported, bound, t0, res.message)
+    result.formulation = formulation
+    return result
+
+
+def _solve_paper(
+    inst: Instance,
+    model: MilpModel,
+    config: SolveConfig,
+    t0: float,
+    time_limit: float | None = None,
+    bound: float | None = None,
+) -> SolveResult:
+    """Hand the paper model itself to the bundled HiGHS, then verify its
+    answer. `bound`, a lower bound on the objective known beforehand,
+    replaces a lower or missing bound from HiGHS."""
+    from . import solver_cli
+
+    started = time.perf_counter()
+    limit = config.time_limit if time_limit is None else time_limit
+    res = solver_cli.solve_mps(model, limit, config.gap)
+    if bound is not None:
+        known, dual = bound - model.objective_constant, res.get("mip_dual_bound")
+        res.mip_dual_bound = known if dual is None else float(np.fmax(dual, known))
+    return _finish(inst, model, config, res, started, t0, "paper")
+
+
+def _solve_in_process(
+    inst: Instance, model: MilpModel, config: SolveConfig, t0: float
+) -> SolveResult:
+    """Solve the compact model with the bundled HiGHS and lift its answer
+    into the paper layout; a lifted answer that passes the certificate is
+    verified as the paper model's, otherwise the paper model is solved."""
+    # imported on the first solve: scipy.optimize would slow `import nbsopt`
+    from . import solver_cli
+
+    started = time.perf_counter()
+    compact = compact_model(model)
+    derived = time.perf_counter()
+    logger.info(
+        "compact model: %d rows, %d columns, %d nonzeros (paper model: %d, %d, %d), "
+        "derived in %.4f s",
+        *compact.a.shape, compact.a.nnz, *model.a.shape, model.a.nnz, derived - started,
+    )
+    res = solver_cli.solve_mps(compact, config.time_limit, config.gap)
+    solved = time.perf_counter()
+    status, objective, bound = solver_cli.summary(res, compact.objective_constant)
+    values = None
+    if res.x is not None:
+        values = lift(model, compact, res.x)
+        failure = certify(model, values, objective)
+        outcome = f"failed: {failure}" if failure else "passed"
+    elif status == "infeasible":
+        # the compact model relaxes the paper model: it is infeasible too
+        failure, outcome = "", "not needed"
+    else:
+        failure = outcome = f"not possible, HiGHS status {status}"
+    logger.info(
+        "HiGHS on the compact model: %s in %.4f s; certificate %s in %.4f s",
+        status, solved - derived, outcome, time.perf_counter() - solved,
+    )
+    if failure:
+        remaining = max(0.0, config.time_limit - (time.perf_counter() - started))
+        logger.info("solving the paper model in the remaining %.1f s", remaining)
+        return _solve_paper(inst, model, config, t0, remaining, bound)
+    # the result, restated over the paper model's columns and objective
+    res.x = values
+    res.fun = None if values is None else float(values @ model.c)
+    res.mip_dual_bound = None if bound is None else bound - model.objective_constant
+    return _finish(inst, model, config, res, started, t0, "compact")
 
 
 def _solve_with_command(
@@ -536,7 +620,9 @@ def solve_external(
     template = config.resolved_solver_cmd()
     if template is None:
         return _solve_in_process(inst, model, config, t0)
-    return _solve_with_command(inst, model, config, template, t0)
+    result = _solve_with_command(inst, model, config, template, t0)
+    result.formulation = "paper"
+    return result
 
 
 def solve(inst: Instance, config: SolveConfig | None = None) -> SolveResult:

@@ -284,13 +284,3 @@ def clamp_witness(
     )
     return y, zbar, max(residuals)
 
-
-def constraint_residuals(model: MilpModel, vals: np.ndarray) -> float:
-    """Largest violation of any model row at the given point (<= 0 is feasible)."""
-    lhs = model.a @ vals
-    worst = np.where(
-        model.sense == "<=",
-        lhs - model.rhs,
-        np.where(model.sense == ">=", model.rhs - lhs, np.abs(lhs - model.rhs)),
-    )
-    return float(worst.max(initial=-np.inf))

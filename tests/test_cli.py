@@ -93,12 +93,12 @@ class TestSolveAndReport:
         assert (out_dir / "heatmap_scales.json").exists()
 
     @pytest.mark.parametrize("case, code", [
-        ("not_an_object", "instance.schema"),
-        ("unknown_nbs", "instance.schema"),
-        ("outside_grid", "instance.schema"),
-        ("negative_index", "instance.schema"),
-        ("not_an_integer", "instance.schema"),
-        ("wall_time_not_a_number", "instance.schema"),
+        ("not_an_object", "result.schema"),
+        ("unknown_nbs", "result.schema"),
+        ("outside_grid", "result.schema"),
+        ("negative_index", "result.schema"),
+        ("not_an_integer", "result.schema"),
+        ("wall_time_not_a_number", "result.schema"),
         ("forbidden_cell", "placement.infeasible"),
     ])
     def test_bad_result_file_exits_2(self, case, code, tiny_instance_path, tmp_path, capsys):
@@ -142,6 +142,8 @@ class TestSolveAndReport:
                     "--out", str(tmp_path / "r.json")])
         assert code == 0
         assert (tmp_path / "w" / "model.mps").exists()
+        meta = json.loads((tmp_path / "r.json").read_text())["metadata"]
+        assert meta["formulation"] == "compact"
 
     def test_gap_reaches_the_solver(self, tiny_instance_path, tmp_path):
         argv_file = tmp_path / "argv.json"
@@ -279,3 +281,9 @@ class TestConfigFile:
                     "--config", str(cfg), "--nbs", "2"]) == 0
         raw = json.loads(out_override.read_text())
         assert len(raw["nbs"]) == 2
+
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        assert run(["kernels", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error code=config.schema message=")

@@ -12,6 +12,7 @@ from nbsopt.model import (
     big_m_values,
     build_model,
     check_placement,
+    constraint_residuals,
     evaluate_solution,
     expected_variable_count,
     linearization_big_m,
@@ -23,7 +24,6 @@ from nbsopt.suite import desk_suite
 from _helpers import (
     clamp_witness,
     cluster_demo_instance,
-    constraint_residuals,
     make_instance,
     variable_vector,
 )

@@ -3,19 +3,32 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement
 from nbsopt.instance import ObjectiveWeights
-from nbsopt.model import build_model, check_placement, evaluate_solution
+from nbsopt.model import (
+    OBJECTIVE_MATCH_TOL,
+    build_model,
+    certify,
+    check_placement,
+    compact_model,
+    constraint_residuals,
+    evaluate_solution,
+    lift,
+)
 from nbsopt.solve import (
     OracleCapExceeded,
     SolveConfig,
+    _solve_paper,
     count_decision_units,
     parse_solution_file,
     solution_vector,
@@ -25,7 +38,7 @@ from nbsopt.solve import (
     values_close,
 )
 from nbsopt.mps import export_interchange, read_mps
-from nbsopt.suite import desk_suite
+from nbsopt.suite import desk_instance, desk_suite
 
 from _helpers import (
     SRC,
@@ -33,6 +46,7 @@ from _helpers import (
     make_instance,
     solver_cli_template,
     spy_on_highs,
+    variable_vector,
 )
 
 EXTERNAL = SolveConfig(backend="external", time_limit=60.0)
@@ -112,8 +126,6 @@ class TestOracle:
     def test_oracle_optimum_satisfies_milp_rows(self):
         # the oracle never touches the linearization, so embedding its answer
         # back into the model (with the witness y) must satisfy every row
-        from _helpers import constraint_residuals, variable_vector
-
         for seed in (2, 7):
             inst = generate_synthetic(seed, GridDims(4, 4), nbs_count=2, measure_count=1,
                                       forbidden_fraction=0.6, pre_existing_fraction=0.1)
@@ -212,6 +224,45 @@ class TestAvgDomain:
             assert result.placement.new_cells(inst) == {"GW": [(0, 0), (1, 0)]}
             assert check_placement(inst, result.placement) == []
 
+    def test_the_compact_optimum_fails_the_certificate(self, inst):
+        from nbsopt import solver_cli
+
+        model = build_model(inst)
+        compact = compact_model(model)
+        res = solver_cli.solve_mps(compact, 60.0)
+        objective = res.fun + compact.objective_constant
+        assert objective == pytest.approx(1 / 6, abs=1e-9)
+        lifted = lift(model, compact, res.x)
+        assert lifted[model.layout.zavg_base] < 0  # the domain zavg >= 0 is broken
+        assert certify(model, lifted, objective) != ""
+
+    def test_highs_falls_back_to_the_paper_model(self, inst, monkeypatch):
+        calls = spy_on_highs(monkeypatch)
+        result = solve_external(inst, EXTERNAL)
+        assert result.formulation == "paper"
+        assert len(calls) == 2  # the compact model, then the paper model
+        assert result.objective == pytest.approx(19 / 72, abs=1e-9)
+        assert result.bound == pytest.approx(19 / 72, abs=1e-9)
+
+    def test_the_fallback_keeps_the_better_bound(self, inst, monkeypatch):
+        from nbsopt import solver_cli
+
+
+        model = build_model(inst)
+        real = solver_cli.solve_mps
+
+        def weak_paper_bound(data, *args):
+            res = real(data, *args)
+            if data is model:
+                res.mip_dual_bound = -1.0
+            return res
+
+        monkeypatch.setattr(solver_cli, "solve_mps", weak_paper_bound)
+        result = solve_external(inst, EXTERNAL, model=model)
+        assert (result.status, result.formulation) == ("optimal", "paper")
+        assert result.objective == pytest.approx(19 / 72, abs=1e-9)
+        assert result.bound == pytest.approx(1 / 6, abs=1e-9)
+
 
 @pytest.fixture(scope="module")
 def problem_instances():
@@ -231,7 +282,7 @@ class TestInProcess:
         calls = spy_on_highs(monkeypatch)
         for inst in problem_instances:
             model = build_model(inst)
-            assert solve_external(inst, EXTERNAL, model=model).status == "optimal"
+            assert _solve_paper(inst, model, EXTERNAL, time.perf_counter()).status == "optimal"
             export_interchange(model, tmp_path / "m.mps")
             solver_cli.solve_mps(read_mps(tmp_path / "m.mps"), 60.0)
         assert len(calls) == 2 * len(problem_instances)
@@ -254,12 +305,23 @@ class TestInProcess:
         template = SolveConfig(backend="external", time_limit=60.0,
                                solver_cmd=solver_cli_template())
         for inst in problem_instances:
-            a = solve_external(inst, EXTERNAL)
+            model = build_model(inst)
+            paper = _solve_paper(inst, model, EXTERNAL, time.perf_counter())
+            compact = solve_external(inst, EXTERNAL, model=model)
             b = solve_external(inst, template)
-            assert (a.status, a.objective, a.bound) == (b.status, b.objective, b.bound)
+            assert (paper.formulation, compact.formulation, b.formulation) == (
+                "paper", "compact", "paper")
+            # the paper model in-process and through the template: bit for bit
+            assert (paper.status, paper.objective, paper.bound) == (b.status, b.objective, b.bound)
             for t in inst.nbs_ids:
-                np.testing.assert_array_equal(a.placement.masks[t], b.placement.masks[t])
-            np.testing.assert_array_equal(a.variables, b.variables)
+                np.testing.assert_array_equal(paper.placement.masks[t], b.placement.masks[t])
+            np.testing.assert_array_equal(paper.variables, b.variables)
+            # the compact model: the same optimum, up to ties between placements
+            assert compact.status == b.status
+            assert values_close(compact.objective, b.objective, OBJECTIVE_MATCH_TOL)
+            for result in (compact, b):
+                assert result.bound <= result.objective + 1e-6
+                assert check_placement(inst, result.placement) == []
 
     @pytest.mark.parametrize("template", [None, solver_cli_template()],
                              ids=["in-process", "solver-cli"])
@@ -303,6 +365,100 @@ class TestInProcess:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.stdout.split() == ["False"]
+
+
+class TestCompactSolve:
+    def test_highs_gets_the_paper_matrix_sliced(self, monkeypatch, problem_instances):
+        calls = spy_on_highs(monkeypatch)
+        for inst in problem_instances:
+            model = build_model(inst)
+            result = solve_external(inst, EXTERNAL, model=model)
+            assert (result.status, result.formulation) == ("optimal", "compact")
+            [(c, kwargs)] = calls
+            calls.clear()
+
+            # row mask: every family but the big-M and fairness rows
+            tags = np.concatenate([[b.tag] * len(b.labels) for b in model.constraints])
+            rows = ~np.isin(tags, ["bigm", "fairness"])
+            # column map: y, zavg and f dropped, each z onto its zbar
+            layout = model.layout
+            kind = np.array([name.split("_")[0] for name in layout.column_names()])
+            kept = np.flatnonzero(~np.isin(kind, ["y", "z", "zavg", "f"]))
+            target = np.full(model.n_variables, -1)
+            target[kept] = np.arange(len(kept))
+            z = np.flatnonzero(kind == "z")
+            target[z] = target[np.flatnonzero(kind == "zbar")]
+            mapped = np.flatnonzero(target >= 0)
+            column_map = sparse.csr_matrix(
+                (np.ones(len(mapped)), (mapped, target[mapped])),
+                shape=(model.n_variables, len(kept)),
+            )
+            expected = sparse.csr_matrix(model.a[rows] @ column_map)
+            expected.sort_indices()
+            seen = sparse.csr_matrix(kwargs["constraints"].A)
+            assert seen.has_sorted_indices
+            assert seen.shape == expected.shape
+            np.testing.assert_array_equal(seen.indptr, expected.indptr)
+            np.testing.assert_array_equal(seen.indices, expected.indices)
+            np.testing.assert_array_equal(seen.data, expected.data)
+
+            # conv and avg rows become <= rows; the others keep their sense
+            sense = model.sense[rows]
+            relaxed = np.isin(tags[rows], ["conv", "avg"])
+            lb, ub = kwargs["constraints"].lb, kwargs["constraints"].ub
+            np.testing.assert_array_equal(np.isneginf(lb), relaxed | (sense == "<="))
+            np.testing.assert_array_equal(np.isposinf(ub), sense == ">=")
+            np.testing.assert_array_equal(lb[np.isfinite(lb)], model.rhs[rows][np.isfinite(lb)])
+            np.testing.assert_array_equal(ub[np.isfinite(ub)], model.rhs[rows][np.isfinite(ub)])
+
+            # zbar is capped at delta; every other bound and integrality is kept
+            deltas = np.repeat([inst.delta(u) for u in inst.measure_ids], layout.n_cells)
+            upper = model.upper[kept]
+            upper[kind[kept] == "zbar"] = deltas
+            np.testing.assert_array_equal(kwargs["bounds"].ub, upper)
+            np.testing.assert_array_equal(kwargs["bounds"].lb, model.lower[kept])
+            np.testing.assert_array_equal(kwargs["integrality"], model.is_integer[kept])
+
+            # a paper solution keeps its objective in the compact model
+            paper = variable_vector(inst, model, result.placement)
+            assert c @ paper[kept] + compact_model(model).objective_constant == pytest.approx(
+                paper @ model.c + model.objective_constant, abs=1e-9)
+            assert constraint_residuals(model, result.variables) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_compact_matches_the_oracle(self, seed):
+        inst = desk_instance(seed)
+        assume(inst is not None)
+        oracle = solve_oracle(inst)
+        compact = solve_external(inst, EXTERNAL)
+        assert (oracle.status, compact.status) == ("optimal", "optimal")
+        assert values_close(compact.objective, oracle.objective)
+        assert check_placement(inst, compact.placement) == []
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        side=st.integers(4, 10),
+        nbs=st.integers(1, 3),
+        measures=st.integers(1, 3),
+        forbidden=st.floats(0.3, 0.8),
+        clustered=st.booleans(),
+    )
+    def test_compact_matches_the_paper_model(self, seed, side, nbs, measures, forbidden,
+                                             clustered):
+        inst = generate_synthetic(seed, GridDims(side, side), nbs_count=nbs,
+                                  measure_count=measures, forbidden_fraction=forbidden,
+                                  pre_existing_fraction=0.05)
+        if clustered:
+            inst = with_clusters(inst, partition_instance(inst, inst.nbs_ids[:1]))
+        model = build_model(inst)
+        paper = _solve_paper(inst, model, EXTERNAL, time.perf_counter())
+        compact = solve_external(inst, EXTERNAL, model=model)
+        assert (paper.status, compact.status) == ("optimal", "optimal")
+        assert values_close(compact.objective, paper.objective)
+        for result in (paper, compact):
+            assert check_placement(inst, result.placement) == []
 
 
 class TestSolutionParsing:
