@@ -9,13 +9,7 @@ and reports reductions, budget breakdowns, and equity metrics.
 
 from .analysis import Report, batch_stats, build_report, export_heatmaps, gini
 from .clustering import build_partition, label_components, partition_instance
-from .engine import (
-    Placement,
-    clamp_reduction,
-    fairness_field,
-    impact_field,
-    reduced_measure,
-)
+from .engine import Placement
 from .generator import default_nbs_catalog, generate_synthetic
 from .instance import (
     GridDims,
@@ -80,7 +74,6 @@ __all__ = [
     "build_partition",
     "build_report",
     "check_placement",
-    "clamp_reduction",
     "compute_big_m",
     "count_decision_units",
     "default_kernel_set",
@@ -89,16 +82,13 @@ __all__ = [
     "evaluate_solution",
     "export_heatmaps",
     "export_interchange",
-    "fairness_field",
     "generate_synthetic",
     "gini",
-    "impact_field",
     "label_components",
     "load_instance",
     "objective_normalizers",
     "partition_instance",
     "read_mps",
-    "reduced_measure",
     "save_instance",
     "solve",
     "solve_external",

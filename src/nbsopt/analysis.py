@@ -1,5 +1,8 @@
 """Post-solve analysis: reduction statistics, budget breakdown, equity, exports.
 
+The report reads the reduction and fairness fields of the placement from the
+result's objective evaluation (`evaluate_solution`), which a result loaded
+from a file gets anew; it applies no kernel to the solved placement itself.
 Reduced fields are reported raw (observed minus achieved reduction); cells
 that dip below zero are counted rather than clamped, since whether a measure
 may physically go negative depends on its unit. Equity is summarized by the
@@ -94,11 +97,12 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
     if result.placement is None:
         raise ValueError(f"result has no placement (status {result.status!r})")
     placement = result.placement
+    breakdown = result.breakdown or evaluate_solution(inst, placement)
 
     measures: list[MeasureReport] = []
     for u in inst.measures:
-        zbar = engine.measure_reduction(inst, placement, u.id)
-        reduced = engine.reduced_measure(u.field, zbar)
+        zbar = breakdown.reduction[u.id]
+        reduced = u.field - zbar
         measures.append(
             MeasureReport(
                 measure_id=u.id,
@@ -125,7 +129,7 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
         )
 
     gini_initial = gini(engine.fairness(inst, engine.Placement.do_nothing(inst)))
-    gini_final = gini(engine.fairness(inst, placement))
+    gini_final = gini(breakdown.fairness_field)
 
     categories: dict[str, np.ndarray] = {}
     for t in inst.nbs_ids:
@@ -135,7 +139,6 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
         cat[inst.pre_mask(t)] = CAT_PRE_EXISTING
         categories[t] = cat
 
-    breakdown = result.breakdown or evaluate_solution(inst, placement)
     return Report(
         measures=measures,
         nbs=nbs_reports,

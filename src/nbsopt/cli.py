@@ -28,6 +28,7 @@ from .instance import (
     ValidationError,
     _parse_cells,
     load_instance,
+    read_json,
     save_instance,
 )
 from .model import InfeasiblePlacement, build_model, expected_variable_count
@@ -61,7 +62,7 @@ def _fail(code: str, message: str, exit_code: int) -> int:
 def _load_config(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise SchemaError("config", "config file must hold a JSON object")
     return raw
@@ -241,8 +242,7 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_report(args: argparse.Namespace, config: dict) -> int:
     inst = load_instance(args.instance)
-    raw = json.loads(Path(args.result).read_text(encoding="utf-8"))
-    result = _result_from_dict(raw, inst)
+    result = _result_from_dict(read_json(args.result, "result"), inst)
     if result.placement is None:
         return _fail("report.no-placement", f"result status {result.status!r}", EXIT_SOLVE)
     report = analysis.build_report(inst, result)
@@ -421,8 +421,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("io.missing", str(exc), EXIT_IO)
     except OSError as exc:
         return _fail("io.error", str(exc), EXIT_IO)
-    except json.JSONDecodeError as exc:
-        return _fail("instance.schema", f"not valid JSON: {exc}", EXIT_VALIDATION)
     except RuntimeError as exc:
         return _fail("solve.error", str(exc), EXIT_SOLVE)
 

@@ -1,10 +1,12 @@
 """Windowed kernel application over placement grids.
 
-Computes raw impact fields (newly installed cells only), capped reductions,
-population-weighted fairness fields, and reduced measures. One windowed-sum
-routine, `correlate`, applies every kernel: the enumeration oracle runs it on
-each decision unit's cell indicator, and the objective evaluation and
-post-solve analysis run it on whole placements.
+One windowed-sum routine, `correlate`, applies every kernel. Three field
+functions apply an instance's kernels to a whole placement: the raw impact on
+a measure (newly installed cells only), the reduction it achieves (that
+impact capped at the measure's `delta`), and the population-weighted fairness
+field. The objective evaluation and the placement check call them; the
+post-solve analysis reads the fields the evaluation kept. The enumeration
+oracle runs `correlate` on each decision unit's cell indicator.
 
 Boundary cells outside the grid contribute zero. Orientation is
 cross-correlation (no kernel flip); all bundled kernels are symmetric so the
@@ -83,70 +85,26 @@ def correlate(field: np.ndarray, kernel: Kernel) -> np.ndarray:
     return out
 
 
-def impact_field(
-    placement: Placement,
-    kernels: Mapping[str, Kernel],
-    pre_masks: Mapping[str, np.ndarray],
-) -> np.ndarray:
-    """Summed kernel impact of newly installed cells for one measure.
-
-    `kernels` maps NBS id to that type's kernel for the measure; cells in
-    `pre_masks` contribute nothing.
-    """
-    z: np.ndarray | None = None
-    for t, kernel in kernels.items():
-        new = placement.masks[t] & ~np.asarray(pre_masks[t], dtype=bool)
-        term = correlate(new.astype(float), kernel)
-        z = term if z is None else z + term
-    if z is None:
-        raise ValueError("impact_field needs at least one kernel")
-    return z
-
-
-def clamp_reduction(z: np.ndarray, delta: float) -> np.ndarray:
-    """Cap the raw impact at the achievable reduction."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    return np.minimum(z, delta)
-
-
-def fairness_field(
-    placement: Placement,
-    fairness_kernels: Mapping[str, Kernel],
-    population: np.ndarray,
-) -> np.ndarray:
-    """Population-weighted accessibility field; pre-existing cells count too."""
-    acc: np.ndarray | None = None
-    for t, kernel in fairness_kernels.items():
-        term = correlate(placement.masks[t].astype(float), kernel)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        raise ValueError("fairness_field needs at least one kernel")
-    return np.asarray(population, dtype=float) * acc
-
-
-def reduced_measure(observed: np.ndarray, zbar: np.ndarray) -> np.ndarray:
-    """Observed field minus achieved reduction (not floored at zero)."""
-    observed = np.asarray(observed, dtype=float)
-    zbar = np.asarray(zbar, dtype=float)
-    if observed.shape != zbar.shape:
-        raise ValueError(f"shape mismatch: {observed.shape} vs {zbar.shape}")
-    return observed - zbar
-
-
-# --- Instance-level conveniences --------------------------------------------
-
-
 def measure_impact(inst: Instance, placement: Placement, measure_id: str) -> np.ndarray:
-    kernels = {t: inst.kernel(measure_id, t) for t in inst.nbs_ids}
-    pre = {t: inst.pre_mask(t) for t in inst.nbs_ids}
-    return impact_field(placement, kernels, pre)
+    """Summed kernel impact of the newly installed cells on one measure;
+    pre-existing cells contribute nothing."""
+    return sum(
+        correlate(placement.new_mask(inst, t), inst.kernel(measure_id, t))
+        for t in inst.nbs_ids
+    )
 
 
 def measure_reduction(inst: Instance, placement: Placement, measure_id: str) -> np.ndarray:
-    z = measure_impact(inst, placement, measure_id)
-    return clamp_reduction(z, inst.delta(measure_id))
+    """Achieved reduction of one measure: its impact capped at `delta`."""
+    delta = inst.delta(measure_id)
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    return np.minimum(measure_impact(inst, placement, measure_id), delta)
 
 
 def fairness(inst: Instance, placement: Placement) -> np.ndarray:
-    return fairness_field(placement, inst.fairness_kernels, inst.population)
+    """Population-weighted accessibility field; pre-existing cells count too."""
+    access = sum(
+        correlate(placement.masks[t], inst.fairness_kernels[t]) for t in inst.nbs_ids
+    )
+    return inst.population * access

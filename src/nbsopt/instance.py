@@ -335,7 +335,8 @@ def _expect(obj: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
     value = obj[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    # JSON true and false load as bool, a subclass of int, yet are no count
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(
             f"{where}.{key}" if where else key,
             f"expected {kind.__name__}, got {type(value).__name__}",
@@ -375,9 +376,7 @@ def _parse_kernel(raw: Any, where: str) -> Kernel:
     rows = _expect(raw, "rows", list, where)
     if len(size) != 2:
         raise SchemaError(f"{where}.size", "expected [width, height]")
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or list(arr.shape) != list(size):
-        raise SchemaError(f"{where}.rows", f"rows do not match size {size}")
+    arr = _parse_matrix(rows, tuple(size), f"{where}.rows")
     try:
         return Kernel(arr)
     except ValueError as exc:
@@ -417,8 +416,8 @@ def instance_from_dict(raw: Mapping[str, Any]) -> Instance:
         if not isinstance(entry, dict):
             raise SchemaError(where, "expected an object")
         delta = entry.get("delta")
-        if delta is not None and not isinstance(delta, (int, float)):
-            raise SchemaError(f"{where}.delta", "expected a number or null")
+        if delta is not None:
+            delta = _expect(entry, "delta", float, where)
         measures.append(
             UcMeasure(
                 id=_expect(entry, "id", str, where),
@@ -426,7 +425,7 @@ def instance_from_dict(raw: Mapping[str, Any]) -> Instance:
                 field=_parse_matrix(
                     _expect(entry, "field", list, where), dims.shape, f"{where}.field"
                 ),
-                delta=None if delta is None else float(delta),
+                delta=delta,
             )
         )
 
@@ -463,8 +462,8 @@ def instance_from_dict(raw: Mapping[str, Any]) -> Instance:
     peak_raw = _expect(weights_raw, "peak", dict, "weights")
     avg_raw = _expect(weights_raw, "avg", dict, "weights")
     weights = ObjectiveWeights(
-        peak={u: float(v) for u, v in peak_raw.items()},
-        avg={u: float(v) for u, v in avg_raw.items()},
+        peak={u: _expect(peak_raw, u, float, "weights.peak") for u in peak_raw},
+        avg={u: _expect(avg_raw, u, float, "weights.avg") for u in avg_raw},
         cost=_expect(weights_raw, "cost", float, "weights"),
         fairness=_expect(weights_raw, "fairness", float, "weights"),
     )
@@ -547,14 +546,18 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
     }
 
 
+def read_json(path: str | Path, field: str) -> Any:
+    """The parsed content of a JSON file; SchemaError naming `field` (the
+    file's role) when the file is not JSON text."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(field, f"not valid JSON: {exc}")
+
+
 def load_instance(path: str | Path) -> Instance:
     """Load, schema-check, and validate an instance JSON file."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"not valid JSON: {exc}")
-    inst = instance_from_dict(raw)
+    inst = instance_from_dict(read_json(path, ""))
     validate_instance(inst)
     return inst
 

@@ -34,7 +34,7 @@ rows (`certify`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -134,14 +134,13 @@ def _stack(families: list[tuple], n_cols: int):
 
 
 @dataclass(eq=False)
-class MilpModel:
+class MipProblem:
     """Minimize `c @ x + objective_constant` subject to `a @ x` against `rhs`
     row by row, with the row's `sense`, and `lower <= x <= upper`, integer
     where `is_integer`.
 
-    `a` is one CSR matrix with sorted columns in every row; `constraints`
-    names its row families in order. `norms` are the objective normalizers
-    `c` and `objective_constant` were scaled with.
+    `a` is one CSR matrix with sorted columns in every row. The paper model,
+    the compact model and a model read from MPS all extend this.
     """
 
     a: sparse.csr_matrix
@@ -152,6 +151,15 @@ class MilpModel:
     lower: np.ndarray
     upper: np.ndarray
     is_integer: np.ndarray
+
+
+@dataclass(eq=False)
+class MilpModel(MipProblem):
+    """The paper model: `constraints` names the row families of `a` in
+    order, and `norms` are the objective normalizers `c` and
+    `objective_constant` were scaled with.
+    """
+
     constraints: list[ConstraintBlock]
     layout: "VariableLayout"
     norms: "Normalizers"
@@ -486,21 +494,11 @@ def expected_variable_count(inst: Instance) -> int:
 
 
 @dataclass(eq=False)
-class CompactModel:
-    """The model the in-process solve hands HiGHS, sliced from a MilpModel.
-
-    Its fields mean what MilpModel's do; `columns` holds the MilpModel column
-    of each compact column.
+class CompactModel(MipProblem):
+    """The model the in-process solve hands HiGHS, sliced from a MilpModel;
+    `columns` holds the MilpModel column of each compact column.
     """
 
-    a: sparse.csr_matrix
-    sense: np.ndarray
-    rhs: np.ndarray
-    c: np.ndarray
-    objective_constant: float
-    lower: np.ndarray
-    upper: np.ndarray
-    is_integer: np.ndarray
     columns: np.ndarray
 
 
@@ -600,7 +598,7 @@ def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndar
     return v
 
 
-def constraint_residuals(model, values: np.ndarray) -> float:
+def constraint_residuals(model: MipProblem, values: np.ndarray) -> float:
     """Largest violation of any row or column bound of `model` at `values`
     (<= 0 is feasible). Row violations are relative to 1 + |rhs|, as
     check_placement measures the budget's."""
@@ -720,7 +718,12 @@ def check_placement(inst: Instance, placement: engine.Placement) -> list[Violati
 
 @dataclass
 class ObjectiveBreakdown:
-    """Raw quantities and weighted normalized terms of the objective."""
+    """Raw quantities and weighted normalized terms of the objective.
+
+    `reduction` (the achieved reduction field of each measure) and
+    `fairness_field` are the fields the quantities were computed from; they
+    are not part of `to_dict`.
+    """
 
     peak_value: dict[str, float]
     avg_value: dict[str, float]
@@ -731,6 +734,8 @@ class ObjectiveBreakdown:
     cost_term: float
     fairness_term: float
     total: float
+    reduction: dict[str, np.ndarray] = field(compare=False, repr=False)
+    fairness_field: np.ndarray = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -758,7 +763,8 @@ def evaluate_solution(
     involved, so it doubles as the independent evaluation for the enumeration
     oracle and for verifying solver output. `norms` are computed from the
     instance when not given; callers holding a model pass its `norms`, the
-    ones its objective was built with.
+    ones its objective was built with. The breakdown keeps the reduction and
+    fairness fields, so the report does not compute them again.
     """
     if check:
         violations = check_placement(inst, placement)
@@ -771,9 +777,10 @@ def evaluate_solution(
     avg_value: dict[str, float] = {}
     peak_term: dict[str, float] = {}
     avg_term: dict[str, float] = {}
+    reduction: dict[str, np.ndarray] = {}
     total = 0.0
     for u in inst.measures:
-        zbar = engine.measure_reduction(inst, placement, u.id)
+        zbar = reduction[u.id] = engine.measure_reduction(inst, placement, u.id)
         reduced = u.field - zbar
         # zmax/zavg live in R+, so the solver can never report below zero.
         peak_value[u.id] = max(0.0, float(reduced.max()))
@@ -788,7 +795,8 @@ def evaluate_solution(
     cost_term = inst.weights.cost * norms.cost_scale * cost_value
     total += cost_term
 
-    fairness_value = float(engine.fairness(inst, placement).sum())
+    fairness_field = engine.fairness(inst, placement)
+    fairness_value = float(fairness_field.sum())
     fairness_term = (
         -inst.weights.fairness * norms.fairness_scale * (fairness_value - norms.fairness_min)
     )
@@ -804,4 +812,6 @@ def evaluate_solution(
         cost_term=cost_term,
         fairness_term=fairness_term,
         total=total,
+        reduction=reduction,
+        fairness_field=fairness_field,
     )

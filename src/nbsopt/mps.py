@@ -10,9 +10,9 @@ an extra first row. Output is byte-deterministic for a given model.
 
 The reader accepts the same dialect plus the usual bound codes (UP, LO, FX,
 MI, PL, BV, UI, LI) and comment lines starting with '*'. RANGES sections are
-not supported. It returns the problem under MilpModel's field names (one
-CSR matrix `a`, per-row `sense` and `rhs`, objective vector `c`), so the
-solver entry point takes either.
+not supported. It returns an MpsData, a MipProblem like MilpModel (one CSR
+matrix `a`, per-row `sense` and `rhs`, objective vector `c`), so the solver
+entry point takes either.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import IO, Callable, Iterator
 import numpy as np
 from scipy import sparse
 
-from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, MipProblem
 
 _SENSE_TO_CODE = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
 _CODE_TO_SENSE = {v: k for k, v in _SENSE_TO_CODE.items()}
@@ -134,25 +134,15 @@ def export_interchange(model: MilpModel, path: str | Path, name: str = "nbsopt")
 
 
 @dataclass
-class MpsData:
-    """Parsed MPS content in the field names of MilpModel, plus the file's names.
+class MpsData(MipProblem):
+    """Parsed MPS content as a problem, plus the file's names.
 
-    `a` is the constraint matrix (CSR, duplicate entries summed, sorted columns
-    in every row), `sense` and `rhs` are per row and `c` is the objective
-    vector; the objective row is not a row of `a`.
+    `a` has duplicate entries summed; the objective row is not a row of `a`.
     """
 
     name: str
     row_names: list[str]
     column_names: list[str]
-    a: sparse.csr_matrix
-    sense: np.ndarray
-    rhs: np.ndarray
-    c: np.ndarray
-    objective_constant: float
-    lower: np.ndarray
-    upper: np.ndarray
-    is_integer: np.ndarray
 
 
 class _MpsParser:

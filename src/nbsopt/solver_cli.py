@@ -4,8 +4,7 @@ subprocess that reads MPS, solves with HiGHS and writes a solution file.
 Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
 Both go through `solve_mps`, which takes a MilpModel, the CompactModel sliced
-from one, or the MpsData read from a file: they share the field names of one
-problem in arrays.
+from one, or the MpsData read from a file: each is a MipProblem.
 
 The solution file starts with '# key value' metadata lines (solver, status,
 objective, bound, walltime) followed by one 'name value' line per column.
@@ -24,13 +23,12 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .model import SENSE_GE, SENSE_LE, CompactModel, MilpModel
+from .model import SENSE_GE, SENSE_LE, MipProblem
 from .mps import MpsData, read_mps
 
 
-def solve_mps(data: MpsData | MilpModel | CompactModel, time_limit: float, gap: float = 0.0):
-    """Run HiGHS on a MilpModel, CompactModel or MpsData; returns the scipy
-    result object.
+def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0):
+    """Run HiGHS on a problem; returns the scipy result object.
 
     Minimizes `c @ x` subject to each row of `a @ x` against `rhs` with the
     row's `sense`, `lower <= x <= upper`, and integrality where `is_integer`.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbsopt import GridDims, generate_synthetic
+from nbsopt import GridDims, cli, generate_synthetic
 from nbsopt.analysis import (
     CAT_FORBIDDEN,
     CAT_NEW,
@@ -19,7 +19,9 @@ from nbsopt.analysis import (
     write_report,
 )
 from nbsopt.engine import Placement
+from nbsopt.instance import save_instance
 from nbsopt.solve import SolveConfig, SolveResult, solve, solve_oracle
+from nbsopt.suite import desk_suite
 
 from _helpers import cluster_demo_instance, make_instance, read_matrix_csv
 
@@ -132,6 +134,39 @@ class TestBuildReport:
         report = build_report(inst, result)
         expected = gini_fn(engine.fairness(inst, result.placement))
         assert report.gini_final == expected
+
+    @pytest.mark.parametrize("backend", ["oracle", "external"])
+    def test_one_kernel_pass_on_a_solved_result(self, backend, monkeypatch):
+        """The placement's fields come from the result's evaluation; only the
+        do-nothing fairness field for `gini_initial` is computed."""
+        from nbsopt import engine
+
+        calls = []
+        correlate = engine.correlate
+        monkeypatch.setattr(
+            engine, "correlate", lambda *args: calls.append(1) or correlate(*args)
+        )
+        for _, inst in desk_suite(4):
+            result = solve(inst, SolveConfig(backend=backend))
+            calls.clear()
+            build_report(inst, result)
+            assert len(calls) == len(inst.nbs_ids)
+
+    @pytest.mark.parametrize("backend", ["oracle", "external"])
+    def test_report_from_result_file_equals_in_memory(self, backend, tmp_path):
+        for seed, inst in desk_suite(3):
+            instance_path, result_path = tmp_path / "inst.json", tmp_path / "result.json"
+            save_instance(inst, instance_path)
+            assert cli.main(["solve", str(instance_path), "--backend", backend,
+                             "--out", str(result_path)]) == 0
+            assert cli.main(["report", str(instance_path), str(result_path),
+                             "--out-dir", str(tmp_path / "rep")]) == 0
+            from_file = json.loads((tmp_path / "rep" / "report.json").read_text())
+            result = solve(inst, SolveConfig(backend=backend))
+            in_memory = json.loads(json.dumps(report_to_dict(build_report(inst, result))))
+            for report in (from_file, in_memory):
+                report["metadata"].pop("wall_time")
+            assert from_file == in_memory, f"seed {seed}"
 
     def test_result_without_placement_rejected(self, solved_small):
         inst, _ = solved_small

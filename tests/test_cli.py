@@ -93,6 +93,7 @@ class TestSolveAndReport:
         assert (out_dir / "heatmap_scales.json").exists()
 
     @pytest.mark.parametrize("case, code", [
+        ("not_json", "result.schema"),
         ("not_an_object", "result.schema"),
         ("unknown_nbs", "result.schema"),
         ("outside_grid", "result.schema"),
@@ -113,7 +114,7 @@ class TestSolveAndReport:
         }
         raw = {"status": "optimal", **fields[case]} if case in fields else []
         result_path = tmp_path / "result.json"
-        result_path.write_text(json.dumps(raw))
+        result_path.write_text("not json" if case == "not_json" else json.dumps(raw))
         code_seen = run(["report", str(tiny_instance_path), str(result_path),
                          "--out-dir", str(tmp_path / "rep")])
         err = capsys.readouterr().err.splitlines()
@@ -285,5 +286,11 @@ class TestConfigFile:
     def test_config_not_an_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[]")
+        assert run(["kernels", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error code=config.schema message=")
+
+    def test_config_not_json_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("not json")
         assert run(["kernels", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error code=config.schema message=")

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from nbsopt import GridDims, generate_synthetic
 from nbsopt.engine import (
     Placement,
-    clamp_reduction,
     correlate,
-    fairness_field,
-    impact_field,
+    fairness,
     measure_impact,
-    reduced_measure,
+    measure_reduction,
 )
-from nbsopt.kernels import Kernel, compute_big_m, default_kernel_set
+from nbsopt.kernels import PM10, Kernel, compute_big_m, default_kernel_set
 
 from _helpers import make_instance, naive_correlate
 
@@ -107,20 +106,17 @@ class TestImpactField:
 
     def test_bounded_by_big_m(self):
         rng = np.random.default_rng(17)
-        kernels, _ = default_kernel_set()
-        per_measure = {t: kernels[("PM10", t)] for t in ("GW", "GR", "ST", "UP")}
-        m = compute_big_m(per_measure.values())
+        inst = generate_synthetic(0, GridDims(8, 8), pre_existing_fraction=0.0)
+        m = compute_big_m([inst.kernel(PM10, t) for t in inst.nbs_ids])
         for _ in range(10):
             shape = (8, 8)
             taken = np.zeros(shape, dtype=bool)
             masks = {}
-            for t in per_measure:
+            for t in inst.nbs_ids:
                 pick = (rng.random(shape) < 0.4) & ~taken
                 taken |= pick
                 masks[t] = pick
-            z = impact_field(
-                Placement(masks), per_measure, {t: np.zeros(shape, bool) for t in per_measure}
-            )
+            z = measure_impact(inst, Placement(masks), PM10)
             assert z.max() <= m + 1e-12
 
     def test_translation_equivariance_in_interior(self):
@@ -132,31 +128,46 @@ class TestImpactField:
 
 
 class TestClampReduction:
+    """`measure_reduction` caps the impact at the measure's `delta`."""
+
     def test_below_cap_untouched(self):
-        assert clamp_reduction(np.array([[5.0]]), 7.0)[0, 0] == 5.0
+        inst = make_instance(np.ones((1, 1)), kernel=Kernel(np.array([[5.0]])), delta=7.0)
+        zbar = measure_reduction(inst, Placement.from_new_cells(inst, {"GW": [(0, 0)]}), "M")
+        assert zbar[0, 0] == 5.0
 
     def test_above_cap_clamped(self):
-        assert clamp_reduction(np.array([[9.0]]), 7.0)[0, 0] == 7.0
+        inst = make_instance(np.ones((1, 1)), kernel=Kernel(np.array([[9.0]])), delta=7.0)
+        zbar = measure_reduction(inst, Placement.from_new_cells(inst, {"GW": [(0, 0)]}), "M")
+        assert zbar[0, 0] == 7.0
 
     def test_matches_elementwise_min_oracle(self):
         rng = np.random.default_rng(2)
-        z = rng.random((6, 6)) * 10
+        kernel = random_kernel(rng)
+        probe = make_instance(np.ones((6, 6)), kernel=kernel)
+        cells = [(i, j) for i in range(6) for j in range(6) if rng.random() < 0.3]
+        z = measure_impact(probe, Placement.from_new_cells(probe, {"GW": cells}), "M")
         delta = float(np.median(z))
+        inst = make_instance(np.ones((6, 6)), kernel=kernel, delta=delta)
         expected = np.array(
             [[min(v, delta) for v in row] for row in z]
         )
-        np.testing.assert_array_equal(clamp_reduction(z, delta), expected)
+        zbar = measure_reduction(inst, Placement.from_new_cells(inst, {"GW": cells}), "M")
+        np.testing.assert_array_equal(zbar, expected)
 
     def test_idempotent_and_dominated(self):
         rng = np.random.default_rng(4)
-        z = rng.random((5, 5)) * 3
-        once = clamp_reduction(z, 1.5)
-        np.testing.assert_array_equal(clamp_reduction(once, 1.5), once)
+        inst = make_instance(np.ones((5, 5)), kernel=random_kernel(rng), delta=1.5)
+        placement = Placement.from_new_cells(inst, {"GW": [(1, 1), (2, 3), (4, 4)]})
+        z = measure_impact(inst, placement, "M")
+        once = measure_reduction(inst, placement, "M")
+        np.testing.assert_array_equal(np.minimum(once, 1.5), once)
         assert (once <= z).all() and (once <= 1.5).all()
 
     def test_negative_delta_rejected(self):
+        inst = make_instance(np.ones((2, 2)))
+        inst.measures[0].delta = -0.1  # load-time validation rejects this
         with pytest.raises(ValueError):
-            clamp_reduction(np.ones((2, 2)), -0.1)
+            measure_reduction(inst, Placement.empty(inst), "M")
 
 
 class TestFairnessField:
@@ -167,7 +178,7 @@ class TestFairnessField:
         pop = pop / pop.sum()
         inst = make_instance(np.ones((4, 4)), population=pop)
         placement = Placement.from_new_cells(inst, {"GW": [(1, 1), (1, 2)]})
-        f = fairness_field(placement, inst.fairness_kernels, inst.population)
+        f = fairness(inst, placement)
         assert f[1, 1] == 0.0
 
     def test_pre_existing_counts_for_fairness_not_impact(self):
@@ -179,7 +190,7 @@ class TestFairnessField:
         )
         do_nothing = Placement.do_nothing(inst)
         z = measure_impact(inst, do_nothing, "M")
-        f = fairness_field(do_nothing, inst.fairness_kernels, inst.population)
+        f = fairness(inst, do_nothing)
         assert z.sum() == 0.0  # impact excludes pre-existing
         assert f[2, 2] > 0.0  # fairness includes it
 
@@ -188,32 +199,34 @@ class TestFairnessField:
         up = fairness_kernels["UP"]
         inst = make_instance(np.ones((15, 15)), fairness_kernel=up)
         placement = Placement.from_new_cells(inst, {"GW": [(7, 7)]})
-        f = fairness_field(placement, inst.fairness_kernels, inst.population)
+        f = fairness(inst, placement)
         np.testing.assert_allclose(
             f[2:13, 2:13], up.entries / inst.dims.n_cells, atol=1e-15
         )
 
 
 class TestReducedMeasure:
+    """The reduced measure is the observed field minus `measure_reduction`."""
+
     def test_zero_reduction_returns_field(self):
         a = np.arange(9.0).reshape(3, 3)
-        np.testing.assert_array_equal(reduced_measure(a, np.zeros((3, 3))), a)
+        inst = make_instance(a)
+        reduced = a - measure_reduction(inst, Placement.empty(inst), "M")
+        np.testing.assert_array_equal(reduced, a)
 
     def test_peak_thirty_three_reduced_to_twenty_seven(self):
         a = np.full((5, 5), 20.0)
         a[2, 2] = 33.0
-        zbar = np.zeros((5, 5))
-        zbar[2, 2] = 6.0
-        assert reduced_measure(a, zbar).max() == 27.0
+        inst = make_instance(a, kernel=Kernel(np.array([[6.0]])))
+        zbar = measure_reduction(inst, Placement.from_new_cells(inst, {"GW": [(2, 2)]}), "M")
+        assert (a - zbar).max() == 27.0
 
     def test_matches_subtract_oracle(self):
         rng = np.random.default_rng(8)
-        a, zbar = rng.random((4, 6)), rng.random((4, 6))
+        a = rng.random((4, 6))
+        inst = make_instance(a, kernel=random_kernel(rng, max_half=1))
+        zbar = measure_reduction(inst, Placement.from_new_cells(inst, {"GW": [(1, 2), (3, 5)]}), "M")
         expected = np.array(
             [[a[i, j] - zbar[i, j] for j in range(6)] for i in range(4)]
         )
-        np.testing.assert_array_equal(reduced_measure(a, zbar), expected)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            reduced_measure(np.ones((2, 2)), np.ones((3, 2)))
+        np.testing.assert_array_equal(a - zbar, expected)

@@ -66,6 +66,26 @@ class TestSchema:
             instance_from_dict(raw)
         assert "forbidden.GW" in exc.value.field
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("weights", "peak", "M"), "abc", "weights.peak.M"),
+        (("weights", "avg", "M"), None, "weights.avg.M"),
+        (("weights", "peak", "M"), True, "weights.peak.M"),
+        (("kernels", "M", "GW", "rows"), [[2.0], [1.0, 2.0]], "kernels.M.GW.rows"),
+        (("fairness_kernels", "GW", "rows"), [[1.0, 1.0], [1.0]], "fairness_kernels.GW.rows"),
+        (("dims", "width"), True, "dims.width"),
+        (("measures", 0, "delta"), True, "measures[0].delta"),
+    ], ids=["peak_text", "avg_null", "peak_bool", "kernel_ragged", "fairness_ragged",
+            "width_bool", "delta_bool"])
+    def test_malformed_value_names_field(self, path, value, field):
+        raw = minimal_dict()
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(SchemaError) as exc:
+            instance_from_dict(raw)
+        assert exc.value.field == field
+
     def test_population_normalized_on_load(self):
         raw = minimal_dict()
         raw["dims"] = {"width": 2, "height": 1, "resolution": 10.0}

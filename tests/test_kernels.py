@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nbsopt.engine import Placement, impact_field
+from nbsopt import GridDims, generate_synthetic
+from nbsopt.engine import Placement, measure_impact
 from nbsopt.instance import UcMeasure
 from nbsopt.kernels import (
     FAIRNESS_TABLE,
@@ -159,19 +160,16 @@ class TestBigM:
         rng = np.random.default_rng(42)
         kernels, _ = default_kernel_set()
         for u in DEFAULT_MEASURE_IDS:
-            per_measure = {t: kernels[(u, t)] for t in DEFAULT_NBS_IDS}
-            m = compute_big_m(per_measure.values())
+            m = compute_big_m([kernels[(u, t)] for t in DEFAULT_NBS_IDS])
             for _ in range(20):
                 shape = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
+                # the default kernels on a grid of this shape, nothing pre-existing
+                inst = generate_synthetic(0, GridDims(*shape), pre_existing_fraction=0.0)
                 masks = {}
                 taken = np.zeros(shape, dtype=bool)
                 for t in DEFAULT_NBS_IDS:
                     pick = (rng.random(shape) < 0.3) & ~taken
                     taken |= pick
                     masks[t] = pick
-                z = impact_field(
-                    Placement(masks),
-                    per_measure,
-                    {t: np.zeros(shape, dtype=bool) for t in DEFAULT_NBS_IDS},
-                )
+                z = measure_impact(inst, Placement(masks), u)
                 assert z.max() <= m + 1e-12

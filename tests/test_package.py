@@ -20,3 +20,34 @@ def test_every_export_is_used_inside_the_package():
                 used.add(node.attr)
     unused = sorted(set(nbsopt.__all__) - used)
     assert unused == [], f"exported but not used in src/nbsopt: {unused}"
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Every name `node` reads, as a bare name or as an attribute."""
+    names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_public_definition_is_used_inside_the_package():
+    """A public top-level function or class that no other code in src/nbsopt
+    reads serves only its tests (or nothing)."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] = path.name
+                # a definition's own body does not count as a use of it
+                used |= _references(node) - {node.name}
+            else:
+                used |= _references(node)
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert unused == [], f"defined but not used in src/nbsopt: {unused}"
