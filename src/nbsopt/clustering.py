@@ -25,11 +25,11 @@ _STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 @dataclass
 class PartitionEntry:
-    """Clusters and leftover individually-placeable cells for one NBS type."""
+    """The clusters of one NBS type; its other eligible cells stay
+    individually placeable."""
 
     nbs_id: str
     clusters: list[list[Cell]]
-    free_cells: list[Cell]
 
 
 @dataclass
@@ -70,14 +70,12 @@ def build_partition(
     if min_size > max_size:
         raise ValueError(f"min_size {min_size} > max_size {max_size}")
     eligible = inst.eligible_mask(nbs_id)
-    clusters: list[list[Cell]] = []
-    free: list[Cell] = []
-    for component in label_components(eligible):
-        if min_size <= len(component) <= max_size:
-            clusters.append(component)
-        else:
-            free.extend(component)
-    return PartitionEntry(nbs_id=nbs_id, clusters=clusters, free_cells=sorted(free))
+    clusters = [
+        component
+        for component in label_components(eligible)
+        if min_size <= len(component) <= max_size
+    ]
+    return PartitionEntry(nbs_id=nbs_id, clusters=clusters)
 
 
 def partition_instance(

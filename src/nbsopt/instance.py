@@ -233,8 +233,8 @@ def validate_instance(inst: Instance) -> None:
             )
         elif not np.all(np.isfinite(u.field)):
             problems.append(f"measure {u.id!r}: field has non-finite values")
-        if u.delta is not None and u.delta < 0:
-            problems.append(f"measure {u.id!r}: delta must be >= 0, got {u.delta}")
+        if u.delta is not None and not (np.isfinite(u.delta) and u.delta >= 0):
+            problems.append(f"measure {u.id!r}: delta must be finite and >= 0, got {u.delta}")
 
     for u in measure_ids:
         for t in nbs_ids:
@@ -291,8 +291,16 @@ def validate_instance(inst: Instance) -> None:
     w = inst.weights
     if set(w.peak) != set(measure_ids) or set(w.avg) != set(measure_ids):
         problems.append("weights.peak and weights.avg must cover exactly the measure ids")
-    all_weights = list(w.peak.values()) + list(w.avg.values()) + [w.cost, w.fairness]
-    if any(x < 0 for x in all_weights):
+    all_weights = {
+        **{f"weights.peak.{u}": x for u, x in w.peak.items()},
+        **{f"weights.avg.{u}": x for u, x in w.avg.items()},
+        "weights.cost": w.cost,
+        "weights.fairness": w.fairness,
+    }
+    for name, x in all_weights.items():
+        if not np.isfinite(x):
+            problems.append(f"{name} must be finite, got {x}")
+    if any(x < 0 for x in all_weights.values()):
         problems.append("objective weights must be nonnegative")
     if abs(w.total() - 1.0) > WEIGHT_SUM_TOL:
         problems.append(f"objective weights must sum to 1, got {w.total()!r}")
@@ -351,6 +359,9 @@ def _parse_matrix(raw: Any, shape: tuple[int, int], where: str) -> np.ndarray:
         raise SchemaError(where, "expected a rectangular array of numbers")
     if arr.ndim != 2 or arr.shape != shape:
         raise SchemaError(where, f"expected shape {shape}, got {getattr(arr, 'shape', None)}")
+    # numpy would read JSON true and false as 1.0 and 0.0, and text as numbers
+    if not all(type(v) in (int, float) for row in raw for v in row):
+        raise SchemaError(where, "expected a rectangular array of numbers")
     return arr
 
 

@@ -29,13 +29,15 @@ environment variable) with {model}, {solution}, {timelimit} and {gap}
 placeholders swaps in any other solver: the paper model is written to a
 free-format MPS file, the command runs as a subprocess, and the
 whitespace-separated "name value" solution file it leaves behind is mapped
-into the column vector. Both paths end in one verification step that
-re-checks feasibility and re-computes the objective before trusting the
-answer.
+into the column vector. Either way the answer reaches one verification
+step, `_verify`, as a `solver_cli.Answer` over the paper model's columns,
+the objective constant included; `_verify` re-checks feasibility and
+re-computes the objective before trusting it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import shlex
@@ -43,8 +45,9 @@ import subprocess
 import tempfile
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,6 +66,9 @@ from .model import (
     values_close,
 )
 from .mps import export_interchange
+
+if TYPE_CHECKING:
+    from . import solver_cli
 
 logger = logging.getLogger(__name__)
 
@@ -357,36 +363,20 @@ def placement_from_values(
     return engine.Placement(dict(zip(inst.nbs_ids, masks)))
 
 
-def _meta_float(meta: dict[str, str], key: str) -> float | None:
-    try:
-        return float(meta[key])
-    except (KeyError, ValueError):
-        return None
-
-
 def _verify(
-    inst: Instance,
-    model: MilpModel,
-    status: str,
-    values: np.ndarray | None,
-    reported: float | None,
-    bound: float | None,
-    t0: float,
-    message: str = "",
+    inst: Instance, model: MilpModel, answer: solver_cli.Answer, t0: float
 ) -> SolveResult:
     """Turn a solver's answer into a result, trusting none of it unchecked.
 
-    `status` is a solution-file status name. The placement is read from the
-    x columns of `values`, checked against every constraint family, and its
-    objective re-computed directly from the fields with the model's
-    normalizers; a reported objective that differs by more than
-    OBJECTIVE_MATCH_TOL is an error.
+    The placement is read from the x columns of `answer.x`, checked against
+    every constraint family, and its objective re-computed directly from the
+    fields with the model's normalizers; a reported objective that differs by
+    more than OBJECTIVE_MATCH_TOL is an error.
     """
     wall = time.perf_counter() - t0
-    if status == "infeasible":
-        return SolveResult(
-            status=STATUS_INFEASIBLE, backend="external", wall_time=wall, bound=bound
-        )
+    status, values, bound = answer.status, answer.x, answer.bound
+    if status == STATUS_INFEASIBLE:
+        return SolveResult(status=status, backend="external", wall_time=wall, bound=bound)
     if status == "no-incumbent":
         # Nothing found within the limit; the pre-existing-only placement
         # is always feasible, so report it rather than failing.
@@ -402,12 +392,12 @@ def _verify(
             breakdown=breakdown,
             message="no incumbent within the time limit; reporting do-nothing",
         )
-    if status not in ("optimal", "feasible-timeout"):
+    if status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
         return SolveResult(
             status=STATUS_ERROR,
             backend="external",
             wall_time=wall,
-            message=f"solver reported status {status!r}: {message}",
+            message=f"solver reported status {status!r}: {answer.message}",
         )
 
     placement = placement_from_values(inst, model, values)
@@ -423,19 +413,19 @@ def _verify(
         )
     breakdown = evaluate_solution(inst, placement, norms=model.norms, check=False)
 
-    if reported is not None and not values_close(breakdown.total, reported):
+    if answer.objective is not None and not values_close(breakdown.total, answer.objective):
         return SolveResult(
             status=STATUS_ERROR,
             backend="external",
             wall_time=wall,
             variables=values,
             message=(
-                f"objective mismatch: solver {reported!r}, "
+                f"objective mismatch: solver {answer.objective!r}, "
                 f"re-evaluated {breakdown.total!r}"
             ),
         )
     return SolveResult(
-        status=STATUS_OPTIMAL if status == "optimal" else STATUS_TIMEOUT,
+        status=status,
         backend="external",
         placement=placement,
         objective=breakdown.total,
@@ -450,26 +440,24 @@ def _finish(
     inst: Instance,
     model: MilpModel,
     config: SolveConfig,
-    res,
+    answer: solver_cli.Answer,
     started: float,
     t0: float,
     formulation: str,
 ) -> SolveResult:
-    """Verify a HiGHS result over the model's columns, first writing the
-    model and that result to `config.workdir` when it is set."""
+    """Verify an answer over the model's columns, first writing the model
+    and that answer to `config.workdir` when it is set."""
     from . import solver_cli
 
-    constant = model.objective_constant
     if config.workdir is not None:
         workdir = Path(config.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
         export_interchange(model, workdir / "model.mps")
         text = solver_cli.solution_text(
-            model.layout.column_names(), constant, res, time.perf_counter() - started
+            model.layout.column_names(), answer, time.perf_counter() - started
         )
         (workdir / "solution.sol").write_text(text, encoding="utf-8")
-    status, reported, bound = solver_cli.summary(res, constant)
-    result = _verify(inst, model, status, res.x, reported, bound, t0, res.message)
+    result = _verify(inst, model, answer, t0)
     result.formulation = formulation
     return result
 
@@ -490,10 +478,11 @@ def _solve_paper(
     started = time.perf_counter()
     limit = config.time_limit if time_limit is None else time_limit
     res = solver_cli.solve_mps(model, limit, config.gap)
+    answer = solver_cli.answer(res, model.objective_constant)
     if bound is not None:
-        known, dual = bound - model.objective_constant, res.get("mip_dual_bound")
-        res.mip_dual_bound = known if dual is None else float(np.fmax(dual, known))
-    return _finish(inst, model, config, res, started, t0, "paper")
+        dual = answer.bound
+        answer = replace(answer, bound=bound if dual is None else float(np.fmax(dual, bound)))
+    return _finish(inst, model, config, answer, started, t0, "paper")
 
 
 def _solve_in_process(
@@ -515,45 +504,41 @@ def _solve_in_process(
     )
     res = solver_cli.solve_mps(compact, config.time_limit, config.gap)
     solved = time.perf_counter()
-    status, objective, bound = solver_cli.summary(res, compact.objective_constant)
+    answer = solver_cli.answer(res, compact.objective_constant)
     values = None
-    if res.x is not None:
-        values = lift(model, compact, res.x)
-        failure = certify(model, values, objective)
+    if answer.x is not None:
+        values = lift(model, compact, answer.x)
+        failure = certify(model, values, answer.objective)
         outcome = f"failed: {failure}" if failure else "passed"
-    elif status == "infeasible":
+    elif answer.status == STATUS_INFEASIBLE:
         # the compact model relaxes the paper model: it is infeasible too
         failure, outcome = "", "not needed"
     else:
-        failure = outcome = f"not possible, HiGHS status {status}"
+        failure = outcome = f"not possible, HiGHS status {answer.status}"
     logger.info(
         "HiGHS on the compact model: %s in %.4f s; certificate %s in %.4f s",
-        status, solved - derived, outcome, time.perf_counter() - solved,
+        answer.status, solved - derived, outcome, time.perf_counter() - solved,
     )
     if failure:
         remaining = max(0.0, config.time_limit - (time.perf_counter() - started))
         logger.info("solving the paper model in the remaining %.1f s", remaining)
-        return _solve_paper(inst, model, config, t0, remaining, bound)
-    # the result, restated over the paper model's columns and objective
-    res.x = values
-    res.fun = None if values is None else float(values @ model.c)
-    res.mip_dual_bound = None if bound is None else bound - model.objective_constant
-    return _finish(inst, model, config, res, started, t0, "compact")
+        return _solve_paper(inst, model, config, t0, remaining, answer.bound)
+    if values is not None:
+        # the answer, restated over the paper model's columns and objective
+        objective = float(values @ model.c) + model.objective_constant
+        answer = replace(answer, x=values, objective=objective)
+    return _finish(inst, model, config, answer, started, t0, "compact")
 
 
 def _solve_with_command(
     inst: Instance, model: MilpModel, config: SolveConfig, template: str, t0: float
 ) -> SolveResult:
     """Export MPS, run the solver command, and verify the solution file it writes."""
-    cleanup: tempfile.TemporaryDirectory | None = None
-    if config.workdir is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="nbsopt-solve-")
-        workdir = Path(cleanup.name)
-    else:
-        workdir = Path(config.workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
+    from . import solver_cli
 
-    try:
+    with tempfile.TemporaryDirectory(prefix="nbsopt-solve-") as scratch:
+        workdir = Path(scratch if config.workdir is None else config.workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
         model_path = workdir / "model.mps"
         solution_path = workdir / "solution.sol"
         export_interchange(model, model_path)
@@ -593,30 +578,27 @@ def _solve_with_command(
             )
 
         meta, values = parse_solution_file(solution_path)
-        return _verify(
-            inst,
-            model,
+        # a missing or malformed objective or bound reads as none reported
+        reported: dict[str, float] = {}
+        for key in ("objective", "bound"):
+            with contextlib.suppress(KeyError, ValueError):
+                reported[key] = float(meta[key])
+        answer = solver_cli.Answer(
             meta.get("status", ""),
             solution_vector(model, values),
-            _meta_float(meta, "objective"),
-            _meta_float(meta, "bound"),
-            t0,
+            reported.get("objective"),
+            reported.get("bound"),
             meta.get("message", ""),
         )
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
+        return _verify(inst, model, answer, t0)
 
 
-def solve_external(
-    inst: Instance, config: SolveConfig | None = None, model: MilpModel | None = None
-) -> SolveResult:
+def solve_external(inst: Instance, config: SolveConfig | None = None) -> SolveResult:
     """Solve the MILP in-process with HiGHS, or with the configured solver
     command, and re-verify the answer."""
     config = config or SolveConfig(backend="external")
     t0 = time.perf_counter()
-    if model is None:
-        model = build_model(inst)
+    model = build_model(inst)
     template = config.resolved_solver_cmd()
     if template is None:
         return _solve_in_process(inst, model, config, t0)

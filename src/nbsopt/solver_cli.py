@@ -4,7 +4,10 @@ subprocess that reads MPS, solves with HiGHS and writes a solution file.
 Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
 Both go through `solve_mps`, which takes a MilpModel, the CompactModel sliced
-from one, or the MpsData read from a file: each is a MipProblem.
+from one, or the MpsData read from a file: each is a MipProblem. `answer`
+reads an `Answer` from the HiGHS result. The in-process solve verifies that
+answer; this program writes it as a solution file (`solution_text`), which
+the solve that runs a solver command reads back into an `Answer`.
 
 The solution file starts with '# key value' metadata lines (solver, status,
 objective, bound, walltime) followed by one 'name value' line per column.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,24 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import SENSE_GE, SENSE_LE, MipProblem
 from .mps import MpsData, read_mps
+
+# solution-file status names for scipy's HiGHS status codes; code 1, the
+# time limit, names one of two statuses and is mapped in `answer`
+_STATUS_NAMES = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+@dataclass(frozen=True)
+class Answer:
+    """A solver's answer as the solution file states it: a status name, the
+    column vector, and objective and bound with the objective constant
+    included; `x`, `objective` and `bound` are None where the solver has none.
+    """
+
+    status: str
+    x: np.ndarray | None
+    objective: float | None
+    bound: float | None
+    message: str = ""
 
 
 def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0):
@@ -48,47 +70,38 @@ def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0):
     )
 
 
-def _status_name(res) -> str:
-    if res.status == 0:
-        return "optimal"
-    if res.status == 1:
-        return "feasible-timeout" if res.x is not None else "no-incumbent"
-    if res.status == 2:
-        return "infeasible"
-    if res.status == 3:
-        return "unbounded"
-    return "error"
-
-
-def summary(res, constant: float) -> tuple[str, float | None, float | None]:
-    """Status name, objective and dual bound of a HiGHS result, the objective
-    constant added back; objective and bound are None when HiGHS has none."""
+def answer(res, constant: float) -> Answer:
+    """The answer in a HiGHS result, the objective constant added back."""
+    status = _STATUS_NAMES.get(res.status, "error")
+    if res.status == 1:  # the time limit, with or without an incumbent
+        status = "feasible-timeout" if res.x is not None else "no-incumbent"
     objective = None
     if res.x is not None and res.fun is not None:
         objective = float(res.fun) + constant
     bound = getattr(res, "mip_dual_bound", None)
-    return _status_name(res), objective, None if bound is None else float(bound) + constant
-
-
-def solution_text(column_names: list[str], constant: float, res, wall_time: float) -> str:
-    """The solution file for a HiGHS result over the named columns."""
-    status, objective, bound = summary(res, constant)
-    lines = ["# solver nbsopt-highs-cli", f"# status {status}"]
-    if objective is not None:
-        lines.append(f"# objective {objective!r}")
     if bound is not None:
-        lines.append(f"# bound {bound!r}")
+        bound = float(bound) + constant
+    return Answer(status, res.x, objective, bound, res.message)
+
+
+def solution_text(column_names: list[str], answer: Answer, wall_time: float) -> str:
+    """The solution file for an answer over the named columns."""
+    lines = ["# solver nbsopt-highs-cli", f"# status {answer.status}"]
+    if answer.objective is not None:
+        lines.append(f"# objective {answer.objective!r}")
+    if answer.bound is not None:
+        lines.append(f"# bound {answer.bound!r}")
     lines.append(f"# walltime {float(wall_time)!r}")
-    if res.message:
-        lines.append(f"# message {res.message}")
-    if res.x is not None:
-        for name, value in zip(column_names, res.x):
+    if answer.message:
+        lines.append(f"# message {answer.message}")
+    if answer.x is not None:
+        for name, value in zip(column_names, answer.x):
             lines.append(f"{name} {float(value)!r}")
     return "\n".join(lines) + "\n"
 
 
 def write_solution(path: Path, data: MpsData, res, wall_time: float) -> None:
-    text = solution_text(data.column_names, data.objective_constant, res, wall_time)
+    text = solution_text(data.column_names, answer(res, data.objective_constant), wall_time)
     path.write_text(text, encoding="utf-8")
 
 

@@ -81,7 +81,7 @@ def suite_results():
     for seed, inst in instances:
         model = build_model(inst)
         oracle = solve_oracle(inst)
-        external = solve_external(inst, config, model=model)
+        external = solve_external(inst, config)
         results.append((seed, inst, model, oracle, external))
     elapsed = time.perf_counter() - t0
     return results, elapsed

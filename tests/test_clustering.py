@@ -72,14 +72,12 @@ class TestBuildPartition:
         inst = self.make_line_instance(4)
         entry = build_partition(inst, "GW")
         assert entry.clusters == []
-        assert len(entry.free_cells) == 4
 
     def test_component_of_five_becomes_cluster(self):
         inst = self.make_line_instance(5)
         entry = build_partition(inst, "GW")
         assert len(entry.clusters) == 1
         assert len(entry.clusters[0]) == 5
-        assert entry.free_cells == []
 
     def test_component_of_fifty_becomes_cluster(self):
         inst = make_instance(
@@ -99,7 +97,6 @@ class TestBuildPartition:
         )
         entry = build_partition(inst, "GW")
         assert entry.clusters == []
-        assert len(entry.free_cells) == 60
 
     def test_pre_existing_cells_never_clustered(self):
         cells = {(5, j) for j in range(6)}

@@ -74,8 +74,13 @@ class TestSchema:
         (("fairness_kernels", "GW", "rows"), [[1.0, 1.0], [1.0]], "fairness_kernels.GW.rows"),
         (("dims", "width"), True, "dims.width"),
         (("measures", 0, "delta"), True, "measures[0].delta"),
+        (("measures", 0, "field"), [[True]], "measures[0].field"),
+        (("population",), [[True]], "population"),
+        (("kernels", "M", "GW", "rows"), [[False]], "kernels.M.GW.rows"),
+        (("fairness_kernels", "GW", "rows"), [["1.0"]], "fairness_kernels.GW.rows"),
     ], ids=["peak_text", "avg_null", "peak_bool", "kernel_ragged", "fairness_ragged",
-            "width_bool", "delta_bool"])
+            "width_bool", "delta_bool", "field_bool", "population_bool", "kernel_bool",
+            "fairness_text"])
     def test_malformed_value_names_field(self, path, value, field):
         raw = minimal_dict()
         parent = raw
@@ -129,6 +134,26 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             validate_instance(inst)
         assert "sum to 1" in str(exc.value)
+
+    @pytest.mark.parametrize("path, field", [
+        (("measures", 0, "delta"), "measure 'M': delta"),
+        (("weights", "peak", "M"), "weights.peak.M"),
+        (("weights", "avg", "M"), "weights.avg.M"),
+        (("weights", "cost"), "weights.cost"),
+        (("weights", "fairness"), "weights.fairness"),
+    ], ids=["delta", "peak", "avg", "cost", "fairness"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_number_names_field(self, path, field, value, tmp_path):
+        raw = minimal_dict()
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        file = tmp_path / "inst.json"
+        file.write_text(json.dumps(raw))  # Python's json writes NaN and Infinity
+        with pytest.raises(ValidationError) as exc:
+            validate_instance(load_instance(file))
+        assert f"{field} must be finite" in str(exc.value)
 
     def test_cluster_cell_must_be_eligible(self):
         raw = minimal_dict()

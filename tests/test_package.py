@@ -1,6 +1,8 @@
-"""The package exports only what the package itself uses."""
+"""The package exports only what the package itself uses, and still has every
+name the benchmark harness traces."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import nbsopt
@@ -51,3 +53,34 @@ def test_every_public_definition_is_used_inside_the_package():
                 used |= _references(node)
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert unused == [], f"defined but not used in src/nbsopt: {unused}"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_names_the_benchmark_traces_exist():
+    """Every name perfbench wraps with `tracer.install`, or imports from
+    nbsopt in its traced solver, is still in the package, so a rename fails
+    here rather than in a traced benchmark run."""
+    installed: list[tuple[str, str]] = []
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "install"
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id != "subprocess"
+        ):
+            installed.append((f"nbsopt.{node.args[0].id}", node.args[1].value))
+    imported: list[tuple[str, str]] = []
+    solver = ast.parse((PERFBENCH / "traced_solver.py").read_text(encoding="utf-8"))
+    for node in ast.walk(solver):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "nbsopt":
+            imported.extend((node.module, alias.name) for alias in node.names)
+    assert installed and imported, "no names found: the perfbench sources changed shape"
+    missing = [
+        f"{module}.{name}"
+        for module, name in installed + imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == [], f"perfbench uses names nbsopt no longer has: {missing}"

@@ -17,6 +17,7 @@ from nbsopt.engine import Placement
 from nbsopt.instance import ObjectiveWeights
 from nbsopt.model import (
     OBJECTIVE_MATCH_TOL,
+    MilpModel,
     build_model,
     certify,
     check_placement,
@@ -247,18 +248,16 @@ class TestAvgDomain:
     def test_the_fallback_keeps_the_better_bound(self, inst, monkeypatch):
         from nbsopt import solver_cli
 
-
-        model = build_model(inst)
         real = solver_cli.solve_mps
 
         def weak_paper_bound(data, *args):
             res = real(data, *args)
-            if data is model:
+            if isinstance(data, MilpModel):
                 res.mip_dual_bound = -1.0
             return res
 
         monkeypatch.setattr(solver_cli, "solve_mps", weak_paper_bound)
-        result = solve_external(inst, EXTERNAL, model=model)
+        result = solve_external(inst, EXTERNAL)
         assert (result.status, result.formulation) == ("optimal", "paper")
         assert result.objective == pytest.approx(19 / 72, abs=1e-9)
         assert result.bound == pytest.approx(1 / 6, abs=1e-9)
@@ -307,7 +306,7 @@ class TestInProcess:
         for inst in problem_instances:
             model = build_model(inst)
             paper = _solve_paper(inst, model, EXTERNAL, time.perf_counter())
-            compact = solve_external(inst, EXTERNAL, model=model)
+            compact = solve_external(inst, EXTERNAL)
             b = solve_external(inst, template)
             assert (paper.formulation, compact.formulation, b.formulation) == (
                 "paper", "compact", "paper")
@@ -347,7 +346,7 @@ class TestInProcess:
                                   forbidden_fraction=0.7, pre_existing_fraction=0.0)
         model = build_model(inst)
         cfg = SolveConfig(backend="external", time_limit=60, workdir=tmp_path / "w")
-        result = solve_external(inst, cfg, model=model)
+        result = solve_external(inst, cfg)
         assert result.status == "optimal"
         export_interchange(model, tmp_path / "expected.mps")
         assert ((tmp_path / "w" / "model.mps").read_bytes()
@@ -372,7 +371,7 @@ class TestCompactSolve:
         calls = spy_on_highs(monkeypatch)
         for inst in problem_instances:
             model = build_model(inst)
-            result = solve_external(inst, EXTERNAL, model=model)
+            result = solve_external(inst, EXTERNAL)
             assert (result.status, result.formulation) == ("optimal", "compact")
             [(c, kwargs)] = calls
             calls.clear()
@@ -454,7 +453,7 @@ class TestCompactSolve:
             inst = with_clusters(inst, partition_instance(inst, inst.nbs_ids[:1]))
         model = build_model(inst)
         paper = _solve_paper(inst, model, EXTERNAL, time.perf_counter())
-        compact = solve_external(inst, EXTERNAL, model=model)
+        compact = solve_external(inst, EXTERNAL)
         assert (paper.status, compact.status) == ("optimal", "optimal")
         assert values_close(compact.objective, paper.objective)
         for result in (paper, compact):
