@@ -1,7 +1,8 @@
 """Command-line interface tying the pipeline together for batch use.
 
 Commands: gen, validate, kernels, cluster, build, solve, report, bench.
-Exit codes: 0 ok, 2 validation/schema failure, 3 solve failure, 4 IO failure.
+Exit codes: 0 ok, 2 validation/schema failure or an invalid option value,
+3 solve failure, 4 IO failure.
 All randomness flows from --seed; identical command lines over identical
 inputs produce byte-identical primary outputs (timestamps and wall times are
 confined to metadata fields).
@@ -178,10 +179,10 @@ def cmd_kernels(args: argparse.Namespace, config: dict) -> int:
     for t in kf.DEFAULT_NBS_IDS:
         for u in kf.DEFAULT_MEASURE_IDS:
             k = kernel_map[(u, t)]
-            size, edge, center = kf.KERNEL_TABLE[(t, u)]
+            _, edge, center = kf.KERNEL_TABLE[(t, u)]
             print(f"{t:<4} {u:<10} {k.width}x{k.height:<5} {edge:>6} {center:>7}")
         k = fairness[t]
-        size, edge, center = kf.FAIRNESS_TABLE[t]
+        _, edge, center = kf.FAIRNESS_TABLE[t]
         print(f"{t:<4} {'Fairness':<10} {k.width}x{k.height:<5} {edge:>6} {center:>7}")
     return EXIT_OK
 
@@ -255,10 +256,9 @@ def cmd_report(args: argparse.Namespace, config: dict) -> int:
 
 
 def _bench_one(
-    seed: int, inst: Instance, backend: str, timelimit: float, cap: int, out_dir: str | None
+    seed: int, inst: Instance, cfg: SolveConfig, out_dir: str | None
 ) -> analysis.Report | dict[str, Any]:
     """The seed's report, or a `failed` entry when its solve does not succeed."""
-    cfg = SolveConfig(backend=backend, time_limit=timelimit, unit_cap=cap)
     result = solve(inst, cfg)
     if not result.ok:
         return {"seed": seed, "status": result.status, "message": result.message}
@@ -276,23 +276,21 @@ def _bench_one(
 def cmd_bench(args: argparse.Namespace, config: dict) -> int:
     count = int(_pick(args, config, "seeds", 10))
     start = int(_pick(args, config, "start_seed", 0))
-    backend = str(_pick(args, config, "backend", "external"))
-    timelimit = float(_pick(args, config, "timelimit", DEFAULT_TIME_LIMIT))
-    cap = int(_pick(args, config, "cap", DEFAULT_UNIT_CAP))
+    cfg = SolveConfig(
+        backend=str(_pick(args, config, "backend", "external")),
+        time_limit=float(_pick(args, config, "timelimit", DEFAULT_TIME_LIMIT)),
+        unit_cap=int(_pick(args, config, "cap", DEFAULT_UNIT_CAP)),
+    )
     jobs = int(_pick(args, config, "jobs", 1))
     out_dir = args.out_dir
 
-    suite = desk_suite(count, start_seed=start, unit_cap=cap)
+    suite = desk_suite(count, start_seed=start, unit_cap=cfg.unit_cap)
     if jobs <= 1:
-        outcomes = [
-            _bench_one(seed, inst, backend, timelimit, cap, out_dir)
-            for seed, inst in suite
-        ]
+        outcomes = [_bench_one(seed, inst, cfg, out_dir) for seed, inst in suite]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_bench_one, seed, inst, backend, timelimit, cap, out_dir)
-                for seed, inst in suite
+                pool.submit(_bench_one, seed, inst, cfg, out_dir) for seed, inst in suite
             ]
             outcomes = [f.result() for f in futures]
 
@@ -423,6 +421,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("io.error", str(exc), EXIT_IO)
     except RuntimeError as exc:
         return _fail("solve.error", str(exc), EXIT_SOLVE)
+    except ValueError as exc:  # an option value out of its range
+        return _fail("usage.invalid", str(exc), EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -235,6 +235,11 @@ def validate_instance(inst: Instance) -> None:
             problems.append(f"measure {u.id!r}: field has non-finite values")
         if u.delta is not None and not (np.isfinite(u.delta) and u.delta >= 0):
             problems.append(f"measure {u.id!r}: delta must be finite and >= 0, got {u.delta}")
+        elif u.delta is None and u.field.size and u.effective_delta() < 0:
+            problems.append(
+                f"measure {u.id!r}: delta derived from the field (20% of its maximum) "
+                f"must be >= 0, got {u.effective_delta()}"
+            )
 
     for u in measure_ids:
         for t in nbs_ids:

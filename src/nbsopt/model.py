@@ -186,7 +186,6 @@ class VariableLayout:
     """Bijection between (kind, coordinates) and flat column indices."""
 
     def __init__(self, inst: Instance):
-        self.inst = inst
         self.width, self.height = inst.dims.shape
         self.n_cells = inst.dims.n_cells
         self.nbs_ids = inst.nbs_ids

@@ -30,6 +30,7 @@ from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, MipProblem
 _SENSE_TO_CODE = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
 _CODE_TO_SENSE = {v: k for k, v in _SENSE_TO_CODE.items()}
 
+MODEL_NAME = "nbsopt"
 OBJECTIVE_ROW = "obj"
 RHS_SET = "rhs"
 BOUND_SET = "bnd"
@@ -64,7 +65,7 @@ def _bound_lines(name: str, lower: float, upper: float, binary: bool) -> str:
     return lo + up
 
 
-def iter_mps_text(model: MilpModel, name: str = "nbsopt") -> Iterator[str]:
+def iter_mps_text(model: MilpModel) -> Iterator[str]:
     """Yield the MPS file text for a model, a bounded number of lines at a time."""
     col_names = np.array(model.layout.column_names(), dtype=object)
     row_names = np.array(
@@ -80,7 +81,7 @@ def iter_mps_text(model: MilpModel, name: str = "nbsopt") -> Iterator[str]:
         missing = col_names[int(np.argmin(covered))]
         raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
 
-    yield f"NAME {name}\nROWS\n N {OBJECTIVE_ROW}\n"
+    yield f"NAME {MODEL_NAME}\nROWS\n N {OBJECTIVE_ROW}\n"
     codes = np.array([_SENSE_TO_CODE[s] for s in model.sense.tolist()], dtype=object)
     yield from _chunks(lambda code, row: f" {code} {row}\n", codes, row_names[1:])
 
@@ -126,11 +127,11 @@ def iter_mps_text(model: MilpModel, name: str = "nbsopt") -> Iterator[str]:
     yield "ENDATA\n"
 
 
-def export_interchange(model: MilpModel, path: str | Path, name: str = "nbsopt") -> None:
+def export_interchange(model: MilpModel, path: str | Path) -> None:
     """Write the model as a free-format MPS file (byte-deterministic)."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(iter_mps_text(model, name=name))
+        fh.writelines(iter_mps_text(model))
 
 
 @dataclass

@@ -18,7 +18,8 @@ the paper layout (`model.lift`) and certified on the paper model's rows,
 column bounds and objective (`model.certify`). The compact model relaxes the
 paper model, so a lifted optimum that passes is the paper model's optimum,
 and the compact bound is a bound for it; if the compact model is infeasible,
-so is the paper model. Only when the certificate fails (so far only through
+so is the paper model, and if it has no incumbent at the time limit, its
+bound still holds. Only when the certificate fails (so far only through
 the `zavg >= 0` domain) is the paper model itself solved, in the time that
 remains, and the better of the two bounds is kept. The result's
 `formulation` names the model whose answer it is. The relative gap applies
@@ -27,27 +28,31 @@ to HiGHS's own objective, which leaves out a constant in both models.
 A command template (the solver_cmd setting or the NBSOPT_SOLVER_CMD
 environment variable) with {model}, {solution}, {timelimit} and {gap}
 placeholders swaps in any other solver: the paper model is written to a
-free-format MPS file, the command runs as a subprocess, and the
-whitespace-separated "name value" solution file it leaves behind is mapped
-into the column vector. Either way the answer reaches one verification
-step, `_verify`, as a `solver_cli.Answer` over the paper model's columns,
-the objective constant included; `_verify` re-checks feasibility and
-re-computes the objective before trusting it.
+free-format MPS file, the command runs as a subprocess, and
+`parse_solution_file` reads the solution file it leaves behind: '# key
+value' metadata lines (solver, status, objective, bound, walltime, message)
+and one 'name value' line per column. This module owns that format:
+`solution_text` writes it (for `solver_cli` and for the in-process solve's
+--workdir copy) and `parse_solution_file` reads it. Each route returns an
+`Answer` over the paper model's columns, the objective constant included,
+and `solve_external` hands it to the one verification step, `_verify`,
+which re-checks feasibility and re-computes the objective before trusting
+it. A command that fails or outruns its grace period raises SolverFailed,
+which `solve_external` turns into an error result.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
+import math
 import os
 import shlex
 import subprocess
 import tempfile
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -67,9 +72,6 @@ from .model import (
 )
 from .mps import export_interchange
 
-if TYPE_CHECKING:
-    from . import solver_cli
-
 logger = logging.getLogger(__name__)
 
 DEFAULT_TIME_LIMIT = 1800.0
@@ -79,6 +81,7 @@ SUBPROCESS_GRACE = 60.0
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "feasible-timeout"
+STATUS_NO_INCUMBENT = "no-incumbent"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ERROR = "error"
 
@@ -95,6 +98,12 @@ class SolveConfig:
     solver_cmd: str | None = None
     unit_cap: int = DEFAULT_UNIT_CAP
     workdir: Path | None = None
+
+    def __post_init__(self):
+        for name in ("time_limit", "gap"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too; infinity passes
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def resolved_solver_cmd(self) -> str | None:
         """The solver command template, or None to solve in-process."""
@@ -313,10 +322,51 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
 # --- External solver bridge --------------------------------------------------
 
 
-def parse_solution_file(path: Path) -> tuple[dict[str, str], dict[str, float]]:
-    """Parse '# key value' metadata lines and 'name value' variable lines."""
+@dataclass(frozen=True)
+class Answer:
+    """A solver's answer as the solution file states it: a status name, the
+    column vector, and objective and bound with the objective constant
+    included; `x`, `objective` and `bound` are None where the solver has none.
+    """
+
+    status: str
+    x: np.ndarray | None
+    objective: float | None
+    bound: float | None
+    message: str = ""
+
+
+class SolverFailed(RuntimeError):
+    """The solver command failed, or outran its grace period, without an answer."""
+
+
+def solution_text(column_names: list[str], answer: Answer, wall_time: float) -> str:
+    """The solution file for an answer over the named columns."""
+    lines = ["# solver nbsopt-highs-cli", f"# status {answer.status}"]
+    if answer.objective is not None:
+        lines.append(f"# objective {answer.objective!r}")
+    if answer.bound is not None:
+        lines.append(f"# bound {answer.bound!r}")
+    lines.append(f"# walltime {float(wall_time)!r}")
+    if answer.message:
+        lines.append(f"# message {answer.message}")
+    if answer.x is not None:
+        for name, value in zip(column_names, answer.x):
+            lines.append(f"{name} {float(value)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_solution_file(path: Path, model: MilpModel) -> Answer:
+    """The answer a solution file states over the model's columns.
+
+    '# key value' lines give the status, objective, bound and message; a
+    missing or malformed objective or bound reads as none reported. Each
+    'name value' line sets one column; malformed lines and unknown names
+    warn and are skipped, and columns without a value read 0.
+    """
+    index = {name: k for k, name in enumerate(model.layout.column_names())}
+    x = np.zeros(model.n_variables)
     meta: dict[str, str] = {}
-    values: dict[str, float] = {}
     for raw in path.read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line:
@@ -331,26 +381,25 @@ def parse_solution_file(path: Path) -> tuple[dict[str, str], dict[str, float]]:
             logger.warning("skipping malformed solution line: %s", raw)
             continue
         try:
-            values[tokens[0]] = float(tokens[1])
+            value = float(tokens[1])
         except ValueError:
             logger.warning("skipping non-numeric solution line: %s", raw)
-    return meta, values
-
-
-def solution_vector(model: MilpModel, values: Mapping[str, float]) -> np.ndarray:
-    """Named solution values as one column vector in layout order.
-
-    Unknown names warn and are ignored; columns without a value read 0.
-    """
-    index = {name: k for k, name in enumerate(model.layout.column_names())}
-    vector = np.zeros(model.n_variables)
-    for name, value in values.items():
-        idx = index.get(name)
-        if idx is None:
-            logger.warning("solution contains unknown variable %r; ignored", name)
+            continue
+        if tokens[0] in index:
+            x[index[tokens[0]]] = value
         else:
-            vector[idx] = value
-    return vector
+            logger.warning("solution contains unknown variable %r; ignored", tokens[0])
+    reported: dict[str, float] = {}
+    for key in ("objective", "bound"):
+        with contextlib.suppress(KeyError, ValueError):
+            reported[key] = float(meta[key])
+    return Answer(
+        meta.get("status", ""),
+        x,
+        reported.get("objective"),
+        reported.get("bound"),
+        meta.get("message", ""),
+    )
 
 
 def placement_from_values(
@@ -363,9 +412,7 @@ def placement_from_values(
     return engine.Placement(dict(zip(inst.nbs_ids, masks)))
 
 
-def _verify(
-    inst: Instance, model: MilpModel, answer: solver_cli.Answer, t0: float
-) -> SolveResult:
+def _verify(inst: Instance, model: MilpModel, answer: Answer) -> SolveResult:
     """Turn a solver's answer into a result, trusting none of it unchecked.
 
     The placement is read from the x columns of `answer.x`, checked against
@@ -373,11 +420,10 @@ def _verify(
     fields with the model's normalizers; a reported objective that differs by
     more than OBJECTIVE_MATCH_TOL is an error.
     """
-    wall = time.perf_counter() - t0
     status, values, bound = answer.status, answer.x, answer.bound
     if status == STATUS_INFEASIBLE:
-        return SolveResult(status=status, backend="external", wall_time=wall, bound=bound)
-    if status == "no-incumbent":
+        return SolveResult(status=status, backend="external", bound=bound)
+    if status == STATUS_NO_INCUMBENT:
         # Nothing found within the limit; the pre-existing-only placement
         # is always feasible, so report it rather than failing.
         placement = engine.Placement.do_nothing(inst)
@@ -388,7 +434,6 @@ def _verify(
             placement=placement,
             objective=breakdown.total,
             bound=bound,
-            wall_time=wall,
             breakdown=breakdown,
             message="no incumbent within the time limit; reporting do-nothing",
         )
@@ -396,7 +441,6 @@ def _verify(
         return SolveResult(
             status=STATUS_ERROR,
             backend="external",
-            wall_time=wall,
             message=f"solver reported status {status!r}: {answer.message}",
         )
 
@@ -407,7 +451,6 @@ def _verify(
         return SolveResult(
             status=STATUS_ERROR,
             backend="external",
-            wall_time=wall,
             variables=values,
             message=f"solver placement violates: {', '.join(families)}",
         )
@@ -417,7 +460,6 @@ def _verify(
         return SolveResult(
             status=STATUS_ERROR,
             backend="external",
-            wall_time=wall,
             variables=values,
             message=(
                 f"objective mismatch: solver {answer.objective!r}, "
@@ -430,67 +472,36 @@ def _verify(
         placement=placement,
         objective=breakdown.total,
         bound=bound if bound is not None else breakdown.total,
-        wall_time=wall,
         breakdown=breakdown,
         variables=values,
     )
 
 
-def _finish(
-    inst: Instance,
-    model: MilpModel,
-    config: SolveConfig,
-    answer: solver_cli.Answer,
-    started: float,
-    t0: float,
-    formulation: str,
-) -> SolveResult:
-    """Verify an answer over the model's columns, first writing the model
-    and that answer to `config.workdir` when it is set."""
-    from . import solver_cli
-
-    if config.workdir is not None:
-        workdir = Path(config.workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-        export_interchange(model, workdir / "model.mps")
-        text = solver_cli.solution_text(
-            model.layout.column_names(), answer, time.perf_counter() - started
-        )
-        (workdir / "solution.sol").write_text(text, encoding="utf-8")
-    result = _verify(inst, model, answer, t0)
-    result.formulation = formulation
-    return result
-
-
 def _solve_paper(
-    inst: Instance,
     model: MilpModel,
     config: SolveConfig,
-    t0: float,
     time_limit: float | None = None,
     bound: float | None = None,
-) -> SolveResult:
-    """Hand the paper model itself to the bundled HiGHS, then verify its
-    answer. `bound`, a lower bound on the objective known beforehand,
-    replaces a lower or missing bound from HiGHS."""
+) -> Answer:
+    """The bundled HiGHS's answer on the paper model itself. `bound`, a lower
+    bound on the objective known beforehand, replaces a lower or missing
+    bound from HiGHS."""
     from . import solver_cli
 
-    started = time.perf_counter()
     limit = config.time_limit if time_limit is None else time_limit
     res = solver_cli.solve_mps(model, limit, config.gap)
     answer = solver_cli.answer(res, model.objective_constant)
     if bound is not None:
         dual = answer.bound
         answer = replace(answer, bound=bound if dual is None else float(np.fmax(dual, bound)))
-    return _finish(inst, model, config, answer, started, t0, "paper")
+    return answer
 
 
-def _solve_in_process(
-    inst: Instance, model: MilpModel, config: SolveConfig, t0: float
-) -> SolveResult:
+def _solve_in_process(model: MilpModel, config: SolveConfig) -> tuple[str, Answer]:
     """Solve the compact model with the bundled HiGHS and lift its answer
-    into the paper layout; a lifted answer that passes the certificate is
-    verified as the paper model's, otherwise the paper model is solved."""
+    into the paper layout; a lifted answer that fails the certificate is
+    replaced by the paper model's own. Returns the formulation that answered
+    and its answer over the paper model's columns."""
     # imported on the first solve: scipy.optimize would slow `import nbsopt`
     from . import solver_cli
 
@@ -510,8 +521,9 @@ def _solve_in_process(
         values = lift(model, compact, answer.x)
         failure = certify(model, values, answer.objective)
         outcome = f"failed: {failure}" if failure else "passed"
-    elif answer.status == STATUS_INFEASIBLE:
-        # the compact model relaxes the paper model: it is infeasible too
+    elif answer.status in (STATUS_INFEASIBLE, STATUS_NO_INCUMBENT):
+        # the compact model relaxes the paper model: the paper model is
+        # infeasible too, or its bound is a bound for the paper model
         failure, outcome = "", "not needed"
     else:
         failure = outcome = f"not possible, HiGHS status {answer.status}"
@@ -522,20 +534,17 @@ def _solve_in_process(
     if failure:
         remaining = max(0.0, config.time_limit - (time.perf_counter() - started))
         logger.info("solving the paper model in the remaining %.1f s", remaining)
-        return _solve_paper(inst, model, config, t0, remaining, answer.bound)
+        return "paper", _solve_paper(model, config, remaining, answer.bound)
     if values is not None:
         # the answer, restated over the paper model's columns and objective
         objective = float(values @ model.c) + model.objective_constant
         answer = replace(answer, x=values, objective=objective)
-    return _finish(inst, model, config, answer, started, t0, "compact")
+    return "compact", answer
 
 
-def _solve_with_command(
-    inst: Instance, model: MilpModel, config: SolveConfig, template: str, t0: float
-) -> SolveResult:
-    """Export MPS, run the solver command, and verify the solution file it writes."""
-    from . import solver_cli
-
+def _solve_with_command(model: MilpModel, config: SolveConfig, template: str) -> Answer:
+    """Export MPS, run the solver command, and read the solution file it
+    writes; SolverFailed when the command fails or outruns its grace period."""
     with tempfile.TemporaryDirectory(prefix="nbsopt-solve-") as scratch:
         workdir = Path(scratch if config.workdir is None else config.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
@@ -552,58 +561,52 @@ def _solve_with_command(
         logger.info("invoking external solver: %s", cmd)
         # grace covers model parsing and solution IO on top of the solver's
         # own time limit; scale it with the file size so huge models are not
-        # killed while still being read
+        # killed while still being read; no limit means no timeout
         grace = SUBPROCESS_GRACE + 2.0 * model_path.stat().st_size / 1e6
+        timeout = config.time_limit + grace if math.isfinite(config.time_limit) else None
         try:
             proc = subprocess.run(
-                shlex.split(cmd),
-                capture_output=True,
-                text=True,
-                timeout=config.time_limit + grace,
+                shlex.split(cmd), capture_output=True, text=True, timeout=timeout
             )
         except subprocess.TimeoutExpired:
-            return SolveResult(
-                status=STATUS_ERROR,
-                backend="external",
-                wall_time=time.perf_counter() - t0,
-                message="external solver exceeded its grace period",
-            )
+            raise SolverFailed("external solver exceeded its grace period") from None
         if proc.returncode != 0 or not solution_path.exists():
             tail = (proc.stderr or proc.stdout or "").strip()[-500:]
-            return SolveResult(
-                status=STATUS_ERROR,
-                backend="external",
-                wall_time=time.perf_counter() - t0,
-                message=f"solver exited with {proc.returncode}: {tail}",
-            )
-
-        meta, values = parse_solution_file(solution_path)
-        # a missing or malformed objective or bound reads as none reported
-        reported: dict[str, float] = {}
-        for key in ("objective", "bound"):
-            with contextlib.suppress(KeyError, ValueError):
-                reported[key] = float(meta[key])
-        answer = solver_cli.Answer(
-            meta.get("status", ""),
-            solution_vector(model, values),
-            reported.get("objective"),
-            reported.get("bound"),
-            meta.get("message", ""),
-        )
-        return _verify(inst, model, answer, t0)
+            raise SolverFailed(f"solver exited with {proc.returncode}: {tail}")
+        # the path goes first and by position: the benchmark's trace reads it
+        return parse_solution_file(solution_path, model)
 
 
 def solve_external(inst: Instance, config: SolveConfig | None = None) -> SolveResult:
     """Solve the MILP in-process with HiGHS, or with the configured solver
-    command, and re-verify the answer."""
+    command, and verify the answer: the one place a solver's answer becomes
+    a result. The in-process solve writes the paper model and its answer to
+    `config.workdir` when that is set; a solver command writes its own."""
     config = config or SolveConfig(backend="external")
     t0 = time.perf_counter()
     model = build_model(inst)
     template = config.resolved_solver_cmd()
-    if template is None:
-        return _solve_in_process(inst, model, config, t0)
-    result = _solve_with_command(inst, model, config, template, t0)
-    result.formulation = "paper"
+    formulation = "paper"
+    try:
+        if template is not None:
+            answer = _solve_with_command(model, config, template)
+        else:
+            started = time.perf_counter()
+            formulation, answer = _solve_in_process(model, config)
+            if config.workdir is not None:
+                workdir = Path(config.workdir)
+                workdir.mkdir(parents=True, exist_ok=True)
+                export_interchange(model, workdir / "model.mps")
+                text = solution_text(
+                    model.layout.column_names(), answer, time.perf_counter() - started
+                )
+                (workdir / "solution.sol").write_text(text, encoding="utf-8")
+    except SolverFailed as exc:
+        result = SolveResult(status=STATUS_ERROR, backend="external", message=str(exc))
+    else:
+        result = _verify(inst, model, answer)
+    result.formulation = formulation
+    result.wall_time = time.perf_counter() - t0
     return result
 
 

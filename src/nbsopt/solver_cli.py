@@ -1,16 +1,14 @@
-"""Bundled HiGHS solver: the entry point the in-process solve calls, and a
+"""The bundled HiGHS adapter: the entry point the in-process solve calls, and a
 subprocess that reads MPS, solves with HiGHS and writes a solution file.
 
 Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
 Both go through `solve_mps`, which takes a MilpModel, the CompactModel sliced
 from one, or the MpsData read from a file: each is a MipProblem. `answer`
-reads an `Answer` from the HiGHS result. The in-process solve verifies that
-answer; this program writes it as a solution file (`solution_text`), which
-the solve that runs a solver command reads back into an `Answer`.
-
-The solution file starts with '# key value' metadata lines (solver, status,
-objective, bound, walltime) followed by one 'name value' line per column.
+reads a `solve.Answer` from the HiGHS result. The in-process solve verifies
+that answer; this program writes it with `solve.solution_text`, and the
+solve that runs a solver command reads it back with
+`solve.parse_solution_file`, so the file format lives in `solve` alone.
 Statuses: optimal, feasible-timeout, no-incumbent, infeasible, unbounded,
 error. This is the reference implementation of the solver-side contract; any
 external solver wrapped to the same file formats can replace it.
@@ -21,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,24 +26,18 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import SENSE_GE, SENSE_LE, MipProblem
 from .mps import MpsData, read_mps
+from .solve import (
+    STATUS_INFEASIBLE,
+    STATUS_NO_INCUMBENT,
+    STATUS_OPTIMAL,
+    STATUS_TIMEOUT,
+    Answer,
+    solution_text,
+)
 
 # solution-file status names for scipy's HiGHS status codes; code 1, the
 # time limit, names one of two statuses and is mapped in `answer`
-_STATUS_NAMES = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-
-
-@dataclass(frozen=True)
-class Answer:
-    """A solver's answer as the solution file states it: a status name, the
-    column vector, and objective and bound with the objective constant
-    included; `x`, `objective` and `bound` are None where the solver has none.
-    """
-
-    status: str
-    x: np.ndarray | None
-    objective: float | None
-    bound: float | None
-    message: str = ""
+_STATUS_NAMES = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: "unbounded"}
 
 
 def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0):
@@ -74,7 +65,7 @@ def answer(res, constant: float) -> Answer:
     """The answer in a HiGHS result, the objective constant added back."""
     status = _STATUS_NAMES.get(res.status, "error")
     if res.status == 1:  # the time limit, with or without an incumbent
-        status = "feasible-timeout" if res.x is not None else "no-incumbent"
+        status = STATUS_TIMEOUT if res.x is not None else STATUS_NO_INCUMBENT
     objective = None
     if res.x is not None and res.fun is not None:
         objective = float(res.fun) + constant
@@ -82,22 +73,6 @@ def answer(res, constant: float) -> Answer:
     if bound is not None:
         bound = float(bound) + constant
     return Answer(status, res.x, objective, bound, res.message)
-
-
-def solution_text(column_names: list[str], answer: Answer, wall_time: float) -> str:
-    """The solution file for an answer over the named columns."""
-    lines = ["# solver nbsopt-highs-cli", f"# status {answer.status}"]
-    if answer.objective is not None:
-        lines.append(f"# objective {answer.objective!r}")
-    if answer.bound is not None:
-        lines.append(f"# bound {answer.bound!r}")
-    lines.append(f"# walltime {float(wall_time)!r}")
-    if answer.message:
-        lines.append(f"# message {answer.message}")
-    if answer.x is not None:
-        for name, value in zip(column_names, answer.x):
-            lines.append(f"{name} {float(value)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def write_solution(path: Path, data: MpsData, res, wall_time: float) -> None:

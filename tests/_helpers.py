@@ -21,6 +21,7 @@ from nbsopt.engine import Placement
 from nbsopt.instance import validate_instance
 from nbsopt.kernels import TEMP_MAX, Kernel, default_kernel_set
 from nbsopt.model import MilpModel, linearization_big_m
+from nbsopt.solve import SolveConfig, SolveResult
 
 # The directory holding the package under test, for child processes to import
 # it from whether or not PYTHONPATH names it.
@@ -33,6 +34,14 @@ def solver_cli_template() -> str:
         f"env PYTHONPATH={shlex.quote(str(SRC))} {shlex.quote(sys.executable)}"
         " -m nbsopt.solver_cli {model} {solution} {timelimit} --gap {gap}"
     )
+
+
+def solve_paper_model(inst: Instance, model: MilpModel, config: SolveConfig) -> SolveResult:
+    """The verified result of the bundled HiGHS on the paper model itself,
+    the model the in-process solve falls back to."""
+    from nbsopt.solve import _solve_paper, _verify
+
+    return _verify(inst, model, _solve_paper(model, config))
 
 
 def spy_on_highs(monkeypatch) -> list[tuple[np.ndarray, dict]]:

@@ -27,10 +27,10 @@ from nbsopt.model import (
     objective_normalizers,
 )
 from nbsopt.mps import export_interchange
-from nbsopt.solve import SolveConfig, _solve_paper, solve_external, solve_oracle
+from nbsopt.solve import SolveConfig, solve_external, solve_oracle
 from nbsopt.suite import desk_suite
 
-from _helpers import cluster_demo_instance, make_instance
+from _helpers import cluster_demo_instance, make_instance, solve_paper_model
 
 SUITE_SIZE = 50
 REL_TOL = 1e-6
@@ -111,7 +111,7 @@ def test_c02_linearization_property(suite_results):
     results, _ = suite_results
     config = SolveConfig(backend="external", time_limit=120.0)
     for seed, inst, model, _, external in results:
-        paper = _solve_paper(inst, model, config, time.perf_counter())
+        paper = solve_paper_model(inst, model, config)
         assert paper.status == "optimal", f"seed {seed}: paper model {paper.status}"
         layout = model.layout
         n = layout.n_cells

@@ -294,3 +294,42 @@ class TestConfigFile:
         cfg.write_text("not json")
         assert run(["kernels", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error code=config.schema message=")
+
+
+GEN = ["gen", "--seed", "1", "--size", "xs", "--out", "{out}"]
+
+
+class TestInvalidOptionValues:
+    """An option value out of its range, from a flag or a config key, exits 2
+    with one error line, and no solver is called."""
+
+    @pytest.mark.parametrize("argv", [
+        GEN + ["--nbs", "9"],
+        GEN + ["--measures", "0"],
+        GEN + ["--forbidden-frac", "2"],
+        ["cluster", "{parks}", "--out", "{out}", "--min", "10", "--max", "5"],
+        ["solve", "{inst}", "--timelimit", "-1"],
+        ["solve", "{inst}", "--timelimit", "nan"],
+        ["solve", "{inst}", "--gap", "-0.5"],
+        ["solve", "{inst}", "--config", "{config}"],
+        ["bench", "--seeds", "1", "--timelimit", "-1"],
+    ], ids=["gen-nbs", "gen-measures", "gen-forbidden-frac", "cluster-min-max",
+            "solve-timelimit-negative", "solve-timelimit-nan", "solve-gap-negative",
+            "solve-config-timelimit", "bench-timelimit"])
+    def test_exits_2(self, argv, tiny_instance_path, tmp_path, monkeypatch, capsys):
+        paths = {"inst": tiny_instance_path, "out": tmp_path / "out.json",
+                 "parks": tmp_path / "parks.json", "config": tmp_path / "cfg.json"}
+        if "{parks}" in argv:
+            assert run(["gen", "--seed", "1", "--size", "xs", "--out", str(paths["parks"]),
+                        "--nbs", "4", "--measures", "1"]) == 0
+        paths["config"].write_text(json.dumps({"timelimit": -1}))
+        capsys.readouterr()
+        calls = spy_on_highs(monkeypatch)
+        code = run([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert (code, calls) == (2, [])
+        assert err.startswith("error code=usage.invalid message=")
+        assert err.count("\n") == 1
+
+    def test_an_infinite_time_limit_is_allowed(self, tiny_instance_path):
+        assert run(["solve", str(tiny_instance_path), "--timelimit", "inf"]) == 0

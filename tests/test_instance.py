@@ -155,6 +155,18 @@ class TestValidation:
             validate_instance(load_instance(file))
         assert f"{field} must be finite" in str(exc.value)
 
+    def test_negative_derived_delta_names_measure(self):
+        # delta null is 20% of the field maximum, negative for a field below zero
+        inst = generate_synthetic(0, GridDims(3, 3), nbs_count=1, measure_count=1,
+                                  forbidden_fraction=0.0, pre_existing_fraction=0.0)
+        measure = inst.measures[0]
+        assert measure.delta is None
+        measure.field = measure.field - 100.0
+        with pytest.raises(ValidationError) as exc:
+            validate_instance(inst)
+        assert f"measure {measure.id!r}: delta derived from the field" in str(exc.value)
+        assert "must be >= 0" in str(exc.value)
+
     def test_cluster_cell_must_be_eligible(self):
         raw = minimal_dict()
         raw["dims"] = {"width": 2, "height": 2, "resolution": 10.0}

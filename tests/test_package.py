@@ -3,9 +3,12 @@ name the benchmark harness traces."""
 
 import ast
 import importlib
+import shlex
+import sys
 from pathlib import Path
 
 import nbsopt
+from nbsopt import GridDims, generate_synthetic
 
 PACKAGE = Path(nbsopt.__file__).resolve().parent
 
@@ -58,10 +61,13 @@ def test_every_public_definition_is_used_inside_the_package():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_names_the_benchmark_traces_exist():
+def test_names_the_benchmark_traces_exist(tmp_path, monkeypatch):
     """Every name perfbench wraps with `tracer.install`, or imports from
     nbsopt in its traced solver, is still in the package, so a rename fails
-    here rather than in a traced benchmark run."""
+    here rather than in a traced benchmark run. The trace of
+    `solve.parse_solution_file` reads the solver's spans from beside the file
+    its first positional argument names, so a solve through a solver command
+    must pass the solution path there."""
     installed: list[tuple[str, str]] = []
     for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))):
         if (
@@ -84,3 +90,20 @@ def test_names_the_benchmark_traces_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == [], f"perfbench uses names nbsopt no longer has: {missing}"
+
+    solve = importlib.import_module("nbsopt.solve")
+    seen: list[tuple] = []
+    real = solve.parse_solution_file
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "parse_solution_file", spy)
+    write = "import sys; open(sys.argv[1], 'w').write('# status infeasible')"
+    template = f"{shlex.quote(sys.executable)} -c {shlex.quote(write)} {{solution}}"
+    inst = generate_synthetic(0, GridDims(2, 2), nbs_count=1, measure_count=1,
+                              forbidden_fraction=0.5, pre_existing_fraction=0.0)
+    config = solve.SolveConfig(backend="external", solver_cmd=template, workdir=tmp_path)
+    assert solve.solve_external(inst, config).status == "infeasible"
+    assert [Path(args[0]) for args in seen] == [tmp_path / "solution.sol"]

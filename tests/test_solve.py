@@ -3,7 +3,6 @@ import os
 import shlex
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -29,10 +28,8 @@ from nbsopt.model import (
 from nbsopt.solve import (
     OracleCapExceeded,
     SolveConfig,
-    _solve_paper,
     count_decision_units,
     parse_solution_file,
-    solution_vector,
     solve,
     solve_external,
     solve_oracle,
@@ -45,6 +42,7 @@ from _helpers import (
     SRC,
     cluster_demo_instance,
     make_instance,
+    solve_paper_model,
     solver_cli_template,
     spy_on_highs,
     variable_vector,
@@ -281,7 +279,7 @@ class TestInProcess:
         calls = spy_on_highs(monkeypatch)
         for inst in problem_instances:
             model = build_model(inst)
-            assert _solve_paper(inst, model, EXTERNAL, time.perf_counter()).status == "optimal"
+            assert solve_paper_model(inst, model, EXTERNAL).status == "optimal"
             export_interchange(model, tmp_path / "m.mps")
             solver_cli.solve_mps(read_mps(tmp_path / "m.mps"), 60.0)
         assert len(calls) == 2 * len(problem_instances)
@@ -305,11 +303,10 @@ class TestInProcess:
                                solver_cmd=solver_cli_template())
         for inst in problem_instances:
             model = build_model(inst)
-            paper = _solve_paper(inst, model, EXTERNAL, time.perf_counter())
+            paper = solve_paper_model(inst, model, EXTERNAL)
             compact = solve_external(inst, EXTERNAL)
             b = solve_external(inst, template)
-            assert (paper.formulation, compact.formulation, b.formulation) == (
-                "paper", "compact", "paper")
+            assert (compact.formulation, b.formulation) == ("compact", "paper")
             # the paper model in-process and through the template: bit for bit
             assert (paper.status, paper.objective, paper.bound) == (b.status, b.objective, b.bound)
             for t in inst.nbs_ids:
@@ -351,11 +348,11 @@ class TestInProcess:
         export_interchange(model, tmp_path / "expected.mps")
         assert ((tmp_path / "w" / "model.mps").read_bytes()
                 == (tmp_path / "expected.mps").read_bytes())
-        meta, values = parse_solution_file(tmp_path / "w" / "solution.sol")
-        assert meta["status"] == "optimal"
-        assert float(meta["bound"]) == result.bound
-        assert values_close(float(meta["objective"]), result.objective)
-        np.testing.assert_array_equal(solution_vector(model, values), result.variables)
+        answer = parse_solution_file(tmp_path / "w" / "solution.sol", model)
+        assert answer.status == "optimal"
+        assert answer.bound == result.bound
+        assert values_close(answer.objective, result.objective)
+        np.testing.assert_array_equal(answer.x, result.variables)
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         code = "import sys, nbsopt; print('scipy.optimize' in sys.modules)"
@@ -424,6 +421,17 @@ class TestCompactSolve:
                 paper @ model.c + model.objective_constant, abs=1e-9)
             assert constraint_residuals(model, result.variables) <= 1e-9
 
+    def test_no_incumbent_is_verified_without_the_paper_model(self, monkeypatch):
+        # the compact bound is a bound for the paper model, and the paper
+        # model would get no time of its own
+        inst = generate_synthetic(3, GridDims(6, 6), nbs_count=2, measure_count=1,
+                                  forbidden_fraction=0.7, pre_existing_fraction=0.0)
+        calls = spy_on_highs(monkeypatch)
+        result = solve_external(inst, SolveConfig(backend="external", time_limit=0))
+        assert len(calls) == 1
+        assert (result.status, result.formulation) == ("feasible-timeout", "compact")
+        assert result.placement.new_cells(inst) == {t: [] for t in inst.nbs_ids}
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_compact_matches_the_oracle(self, seed):
@@ -452,7 +460,7 @@ class TestCompactSolve:
         if clustered:
             inst = with_clusters(inst, partition_instance(inst, inst.nbs_ids[:1]))
         model = build_model(inst)
-        paper = _solve_paper(inst, model, EXTERNAL, time.perf_counter())
+        paper = solve_paper_model(inst, model, EXTERNAL)
         compact = solve_external(inst, EXTERNAL)
         assert (paper.status, compact.status) == ("optimal", "optimal")
         assert values_close(compact.objective, paper.objective)
@@ -461,26 +469,37 @@ class TestCompactSolve:
 
 
 class TestSolutionParsing:
-    def test_metadata_and_values(self, tmp_path):
-        p = tmp_path / "s.sol"
-        p.write_text(
-            "# solver test\n# status optimal\n# objective 1.5\n\n"
-            "x_t0_i0_j0 1.0\nweird line with stuff\nbad value notanumber\n"
-        )
-        meta, values = parse_solution_file(p)
-        assert meta["status"] == "optimal"
-        assert values == {"x_t0_i0_j0": 1.0}
-
-    def test_unknown_variable_names_ignored_with_warning(self, tmp_path, caplog):
+    @pytest.fixture
+    def setup(self):
         inst = generate_synthetic(6, GridDims(2, 2), nbs_count=1, measure_count=1,
                                   forbidden_fraction=0.5, pre_existing_fraction=0.0)
-        model = build_model(inst)
+        return inst, build_model(inst)
+
+    def test_metadata_and_values(self, tmp_path, setup):
+        _, model = setup
+        p = tmp_path / "s.sol"
+        p.write_text(
+            "# solver test\n# status optimal\n# objective 1.5\n# bound oops\n\n"
+            "x_t0_i0_j1 1.0\nweird line with stuff\nbad value notanumber\n"
+        )
+        answer = parse_solution_file(p, model)
+        assert (answer.status, answer.objective, answer.bound, answer.message) == (
+            "optimal", 1.5, None, "")
+        expected = np.zeros(model.n_variables)
+        expected[1] = 1.0
+        np.testing.assert_array_equal(answer.x, expected)
+
+    def test_unknown_variable_names_ignored_with_warning(self, tmp_path, caplog, setup):
+        inst, model = setup
         from nbsopt.solve import placement_from_values
 
+        p = tmp_path / "s.sol"
+        p.write_text("# status optimal\nmystery_var 1.0\n")
         with caplog.at_level("WARNING"):
-            values = solution_vector(model, {"mystery_var": 1.0})
-            placement = placement_from_values(inst, model, values)
+            answer = parse_solution_file(p, model)
+            placement = placement_from_values(inst, model, answer.x)
         assert "mystery_var" in caplog.text
+        np.testing.assert_array_equal(answer.x, np.zeros(model.n_variables))
         assert all(not placement.masks[t].any() for t in inst.nbs_ids)
 
 
@@ -544,6 +563,13 @@ class TestExternalContract:
         assert result.status == "error"
         assert "forbidden" in result.message
 
+    def test_infinite_time_limit_sets_no_timeout(self, tmp_path):
+        inst = self.make_inst()
+        fake = FakeSolverScript(tmp_path, "# status infeasible\n")
+        cfg = SolveConfig(backend="external", time_limit=float("inf"),
+                          solver_cmd=fake.template())
+        assert solve_external(inst, cfg).status == "infeasible"
+
     def test_env_var_supplies_template(self, tmp_path, monkeypatch):
         inst = self.make_inst()
         fake = FakeSolverScript(tmp_path, "# status infeasible\n")
@@ -576,9 +602,9 @@ class TestSolverCli:
         )
         out = tmp_path / "bad.sol"
         assert solver_cli.main([str(mps), str(out), "10"]) == 0
-        meta, values = parse_solution_file(out)
-        assert meta["status"] == "infeasible"
-        assert values == {}
+        lines = out.read_text().splitlines()
+        assert "# status infeasible" in lines
+        assert all(line.startswith("#") for line in lines)  # no column values
 
     def test_reports_objective_with_constant(self, tmp_path):
         from nbsopt import solver_cli
@@ -592,12 +618,8 @@ class TestSolverCli:
         export_interchange(model, mps)
         out = tmp_path / "m.sol"
         assert solver_cli.main([str(mps), str(out), "30"]) == 0
-        meta, values = parse_solution_file(out)
-        assert meta["status"] == "optimal"
-        index = {name: k for k, name in enumerate(model.layout.column_names())}
-        vals = np.zeros(model.n_variables)
-        for name, v in values.items():
-            vals[index[name]] = v
-        assert float(meta["objective"]) == pytest.approx(
-            vals @ model.c + model.objective_constant, abs=1e-9
+        answer = parse_solution_file(out, model)
+        assert answer.status == "optimal"
+        assert answer.objective == pytest.approx(
+            answer.x @ model.c + model.objective_constant, abs=1e-9
         )
