@@ -275,6 +275,8 @@ def _bench_one(
 
 def cmd_bench(args: argparse.Namespace, config: dict) -> int:
     count = int(_pick(args, config, "seeds", 10))
+    if count < 1:
+        raise ValueError(f"seeds must be >= 1, got {count}")
     start = int(_pick(args, config, "start_seed", 0))
     cfg = SolveConfig(
         backend=str(_pick(args, config, "backend", "external")),

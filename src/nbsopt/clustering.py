@@ -67,6 +67,8 @@ def build_partition(
     Components inside [min_size, max_size] become clusters. Smaller and larger
     components are not clustered; their cells remain individually placeable.
     """
+    if min_size < 1 or max_size < 1:
+        raise ValueError(f"cluster sizes must be >= 1, got min {min_size} and max {max_size}")
     if min_size > max_size:
         raise ValueError(f"min_size {min_size} > max_size {max_size}")
     eligible = inst.eligible_mask(nbs_id)

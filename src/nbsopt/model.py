@@ -124,7 +124,7 @@ def _stack(families: list[tuple], n_cols: int):
     indices = np.concatenate(indices)
     coeffs = np.concatenate(coeffs)
     a = sparse.csr_matrix((coeffs, indices, indptr), shape=(len(indptr) - 1, n_cols))
-    a.sum_duplicates()  # sorted rows, as the MPS reader builds them
+    a.sum_duplicates()  # sorted columns in each row, the form read_mps returns
     bounds = np.cumsum([0, *map(len, labels)])
     blocks = [
         ConstraintBlock(tag, name_format, rows, a.indices[a.indptr[lo] : a.indptr[hi]])

@@ -8,11 +8,13 @@ objective row, the convention shared by common solvers. The writer reads the
 model's one constraint matrix, with the nonzeros of the objective vector as
 an extra first row. Output is byte-deterministic for a given model.
 
-The reader accepts the same dialect plus the usual bound codes (UP, LO, FX,
-MI, PL, BV, UI, LI) and comment lines starting with '*'. RANGES sections are
-not supported. It returns an MpsData, a MipProblem like MilpModel (one CSR
-matrix `a`, per-row `sense` and `rhs`, objective vector `c`), so the solver
-entry point takes either.
+The reader hands the file to the HiGHS that scipy bundles and turns the model
+HiGHS read into an MpsData, a MipProblem like MilpModel (one CSR matrix `a`,
+per-row `sense` and `rhs`, objective vector `c`), so the solver entry point
+takes either. It shares no code with the writer. HiGHS parses leniently: it
+reads an unknown section header as a row name and drops a non-numeric or
+repeated coefficient without saying so. The files read here are the ones this
+writer produced, and every answer is checked against the instance again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -28,7 +30,6 @@ from scipy import sparse
 from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, MipProblem
 
 _SENSE_TO_CODE = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
-_CODE_TO_SENSE = {v: k for k, v in _SENSE_TO_CODE.items()}
 
 MODEL_NAME = "nbsopt"
 OBJECTIVE_ROW = "obj"
@@ -134,195 +135,61 @@ def export_interchange(model: MilpModel, path: str | Path) -> None:
         fh.writelines(iter_mps_text(model))
 
 
-@dataclass
+@dataclass(eq=False)
 class MpsData(MipProblem):
-    """Parsed MPS content as a problem, plus the file's names.
+    """An MPS file as HiGHS read it: a problem, plus the file's row and column
+    names. The objective row is not a row of `a`."""
 
-    `a` has duplicate entries summed; the objective row is not a row of `a`.
-    """
-
-    name: str
     row_names: list[str]
     column_names: list[str]
 
 
-class _MpsParser:
-    def __init__(self) -> None:
-        self.name = ""
-        self.row_names: list[str] = []
-        self.row_senses: list[str] = []
-        self.row_index: dict[str, int] = {}
-        self.objective_row: str | None = None
-        self.column_names: list[str] = []
-        self.col_index: dict[str, int] = {}
-        self.entries: list[tuple[int, int, float]] = []
-        self.objective: dict[int, float] = {}
-        self.objective_constant = 0.0
-        self.rhs: dict[int, float] = {}
-        self.bounds: list[tuple[str, str, float | None]] = []
-        self.integer_cols: set[int] = set()
-        self._in_integer = False
+def read_mps(path: str | Path) -> MpsData:
+    """Read a free-format MPS file with the HiGHS that scipy bundles.
 
-    def _col(self, name: str) -> int:
-        if name not in self.col_index:
-            self.col_index[name] = len(self.column_names)
-            self.column_names.append(name)
-        return self.col_index[name]
+    HiGHS picks its reader by the file's extension, so the name ends in
+    `.mps`. Raises MpsFormatError unless HiGHS reads the file with status
+    `kOk`, and for what a MipProblem cannot hold: a maximization, a ranged or
+    free row, or a semi-continuous or semi-integer column.
+    """
+    from scipy.optimize._highspy import _core
 
-    def handle_row(self, tokens: list[str]) -> None:
-        code, name = tokens[0].upper(), tokens[1]
-        if code == "N":
-            if self.objective_row is None:
-                self.objective_row = name
-            return
-        if code not in _CODE_TO_SENSE:
-            raise MpsFormatError(f"unknown row sense {code!r}")
-        self.row_index[name] = len(self.row_names)
-        self.row_names.append(name)
-        self.row_senses.append(_CODE_TO_SENSE[code])
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    status = highs.readModel(str(path))
+    if status != _core.HighsStatus.kOk:
+        raise MpsFormatError(f"HiGHS read {str(path)!r} with status {status.name}, not kOk")
+    lp = highs.getLp()
+    if lp.sense_ != _core.ObjSense.kMinimize:
+        raise MpsFormatError("only minimization is supported")
 
-    def handle_column(self, tokens: list[str]) -> None:
-        if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-            marker = tokens[2].strip("'")
-            if marker == "INTORG":
-                self._in_integer = True
-            elif marker == "INTEND":
-                self._in_integer = False
-            else:
-                raise MpsFormatError(f"unknown marker {marker!r}")
-            return
-        if len(tokens) not in (3, 5):
-            raise MpsFormatError(f"bad COLUMNS line: {' '.join(tokens)}")
-        col = self._col(tokens[0])
-        if self._in_integer:
-            self.integer_cols.add(col)
-        for k in range(1, len(tokens), 2):
-            row, val = tokens[k], float(tokens[k + 1])
-            if row == self.objective_row:
-                self.objective[col] = self.objective.get(col, 0.0) + val
-            elif row in self.row_index:
-                self.entries.append((self.row_index[row], col, val))
-            else:
-                raise MpsFormatError(f"COLUMNS references unknown row {row!r}")
+    row_lower, row_upper = np.array(lp.row_lower_), np.array(lp.row_upper_)
+    below, above = row_lower <= -_core.kHighsInf, row_upper >= _core.kHighsInf
+    two_sided = (below == above) & (row_lower != row_upper)
+    if two_sided.any():
+        name = lp.row_names_[int(np.argmax(two_sided))]
+        raise MpsFormatError(f"row {name!r} is ranged or free; only L, G and E rows are supported")
 
-    def handle_rhs(self, tokens: list[str]) -> None:
-        if len(tokens) not in (3, 5):
-            raise MpsFormatError(f"bad RHS line: {' '.join(tokens)}")
-        for k in range(1, len(tokens), 2):
-            row, val = tokens[k], float(tokens[k + 1])
-            if row == self.objective_row:
-                self.objective_constant = -val
-            elif row in self.row_index:
-                self.rhs[self.row_index[row]] = val
-            else:
-                raise MpsFormatError(f"RHS references unknown row {row!r}")
+    continuous, integer = _core.HighsVarType.kContinuous, _core.HighsVarType.kInteger
+    kinds = lp.integrality_ or [continuous] * lp.num_col_
+    if set(kinds) - {continuous, integer}:
+        raise MpsFormatError("semi-continuous and semi-integer columns are not supported")
 
-    def handle_bound(self, tokens: list[str]) -> None:
-        code = tokens[0].upper()
-        if code in ("BV", "MI", "PL", "FR"):
-            if len(tokens) != 3:
-                raise MpsFormatError(f"bad BOUNDS line: {' '.join(tokens)}")
-            self.bounds.append((code, tokens[2], None))
-        else:
-            if len(tokens) != 4:
-                raise MpsFormatError(f"bad BOUNDS line: {' '.join(tokens)}")
-            self.bounds.append((code, tokens[2], float(tokens[3])))
-
-    def finish(self) -> MpsData:
-        n_cols = len(self.column_names)
-        lower = np.zeros(n_cols)
-        upper = np.full(n_cols, np.inf)
-        is_integer = np.zeros(n_cols, dtype=bool)
-        for col in self.integer_cols:
-            is_integer[col] = True
-        for code, name, value in self.bounds:
-            if name not in self.col_index:
-                raise MpsFormatError(f"BOUNDS references unknown column {name!r}")
-            col = self.col_index[name]
-            if code == "BV":
-                lower[col], upper[col] = 0.0, 1.0
-                is_integer[col] = True
-            elif code == "UP" or code == "UI":
-                upper[col] = value
-            elif code == "LO" or code == "LI":
-                lower[col] = value
-            elif code == "FX":
-                lower[col] = upper[col] = value
-            elif code == "MI":
-                lower[col] = -np.inf
-            elif code in ("PL", "FR"):
-                upper[col] = np.inf
-                if code == "FR":
-                    lower[col] = -np.inf
-            else:
-                raise MpsFormatError(f"unknown bound code {code!r}")
-        n_rows = len(self.row_names)
-        rows, cols, vals = zip(*self.entries) if self.entries else ((), (), ())
-        a = sparse.csr_matrix(
-            (np.asarray(vals, dtype=float), (np.asarray(rows, dtype=np.int64),
-                                              np.asarray(cols, dtype=np.int64))),
-            shape=(n_rows, n_cols),
-        )
-        rhs = np.zeros(n_rows)
-        rhs[list(self.rhs)] = list(self.rhs.values())
-        c = np.zeros(n_cols)
-        c[list(self.objective)] = list(self.objective.values())
-        return MpsData(
-            name=self.name,
-            row_names=self.row_names,
-            column_names=self.column_names,
-            a=a,
-            sense=np.array(self.row_senses, dtype=str),
-            rhs=rhs,
-            c=c,
-            objective_constant=self.objective_constant,
-            lower=lower,
-            upper=upper,
-            is_integer=is_integer,
-        )
-
-
-def read_mps(source: str | Path | IO[str]) -> MpsData:
-    """Parse a free-format MPS file into arrays."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-
-    parser = _MpsParser()
-    section = ""
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("*"):
-            continue
-        tokens = line.split()
-        head = tokens[0].upper()
-        if not line[0].isspace():
-            if head == "NAME":
-                parser.name = tokens[1] if len(tokens) > 1 else ""
-                continue
-            if head in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-                section = head
-                if head == "ENDATA":
-                    break
-                continue
-            if head == "RANGES":
-                raise MpsFormatError("RANGES sections are not supported")
-            raise MpsFormatError(f"line {lineno}: unknown section {tokens[0]!r}")
-        try:
-            if section == "ROWS":
-                parser.handle_row(tokens)
-            elif section == "COLUMNS":
-                parser.handle_column(tokens)
-            elif section == "RHS":
-                parser.handle_rhs(tokens)
-            elif section == "BOUNDS":
-                parser.handle_bound(tokens)
-            else:
-                raise MpsFormatError(f"data outside any section: {line!r}")
-        except MpsFormatError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise MpsFormatError(f"line {lineno}: {exc}")
-    if parser.objective_row is None:
-        raise MpsFormatError("no objective (N) row declared")
-    return parser.finish()
+    m = lp.a_matrix_
+    a = sparse.csc_matrix(
+        (np.array(m.value_, dtype=float), np.array(m.index_, dtype=int), np.array(m.start_)),
+        shape=(lp.num_row_, lp.num_col_),
+    ).tocsr()
+    # kHighsInf is IEEE infinity, so the column bounds need no mapping
+    return MpsData(
+        a=a,
+        sense=np.where(below, SENSE_LE, np.where(above, SENSE_GE, SENSE_EQ)),
+        rhs=np.where(below, row_upper, row_lower),
+        c=np.array(lp.col_cost_),
+        objective_constant=float(lp.offset_),
+        lower=np.array(lp.col_lower_),
+        upper=np.array(lp.col_upper_),
+        is_integer=np.array([k == integer for k in kinds], dtype=bool),
+        row_names=list(lp.row_names_),
+        column_names=list(lp.col_names_),
+    )

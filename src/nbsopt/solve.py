@@ -104,6 +104,8 @@ class SolveConfig:
             value = getattr(self, name)
             if not value >= 0:  # NaN fails too; infinity passes
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.unit_cap < 0:
+            raise ValueError(f"unit_cap must be >= 0, got {self.unit_cap}")
 
     def resolved_solver_cmd(self) -> str | None:
         """The solver command template, or None to solve in-process."""

@@ -4,7 +4,10 @@ subprocess that reads MPS, solves with HiGHS and writes a solution file.
 Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
 Both go through `solve_mps`, which takes a MilpModel, the CompactModel sliced
-from one, or the MpsData read from a file: each is a MipProblem. `answer`
+from one, or the MpsData that `mps.read_mps` gets from HiGHS's own MPS
+reader: each is a MipProblem. Every one reaches HiGHS through
+`scipy.optimize.milp` as the same arrays with the same options, so a file
+exported from a model is solved exactly as the model is in-process. `answer`
 reads a `solve.Answer` from the HiGHS result. The in-process solve verifies
 that answer; this program writes it with `solve.solution_text`, and the
 solve that runs a solver command reads it back with

@@ -313,9 +313,16 @@ class TestInvalidOptionValues:
         ["solve", "{inst}", "--gap", "-0.5"],
         ["solve", "{inst}", "--config", "{config}"],
         ["bench", "--seeds", "1", "--timelimit", "-1"],
+        ["cluster", "{parks}", "--out", "{out}", "--min", "0"],
+        ["cluster", "{parks}", "--out", "{out}", "--min", "-5", "--max", "-2"],
+        ["solve", "{inst}", "--backend", "oracle", "--cap", "-1"],
+        ["bench", "--seeds", "1", "--cap", "-1"],
+        ["bench", "--seeds", "0"],
     ], ids=["gen-nbs", "gen-measures", "gen-forbidden-frac", "cluster-min-max",
             "solve-timelimit-negative", "solve-timelimit-nan", "solve-gap-negative",
-            "solve-config-timelimit", "bench-timelimit"])
+            "solve-config-timelimit", "bench-timelimit", "cluster-min-zero",
+            "cluster-sizes-negative", "solve-oracle-cap-negative", "bench-cap-negative",
+            "bench-seeds-zero"])
     def test_exits_2(self, argv, tiny_instance_path, tmp_path, monkeypatch, capsys):
         paths = {"inst": tiny_instance_path, "out": tmp_path / "out.json",
                  "parks": tmp_path / "parks.json", "config": tmp_path / "cfg.json"}

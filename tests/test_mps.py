@@ -1,5 +1,6 @@
 import hashlib
-import io
+import importlib
+import math
 
 import numpy as np
 import pytest
@@ -62,10 +63,11 @@ class TestWriter:
             assert xs == [1.0]
         assert data.is_integer[lam_col]
 
-    def test_round_trip_preserves_rows_semantics(self, small_model):
+    def test_round_trip_preserves_rows_semantics(self, tmp_path, small_model):
         inst, model = small_model
-        text = "".join(iter_mps_text(model))
-        data = read_mps(io.StringIO(text))
+        path = tmp_path / "m.mps"
+        export_interchange(model, path)
+        data = read_mps(path)
         assert data.column_names == model.layout.column_names()
         assert data.row_names == [s for b in model.constraints for s in b.row_names()]
         np.testing.assert_array_equal(data.sense, model.sense)
@@ -130,27 +132,76 @@ class TestGoldenBytes:
         assert _file_digest(inst, tmp_path / "m.mps") == GRID30_DIGEST
 
 
+def _read(tmp_path, text: str):
+    path = tmp_path / "t.mps"
+    path.write_text(text, encoding="utf-8")
+    return read_mps(path)
+
+
+# What read_mps uses of scipy's bundled HiGHS binding, a private API.
+BINDING_MODULE = "scipy.optimize._highspy._core"
+BINDING_NAMES = ["_Highs", "HighsLp", "HighsStatus", "HighsVarType", "ObjSense", "kHighsInf"]
+BINDING_MEMBERS = {
+    "_Highs": ["setOptionValue", "readModel", "getLp"],
+    "HighsLp": ["a_matrix_", "num_row_", "num_col_", "row_lower_", "row_upper_",
+                "row_names_", "col_cost_", "offset_", "col_lower_", "col_upper_",
+                "col_names_", "integrality_", "sense_"],
+    "HighsLp.a_matrix_": ["value_", "index_", "start_"],
+    "HighsStatus": ["kOk"],
+    "HighsVarType": ["kContinuous", "kInteger"],
+    "ObjSense": ["kMinimize"],
+}
+
+
 class TestReader:
-    def test_ranges_rejected(self):
-        text = "NAME t\nROWS\n N obj\nRANGES\nENDATA\n"
-        with pytest.raises(MpsFormatError):
-            read_mps(io.StringIO(text))
+    def test_binding_has_every_member_read_mps_uses(self):
+        core = importlib.import_module(BINDING_MODULE)
+        missing = [name for name in BINDING_NAMES if not hasattr(core, name)]
+        assert missing == [], f"{BINDING_MODULE} lacks: {missing}"
+        lp = core.HighsLp()
+        owners = {"_Highs": core._Highs(), "HighsLp": lp,
+                  "HighsLp.a_matrix_": getattr(lp, "a_matrix_", None),
+                  "HighsStatus": core.HighsStatus, "HighsVarType": core.HighsVarType,
+                  "ObjSense": core.ObjSense}
+        missing = [f"{owner}.{name}" for owner, names in BINDING_MEMBERS.items()
+                   for name in names if not hasattr(owners[owner], name)]
+        assert missing == [], f"{BINDING_MODULE} lacks: {missing}"
+        # read_mps passes column bounds through, so HiGHS's infinity must be IEEE's
+        assert core.kHighsInf == math.inf
 
-    def test_unknown_section_rejected(self):
-        with pytest.raises(MpsFormatError):
-            read_mps(io.StringIO("NAME t\nGARBAGE\nENDATA\n"))
+    def test_ranges_rejected(self, tmp_path):
+        text = (
+            "NAME t\nROWS\n N obj\n L c1\nCOLUMNS\n x obj 1.0 c1 1.0\n"
+            "RHS\n rhs c1 4.0\nRANGES\n rng c1 2.0\nENDATA\n"
+        )
+        with pytest.raises(MpsFormatError, match="'c1' is ranged"):
+            _read(tmp_path, text)
 
-    def test_unknown_row_reference_rejected(self):
+    def test_unknown_row_reference_rejected(self, tmp_path):
         text = "NAME t\nROWS\n N obj\nCOLUMNS\n x nosuch 1.0\nENDATA\n"
-        with pytest.raises(MpsFormatError):
-            read_mps(io.StringIO(text))
+        with pytest.raises(MpsFormatError, match="kError"):
+            _read(tmp_path, text)
 
-    def test_missing_objective_rejected(self):
+    def test_missing_objective_rejected(self, tmp_path):
         text = "NAME t\nROWS\n L c1\nENDATA\n"
-        with pytest.raises(MpsFormatError):
-            read_mps(io.StringIO(text))
+        with pytest.raises(MpsFormatError, match="kWarning"):
+            _read(tmp_path, text)
 
-    def test_accepts_two_pairs_per_line_and_comments(self):
+    def test_truncated_file_rejected(self, tmp_path):
+        text = "NAME t\nROWS\n N obj\n L c1\nCOLUMNS\n x obj 1.0 c1 2.0\nRHS\n rhs c1 4.0\n"
+        with pytest.raises(MpsFormatError, match="kError"):
+            _read(tmp_path, text)
+
+    @pytest.mark.parametrize("head, tail, match", [
+        ("OBJSENSE\n MAX\n", "", "minimization"),
+        ("", "BOUNDS\n SC bnd x 3.0\n", "semi-continuous"),
+    ], ids=["maximize", "semi-continuous"])
+    def test_problem_outside_mip_problem_rejected(self, tmp_path, head, tail, match):
+        body = "ROWS\n N obj\n L c1\nCOLUMNS\n x obj 1.0 c1 2.0\nRHS\n rhs c1 4.0\n"
+        with pytest.raises(MpsFormatError, match=match):
+            _read(tmp_path, f"NAME t\n{head}{body}{tail}ENDATA\n")
+
+    def test_accepts_two_pairs_per_line_and_comments(self, tmp_path):
         text = (
             "* a comment\n"
             "NAME t\n"
@@ -167,7 +218,7 @@ class TestReader:
             " UP bnd x 9.0\n"
             "ENDATA\n"
         )
-        data = read_mps(io.StringIO(text))
+        data = _read(tmp_path, text)
         assert len(data.row_names) == 2 and len(data.column_names) == 1
         assert data.c.tolist() == [1.0]
         assert data.sense.tolist() == ["<=", ">="]
