@@ -284,10 +284,12 @@ def cmd_bench(args: argparse.Namespace, config: dict) -> int:
         unit_cap=int(_pick(args, config, "cap", DEFAULT_UNIT_CAP)),
     )
     jobs = int(_pick(args, config, "jobs", 1))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out_dir = args.out_dir
 
     suite = desk_suite(count, start_seed=start, unit_cap=cfg.unit_cap)
-    if jobs <= 1:
+    if jobs == 1:
         outcomes = [_bench_one(seed, inst, cfg, out_dir) for seed, inst in suite]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

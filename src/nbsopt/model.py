@@ -29,7 +29,8 @@ the pre-existing-only total and the best single-type-everywhere total.
 This is the paper's model; the MPS export writes it. The in-process solve
 hands HiGHS the compact model sliced from its matrix (`compact_model`), lifts
 the compact optimum back into this layout (`lift`) and certifies it on these
-rows (`certify`).
+rows (`certify`). Where the domain `zavg >= 0` can bind, the compact model
+keeps it exact with per-cell guard rows on this model's y columns.
 """
 
 from __future__ import annotations
@@ -495,10 +496,12 @@ def expected_variable_count(inst: Instance) -> int:
 @dataclass(eq=False)
 class CompactModel(MipProblem):
     """The model the in-process solve hands HiGHS, sliced from a MilpModel;
-    `columns` holds the MilpModel column of each compact column.
+    `columns` holds the MilpModel column of each compact column, and
+    `guarded` the number of guard binaries of each guarded measure.
     """
 
     columns: np.ndarray
+    guarded: dict[str, int]
 
 
 def _deltas(model: MilpModel) -> np.ndarray:
@@ -507,22 +510,61 @@ def _deltas(model: MilpModel) -> np.ndarray:
     return model.rhs[model.rows("bigm")][3::6]
 
 
-def compact_model(model: MilpModel) -> CompactModel:
-    """The paper model without its big-M rows and its defined columns.
+def impact_bounds(model: MilpModel) -> np.ndarray:
+    """M_c, the largest impact Kx each conv row can reach, per (u, cell).
 
-    The bigm and fairness rows go, and so do the y, zavg and f columns; each
+    Each source cell in the row adds its largest coefficient over the NBS
+    types that may be newly installed there: not forbidden for the type and
+    not pre-existing for any, since a cell hosts one NBS at most. The
+    coefficients are read from the conv rows, one measure at a time, into a
+    (cell, window offset) array.
+    """
+    layout, a, blocks = model.layout, model.a, {b.tag: b for b in model.constraints}
+    n, h = layout.n_cells, layout.height
+    installable = np.ones(layout.y_base, dtype=bool)  # one per x column
+    installable[blocks["forbidden"].indices] = False
+    installable.reshape(-1, n)[:, blocks["pre_existing"].indices % n] = False
+    first = model.rows("conv").start
+    bounds = np.zeros((len(layout.measure_ids), n))
+    for ui, bound in enumerate(bounds):
+        ptr = a.indptr[first + ui * n : first + (ui + 1) * n + 1]
+        cell, col = np.repeat(np.arange(n), np.diff(ptr)), a.indices[ptr[0] : ptr[-1]]
+        ok = col < layout.y_base  # x entries, not the lead z
+        ok[ok] = installable[col[ok]]
+        cell, src, coef = cell[ok], col[ok] % n, a.data[ptr[0] : ptr[-1]][ok]
+        di, dj = src // h - cell // h, src % h - cell % h
+        r = max(np.abs(di).max(initial=0), np.abs(dj).max(initial=0))
+        largest = np.zeros((n, 2 * r + 1, 2 * r + 1))
+        np.maximum.at(largest, (cell, di + r, dj + r), -coef)
+        bound[:] = largest.sum(axis=(1, 2))
+    return bounds
+
+
+def compact_model(model: MilpModel) -> CompactModel:
+    """The paper model without its big-M rows and its defined columns, with
+    the same optimum.
+
+    The bigm and fairness rows go, and so do the z, zavg and f columns; each
     z column is mapped onto its zbar column. So the conv rows read
     `zbar - Kx <= 0`, the avg rows `mean(zbar) <= mean(a)`, and zbar takes
     the cap `delta` as its upper bound. zavg and f leave the objective
     through the avg and fairness rows that define them. A paper solution
-    keeps its objective in the compact model, so the compact optimum is a
-    lower bound on the paper optimum.
+    keeps its objective in the compact model.
+
+    To keep an avg row, zbar could stay below min(Kx, delta). No placement
+    needs to for a measure with sum_c min(M_c, delta) <= sum_c a_c (M_c from
+    `impact_bounds`). Every other measure is guarded: a cell with
+    M_c <= delta gets the conv row zbar = Kx; any other keeps its y column,
+    with the rows `zbar >= Kx - (M_c - delta)(1 - y)` and
+    `zbar >= delta (1 - y)` appended, the paper's bigm5 and bigm6 with a
+    per-cell M.
     """
     from scipy import sparse
 
     layout = model.layout
     a, n_rows, n_vars = model.a, model.n_constraints, model.n_variables
-    avg, fair = model.rows("avg"), model.rows("fairness")
+    avg, fair, conv = model.rows("avg"), model.rows("fairness"), model.rows("conv")
+    n_u, n = len(layout.measure_ids), layout.n_cells
 
     # c' = c - c_def @ A_def and const' = const + c_def @ rhs_def; each defined
     # column leads its row with coefficient 1, so its own cost cancels
@@ -532,20 +574,28 @@ def compact_model(model: MilpModel) -> CompactModel:
     c = model.c - a.T @ c_def
     constant = model.objective_constant + float(c_def @ model.rhs)
 
+    delta, bound = _deltas(model), impact_bounds(model).ravel()
+    reach = np.minimum(bound, delta).reshape(n_u, n).sum(axis=1)
+    guarded = reach > model.rhs[model.rows("peak")].reshape(n_u, n).sum(axis=1)
+    guarded_cell = np.repeat(guarded, n)  # per (u, cell), as the conv rows
+    binary = guarded_cell & (bound > delta)
+    binaries = binary.reshape(n_u, n).sum(axis=1)
+
     keep_col = np.ones(n_vars, dtype=bool)
-    keep_col[layout.y_base : layout.zbar_base] = False  # y and z
+    keep_col[layout.y_base : layout.z_base] = binary
+    keep_col[layout.z_base : layout.zbar_base] = False  # z
     keep_col[layout.zavg_base : layout.lam_base] = False  # zavg and f
     columns = np.flatnonzero(keep_col)
     new_col = np.full(n_vars, -1, dtype=a.indices.dtype)
     new_col[columns] = np.arange(len(columns))
-    # z sits after every x column and zbar after every z, so rows stay sorted
+    # z sits after every x and y column and zbar after every z, so rows stay sorted
     new_col[layout.z_base : layout.zbar_base] = new_col[layout.zbar_base : layout.zmax_base]
 
     keep_row = np.ones(n_rows, dtype=bool)
     keep_row[model.rows("bigm")] = False
     keep_row[fair] = False
     sense = model.sense.copy()
-    sense[model.rows("conv")] = SENSE_LE
+    sense[conv] = np.where(guarded_cell & ~binary, SENSE_EQ, SENSE_LE)
     sense[avg] = SENSE_LE
 
     col = new_col[a.indices]
@@ -553,18 +603,38 @@ def compact_model(model: MilpModel) -> CompactModel:
     starts = a.indptr[np.append(np.flatnonzero(keep_row), n_rows)]
     indptr = np.concatenate(([0], np.cumsum(keep)))[starts]
     upper = model.upper[columns]
-    upper[new_col[layout.zbar_base : layout.zmax_base]] = _deltas(model)
+    upper[new_col[layout.zbar_base : layout.zmax_base]] = delta
     shape = (len(starts) - 1, len(columns))
+    compact = sparse.csr_matrix((a.data[keep], col[keep], indptr), shape=shape)
+    sense, rhs = sense[keep_row], model.rhs[keep_row]
+
+    cells = np.flatnonzero(binary)
+    if cells.size:  # scipy's sparse algebra costs more than a small solve
+        y, zbar = new_col[layout.y_base + cells], new_col[layout.zbar_base + cells]
+        slack, k = bound[cells] - delta[cells], np.arange(len(cells))
+        guard_shape = (len(cells), shape[1])
+        new_row = np.cumsum(keep_row) - 1
+        tight = compact[new_row[conv.start + cells]] - sparse.csr_matrix(
+            (slack, (k, y)), shape=guard_shape
+        )
+        floor = sparse.csr_matrix(
+            (np.r_[delta[cells], np.ones(len(k))], (np.r_[k, k], np.r_[y, zbar])),
+            shape=guard_shape,
+        )
+        compact = sparse.vstack([compact, tight, floor], format="csr")
+        sense = np.concatenate((sense, np.full(2 * len(k), SENSE_GE)))
+        rhs = np.concatenate((rhs, -slack, delta[cells]))
     return CompactModel(
-        a=sparse.csr_matrix((a.data[keep], col[keep], indptr), shape=shape),
-        sense=sense[keep_row],
-        rhs=model.rhs[keep_row],
+        a=compact,
+        sense=sense,
+        rhs=rhs,
         c=c[columns],
         objective_constant=constant,
         lower=model.lower[columns],
         upper=upper,
         is_integer=model.is_integer[columns],
         columns=columns,
+        guarded={u: int(b) for u, g, b in zip(layout.measure_ids, guarded, binaries) if g},
     )
 
 

@@ -13,17 +13,16 @@ solves in-process with the bundled HiGHS, through `solver_cli.solve_mps`,
 which `python -m nbsopt.solver_cli` also runs on the MPS file it reads; no
 name is formatted and no file is written. HiGHS gets the compact model that
 `model.compact_model` slices from the paper model's one constraint matrix:
-no big-M rows, no y, z, zavg or f columns. Its optimum is lifted back into
-the paper layout (`model.lift`) and certified on the paper model's rows,
-column bounds and objective (`model.certify`). The compact model relaxes the
-paper model, so a lifted optimum that passes is the paper model's optimum,
-and the compact bound is a bound for it; if the compact model is infeasible,
-so is the paper model, and if it has no incumbent at the time limit, its
-bound still holds. Only when the certificate fails (so far only through
-the `zavg >= 0` domain) is the paper model itself solved, in the time that
-remains, and the better of the two bounds is kept. The result's
-`formulation` names the model whose answer it is. The relative gap applies
-to HiGHS's own objective, which leaves out a constant in both models.
+no big-M rows, no z, zavg or f columns, and y columns only for the guard
+rows of the measures whose `zavg >= 0` domain can bind. Its optimum is
+lifted back into the paper layout (`model.lift`) and certified on the paper
+model's rows, column bounds and objective (`model.certify`). The compact
+model has the paper model's optimum, so its status and bound are the paper
+model's, and a lifted optimum that fails the certificate is a defect: it
+raises SolverFailed, which gives an error result, and no second model is
+solved. The result's `formulation` is `compact` for every in-process solve
+and `paper` for every template solve. The relative gap applies to HiGHS's
+own objective, which leaves out a constant in both models.
 
 A command template (the solver_cmd setting or the NBSOPT_SOLVER_CMD
 environment variable) with {model}, {solution}, {timelimit} and {gap}
@@ -38,7 +37,8 @@ and one 'name value' line per column. This module owns that format:
 and `solve_external` hands it to the one verification step, `_verify`,
 which re-checks feasibility and re-computes the objective before trusting
 it. A command that fails or outruns its grace period raises SolverFailed,
-which `solve_external` turns into an error result.
+as a failed certificate does, and `solve_external` turns it into an error
+result.
 """
 
 from __future__ import annotations
@@ -339,7 +339,8 @@ class Answer:
 
 
 class SolverFailed(RuntimeError):
-    """The solver command failed, or outran its grace period, without an answer."""
+    """The solver command failed or outran its grace period, or an answer failed
+    its certificate."""
 
 
 def solution_text(column_names: list[str], answer: Answer, wall_time: float) -> str:
@@ -479,31 +480,10 @@ def _verify(inst: Instance, model: MilpModel, answer: Answer) -> SolveResult:
     )
 
 
-def _solve_paper(
-    model: MilpModel,
-    config: SolveConfig,
-    time_limit: float | None = None,
-    bound: float | None = None,
-) -> Answer:
-    """The bundled HiGHS's answer on the paper model itself. `bound`, a lower
-    bound on the objective known beforehand, replaces a lower or missing
-    bound from HiGHS."""
-    from . import solver_cli
-
-    limit = config.time_limit if time_limit is None else time_limit
-    res = solver_cli.solve_mps(model, limit, config.gap)
-    answer = solver_cli.answer(res, model.objective_constant)
-    if bound is not None:
-        dual = answer.bound
-        answer = replace(answer, bound=bound if dual is None else float(np.fmax(dual, bound)))
-    return answer
-
-
-def _solve_in_process(model: MilpModel, config: SolveConfig) -> tuple[str, Answer]:
-    """Solve the compact model with the bundled HiGHS and lift its answer
-    into the paper layout; a lifted answer that fails the certificate is
-    replaced by the paper model's own. Returns the formulation that answered
-    and its answer over the paper model's columns."""
+def _solve_in_process(model: MilpModel, config: SolveConfig) -> Answer:
+    """The bundled HiGHS's answer on the compact model, lifted into the paper
+    layout: an answer over the paper model's columns. SolverFailed when the
+    lifted answer fails the certificate."""
     # imported on the first solve: scipy.optimize would slow `import nbsopt`
     from . import solver_cli
 
@@ -512,36 +492,30 @@ def _solve_in_process(model: MilpModel, config: SolveConfig) -> tuple[str, Answe
     derived = time.perf_counter()
     logger.info(
         "compact model: %d rows, %d columns, %d nonzeros (paper model: %d, %d, %d), "
-        "derived in %.4f s",
-        *compact.a.shape, compact.a.nnz, *model.a.shape, model.a.nnz, derived - started,
+        "guard binaries per guarded measure %s, derived in %.4f s",
+        *compact.a.shape, compact.a.nnz, *model.a.shape, model.a.nnz, compact.guarded,
+        derived - started,
     )
     res = solver_cli.solve_mps(compact, config.time_limit, config.gap)
     solved = time.perf_counter()
     answer = solver_cli.answer(res, compact.objective_constant)
-    values = None
-    if answer.x is not None:
-        values = lift(model, compact, answer.x)
-        failure = certify(model, values, answer.objective)
-        outcome = f"failed: {failure}" if failure else "passed"
-    elif answer.status in (STATUS_INFEASIBLE, STATUS_NO_INCUMBENT):
-        # the compact model relaxes the paper model: the paper model is
-        # infeasible too, or its bound is a bound for the paper model
-        failure, outcome = "", "not needed"
-    else:
-        failure = outcome = f"not possible, HiGHS status {answer.status}"
+    if answer.x is None:
+        # no vector to certify: the compact model solves the paper model, so
+        # its status and bound are the paper model's
+        logger.info("HiGHS on the compact model: %s in %.4f s", answer.status, solved - derived)
+        return answer
+    values = lift(model, compact, answer.x)
+    failure = certify(model, values, answer.objective)
     logger.info(
         "HiGHS on the compact model: %s in %.4f s; certificate %s in %.4f s",
-        answer.status, solved - derived, outcome, time.perf_counter() - solved,
+        answer.status, solved - derived, f"failed: {failure}" if failure else "passed",
+        time.perf_counter() - solved,
     )
     if failure:
-        remaining = max(0.0, config.time_limit - (time.perf_counter() - started))
-        logger.info("solving the paper model in the remaining %.1f s", remaining)
-        return "paper", _solve_paper(model, config, remaining, answer.bound)
-    if values is not None:
-        # the answer, restated over the paper model's columns and objective
-        objective = float(values @ model.c) + model.objective_constant
-        answer = replace(answer, x=values, objective=objective)
-    return "compact", answer
+        raise SolverFailed(f"the compact model's answer fails the certificate: {failure}")
+    # the answer, restated over the paper model's columns and objective
+    objective = float(values @ model.c) + model.objective_constant
+    return replace(answer, x=values, objective=objective)
 
 
 def _solve_with_command(model: MilpModel, config: SolveConfig, template: str) -> Answer:
@@ -588,13 +562,12 @@ def solve_external(inst: Instance, config: SolveConfig | None = None) -> SolveRe
     t0 = time.perf_counter()
     model = build_model(inst)
     template = config.resolved_solver_cmd()
-    formulation = "paper"
     try:
         if template is not None:
             answer = _solve_with_command(model, config, template)
         else:
             started = time.perf_counter()
-            formulation, answer = _solve_in_process(model, config)
+            answer = _solve_in_process(model, config)
             if config.workdir is not None:
                 workdir = Path(config.workdir)
                 workdir.mkdir(parents=True, exist_ok=True)
@@ -607,7 +580,7 @@ def solve_external(inst: Instance, config: SolveConfig | None = None) -> SolveRe
         result = SolveResult(status=STATUS_ERROR, backend="external", message=str(exc))
     else:
         result = _verify(inst, model, answer)
-    result.formulation = formulation
+    result.formulation = "paper" if template is not None else "compact"
     result.wall_time = time.perf_counter() - t0
     return result
 

@@ -38,10 +38,13 @@ def solver_cli_template() -> str:
 
 def solve_paper_model(inst: Instance, model: MilpModel, config: SolveConfig) -> SolveResult:
     """The verified result of the bundled HiGHS on the paper model itself,
-    the model the in-process solve falls back to."""
-    from nbsopt.solve import _solve_paper, _verify
+    with its six big-M rows per cell: the reference for the compact model
+    that the in-process solve hands HiGHS."""
+    from nbsopt import solver_cli
+    from nbsopt.solve import _verify
 
-    return _verify(inst, model, _solve_paper(model, config))
+    res = solver_cli.solve_mps(model, config.time_limit, config.gap)
+    return _verify(inst, model, solver_cli.answer(res, model.objective_constant))
 
 
 def spy_on_highs(monkeypatch) -> list[tuple[np.ndarray, dict]]:

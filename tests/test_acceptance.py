@@ -107,7 +107,7 @@ def test_c01_oracle_milp_equivalence(suite_results):
 
 def test_c02_linearization_property(suite_results):
     # the default solve lifts the compact optimum into the paper layout; the
-    # paper model's big-M rows are checked through the path its fallback takes
+    # paper model's big-M rows are checked by solving the paper model itself
     results, _ = suite_results
     config = SolveConfig(backend="external", time_limit=120.0)
     for seed, inst, model, _, external in results:

@@ -146,6 +146,22 @@ class TestSolveAndReport:
         meta = json.loads((tmp_path / "r.json").read_text())["metadata"]
         assert meta["formulation"] == "compact"
 
+    def test_a_failed_certificate_exits_3(self, tiny_instance_path, tmp_path, monkeypatch,
+                                          capsys):
+        # the compact model solves the paper model exactly, so a lifted
+        # answer that fails the certificate is a defect, not a second solve
+        calls = spy_on_highs(monkeypatch)
+        monkeypatch.setattr(sys.modules["nbsopt.solve"], "certify",
+                            lambda *args: "a planted reason")
+        out = tmp_path / "r.json"
+        assert run(["solve", str(tiny_instance_path), "--backend", "external",
+                    "--out", str(out)]) == 3
+        assert len(calls) == 1
+        result = json.loads(out.read_text())
+        assert (result["status"], result["metadata"]["formulation"]) == ("error", "compact")
+        assert "a planted reason" in result["metadata"]["message"]
+        assert "solve.error" in capsys.readouterr().err
+
     def test_gap_reaches_the_solver(self, tiny_instance_path, tmp_path):
         argv_file = tmp_path / "argv.json"
         fake = tmp_path / "fake_solver.py"
@@ -318,11 +334,12 @@ class TestInvalidOptionValues:
         ["solve", "{inst}", "--backend", "oracle", "--cap", "-1"],
         ["bench", "--seeds", "1", "--cap", "-1"],
         ["bench", "--seeds", "0"],
+        ["bench", "--seeds", "1", "--jobs", "-3"],
     ], ids=["gen-nbs", "gen-measures", "gen-forbidden-frac", "cluster-min-max",
             "solve-timelimit-negative", "solve-timelimit-nan", "solve-gap-negative",
             "solve-config-timelimit", "bench-timelimit", "cluster-min-zero",
             "cluster-sizes-negative", "solve-oracle-cap-negative", "bench-cap-negative",
-            "bench-seeds-zero"])
+            "bench-seeds-zero", "bench-jobs-negative"])
     def test_exits_2(self, argv, tiny_instance_path, tmp_path, monkeypatch, capsys):
         paths = {"inst": tiny_instance_path, "out": tmp_path / "out.json",
                  "parks": tmp_path / "parks.json", "config": tmp_path / "cfg.json"}

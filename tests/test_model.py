@@ -15,6 +15,7 @@ from nbsopt.model import (
     constraint_residuals,
     evaluate_solution,
     expected_variable_count,
+    impact_bounds,
     linearization_big_m,
     objective_normalizers,
 )
@@ -151,6 +152,43 @@ class TestBigM:
             assert zbar == min(z, delta)
             assert residual <= 1e-12
             assert y == (1 if z <= delta else 0)
+
+
+def naive_impact_bounds(inst) -> np.ndarray:
+    """Per (measure, cell), the sum over source cells of the largest kernel
+    entry of any type that may be newly installed there, as plain loops."""
+    w, h = inst.dims.shape
+    occupied = np.zeros((w, h), dtype=bool)
+    for t in inst.nbs_ids:
+        occupied |= inst.pre_mask(t)
+    out = np.zeros((len(inst.measure_ids), w, h))
+    for ui, u in enumerate(inst.measure_ids):
+        for i, j, si, sj in np.ndindex(w, h, w, h):
+            best = 0.0
+            for t in inst.nbs_ids:
+                k = inst.kernel(u, t)
+                a, b = si - i + k.width // 2, sj - j + k.height // 2
+                if (inst.forbidden_mask(t)[si, sj] or occupied[si, sj]
+                        or not (0 <= a < k.width and 0 <= b < k.height)):
+                    continue
+                best = max(best, k.entries[a, b])
+            out[ui, i, j] += best
+    return out.reshape(len(inst.measure_ids), -1)
+
+
+class TestImpactBounds:
+    @pytest.mark.parametrize("seed, side, nbs, clustered", [
+        (3, 4, 3, False), (8, 7, 4, True), (11, 9, 2, False),
+    ])
+    def test_match_a_loop_over_the_kernels(self, seed, side, nbs, clustered):
+        inst = generate_synthetic(seed, GridDims(side, side), nbs_count=nbs, measure_count=4,
+                                  forbidden_fraction=0.4, pre_existing_fraction=0.1)
+        if clustered:
+            inst = with_clusters(inst, partition_instance(inst, inst.nbs_ids[:1]))
+        assert any(inst.masks.pre_existing.values())
+        np.testing.assert_allclose(
+            impact_bounds(build_model(inst)), naive_impact_bounds(inst), rtol=1e-12
+        )
 
 
 class TestEvaluateSolution:

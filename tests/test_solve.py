@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from nbsopt.engine import Placement
 from nbsopt.instance import ObjectiveWeights
 from nbsopt.model import (
     OBJECTIVE_MATCH_TOL,
-    MilpModel,
     build_model,
     certify,
     check_placement,
@@ -26,6 +26,7 @@ from nbsopt.model import (
     lift,
 )
 from nbsopt.solve import (
+    DEFAULT_UNIT_CAP,
     OracleCapExceeded,
     SolveConfig,
     count_decision_units,
@@ -224,41 +225,68 @@ class TestAvgDomain:
             assert check_placement(inst, result.placement) == []
 
     def test_the_compact_optimum_fails_the_certificate(self, inst):
+        # without its guard rows and columns, the compact model's optimum
+        # breaks the domain; with them, it is the paper optimum
         from nbsopt import solver_cli
 
         model = build_model(inst)
-        compact = compact_model(model)
-        res = solver_cli.solve_mps(compact, 60.0)
-        objective = res.fun + compact.objective_constant
-        assert objective == pytest.approx(1 / 6, abs=1e-9)
-        lifted = lift(model, compact, res.x)
-        assert lifted[model.layout.zavg_base] < 0  # the domain zavg >= 0 is broken
-        assert certify(model, lifted, objective) != ""
+        guarded = compact_model(model)
+        # every cell has a guard binary, so no conv row is an equality
+        assert guarded.guarded == {"M": inst.dims.n_cells}
+        layout = model.layout
+        is_y = (guarded.columns >= layout.y_base) & (guarded.columns < layout.z_base)
+        guard_rows = guarded.a[:, is_y].getnnz(axis=1) > 0
+        relaxed = replace(
+            guarded, a=guarded.a[~guard_rows][:, ~is_y], sense=guarded.sense[~guard_rows],
+            rhs=guarded.rhs[~guard_rows], c=guarded.c[~is_y], lower=guarded.lower[~is_y],
+            upper=guarded.upper[~is_y], is_integer=guarded.is_integer[~is_y],
+            columns=guarded.columns[~is_y], guarded={},
+        )
+        for compact, optimum, passes in ((relaxed, 1 / 6, False), (guarded, 19 / 72, True)):
+            res = solver_cli.solve_mps(compact, 60.0)
+            objective = res.fun + compact.objective_constant
+            assert objective == pytest.approx(optimum, abs=1e-9)
+            lifted = lift(model, compact, res.x)
+            # the domain zavg >= 0 is broken without the guard
+            assert (lifted[layout.zavg_base] >= 0) == passes
+            assert (certify(model, lifted, objective) == "") == passes
 
-    def test_highs_falls_back_to_the_paper_model(self, inst, monkeypatch):
+    def test_highs_solves_the_guarded_model_once(self, inst, monkeypatch):
         calls = spy_on_highs(monkeypatch)
         result = solve_external(inst, EXTERNAL)
-        assert result.formulation == "paper"
-        assert len(calls) == 2  # the compact model, then the paper model
+        assert len(calls) == 1
+        assert (result.status, result.formulation) == ("optimal", "compact")
         assert result.objective == pytest.approx(19 / 72, abs=1e-9)
         assert result.bound == pytest.approx(19 / 72, abs=1e-9)
 
-    def test_the_fallback_keeps_the_better_bound(self, inst, monkeypatch):
-        from nbsopt import solver_cli
 
-        real = solver_cli.solve_mps
+# Small generated instances on which the compact model guards a measure and
+# its optimum without the guard fails the certificate:
+# (seed, side, NBS types, measures, first type clustered)
+GUARDED = [(204, 5, 1, 4, False), (787, 4, 2, 4, True), (373, 8, 1, 4, True),
+           (16, 8, 2, 4, True), (12, 8, 2, 4, False)]
 
-        def weak_paper_bound(data, *args):
-            res = real(data, *args)
-            if isinstance(data, MilpModel):
-                res.mip_dual_bound = -1.0
-            return res
 
-        monkeypatch.setattr(solver_cli, "solve_mps", weak_paper_bound)
-        result = solve_external(inst, EXTERNAL)
-        assert (result.status, result.formulation) == ("optimal", "paper")
-        assert result.objective == pytest.approx(19 / 72, abs=1e-9)
-        assert result.bound == pytest.approx(1 / 6, abs=1e-9)
+@pytest.mark.parametrize("seed, side, nbs, measures, clustered", GUARDED)
+def test_guarded_instances_match_the_paper_model(monkeypatch, seed, side, nbs, measures,
+                                                 clustered):
+    inst = generate_synthetic(seed, GridDims(side, side), nbs_count=nbs,
+                              measure_count=measures, forbidden_fraction=0.5,
+                              pre_existing_fraction=0.05)
+    if clustered:
+        inst = with_clusters(inst, partition_instance(inst, inst.nbs_ids[:1]))
+    model = build_model(inst)
+    assert compact_model(model).guarded
+    calls = spy_on_highs(monkeypatch)
+    result = solve_external(inst, EXTERNAL)
+    assert len(calls) == 1
+    assert (result.status, result.formulation) == ("optimal", "compact")
+    assert certify(model, result.variables, result.objective) == ""
+    paper = solve_paper_model(inst, model, EXTERNAL)
+    assert paper.status == "optimal"
+    assert values_close(result.objective, paper.objective)
+    if count_decision_units(inst) <= DEFAULT_UNIT_CAP:
+        assert values_close(result.objective, solve_oracle(inst).objective)
 
 
 @pytest.fixture(scope="module")
@@ -422,8 +450,7 @@ class TestCompactSolve:
             assert constraint_residuals(model, result.variables) <= 1e-9
 
     def test_no_incumbent_is_verified_without_the_paper_model(self, monkeypatch):
-        # the compact bound is a bound for the paper model, and the paper
-        # model would get no time of its own
+        # the compact model's status and bound are the paper model's
         inst = generate_synthetic(3, GridDims(6, 6), nbs_count=2, measure_count=1,
                                   forbidden_fraction=0.7, pre_existing_fraction=0.0)
         calls = spy_on_highs(monkeypatch)
