@@ -66,7 +66,23 @@ def _grid_labels(*shape: int) -> np.ndarray:
 
 
 def _format_labels(name_format: str, labels: np.ndarray) -> list[str]:
-    return [name_format.format(*row) for row in labels.tolist()]
+    """`name_format.format(*row)` for every row of the integer array `labels`.
+
+    The format's `{}` placeholders take a row's labels in order. Each
+    placeholder gets a table of its preceding literal text followed by the
+    digits of every label value in range; the table entries of all rows, and
+    the text after the last placeholder, are laid out one name per row of one
+    array and joined once.
+    """
+    literals = name_format.split("{}")
+    parts = np.empty((len(labels), len(literals)), dtype=object)
+    parts[:, -1] = literals[-1] + "\n"
+    if labels.size:
+        lo = int(labels.min())
+        digits = [str(v) for v in range(lo, int(labels.max()) + 1)]
+        for k, literal in enumerate(literals[:-1]):
+            parts[:, k] = np.array([literal + d for d in digits], dtype=object)[labels[:, k] - lo]
+    return "".join(parts.ravel().tolist()).split("\n")[:-1]
 
 
 @dataclass(eq=False)
@@ -211,7 +227,8 @@ class VariableLayout:
         self.n_variables = offset
 
     def column_names(self) -> list[str]:
-        """Every column's name in index order, formatted on each call."""
+        """Every column's name in index order, formatted on each call by
+        `_format_labels`, one kind of column at a time."""
         w, h = self.width, self.height
         n_t, n_u = len(self.nbs_ids), len(self.measure_ids)
         names: list[str] = []
@@ -225,9 +242,9 @@ class VariableLayout:
             ("f_i{}_j{}", (w, h)),
         ):
             names += _format_labels(name_format, _grid_labels(*shape))
-        for ti, t in enumerate(self.nbs_ids):
-            names += [f"lam_t{ti}_q{q}" for q in range(len(self.cluster_lists[t]))]
-        return names
+        lam = [(ti, q) for ti, t in enumerate(self.nbs_ids)
+               for q in range(len(self.cluster_lists[t]))]
+        return names + _format_labels("lam_t{}_q{}", np.array(lam, dtype=np.int64).reshape(-1, 2))
 
 
 @dataclass(frozen=True)

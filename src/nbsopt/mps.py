@@ -8,6 +8,14 @@ objective row, the convention shared by common solvers. The writer reads the
 model's one constraint matrix, with the nonzeros of the objective vector as
 an extra first row. Output is byte-deterministic for a given model.
 
+The text is assembled CHUNK_LINES lines at a time, with no Python call per
+line: a chunk's pieces (shared separators, row and column names indexed from
+the name arrays, value texts) fill one object array, one line per row, which
+one `str.join` turns into text. Each value's text (a space, its `repr` and a
+newline) is made once per export for each distinct bit pattern among the
+coefficients and right-hand sides, and looked up by bit pattern, so -0.0 and
+0.0 keep their own text.
+
 The reader hands the file to the HiGHS that scipy bundles and turns the model
 HiGHS read into an MpsData, a MipProblem like MilpModel (one CSR matrix `a`,
 per-row `sense` and `rhs`, objective vector `c`), so the solver entry point
@@ -22,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -42,20 +50,21 @@ class MpsFormatError(ValueError):
     """Malformed or unsupported MPS content."""
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _lines(*pieces: str | np.ndarray) -> str:
+    """Lines made of `pieces` in order, one line per entry of the array
+    pieces; a str piece is shared by every line. One join builds them all."""
+    n = len(next(p for p in pieces if not isinstance(p, str)))
+    parts = np.empty((n, len(pieces)), dtype=object)
+    for k, piece in enumerate(pieces):
+        parts[:, k] = piece
+    return "".join(parts.ravel().tolist())
 
 
-def _chunks(line: Callable[..., str], *fields: np.ndarray) -> Iterator[str]:
-    """`line` applied across aligned arrays, joined CHUNK_LINES lines at a time."""
-    for lo in range(0, len(fields[0]), CHUNK_LINES):
-        yield "".join(map(line, *(f[lo : lo + CHUNK_LINES].tolist() for f in fields)))
-
-
-def _reprs(values: np.ndarray) -> np.ndarray:
-    """`repr` of every value, computed once per distinct bit pattern."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse]
+def _chunked_lines(*pieces: str | np.ndarray) -> Iterator[str]:
+    """`_lines` over aligned arrays, CHUNK_LINES lines at a time."""
+    n = len(next(p for p in pieces if not isinstance(p, str)))
+    for lo in range(0, n, CHUNK_LINES):
+        yield _lines(*(p if isinstance(p, str) else p[lo : lo + CHUNK_LINES] for p in pieces))
 
 
 def _bound_lines(name: str, lower: float, upper: float, binary: bool) -> str:
@@ -82,9 +91,19 @@ def iter_mps_text(model: MilpModel) -> Iterator[str]:
         missing = col_names[int(np.argmin(covered))]
         raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
 
+    # Every coefficient's and right-hand side's text, " repr\n", once per
+    # distinct bit pattern, so -0.0 and 0.0 stay apart. The matrix's patterns
+    # are made unique on their own first, so its data is never copied whole.
+    bits = np.union1d(np.unique(a.data.view(np.int64)), rhs.view(np.int64))
+    value_text = np.array([f" {v!r}\n" for v in bits.view(float).tolist()], dtype=object)
+
+    def values(v: np.ndarray) -> np.ndarray:
+        return value_text[np.searchsorted(bits, v.view(np.int64))]
+
     yield f"NAME {MODEL_NAME}\nROWS\n N {OBJECTIVE_ROW}\n"
-    codes = np.array([_SENSE_TO_CODE[s] for s in model.sense.tolist()], dtype=object)
-    yield from _chunks(lambda code, row: f" {code} {row}\n", codes, row_names[1:])
+    senses, sense_of_row = np.unique(model.sense, return_inverse=True)
+    codes = np.array([f" {_SENSE_TO_CODE[s]} " for s in senses.tolist()], dtype=object)
+    yield from _chunked_lines(codes[sense_of_row], row_names[1:], "\n")
 
     # Columns in index order, each run of equal integrality between markers.
     yield "COLUMNS\n"
@@ -97,34 +116,27 @@ def iter_mps_text(model: MilpModel) -> Iterator[str]:
             yield f" M{marker} 'MARKER' '{'INTORG' if in_integer else 'INTEND'}'\n"
             marker += 1
         for lo in range(a.indptr[start], a.indptr[stop], CHUNK_LINES):
-            entries = np.arange(lo, min(lo + CHUNK_LINES, a.indptr[stop]))
-            cols = np.searchsorted(a.indptr, entries, side="right") - 1
-            yield from _chunks(
-                lambda col, row, value: f" {col} {row} {value}\n",
-                col_names[cols],
-                row_names[a.indices[entries]],
-                _reprs(a.data[entries]),
-            )
+            hi = min(lo + CHUNK_LINES, a.indptr[stop])
+            cols = np.searchsorted(a.indptr, np.arange(lo, hi), side="right") - 1
+            rows = row_names[a.indices[lo:hi]]
+            yield _lines(" ", col_names[cols], " ", rows, values(a.data[lo:hi]))
     if in_integer:
         yield f" M{marker} 'MARKER' 'INTEND'\n"
 
     yield "RHS\n"
     if model.objective_constant != 0.0:
-        yield f" {RHS_SET} {OBJECTIVE_ROW} {_fmt(-model.objective_constant)}\n"
+        yield f" {RHS_SET} {OBJECTIVE_ROW} {float(-model.objective_constant)!r}\n"
     nonzero = np.flatnonzero(rhs != 0.0)
-    yield from _chunks(
-        lambda row, value: f" {RHS_SET} {row} {value}\n",
-        row_names[1:][nonzero],
-        _reprs(rhs[nonzero]),
-    )
+    yield from _chunked_lines(f" {RHS_SET} ", row_names[1:][nonzero], values(rhs[nonzero]))
 
     yield "BOUNDS\n"
     lower, upper = model.lower, model.upper
     binary = is_integer & (lower == 0.0) & (upper == 1.0)
     bounded = np.flatnonzero(binary | (lower != 0.0) | np.isfinite(upper))
-    yield from _chunks(
-        _bound_lines, col_names[bounded], lower[bounded], upper[bounded], binary[bounded]
-    )
+    for lo in range(0, len(bounded), CHUNK_LINES):
+        cols = bounded[lo : lo + CHUNK_LINES]
+        fields = (col_names[cols], lower[cols], upper[cols], binary[cols])
+        yield "".join(map(_bound_lines, *(f.tolist() for f in fields)))
     yield "ENDATA\n"
 
 

@@ -7,6 +7,7 @@ re-use those results. Each test prints a PASS line when its criterion holds.
 """
 
 import dataclasses
+import hashlib
 import resource
 import time
 
@@ -233,6 +234,10 @@ def test_c09_gini_values():
     print("\nACCEPTANCE C09 gini-values: PASS")
 
 
+# SHA-256 of the C10 instance's MPS file, pinned like the TestGoldenBytes digests.
+C10_DIGEST = "5a2e0b32992418f5e3ff6b4d733a22141c51f33f4f5a8b24e6ca309fe1d0eda3"
+
+
 def test_c10_build_scalability(tmp_path):
     inst = generate_synthetic(7, GridDims(100, 100), nbs_count=4, measure_count=4,
                               forbidden_fraction=0.55, pre_existing_fraction=0.05)
@@ -244,6 +249,9 @@ def test_c10_build_scalability(tmp_path):
     assert elapsed < 60.0, f"build+export took {elapsed:.1f}s"
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
     assert peak_gb < 4.0, f"peak RSS {peak_gb:.2f} GB"
+    with open(tmp_path / "big.mps", "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    assert digest == C10_DIGEST, "the 100x100 MPS bytes changed"
     assert model.n_variables == expected_variable_count(inst)
     print(f"\nACCEPTANCE C10 build-scalability ({elapsed:.1f}s, "
           f"{peak_gb:.2f} GB peak, {model.n_variables} columns): PASS")

@@ -9,6 +9,7 @@ from nbsopt.engine import Placement
 from nbsopt.instance import ObjectiveWeights
 from nbsopt.model import (
     InfeasiblePlacement,
+    _format_labels,
     big_m_values,
     build_model,
     check_placement,
@@ -77,6 +78,25 @@ class TestModelShape:
         assert names[layout.zbar_base + 0 * h + 1] == "zbar_u0_i0_j1"
         assert names[layout.zmax_base] == "zmax_u0"
         assert names[layout.f_base + 1 * h + 0] == "f_i1_j0"
+
+
+class TestFormatLabels:
+    @pytest.mark.parametrize("name_format, labels", [
+        ("x_t{}_i{}_j{}", np.array([[0, 9, 10], [99, 100, 1234], [1234, 0, 9]])),
+        ("forbid_t{}_i{}_j{}", np.zeros((0, 3), dtype=np.int64)),
+        ("budget", np.zeros((1, 0), dtype=np.int64)),
+        ("budget", np.zeros((3, 0), dtype=np.int64)),
+        ("bigm{}_u{}_end", np.array([[1, 0], [6, 12]])),
+    ])
+    def test_matches_str_format(self, name_format, labels):
+        expected = [name_format.format(*row) for row in labels.tolist()]
+        assert _format_labels(name_format, labels) == expected
+
+    def test_no_forbidden_cells_no_forbid_rows(self):
+        model = build_model(make_instance(np.ones((2, 2))))
+        block = next(b for b in model.constraints if b.tag == "forbidden")
+        assert block.labels.shape == (0, 3)
+        assert block.row_names() == []
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.model import build_model
 from nbsopt.mps import (
+    CHUNK_LINES,
     MpsFormatError,
     export_interchange,
     iter_mps_text,
@@ -84,6 +85,79 @@ class TestWriter:
         assert model.objective_constant != 0.0
         text = "".join(iter_mps_text(model))
         assert f" rhs obj {-model.objective_constant!r}" in text
+
+
+def _reference_text(model) -> str:
+    """The MPS text written line by line: one f-string per line, with `repr`
+    of each value."""
+    columns = model.layout.column_names()
+    rows = [name for block in model.constraints for name in block.row_names()]
+    code = {"<=": "L", ">=": "G", "=": "E"}
+    lines = ["NAME nbsopt\n", "ROWS\n", " N obj\n"]
+    lines += [f" {code[s]} {row}\n" for s, row in zip(model.sense.tolist(), rows)]
+    lines.append("COLUMNS\n")
+    a = model.a.tocsc()
+    in_integer, marker = False, 0
+    for j, column in enumerate(columns):
+        if model.is_integer[j] != in_integer:
+            in_integer = not in_integer
+            lines.append(f" M{marker} 'MARKER' '{'INTORG' if in_integer else 'INTEND'}'\n")
+            marker += 1
+        if model.c[j] != 0.0:
+            lines.append(f" {column} obj {float(model.c[j])!r}\n")
+        for k in range(a.indptr[j], a.indptr[j + 1]):
+            lines.append(f" {column} {rows[a.indices[k]]} {float(a.data[k])!r}\n")
+    if in_integer:
+        lines.append(f" M{marker} 'MARKER' 'INTEND'\n")
+    lines.append("RHS\n")
+    if model.objective_constant != 0.0:
+        lines.append(f" rhs obj {-model.objective_constant!r}\n")
+    lines += [f" rhs {row} {float(v)!r}\n" for row, v in zip(rows, model.rhs) if v != 0.0]
+    lines.append("BOUNDS\n")
+    for j, column in enumerate(columns):
+        lower, upper = float(model.lower[j]), float(model.upper[j])
+        if model.is_integer[j] and lower == 0.0 and upper == 1.0:
+            lines.append(f" BV bnd {column}\n")
+            continue
+        if lower != 0.0:
+            lines.append(f" LO bnd {column} {lower!r}\n")
+        if math.isfinite(upper):
+            lines.append(f" UP bnd {column} {upper!r}\n")
+    lines.append("ENDATA\n")
+    return "".join(lines)
+
+
+# Values whose text a writer can get wrong: a signed zero, a stored zero, a
+# large and a subnormal value, and ones repr writes with many or few digits.
+AWKWARD_VALUES = [-0.0, 0.0, 1e16, 5e-324, 1 / 3, -2.5]
+
+
+class TestWriterOracle:
+    def test_awkward_values_match_the_line_by_line_writer(self, small_model):
+        _, model = small_model
+        assert model.objective_constant != 0.0
+        n = len(AWKWARD_VALUES)
+        model.a.data[: 3 * n : 3] = AWKWARD_VALUES
+        objective = np.flatnonzero(model.c)[:n]
+        model.c[objective] = AWKWARD_VALUES[: len(objective)]
+        model.rhs[:n] = AWKWARD_VALUES
+        text = "".join(iter_mps_text(model))
+        assert text == _reference_text(model)
+        for value in AWKWARD_VALUES:
+            assert f" {value!r}\n" in text
+
+    def test_chunk_boundary_inside_a_column(self):
+        inst = generate_synthetic(3, GridDims(12, 12), nbs_count=3, measure_count=2,
+                                  forbidden_fraction=0.3, pre_existing_fraction=0.05)
+        model = build_model(inst)
+        # the writer's chunks restart at each integrality run of the matrix
+        # with the objective on top; one of them must split a column
+        starts = np.r_[0, np.cumsum(np.diff(model.a.tocsc().indptr) + (model.c != 0))]
+        runs = np.flatnonzero(np.diff(model.is_integer.astype(int))) + 1
+        bounds = [b for lo, hi in zip(starts[np.r_[0, runs]], starts[np.r_[runs, -1]])
+                  for b in range(lo + CHUNK_LINES, hi, CHUNK_LINES)]
+        assert set(bounds) - set(starts.tolist())
+        assert "".join(iter_mps_text(model)) == _reference_text(model)
 
 
 # Byte-identical MPS output is a documented guarantee (docs/formats.md); these
