@@ -44,14 +44,16 @@ def label_components(mask: np.ndarray) -> list[list[Cell]]:
     """Maximal 4-connected regions of True cells, as sorted coordinate lists.
 
     Components are ordered by their first cell in row-major order, which makes
-    the output independent of any internal labeling order.
+    the output independent of any internal labeling order. One stable sort of
+    the labels groups the cells, each label's in row-major order.
     """
     mask = np.asarray(mask, dtype=bool)
     labeled, n = ndimage.label(mask, structure=_STRUCTURE)
-    components: list[list[Cell]] = []
-    for lab in range(1, n + 1):
-        ii, jj = np.nonzero(labeled == lab)
-        components.append(sorted(zip(ii.tolist(), jj.tolist())))
+    ii, jj = np.unravel_index(np.argsort(labeled, axis=None, kind="stable"), mask.shape)
+    cells = list(zip(ii.tolist(), jj.tolist()))
+    ends = np.cumsum(np.bincount(labeled.ravel(), minlength=n + 1)).tolist()
+    # label 0, the background, comes first
+    components = [cells[lo:hi] for lo, hi in zip(ends, ends[1:])]
     components.sort(key=lambda cells: cells[0])
     return components
 

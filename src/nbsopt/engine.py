@@ -67,21 +67,23 @@ class Placement:
 
 
 def correlate(field: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Centered windowed sum with zero padding outside the grid."""
+    """Centered windowed sum with zero padding outside the grid.
+
+    The field is padded once with a zero margin the kernel's half-width wide.
+    Each nonzero kernel entry, in row-major order, then adds its multiple of
+    the padded field's window at that entry's offset. A padding cell adds a
+    signed zero, which leaves a sum unchanged, so each cell is the sum of its
+    in-grid terms in kernel order.
+    """
     field = np.asarray(field, dtype=float)
     w, h = field.shape
+    entries = kernel.entries
     cw, ch = kernel.width // 2, kernel.height // 2
+    padded = np.zeros((w + kernel.width - 1, h + kernel.height - 1))
+    padded[cw : cw + w, ch : ch + h] = field
     out = np.zeros_like(field)
-    for di in range(-cw, cw + 1):
-        for dj in range(-ch, ch + 1):
-            k = kernel.entries[cw + di, ch + dj]
-            if k == 0.0:
-                continue
-            di0, di1 = max(0, -di), w - max(0, di)
-            dj0, dj1 = max(0, -dj), h - max(0, dj)
-            if di0 >= di1 or dj0 >= dj1:
-                continue
-            out[di0:di1, dj0:dj1] += k * field[di0 + di : di1 + di, dj0 + dj : dj1 + dj]
+    for a, b in zip(*np.nonzero(entries)):
+        out += entries[a, b] * padded[a : a + w, b : b + h]
     return out
 
 

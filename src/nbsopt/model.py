@@ -661,26 +661,29 @@ def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndar
     x and lam are the compact values rounded. Every other column takes the
     value its rows define: z from the conv rows, `zbar = min(z, delta)`,
     `y = [z <= delta]`, zmax the largest reduced value (at least 0), zavg
-    from the avg rows and f from the fairness rows.
+    from the avg rows and f from the fairness rows. Each row is solved for its
+    lead column, which is 0 in the vector it is read from: z from `a @ v`
+    with x and lam alone set, the others from `a @ v` once y, z and zbar are
+    set too.
     """
     layout = model.layout
     v = np.zeros(model.n_variables)
     v[compact.columns] = np.round(values)
     v[layout.y_base : layout.lam_base] = 0.0
 
-    def defined(tag: str) -> np.ndarray:
-        """Each row of `tag` solved for its lead column, which is 0 in v."""
+    def defined(tag: str, lhs: np.ndarray) -> np.ndarray:
         rows = model.rows(tag)
-        return model.rhs[rows] - model.a[rows] @ v
+        return model.rhs[rows] - lhs[rows]
 
-    z, delta = defined("conv"), _deltas(model)
+    z, delta = defined("conv", model.a @ v), _deltas(model)
     v[layout.y_base : layout.z_base] = z <= delta
     v[layout.z_base : layout.zbar_base] = z
     v[layout.zbar_base : layout.zmax_base] = np.minimum(z, delta)
-    reduced = defined("peak").reshape(len(layout.measure_ids), layout.n_cells)
+    lhs = model.a @ v
+    reduced = defined("peak", lhs).reshape(len(layout.measure_ids), layout.n_cells)
     v[layout.zmax_base : layout.zavg_base] = np.maximum(reduced.max(axis=1), 0.0)
-    v[layout.zavg_base : layout.f_base] = defined("avg")
-    v[layout.f_base : layout.lam_base] = defined("fairness")
+    v[layout.zavg_base : layout.f_base] = defined("avg", lhs)
+    v[layout.f_base : layout.lam_base] = defined("fairness", lhs)
     return v
 
 

@@ -329,6 +329,8 @@ class Answer:
     """A solver's answer as the solution file states it: a status name, the
     column vector, and objective and bound with the objective constant
     included; `x`, `objective` and `bound` are None where the solver has none.
+    The bundled HiGHS also gives its branch-and-bound node count and MIP gap,
+    which the file does not hold.
     """
 
     status: str
@@ -336,6 +338,8 @@ class Answer:
     objective: float | None
     bound: float | None
     message: str = ""
+    mip_node_count: int | None = None
+    mip_gap: float | None = None
 
 
 class SolverFailed(RuntimeError):
@@ -496,20 +500,20 @@ def _solve_in_process(model: MilpModel, config: SolveConfig) -> Answer:
         *compact.a.shape, compact.a.nnz, *model.a.shape, model.a.nnz, compact.guarded,
         derived - started,
     )
-    res = solver_cli.solve_mps(compact, config.time_limit, config.gap)
+    answer = solver_cli.solve_mps(compact, config.time_limit, config.gap)
     solved = time.perf_counter()
-    answer = solver_cli.answer(res, compact.objective_constant)
+    headline = "HiGHS on the compact model: %s in %.4f s, %s nodes, MIP gap %s"
+    effort = (answer.status, solved - derived, answer.mip_node_count, answer.mip_gap)
     if answer.x is None:
         # no vector to certify: the compact model solves the paper model, so
         # its status and bound are the paper model's
-        logger.info("HiGHS on the compact model: %s in %.4f s", answer.status, solved - derived)
+        logger.info(headline, *effort)
         return answer
     values = lift(model, compact, answer.x)
     failure = certify(model, values, answer.objective)
     logger.info(
-        "HiGHS on the compact model: %s in %.4f s; certificate %s in %.4f s",
-        answer.status, solved - derived, f"failed: {failure}" if failure else "passed",
-        time.perf_counter() - solved,
+        headline + "; certificate %s in %.4f s", *effort,
+        f"failed: {failure}" if failure else "passed", time.perf_counter() - solved,
     )
     if failure:
         raise SolverFailed(f"the compact model's answer fails the certificate: {failure}")

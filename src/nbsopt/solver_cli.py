@@ -5,16 +5,17 @@ Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
 Both go through `solve_mps`, which takes a MilpModel, the CompactModel sliced
 from one, or the MpsData that `mps.read_mps` gets from HiGHS's own MPS
-reader: each is a MipProblem. Every one reaches HiGHS through
-`scipy.optimize.milp` as the same arrays with the same options, so a file
-exported from a model is solved exactly as the model is in-process. `answer`
-reads a `solve.Answer` from the HiGHS result. The in-process solve verifies
-that answer; this program writes it with `solve.solution_text`, and the
-solve that runs a solver command reads it back with
-`solve.parse_solution_file`, so the file format lives in `solve` alone.
-Statuses: optimal, feasible-timeout, no-incumbent, infeasible, unbounded,
-error. This is the reference implementation of the solver-side contract; any
-external solver wrapped to the same file formats can replace it.
+reader: each is a MipProblem. Every one reaches the HiGHS that scipy bundles
+through its `_Highs` binding as the same arrays (the CSR matrix passed as
+HiGHS's row-wise one, with no copy made here) with the same options, so a
+file exported from a model is solved exactly as the model is in-process.
+`solve_mps` returns a `solve.Answer`. The in-process solve verifies that
+answer; this program writes it with `solve.solution_text`, and the solve that
+runs a solver command reads it back with `solve.parse_solution_file`, so the
+file format lives in `solve` alone. Statuses: optimal, feasible-timeout,
+no-incumbent, infeasible, unbounded, error. This is the reference
+implementation of the solver-side contract; any external solver wrapped to
+the same file formats can replace it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core
 
 from .model import SENSE_GE, SENSE_LE, MipProblem
 from .mps import MpsData, read_mps
@@ -38,49 +39,81 @@ from .solve import (
     solution_text,
 )
 
-# solution-file status names for scipy's HiGHS status codes; code 1, the
-# time limit, names one of two statuses and is mapped in `answer`
-_STATUS_NAMES = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: "unbounded"}
+_MODEL = _core.HighsModelStatus
+# The solution-file status of each HiGHS model status, and the opening of its
+# message, worded as scipy's `milp` words them; any other model status is an
+# error. A limit reached without a solution is no-incumbent.
+_STATUSES = {
+    _MODEL.kOptimal: (STATUS_OPTIMAL, "Optimization terminated successfully. "),
+    _MODEL.kTimeLimit: (STATUS_TIMEOUT, "Time limit reached. "),
+    _MODEL.kIterationLimit: (STATUS_TIMEOUT, "Iteration limit reached. "),
+    _MODEL.kInfeasible: (STATUS_INFEASIBLE, "The problem is infeasible. "),
+    _MODEL.kUnbounded: ("unbounded", "The problem is unbounded. "),
+    _MODEL.kUnboundedOrInfeasible: ("error", "The problem is unbounded or infeasible. "),
+}
+_ROWWISE, _MINIMIZE = int(_core.MatrixFormat.kRowwise), int(_core.ObjSense.kMinimize)
 
 
-def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0):
-    """Run HiGHS on a problem; returns the scipy result object.
+def _run_highs(options: dict, *, c, a, row_lower, row_upper, col_lower, col_upper, integrality):
+    """A HiGHS instance that has run with `options` on the problem the arrays
+    state: the one place a problem is handed to HiGHS. The CSR matrix `a` is
+    passed as HiGHS's row-wise matrix, as it is; `integrality` is 1 for an
+    integer column and 0 for a continuous one."""
+    highs = _core._Highs()
+    for name, value in options.items():
+        highs.setOptionValue(name, value)
+    status = highs.passModel(
+        len(c), a.shape[0], a.nnz, _ROWWISE, _MINIMIZE, 0.0, c, col_lower, col_upper,
+        row_lower, row_upper, a.indptr, a.indices, a.data, integrality,
+    )
+    if status != _core.HighsStatus.kError:
+        highs.run()
+    return highs
+
+
+def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0) -> Answer:
+    """HiGHS's answer on a problem, with the objective constant added.
 
     Minimizes `c @ x` subject to each row of `a @ x` against `rhs` with the
     row's `sense`, `lower <= x <= upper`, and integrality where `is_integer`.
-    The objective constant is left to the caller.
+    The answer has a vector, objective and bound only where HiGHS has a
+    solution: at an optimum, or at a limit of a problem with integer columns
+    once one was found. Its node count and MIP gap are HiGHS's for such a
+    problem, and None otherwise.
     """
-    sense, rhs = data.sense, data.rhs
-    return milp(
-        data.c,
-        constraints=LinearConstraint(
-            data.a,
-            np.where(sense == SENSE_LE, -np.inf, rhs),
-            np.where(sense == SENSE_GE, np.inf, rhs),
-        ),
-        integrality=data.is_integer.astype(int),
-        bounds=Bounds(data.lower, data.upper),
-        options={"time_limit": float(time_limit), "mip_rel_gap": float(gap)},
+    options = {"log_to_console": False, "presolve": "on",
+               "time_limit": float(time_limit), "mip_rel_gap": float(gap)}
+    highs = _run_highs(
+        options, c=data.c, a=data.a, col_lower=data.lower, col_upper=data.upper,
+        row_lower=np.where(data.sense == SENSE_LE, -np.inf, data.rhs),
+        row_upper=np.where(data.sense == SENSE_GE, np.inf, data.rhs),
+        integrality=data.is_integer.astype(np.int32),
+    )
+    model_status, info = highs.getModelStatus(), highs.getInfo()
+    status, opening = _STATUSES.get(model_status, ("error", ""))
+    is_mip = bool(data.is_integer.any())
+    if status == STATUS_TIMEOUT and not (is_mip and info.objective_function_value < np.inf):
+        status = STATUS_NO_INCUMBENT
+    found = status in (STATUS_OPTIMAL, STATUS_TIMEOUT)
+    detail = highs.modelStatusToString(model_status)
+    if not found:
+        detail = (f"model_status is {detail}; primal_status is "
+                  f"{highs.solutionStatusToString(info.primal_solution_status)}")
+    constant = data.objective_constant
+    return Answer(
+        status,
+        np.array(highs.getSolution().col_value) if found else None,
+        info.objective_function_value + constant if found else None,
+        info.mip_dual_bound + constant if found and is_mip else None,
+        f"{opening}(HiGHS Status {int(model_status)}: {detail})",
+        mip_node_count=info.mip_node_count if is_mip else None,
+        mip_gap=info.mip_gap if is_mip else None,
     )
 
 
-def answer(res, constant: float) -> Answer:
-    """The answer in a HiGHS result, the objective constant added back."""
-    status = _STATUS_NAMES.get(res.status, "error")
-    if res.status == 1:  # the time limit, with or without an incumbent
-        status = STATUS_TIMEOUT if res.x is not None else STATUS_NO_INCUMBENT
-    objective = None
-    if res.x is not None and res.fun is not None:
-        objective = float(res.fun) + constant
-    bound = getattr(res, "mip_dual_bound", None)
-    if bound is not None:
-        bound = float(bound) + constant
-    return Answer(status, res.x, objective, bound, res.message)
-
-
-def write_solution(path: Path, data: MpsData, res, wall_time: float) -> None:
-    text = solution_text(data.column_names, answer(res, data.objective_constant), wall_time)
-    path.write_text(text, encoding="utf-8")
+def write_solution(path: Path, data: MpsData, res: Answer, wall_time: float) -> None:
+    """Write `solve_mps`'s answer on `data` as a solution file."""
+    path.write_text(solution_text(data.column_names, res, wall_time), encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -43,29 +43,30 @@ def solve_paper_model(inst: Instance, model: MilpModel, config: SolveConfig) -> 
     from nbsopt import solver_cli
     from nbsopt.solve import _verify
 
-    res = solver_cli.solve_mps(model, config.time_limit, config.gap)
-    return _verify(inst, model, solver_cli.answer(res, model.objective_constant))
+    return _verify(inst, model, solver_cli.solve_mps(model, config.time_limit, config.gap))
 
 
-def spy_on_highs(monkeypatch) -> list[tuple[np.ndarray, dict]]:
-    """Record the arguments of every in-process HiGHS call, then make the call.
+def spy_on_highs(monkeypatch) -> list[dict]:
+    """Record what every in-process HiGHS call is given, then make the call.
 
-    Each entry is the objective vector and the keyword arguments handed to
-    `scipy.optimize.milp` through `nbsopt.solver_cli`. The solver-command
+    Each entry holds the arrays `nbsopt.solver_cli` hands HiGHS: the
+    objective `c`, the CSR matrix `a` that HiGHS takes row-wise, `row_lower`,
+    `row_upper`, `col_lower`, `col_upper` and `integrality` (1 for an integer
+    column), with the HiGHS `options` set for the call. The solver-command
     environment variable is cleared, so solves without a template run here.
     """
     from nbsopt import solver_cli
     from nbsopt.solve import SOLVER_CMD_ENV
 
     monkeypatch.delenv(SOLVER_CMD_ENV, raising=False)
-    calls: list[tuple[np.ndarray, dict]] = []
-    real = solver_cli.milp
+    calls: list[dict] = []
+    real = solver_cli._run_highs
 
-    def spy(c, **kwargs):
-        calls.append((c, kwargs))
-        return real(c, **kwargs)
+    def spy(options, **arrays):
+        calls.append({**arrays, "options": dict(options)})
+        return real(options, **arrays)
 
-    monkeypatch.setattr(solver_cli, "milp", spy)
+    monkeypatch.setattr(solver_cli, "_run_highs", spy)
     return calls
 
 

@@ -182,8 +182,9 @@ class TestSolveAndReport:
         calls = spy_on_highs(monkeypatch)
         assert run(["solve", str(tiny_instance_path), "--backend", "external",
                     "--timelimit", "7.5", "--gap", "0.25"]) == 0
-        [(_, kwargs)] = calls
-        assert kwargs["options"] == {"time_limit": 7.5, "mip_rel_gap": 0.25}
+        [call] = calls
+        assert call["options"] == {"log_to_console": False, "presolve": "on",
+                                   "time_limit": 7.5, "mip_rel_gap": 0.25}
 
 
 class TestBuild:

@@ -39,6 +39,13 @@ class TestLabelComponents:
         mask = rng.random((int(rng.integers(3, 12)), int(rng.integers(3, 12)))) < 0.45
         assert label_components(mask) == flood_fill_components(mask)
 
+    def test_matches_flood_fill_oracle_at_300x300(self):
+        # thousands of components, the size of `nbsopt gen --size l`
+        mask = np.random.default_rng(300).random((300, 300)) < 0.45
+        components = label_components(mask)
+        assert len(components) > 1000
+        assert components == flood_fill_components(mask)
+
     def test_partition_property(self):
         rng = np.random.default_rng(99)
         mask = rng.random((10, 10)) < 0.5

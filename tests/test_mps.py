@@ -212,17 +212,26 @@ def _read(tmp_path, text: str):
     return read_mps(path)
 
 
-# What read_mps uses of scipy's bundled HiGHS binding, a private API.
+# What read_mps and the solver_cli adapter use of scipy's bundled HiGHS
+# binding, a private API.
 BINDING_MODULE = "scipy.optimize._highspy._core"
-BINDING_NAMES = ["_Highs", "HighsLp", "HighsStatus", "HighsVarType", "ObjSense", "kHighsInf"]
+BINDING_NAMES = ["_Highs", "HighsLp", "HighsInfo", "HighsSolution", "HighsModelStatus",
+                 "HighsStatus", "HighsVarType", "MatrixFormat", "ObjSense", "kHighsInf"]
 BINDING_MEMBERS = {
-    "_Highs": ["setOptionValue", "readModel", "getLp"],
+    "_Highs": ["setOptionValue", "readModel", "getLp", "passModel", "run", "getModelStatus",
+               "getInfo", "getSolution", "modelStatusToString", "solutionStatusToString"],
     "HighsLp": ["a_matrix_", "num_row_", "num_col_", "row_lower_", "row_upper_",
                 "row_names_", "col_cost_", "offset_", "col_lower_", "col_upper_",
                 "col_names_", "integrality_", "sense_"],
     "HighsLp.a_matrix_": ["value_", "index_", "start_"],
-    "HighsStatus": ["kOk"],
+    "HighsInfo": ["objective_function_value", "mip_dual_bound", "mip_node_count", "mip_gap",
+                  "primal_solution_status"],
+    "HighsSolution": ["col_value"],
+    "HighsModelStatus": ["kOptimal", "kTimeLimit", "kIterationLimit", "kInfeasible",
+                         "kUnbounded", "kUnboundedOrInfeasible"],
+    "HighsStatus": ["kOk", "kError"],
     "HighsVarType": ["kContinuous", "kInteger"],
+    "MatrixFormat": ["kRowwise"],
     "ObjSense": ["kMinimize"],
 }
 
@@ -235,7 +244,9 @@ class TestReader:
         lp = core.HighsLp()
         owners = {"_Highs": core._Highs(), "HighsLp": lp,
                   "HighsLp.a_matrix_": getattr(lp, "a_matrix_", None),
-                  "HighsStatus": core.HighsStatus, "HighsVarType": core.HighsVarType,
+                  "HighsInfo": core.HighsInfo, "HighsSolution": core.HighsSolution,
+                  "HighsModelStatus": core.HighsModelStatus, "HighsStatus": core.HighsStatus,
+                  "HighsVarType": core.HighsVarType, "MatrixFormat": core.MatrixFormat,
                   "ObjSense": core.ObjSense}
         missing = [f"{owner}.{name}" for owner, names in BINDING_MEMBERS.items()
                    for name in names if not hasattr(owners[owner], name)]

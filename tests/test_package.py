@@ -58,6 +58,28 @@ def test_every_public_definition_is_used_inside_the_package():
     assert unused == [], f"defined but not used in src/nbsopt: {unused}"
 
 
+HIGHS_BINDING = "scipy.optimize._highspy._core"
+
+
+def test_scipy_optimize_is_reached_only_through_the_highs_binding():
+    """Every solve goes through one HiGHS adapter on scipy's bundled binding,
+    so no module imports anything else of `scipy.optimize` (`milp`, `Bounds`,
+    `LinearConstraint`, or the package itself)."""
+    imported: list[str] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.extend(f"{path.name}: {alias.name}" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.extend(f"{path.name}: {node.module}.{alias.name}"
+                                for alias in node.names)
+    other = [name for name in imported
+             if name.split(": ")[1].startswith("scipy.optimize")
+             and name.split(": ")[1] != HIGHS_BINDING]
+    assert [name for name in imported if name.endswith(HIGHS_BINDING)], "no binding import found"
+    assert other == [], f"scipy.optimize imported outside {HIGHS_BINDING}: {other}"
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -243,13 +243,12 @@ class TestAvgDomain:
             columns=guarded.columns[~is_y], guarded={},
         )
         for compact, optimum, passes in ((relaxed, 1 / 6, False), (guarded, 19 / 72, True)):
-            res = solver_cli.solve_mps(compact, 60.0)
-            objective = res.fun + compact.objective_constant
-            assert objective == pytest.approx(optimum, abs=1e-9)
-            lifted = lift(model, compact, res.x)
+            answer = solver_cli.solve_mps(compact, 60.0)
+            assert answer.objective == pytest.approx(optimum, abs=1e-9)
+            lifted = lift(model, compact, answer.x)
             # the domain zavg >= 0 is broken without the guard
             assert (lifted[layout.zavg_base] >= 0) == passes
-            assert (certify(model, lifted, objective) == "") == passes
+            assert (certify(model, lifted, answer.objective) == "") == passes
 
     def test_highs_solves_the_guarded_model_once(self, inst, monkeypatch):
         calls = spy_on_highs(monkeypatch)
@@ -311,19 +310,19 @@ class TestInProcess:
             export_interchange(model, tmp_path / "m.mps")
             solver_cli.solve_mps(read_mps(tmp_path / "m.mps"), 60.0)
         assert len(calls) == 2 * len(problem_instances)
-        for (c_mem, mem), (c_file, file) in zip(calls[::2], calls[1::2]):
-            np.testing.assert_array_equal(c_mem, c_file)
-            a_mem, a_file = (sparse.csr_matrix(k["constraints"].A) for k in (mem, file))
+        for mem, file in zip(calls[::2], calls[1::2]):
+            np.testing.assert_array_equal(mem["c"], file["c"])
+            a_mem, a_file = mem["a"], file["a"]
             assert a_mem.has_sorted_indices and a_file.has_sorted_indices
             assert a_mem.shape == a_file.shape
             np.testing.assert_array_equal(a_mem.indptr, a_file.indptr)
             np.testing.assert_array_equal(a_mem.indices, a_file.indices)
             np.testing.assert_array_equal(a_mem.data, a_file.data)
-            np.testing.assert_array_equal(mem["constraints"].lb, file["constraints"].lb)
-            np.testing.assert_array_equal(mem["constraints"].ub, file["constraints"].ub)
+            np.testing.assert_array_equal(mem["row_lower"], file["row_lower"])
+            np.testing.assert_array_equal(mem["row_upper"], file["row_upper"])
             np.testing.assert_array_equal(mem["integrality"], file["integrality"])
-            np.testing.assert_array_equal(mem["bounds"].lb, file["bounds"].lb)
-            np.testing.assert_array_equal(mem["bounds"].ub, file["bounds"].ub)
+            np.testing.assert_array_equal(mem["col_lower"], file["col_lower"])
+            np.testing.assert_array_equal(mem["col_upper"], file["col_upper"])
             assert mem["options"] == file["options"]
 
     def test_matches_the_solver_cli_template(self, problem_instances):
@@ -398,7 +397,7 @@ class TestCompactSolve:
             model = build_model(inst)
             result = solve_external(inst, EXTERNAL)
             assert (result.status, result.formulation) == ("optimal", "compact")
-            [(c, kwargs)] = calls
+            [call] = calls
             calls.clear()
 
             # row mask: every family but the big-M and fairness rows
@@ -419,7 +418,7 @@ class TestCompactSolve:
             )
             expected = sparse.csr_matrix(model.a[rows] @ column_map)
             expected.sort_indices()
-            seen = sparse.csr_matrix(kwargs["constraints"].A)
+            seen = call["a"]
             assert seen.has_sorted_indices
             assert seen.shape == expected.shape
             np.testing.assert_array_equal(seen.indptr, expected.indptr)
@@ -429,7 +428,7 @@ class TestCompactSolve:
             # conv and avg rows become <= rows; the others keep their sense
             sense = model.sense[rows]
             relaxed = np.isin(tags[rows], ["conv", "avg"])
-            lb, ub = kwargs["constraints"].lb, kwargs["constraints"].ub
+            lb, ub = call["row_lower"], call["row_upper"]
             np.testing.assert_array_equal(np.isneginf(lb), relaxed | (sense == "<="))
             np.testing.assert_array_equal(np.isposinf(ub), sense == ">=")
             np.testing.assert_array_equal(lb[np.isfinite(lb)], model.rhs[rows][np.isfinite(lb)])
@@ -439,14 +438,14 @@ class TestCompactSolve:
             deltas = np.repeat([inst.delta(u) for u in inst.measure_ids], layout.n_cells)
             upper = model.upper[kept]
             upper[kind[kept] == "zbar"] = deltas
-            np.testing.assert_array_equal(kwargs["bounds"].ub, upper)
-            np.testing.assert_array_equal(kwargs["bounds"].lb, model.lower[kept])
-            np.testing.assert_array_equal(kwargs["integrality"], model.is_integer[kept])
+            np.testing.assert_array_equal(call["col_upper"], upper)
+            np.testing.assert_array_equal(call["col_lower"], model.lower[kept])
+            np.testing.assert_array_equal(call["integrality"], model.is_integer[kept])
 
             # a paper solution keeps its objective in the compact model
             paper = variable_vector(inst, model, result.placement)
-            assert c @ paper[kept] + compact_model(model).objective_constant == pytest.approx(
-                paper @ model.c + model.objective_constant, abs=1e-9)
+            objective = call["c"] @ paper[kept] + compact_model(model).objective_constant
+            assert objective == pytest.approx(paper @ model.c + model.objective_constant, abs=1e-9)
             assert constraint_residuals(model, result.variables) <= 1e-9
 
     def test_no_incumbent_is_verified_without_the_paper_model(self, monkeypatch):
@@ -631,6 +630,23 @@ class TestSolverCli:
         assert solver_cli.main([str(mps), str(out), "10"]) == 0
         lines = out.read_text().splitlines()
         assert "# status infeasible" in lines
+        assert ("# message The problem is infeasible. (HiGHS Status 8: model_status is "
+                "Infeasible; primal_status is None)") in lines
+        assert all(line.startswith("#") for line in lines)  # no column values
+
+    def test_unbounded_model_reported(self, tmp_path):
+        from nbsopt import solver_cli
+
+        # x - y <= 4 with y free above: the objective -x falls along y
+        mps = tmp_path / "unbounded.mps"
+        mps.write_text(
+            "NAME unbounded\nROWS\n N obj\n L cap\nCOLUMNS\n"
+            " x obj -1.0\n x cap 1.0\n y cap -1.0\nRHS\n rhs cap 4.0\nENDATA\n"
+        )
+        out = tmp_path / "unbounded.sol"
+        assert solver_cli.main([str(mps), str(out), "10"]) == 0
+        lines = out.read_text().splitlines()
+        assert "# status unbounded" in lines
         assert all(line.startswith("#") for line in lines)  # no column values
 
     def test_reports_objective_with_constant(self, tmp_path):
