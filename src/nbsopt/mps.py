@@ -27,12 +27,17 @@ writer produced, and every answer is checked against the instance again.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import ModuleType
 from typing import Iterator
 
 import numpy as np
+import scipy
 from scipy import sparse
 
 from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, MipProblem
@@ -156,6 +161,46 @@ class MpsData(MipProblem):
     column_names: list[str]
 
 
+def highs_binding() -> ModuleType:
+    """scipy's bundled HiGHS binding, `scipy.optimize._highspy._core`, loaded
+    without running `scipy.optimize`'s package init.
+
+    That init imports most of scipy (linalg, fft, spatial and the other
+    optimizers), which costs a process far more than the binding's own
+    extension file. The binding is returned from `sys.modules` when it is
+    already there, as after `import scipy.optimize`, so the extension is never
+    loaded twice; otherwise its file is loaded from scipy's install directory
+    under the canonical name and registered in `sys.modules`. Raises
+    ImportError naming the directory when no such file is there.
+
+    When nbsopt loaded the binding first, a later `import scipy.optimize`
+    uses the same module: `milp` works, and so does
+    `from scipy.optimize._highspy import _core`, but attribute access
+    (`scipy.optimize._highspy._core`) raises AttributeError, because the
+    parent package was imported after its submodule.
+    """
+    name = "scipy.optimize._highspy._core"
+    loaded = sys.modules.get(name)
+    if loaded is not None:
+        return loaded
+    directory = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no {name} extension file in {directory}", name=name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
 def read_mps(path: str | Path) -> MpsData:
     """Read a free-format MPS file with the HiGHS that scipy bundles.
 
@@ -164,8 +209,7 @@ def read_mps(path: str | Path) -> MpsData:
     `kOk`, and for what a MipProblem cannot hold: a maximization, a ranged or
     free row, or a semi-continuous or semi-integer column.
     """
-    from scipy.optimize._highspy import _core
-
+    _core = highs_binding()
     highs = _core._Highs()
     highs.setOptionValue("output_flag", False)
     status = highs.readModel(str(path))

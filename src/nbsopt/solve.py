@@ -488,7 +488,7 @@ def _solve_in_process(model: MilpModel, config: SolveConfig) -> Answer:
     """The bundled HiGHS's answer on the compact model, lifted into the paper
     layout: an answer over the paper model's columns. SolverFailed when the
     lifted answer fails the certificate."""
-    # imported on the first solve: scipy.optimize would slow `import nbsopt`
+    # imported on the first solve, so that `import nbsopt` loads no HiGHS binding
     from . import solver_cli
 
     started = time.perf_counter()

@@ -9,6 +9,9 @@ reader: each is a MipProblem. Every one reaches the HiGHS that scipy bundles
 through its `_Highs` binding as the same arrays (the CSR matrix passed as
 HiGHS's row-wise one, with no copy made here) with the same options, so a
 file exported from a model is solved exactly as the model is in-process.
+`mps.highs_binding` loads that binding from its extension file without
+importing `scipy.optimize`, whose package init costs a process more than the
+binding does. HiGHS's stray debug lines on stdout go to stderr.
 `solve_mps` returns a `solve.Answer`. The in-process solve verifies that
 answer; this program writes it with `solve.solution_text`, and the solve that
 runs a solver command reads it back with `solve.parse_solution_file`, so the
@@ -21,15 +24,16 @@ the same file formats can replace it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
 from .model import SENSE_GE, SENSE_LE, MipProblem
-from .mps import MpsData, read_mps
+from .mps import MpsData, highs_binding, read_mps
 from .solve import (
     STATUS_INFEASIBLE,
     STATUS_NO_INCUMBENT,
@@ -39,6 +43,7 @@ from .solve import (
     solution_text,
 )
 
+_core = highs_binding()
 _MODEL = _core.HighsModelStatus
 # The solution-file status of each HiGHS model status, and the opening of its
 # message, worded as scipy's `milp` words them; any other model status is an
@@ -54,6 +59,40 @@ _STATUSES = {
 _ROWWISE, _MINIMIZE = int(_core.MatrixFormat.kRowwise), int(_core.ObjSense.kMinimize)
 
 
+class _StdoutToStderr:
+    """Points file descriptor 1 at descriptor 2 while it is entered.
+
+    HiGHS prints some debug lines to stdout whatever its log options, so
+    `run` happens inside this, and stdout holds only what nbsopt prints.
+    `run` releases the interpreter lock, and descriptor 1 belongs to the whole
+    process, so threads solving at once share one redirect: the first to enter
+    makes it and the last to leave undoes it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = -1
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                sys.stdout.flush()
+                self._saved = os.dup(1)
+                os.dup2(2, 1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                os.dup2(self._saved, 1)
+                os.close(self._saved)
+
+
+_STDOUT_TO_STDERR = _StdoutToStderr()
+
+
 def _run_highs(options: dict, *, c, a, row_lower, row_upper, col_lower, col_upper, integrality):
     """A HiGHS instance that has run with `options` on the problem the arrays
     state: the one place a problem is handed to HiGHS. The CSR matrix `a` is
@@ -67,7 +106,8 @@ def _run_highs(options: dict, *, c, a, row_lower, row_upper, col_lower, col_uppe
         row_lower, row_upper, a.indptr, a.indices, a.data, integrality,
     )
     if status != _core.HighsStatus.kError:
-        highs.run()
+        with _STDOUT_TO_STDERR:
+            highs.run()
     return highs
 
 
@@ -80,15 +120,25 @@ def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0) -> Answer:
     solution: at an optimum, or at a limit of a problem with integer columns
     once one was found. Its node count and MIP gap are HiGHS's for such a
     problem, and None otherwise.
+
+    When presolve finds the problem unbounded or infeasible without telling
+    which (as HiGHS's MIP presolve does for an unbounded MIP), HiGHS runs once
+    more without presolve, for the time left, and that run's status is the
+    answer's.
     """
+    started = time.perf_counter()
     options = {"log_to_console": False, "presolve": "on",
                "time_limit": float(time_limit), "mip_rel_gap": float(gap)}
-    highs = _run_highs(
-        options, c=data.c, a=data.a, col_lower=data.lower, col_upper=data.upper,
+    arrays = dict(
+        c=data.c, a=data.a, col_lower=data.lower, col_upper=data.upper,
         row_lower=np.where(data.sense == SENSE_LE, -np.inf, data.rhs),
         row_upper=np.where(data.sense == SENSE_GE, np.inf, data.rhs),
         integrality=data.is_integer.astype(np.int32),
     )
+    highs = _run_highs(options, **arrays)
+    if highs.getModelStatus() == _MODEL.kUnboundedOrInfeasible:
+        left = max(0.0, float(time_limit) - (time.perf_counter() - started))
+        highs = _run_highs({**options, "presolve": "off", "time_limit": left}, **arrays)
     model_status, info = highs.getModelStatus(), highs.getInfo()
     status, opening = _STATUSES.get(model_status, ("error", ""))
     is_mip = bool(data.is_integer.any())

@@ -1,6 +1,6 @@
 import hashlib
-import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from nbsopt.mps import (
     CHUNK_LINES,
     MpsFormatError,
     export_interchange,
+    highs_binding,
     iter_mps_text,
     read_mps,
 )
@@ -238,7 +239,7 @@ BINDING_MEMBERS = {
 
 class TestReader:
     def test_binding_has_every_member_read_mps_uses(self):
-        core = importlib.import_module(BINDING_MODULE)
+        core = highs_binding()
         missing = [name for name in BINDING_NAMES if not hasattr(core, name)]
         assert missing == [], f"{BINDING_MODULE} lacks: {missing}"
         lp = core.HighsLp()
@@ -253,6 +254,16 @@ class TestReader:
         assert missing == [], f"{BINDING_MODULE} lacks: {missing}"
         # read_mps passes column bounds through, so HiGHS's infinity must be IEEE's
         assert core.kHighsInf == math.inf
+
+    def test_missing_binding_file_named(self, tmp_path, monkeypatch):
+        import scipy
+
+        highs_binding()
+        monkeypatch.delitem(sys.modules, BINDING_MODULE)
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        with pytest.raises(ImportError, match="optimize/_highspy"):
+            highs_binding()
+        assert BINDING_MODULE not in sys.modules
 
     def test_ranges_rejected(self, tmp_path):
         text = (

@@ -3,12 +3,17 @@ name the benchmark harness traces."""
 
 import ast
 import importlib
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import nbsopt
 from nbsopt import GridDims, generate_synthetic
+from nbsopt.solve import SOLVER_CMD_ENV
+
+from _helpers import SRC
 
 PACKAGE = Path(nbsopt.__file__).resolve().parent
 
@@ -61,23 +66,114 @@ def test_every_public_definition_is_used_inside_the_package():
 HIGHS_BINDING = "scipy.optimize._highspy._core"
 
 
-def test_scipy_optimize_is_reached_only_through_the_highs_binding():
-    """Every solve goes through one HiGHS adapter on scipy's bundled binding,
-    so no module imports anything else of `scipy.optimize` (`milp`, `Bounds`,
-    `LinearConstraint`, or the package itself)."""
-    imported: list[str] = []
+def _imported_modules(tree: ast.AST) -> list[str]:
+    """Every module an import statement in `tree` names, with each name a
+    `from` import takes from its module, as `module.name`."""
+    names: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+            names.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_module_imports_scipy_optimize():
+    """The HiGHS binding is loaded from its extension file, so no import
+    statement names `scipy.optimize` or anything in it: its package init
+    imports most of scipy."""
+    imported = [f"{path.name}: {name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+                if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+    assert imported == [], f"scipy.optimize imported: {imported}"
+
+
+def test_the_binding_is_named_only_in_highs_binding():
+    """Outside docstrings, the binding's module name (or any name in
+    `scipy.optimize`) is written only in `mps.highs_binding`, so every use of
+    the binding goes through that loader."""
+    found: list[str] = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imported.extend(f"{path.name}: {alias.name}" for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.extend(f"{path.name}: {node.module}.{alias.name}"
-                                for alias in node.names)
-    other = [name for name in imported
-             if name.split(": ")[1].startswith("scipy.optimize")
-             and name.split(": ")[1] != HIGHS_BINDING]
-    assert [name for name in imported if name.endswith(HIGHS_BINDING)], "no binding import found"
-    assert other == [], f"scipy.optimize imported outside {HIGHS_BINDING}: {other}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.value) for node in ast.walk(tree)
+                      if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    and ("scipy.optimize" in node.value or "_highspy" in node.value)):
+                owners = [f.name for f in functions
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{path.name}:{owners[-1] if owners else '<module>'}")
+    assert set(found) == {"mps.py:highs_binding"}, found
+
+
+def _run_python(code: str) -> list[str]:
+    """The lines a fresh interpreter prints running `code` with the package
+    under test importable and no solver command set."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop(SOLVER_CMD_ENV, None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+LOADED = f"print('scipy.optimize' in sys.modules, {HIGHS_BINDING!r} in sys.modules)\n"
+DESK_SOLVE = (
+    "from nbsopt.solve import SolveConfig, solve_external\n"
+    "from nbsopt.suite import desk_suite\n"
+    "_, inst = desk_suite(1)[0]\n"
+    "result = solve_external(inst, SolveConfig(backend='external', time_limit=60.0))\n"
+    "print(result.status)\n"
+)
+
+
+def test_a_solve_loads_the_binding_but_not_scipy_optimize(tmp_path):
+    """The in-process solve and the solver program each load the binding,
+    and neither runs `scipy.optimize`'s package init."""
+    assert _run_python(f"import sys\n{DESK_SOLVE}{LOADED}") == ["optimal", "False", "True"]
+
+    mps = tmp_path / "m.mps"
+    mps.write_text("NAME t\nROWS\n N obj\n L c1\nCOLUMNS\n x obj -1.0\n x c1 1.0\n"
+                   "RHS\n rhs c1 4.0\nENDATA\n")
+    main = f"solver_cli.main([{str(mps)!r}, {str(tmp_path / 'm.sol')!r}, '10'])"
+    assert _run_python(f"import sys\nfrom nbsopt import solver_cli\n{main}\n{LOADED}") \
+        == ["False", "True"]
+    assert "# status optimal" in (tmp_path / "m.sol").read_text().splitlines()
+
+
+def test_scipy_optimize_works_after_a_solve():
+    """`milp` solves, on the binding nbsopt loaded, after an nbsopt solve:
+    max x + y subject to x + 2y <= 3, 0 <= x, y <= 5, both integer."""
+    code = (
+        f"import sys\n{DESK_SOLVE}"
+        "import numpy as np\n"
+        "from scipy.optimize import Bounds, LinearConstraint, milp\n"
+        "res = milp([-1.0, -1.0], integrality=[1, 1], bounds=Bounds(0, 5),\n"
+        "           constraints=LinearConstraint([[1.0, 2.0]], -np.inf, 3.0))\n"
+        "print(res.status, res.fun)\n"
+    )
+    assert _run_python(code) == ["optimal", "0", "-3.0"]
+
+
+def test_a_solve_works_after_scipy_optimize():
+    """With `scipy.optimize` imported first, `highs_binding` returns the
+    binding it loaded rather than loading the extension file again."""
+    code = (
+        f"import sys\nimport scipy.optimize\n{LOADED}"
+        "import importlib.util\n"
+        "def load(*args, **kwargs):\n"
+        "    raise AssertionError('the binding was loaded again')\n"
+        "importlib.util.spec_from_file_location = load\n"
+        "from nbsopt.mps import highs_binding\n"
+        "print(highs_binding() is scipy.optimize._highspy._core)\n"
+        f"{DESK_SOLVE}"
+    )
+    assert _run_python(code) == ["True", "True", "True", "optimal"]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

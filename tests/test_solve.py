@@ -3,6 +3,8 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -382,12 +384,14 @@ class TestInProcess:
         np.testing.assert_array_equal(answer.x, result.variables)
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        code = "import sys, nbsopt; print('scipy.optimize' in sys.modules)"
+        # nor the HiGHS binding, which the first solve loads
+        code = ("import sys, nbsopt; print('scipy.optimize' in sys.modules, "
+                "'scipy.optimize._highspy._core' in sys.modules)")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
-        assert proc.stdout.split() == ["False"]
+        assert proc.stdout.split() == ["False", "False"]
 
 
 class TestCompactSolve:
@@ -666,3 +670,94 @@ class TestSolverCli:
         assert answer.objective == pytest.approx(
             answer.x @ model.c + model.objective_constant, abs=1e-9
         )
+
+    def test_integer_unbounded_model_reported(self, tmp_path, monkeypatch):
+        from nbsopt import solver_cli
+
+        # the model above with x integer: HiGHS's MIP presolve finds it
+        # unbounded or infeasible, and a run without presolve tells which
+        mps = tmp_path / "unbounded.mps"
+        mps.write_text(
+            "NAME unbounded\nROWS\n N obj\n L cap\nCOLUMNS\n"
+            " MARKER 'MARKER' 'INTORG'\n x obj -1.0\n x cap 1.0\n MARKER 'MARKER' 'INTEND'\n"
+            " y cap -1.0\nRHS\n rhs cap 4.0\nBOUNDS\n PL bnd x\nENDATA\n"
+        )
+        calls = spy_on_highs(monkeypatch)
+        out = tmp_path / "unbounded.sol"
+        assert solver_cli.main([str(mps), str(out), "10"]) == 0
+        lines = out.read_text().splitlines()
+        assert "# status unbounded" in lines
+        assert all(line.startswith("#") for line in lines)  # no column values
+
+        first, second = calls
+        assert first["options"]["presolve"] == "on"
+        assert second["options"]["presolve"] == "off"
+        assert 0.0 <= second["options"]["time_limit"] <= 10.0
+        assert second["options"] == {**first["options"], "presolve": "off",
+                                     "time_limit": second["options"]["time_limit"]}
+        for name, value in first.items():
+            if name != "options":
+                assert second[name] is value, name
+
+    def test_integer_infeasible_model_reported(self, tmp_path):
+        from nbsopt import solver_cli
+
+        # 1 <= 2x <= 1.5 has no integer solution
+        mps = tmp_path / "bad.mps"
+        mps.write_text(
+            "NAME bad\nROWS\n N obj\n G lower\n L upper\nCOLUMNS\n"
+            " MARKER 'MARKER' 'INTORG'\n x obj 1.0\n x lower 2.0\n x upper 2.0\n"
+            " MARKER 'MARKER' 'INTEND'\nRHS\n rhs lower 1.0\n rhs upper 1.5\n"
+            "BOUNDS\n PL bnd x\nENDATA\n"
+        )
+        out = tmp_path / "bad.sol"
+        assert solver_cli.main([str(mps), str(out), "10"]) == 0
+        lines = out.read_text().splitlines()
+        assert "# status infeasible" in lines
+        assert all(line.startswith("#") for line in lines)
+
+    def test_highs_debug_output_kept_off_stdout(self, capfd):
+        from nbsopt import solver_cli
+
+        # on this instance the bundled HiGHS prints a debug line during the
+        # MIP search, whatever its log options
+        inst = generate_synthetic(3, GridDims(18, 18), nbs_count=4, measure_count=4,
+                                  forbidden_fraction=0.55, pre_existing_fraction=0.05)
+        inst = with_clusters(inst, partition_instance(inst, ["UP"]))
+        compact = compact_model(build_model(inst))
+        capfd.readouterr()
+        assert solver_cli.solve_mps(compact, 60.0).status == "optimal"
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert "tmpSolver.run()" in err
+
+    def test_threads_share_one_stdout_redirect(self, capfd):
+        from nbsopt import solver_cli
+
+        def where(fd):
+            st = os.fstat(fd)
+            return st.st_dev, st.st_ino
+
+        stdout, stderr = where(1), where(2)
+        assert stdout != stderr
+        inside: list[bool] = []
+
+        def solve_often():
+            for _ in range(200):
+                with solver_cli._STDOUT_TO_STDERR:
+                    time.sleep(0)
+                    inside.append(where(1) == stderr)
+
+        threads = [threading.Thread(target=solve_often) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(inside) == 8 * 200 and all(inside)
+        assert where(1) == stdout
