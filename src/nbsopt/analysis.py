@@ -1,8 +1,9 @@
 """Post-solve analysis: reduction statistics, budget breakdown, equity, exports.
 
-The report reads the reduction and fairness fields of the placement from the
-result's objective evaluation (`evaluate_solution`), which a result loaded
-from a file gets anew; it applies no kernel to the solved placement itself.
+The report reads the reduction and fairness fields of the placement, and the
+pre-existing-only fairness field of its normalizers, from the result's
+objective evaluation (`evaluate_solution`), which a result loaded from a file
+gets anew; it applies no kernel itself.
 Reduced fields are reported raw (observed minus achieved reduction); cells
 that dip below zero are counted rather than clamped, since whether a measure
 may physically go negative depends on its unit. Equity is summarized by the
@@ -20,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import engine
 from .instance import Instance
 from .model import ObjectiveBreakdown, evaluate_solution
 from .solve import SolveResult
@@ -128,7 +128,7 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
             )
         )
 
-    gini_initial = gini(engine.fairness(inst, engine.Placement.do_nothing(inst)))
+    gini_initial = gini(breakdown.norms.do_nothing_fairness)
     gini_final = gini(breakdown.fairness_field)
 
     categories: dict[str, np.ndarray] = {}

@@ -90,10 +90,12 @@ def correlate(field: np.ndarray, kernel: Kernel) -> np.ndarray:
 def measure_impact(inst: Instance, placement: Placement, measure_id: str) -> np.ndarray:
     """Summed kernel impact of the newly installed cells on one measure;
     pre-existing cells contribute nothing."""
-    return sum(
-        correlate(placement.new_mask(inst, t), inst.kernel(measure_id, t))
-        for t in inst.nbs_ids
-    )
+    impact = np.zeros(inst.dims.shape)
+    for t in inst.nbs_ids:
+        new = placement.new_mask(inst, t)
+        if new.any():  # an empty mask adds an all-zero field
+            impact += correlate(new, inst.kernel(measure_id, t))
+    return impact
 
 
 def measure_reduction(inst: Instance, placement: Placement, measure_id: str) -> np.ndarray:
@@ -106,7 +108,8 @@ def measure_reduction(inst: Instance, placement: Placement, measure_id: str) -> 
 
 def fairness(inst: Instance, placement: Placement) -> np.ndarray:
     """Population-weighted accessibility field; pre-existing cells count too."""
-    access = sum(
-        correlate(placement.masks[t], inst.fairness_kernels[t]) for t in inst.nbs_ids
-    )
+    access = np.zeros(inst.dims.shape)
+    for t in inst.nbs_ids:
+        if placement.masks[t].any():  # an empty mask adds an all-zero field
+            access += correlate(placement.masks[t], inst.fairness_kernels[t])
     return inst.population * access

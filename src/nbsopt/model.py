@@ -16,25 +16,27 @@ installed cells; forbidden fixing (x = 0); pre-existing fixing (x = 1);
 cluster linking (x = lam); impact definition (windowed sums excluding
 pre-existing cells, zero padded); six big-M rows per (u, i, j) encoding
 zbar = min(z, delta); peak rows zmax >= a - zbar; mean rows; fairness rows.
-Each family's rows are built from whole index arrays (the windowed sums
-apply each kernel's offsets to the full cell grid), then every family is
-stacked once into one row-sorted CSR matrix; a ConstraintBlock names a
-family's rows. Row and column names are formatted only on request.
+Each family has one row builder, which builds its rows from whole index
+arrays (the windowed sums apply each kernel's offsets to the full cell grid);
+the families are stacked once into one row-sorted CSR matrix, and a
+ConstraintBlock names a family's rows. Row and column names are formatted
+only on request.
 
 The minimized objective is the weighted sum of normalized peak, mean, and
 cost terms minus the normalized total fairness. Peak and mean terms divide by
 the field maximum, cost by the budget, and fairness is min-max scaled between
 the pre-existing-only total and the best single-type-everywhere total.
 
-This is the paper's model; the MPS export writes it. The in-process solve
-hands HiGHS the compact model sliced from its matrix (`compact_model`), lifts
-the compact optimum back into this layout (`lift`) and certifies it on these
-rows (`certify`). Where the domain `zavg >= 0` can bind, the compact model
-keeps it exact with per-cell guard rows on this model's y columns.
+Two models share the row builders: the paper model (`build_model`), which
+`nbsopt build` and the swap-in solver path write as MPS, and the compact model
+the in-process solve hands HiGHS (`build_compact_model`), built straight from
+the instance with no big-M or fairness rows and no z, zavg or f columns.
+`lift` restates a compact answer in the paper model's columns.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -103,31 +105,36 @@ class ConstraintBlock:
         return _format_labels(self.name_format, self.labels)
 
 
+# A family's rows before stacking: per-row entry counts, then the columns and
+# coefficients row by row, with each row's sense and right-hand side.
+_Family = namedtuple("_Family", "tag name_format labels counts indices coeffs sense rhs")
+
+
 def _rows(
     tag: str, name_format: str, labels: np.ndarray, counts, indices, coeffs, sense, rhs
-) -> tuple:
+) -> _Family:
     """A family's rows before stacking, from per-row entry counts then the
     columns and coefficients row by row; counts, senses or right-hand sides
-    given as a scalar, or as a pattern whose length divides the row count,
-    repeat over every row."""
+    given as a scalar repeat over every row."""
     n_rows = len(labels)
-    counts = np.asarray(counts, dtype=np.int64)
-    sense = np.asarray(sense)
-    rhs = np.asarray(rhs, dtype=float)
-    return (
+
+    def per_row(values: np.ndarray) -> np.ndarray:
+        return values if values.shape == (n_rows,) else values.repeat(n_rows)
+
+    return _Family(
         tag,
         name_format,
         labels,
-        np.tile(counts, n_rows // counts.size),
+        per_row(np.asarray(counts, dtype=np.int64)),
         # column indices fit int32, the type scipy keeps them in at these sizes
         np.asarray(indices, dtype=np.int32),
         np.asarray(coeffs, dtype=float),
-        np.tile(sense, n_rows // sense.size),
-        np.tile(rhs, n_rows // rhs.size),
+        per_row(np.asarray(sense)),
+        per_row(np.asarray(rhs, dtype=float)),
     )
 
 
-def _stack(families: list[tuple], n_cols: int):
+def _stack(families: list[_Family], n_cols: int):
     """Every family's rows, in order, as one CSR matrix with sorted columns in
     each row, with the per-row sense and right-hand side and one
     ConstraintBlock per family. Empties `families`, so each family's arrays
@@ -171,11 +178,10 @@ class MipProblem:
 
 
 @dataclass(eq=False)
-class MilpModel(MipProblem):
-    """The paper model: `constraints` names the row families of `a` in
-    order, and `norms` are the objective normalizers `c` and
-    `objective_constant` were scaled with.
-    """
+class BuiltModel(MipProblem):
+    """A model built from an instance: `constraints` names the row families
+    of `a` in order, `layout` places its columns, and `norms` are the
+    objective normalizers `c` and `objective_constant` were scaled with."""
 
     constraints: list[ConstraintBlock]
     layout: "VariableLayout"
@@ -199,10 +205,28 @@ class MilpModel(MipProblem):
         raise KeyError(tag)
 
 
-class VariableLayout:
-    """Bijection between (kind, coordinates) and flat column indices."""
+@dataclass(eq=False)
+class MilpModel(BuiltModel):
+    """The paper model, as `build_model` assembles it."""
 
-    def __init__(self, inst: Instance):
+
+@dataclass(eq=False)
+class CompactModel(BuiltModel):
+    """The model the in-process solve hands HiGHS (`build_compact_model`);
+    `columns` holds the paper-model column of each column, and `guarded` the
+    number of guard binaries of each guarded measure.
+    """
+
+    columns: np.ndarray
+    guarded: dict[str, int]
+
+
+class VariableLayout:
+    """Bijection between (kind, coordinates) and flat column indices: the
+    paper model's, or with `guards` given the compact model's, which has that
+    many y columns and empty z, zavg and f ranges. Names are the paper's."""
+
+    def __init__(self, inst: Instance, guards: int | None = None):
         self.width, self.height = inst.dims.shape
         self.n_cells = inst.dims.n_cells
         self.nbs_ids = inst.nbs_ids
@@ -211,14 +235,15 @@ class VariableLayout:
             t: inst.clusters_for(t) for t in self.nbs_ids
         }
         n, n_t, n_u = self.n_cells, len(self.nbs_ids), len(self.measure_ids)
+        paper = guards is None
         self.x_base = 0
         self.y_base = n_t * n
-        self.z_base = self.y_base + n_u * n
-        self.zbar_base = self.z_base + n_u * n
+        self.z_base = self.y_base + (n_u * n if paper else guards)
+        self.zbar_base = self.z_base + (n_u * n if paper else 0)
         self.zmax_base = self.zbar_base + n_u * n
         self.zavg_base = self.zmax_base + n_u
-        self.f_base = self.zavg_base + n_u
-        self.lam_base = self.f_base + n
+        self.f_base = self.zavg_base + (n_u if paper else 0)
+        self.lam_base = self.f_base + (n if paper else 0)
         self.lam_offsets: dict[str, int] = {}
         offset = self.lam_base
         for t in self.nbs_ids:
@@ -249,13 +274,16 @@ class VariableLayout:
 
 @dataclass(frozen=True)
 class Normalizers:
-    """Instance-constant scale factors bringing objective terms into [0, 1]."""
+    """Instance-constant scale factors bringing objective terms into [0, 1],
+    with the fairness field of the pre-existing-only placement, whose total is
+    `fairness_min`."""
 
     peak_scale: dict[str, float]
     cost_scale: float
     fairness_scale: float
     fairness_min: float
     fairness_max: float
+    do_nothing_fairness: np.ndarray = field(compare=False, repr=False)
 
 
 def objective_normalizers(inst: Instance) -> Normalizers:
@@ -273,7 +301,8 @@ def objective_normalizers(inst: Instance) -> Normalizers:
         peak_scale[u.id] = 1.0 / m if m > DEGENERATE_SCALE_TOL else 1.0
     cost_scale = 1.0 / inst.budget if inst.budget > 0 else 1.0
 
-    f_min = float(engine.fairness(inst, engine.Placement.do_nothing(inst)).sum())
+    do_nothing = engine.fairness(inst, engine.Placement.do_nothing(inst))
+    f_min = float(do_nothing.sum())
     f_max = f_min
     for t in inst.nbs_ids:
         placement = engine.Placement.empty(inst)
@@ -287,6 +316,7 @@ def objective_normalizers(inst: Instance) -> Normalizers:
         fairness_scale=fairness_scale,
         fairness_min=f_min,
         fairness_max=f_max,
+        do_nothing_fairness=do_nothing,
     )
 
 
@@ -310,39 +340,64 @@ def linearization_big_m(inst: Instance) -> dict[str, float]:
     }
 
 
-def _kernel_offsets(kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened (di, dj, value) triplets of the nonzero kernel entries."""
-    cw, ch = kernel.width // 2, kernel.height // 2
-    dis, djs = np.meshgrid(
-        np.arange(-cw, cw + 1), np.arange(-ch, ch + 1), indexing="ij"
-    )
-    vals = kernel.entries.ravel()
-    keep = vals != 0.0
-    return dis.ravel()[keep], djs.ravel()[keep], vals[keep]
+def _window(w: int, h: int, kernel: Kernel):
+    """A kernel's windows on a w x h grid: per cell (row) and nonzero kernel
+    entry (column, row-major), the source cell (0 outside the grid) and
+    whether it lies inside the grid, with the entries' offsets and values."""
+    a, b = np.nonzero(kernel.entries)
+    di, dj = a - kernel.width // 2, b - kernel.height // 2
+    si, sj = np.divmod(np.arange(w * h)[:, None], h)
+    si, sj = si + di, sj + dj
+    inside = (si >= 0) & (si < w) & (sj >= 0) & (sj < h)
+    return np.where(inside, si * h + sj, 0), inside, di, dj, kernel.entries[a, b]
+
+
+def impact_bounds(inst: Instance, measure_ids: list[str]) -> np.ndarray:
+    """M_c, the largest impact Kx can reach at each cell, per (measure, cell),
+    for the measures of `measure_ids`.
+
+    Each source cell in the cell's window adds its largest kernel entry over
+    the NBS types that may be newly installed there (`eligible_mask`). One
+    measure at a time, the entries go into a (cell, window offset) array as
+    wide as the farthest such offset, summed per cell.
+    """
+    n, (w, h) = inst.dims.n_cells, inst.dims.shape
+    eligible = [inst.eligible_mask(t).ravel() for t in inst.nbs_ids]
+    bounds = np.zeros((len(measure_ids), n))
+    for u, bound in zip(measure_ids, bounds):
+        entries = []  # (cell, di, dj, value) of every installable source
+        for t, ok in zip(inst.nbs_ids, eligible):
+            src, inside, di, dj, vals = _window(w, h, inst.kernel(u, t))
+            cell, k = np.nonzero(inside & ok[src])
+            entries.append((cell, di[k], dj[k], vals[k]))
+        cell, di, dj, vals = map(np.concatenate, zip(*entries))
+        r = max(np.abs(di).max(initial=0), np.abs(dj).max(initial=0))
+        largest = np.zeros((n, 2 * r + 1, 2 * r + 1))
+        np.maximum.at(largest, (cell, di + r, dj + r), vals)
+        bound[:] = largest.sum(axis=(1, 2))
+    return bounds
 
 
 def _windowed_rows(
     layout: VariableLayout,
-    lead: np.ndarray,
+    lead: np.ndarray | None,
     scale: np.ndarray,
     kernels: list[Kernel],
     source_ok: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entry counts, columns and coefficients of one row per cell.
 
-    Row c is `lead[c]` with coefficient 1, then, for each NBS type in order,
-    `scale[c] * value` on the x column of every kernel offset whose source
-    cell lies inside the grid and passes `source_ok`. Rows with zero scale
-    keep only the lead entry.
+    Row c is `lead[c]` with coefficient 1 (no lead entry when `lead` is None),
+    then, for each NBS type in order, `scale[c] * value` on the x column of
+    every kernel offset whose source cell lies inside the grid and passes
+    `source_ok`. Rows with zero scale keep only the lead entry.
     """
-    n, w, h = layout.n_cells, layout.width, layout.height
-    ci, cj = np.divmod(np.arange(n), h)
-    cols, coefs, keep = [lead[:, None]], [np.ones((n, 1))], [np.ones((n, 1), dtype=bool)]
+    n = layout.n_cells
+    cols, coefs, keep = [], [], []
+    if lead is not None:
+        cols, coefs, keep = [lead[:, None]], [np.ones((n, 1))], [np.ones((n, 1), dtype=bool)]
     for ti, (kernel, ok) in enumerate(zip(kernels, source_ok)):
-        dis, djs, vals = _kernel_offsets(kernel)
-        si, sj = ci[:, None] + dis, cj[:, None] + djs
-        inside = (si >= 0) & (si < w) & (sj >= 0) & (sj < h)
-        src = np.where(inside, si * h + sj, 0)
+        src, inside, _, _, vals = _window(layout.width, layout.height, kernel)
         cols.append(layout.x_base + ti * n + src)
         coefs.append(scale[:, None] * vals)
         keep.append(inside & ok[src] & (scale != 0.0)[:, None])
@@ -350,31 +405,19 @@ def _windowed_rows(
     return mask.sum(axis=1), np.hstack(cols)[mask], np.hstack(coefs)[mask]
 
 
-def build_model(inst: Instance) -> MilpModel:
-    """Assemble the full MILP for a validated instance."""
-    layout = VariableLayout(inst)
-    norms = objective_normalizers(inst)
-    big_m = linearization_big_m(inst)
-    ids, mids = layout.nbs_ids, layout.measure_ids
-    n, n_t, n_u = layout.n_cells, len(ids), len(mids)
-    n_vars = layout.n_variables
+# --- Row families ----------------------------------------------------------------
 
-    lower = np.zeros(n_vars)
-    upper = np.full(n_vars, np.inf)
-    is_integer = np.zeros(n_vars, dtype=bool)
-    # x and y are adjacent, lam comes last
-    for lo, hi in ((layout.x_base, layout.z_base), (layout.lam_base, n_vars)):
-        upper[lo:hi] = 1.0
-        is_integer[lo:hi] = True
 
+def _shared_rows(inst: Instance, layout: VariableLayout) -> list[_Family]:
+    """The one_type, budget, forbidden, pre_existing and cluster rows."""
+    ids, n = layout.nbs_ids, layout.n_cells
+    n_t = len(ids)
     cells = _grid_labels(layout.width, layout.height)  # (i, j) per cell
-    unit_cells = np.arange(n_u * n)  # (u, cell) pairs, measure-major
-    unit_labels = _grid_labels(n_u, layout.width, layout.height)
-    not_pre = [~inst.pre_mask(t).ravel() for t in ids]
     # x columns of cells that are not pre-existing: they carry cost
-    new_cols = [layout.x_base + ti * n + np.flatnonzero(ok) for ti, ok in enumerate(not_pre)]
+    new_cols = [layout.x_base + ti * n + np.flatnonzero(~inst.pre_mask(t).ravel())
+                for ti, t in enumerate(ids)]
     costs = [inst.nbs_by_id(t).cost for t in ids]
-    families: list[tuple] = []
+    families: list[_Family] = []
 
     # One NBS type per cell.
     families.append(_rows(
@@ -414,23 +457,107 @@ def build_model(inst: Instance) -> MilpModel:
         np.column_stack((link_x, lam_base[link[:, 0]] + link[:, 1])).ravel(),
         np.tile([1.0, -1.0], len(link)), SENSE_EQ, 0.0,
     ))
+    return families
 
-    # Impact definition: z minus the windowed sums of new installations.
+
+def _unit_labels(layout: VariableLayout) -> np.ndarray:
+    """(u, i, j) per (measure, cell) pair, measure-major."""
+    return _grid_labels(len(layout.measure_ids), layout.width, layout.height)
+
+
+def _conv_rows(inst: Instance, layout: VariableLayout, lead_base: int, sense) -> _Family:
+    """Impact rows: per (measure, cell), the lead column (z in the paper model,
+    zbar in the compact one) minus the windowed sums of new installations."""
+    n = layout.n_cells
+    not_pre = [~inst.pre_mask(t).ravel() for t in layout.nbs_ids]
     conv = [
         _windowed_rows(
-            layout, layout.z_base + ui * n + np.arange(n), np.full(n, -1.0),
-            [inst.kernel(u, t) for t in ids], not_pre,
+            layout, lead_base + ui * n + np.arange(n), np.full(n, -1.0),
+            [inst.kernel(u, t) for t in layout.nbs_ids], not_pre,
         )
-        for ui, u in enumerate(mids)
+        for ui, u in enumerate(layout.measure_ids)
     ]
-    families.append(_rows(
-        "conv", "conv_u{}_i{}_j{}", unit_labels, *map(np.concatenate, zip(*conv)),
-        SENSE_EQ, 0.0,
-    ))
-    del conv
+    return _rows(
+        "conv", "conv_u{}_i{}_j{}", _unit_labels(layout), *map(np.concatenate, zip(*conv)),
+        sense, 0.0,
+    )
+
+
+def _peak_rows(inst: Instance, layout: VariableLayout) -> _Family:
+    """Peak rows: zmax dominates every reduced value."""
+    n, n_u = layout.n_cells, len(layout.measure_ids)
+    unit_cells = np.arange(n_u * n)
+    zmax, zbar = layout.zmax_base + unit_cells // n, layout.zbar_base + unit_cells
+    return _rows(
+        "peak", "peak_u{}_i{}_j{}", _unit_labels(layout), 2,
+        np.column_stack((zmax, zbar)).ravel(), np.ones(2 * n_u * n), SENSE_GE,
+        np.concatenate([inst.measure_by_id(u).field.ravel() for u in layout.measure_ids]),
+    )
+
+
+def _avg_rows(inst: Instance, layout: VariableLayout, zavg: bool) -> _Family:
+    """Mean rows: zavg equals the average reduced value (`zavg`, the paper
+    model), or the average reduced value is at least 0 (the compact model)."""
+    n, n_u = layout.n_cells, len(layout.measure_ids)
+    cols = layout.zbar_base + np.arange(n_u * n).reshape(n_u, n)
+    coefs = np.full((n_u, n), 1.0 / n)
+    if zavg:
+        cols = np.column_stack((layout.zavg_base + np.arange(n_u), cols))
+        coefs = np.column_stack((np.ones(n_u), coefs))
+    return _rows(
+        "avg", "avg_u{}", np.arange(n_u)[:, None], cols.shape[1], cols.ravel(), coefs.ravel(),
+        SENSE_EQ if zavg else SENSE_LE,
+        [float(inst.measure_by_id(u).field.mean()) for u in layout.measure_ids],
+    )
+
+
+def _fairness_entries(inst: Instance, layout: VariableLayout, lead: np.ndarray | None):
+    """Per cell, the f column `lead` minus the population-weighted accessibility."""
+    kernels = [inst.fairness_kernels[t] for t in layout.nbs_ids]
+    ok = [np.ones(layout.n_cells, dtype=bool)] * len(kernels)
+    return _windowed_rows(layout, lead, -inst.population.ravel(), kernels, ok)
+
+
+def _objective(inst: Instance, layout: VariableLayout, norms: Normalizers):
+    """The objective on the x and zmax columns, with the costs of the zavg
+    columns and the fairness weight `wf`, each f column's cost being `-wf`."""
+    c, w, mids = np.zeros(layout.n_variables), inst.weights, layout.measure_ids
+    c[layout.zmax_base : layout.zavg_base] = [w.peak[u] * norms.peak_scale[u] for u in mids]
+    weighted = [w.cost * inst.nbs_by_id(t).cost * norms.cost_scale for t in layout.nbs_ids]
+    # pre-existing cells are cost-free
+    not_pre = np.concatenate([~inst.pre_mask(t).ravel() for t in layout.nbs_ids])
+    c[layout.x_base : layout.y_base] = np.where(not_pre, np.repeat(weighted, layout.n_cells), 0.0)
+    czavg = np.array([w.avg[u] * norms.peak_scale[u] for u in mids])
+    return c, czavg, w.fairness * norms.fairness_scale
+
+
+# --- Paper model -----------------------------------------------------------------
+
+
+def build_model(inst: Instance, norms: Normalizers | None = None) -> MilpModel:
+    """Assemble the paper's MILP for a validated instance; `norms` are
+    computed from the instance when not given."""
+    layout = VariableLayout(inst)
+    if norms is None:
+        norms = objective_normalizers(inst)
+    big_m = linearization_big_m(inst)
+    mids = layout.measure_ids
+    n, n_u = layout.n_cells, len(mids)
+    n_vars = layout.n_variables
+
+    upper = np.full(n_vars, np.inf)
+    is_integer = np.zeros(n_vars, dtype=bool)
+    # x and y are adjacent, lam comes last
+    for lo, hi in ((layout.x_base, layout.z_base), (layout.lam_base, n_vars)):
+        upper[lo:hi] = 1.0
+        is_integer[lo:hi] = True
+
+    families = _shared_rows(inst, layout)
+    families.append(_conv_rows(inst, layout, layout.z_base, SENSE_EQ))
 
     # Big-M linearization of zbar = min(z, delta); y = 1 marks z <= delta.
     # Six rows per (u, cell), interleaved: bigm1 .. bigm6.
+    unit_cells = np.arange(n_u * n)  # (u, cell) pairs, measure-major
     z = layout.z_base + unit_cells
     zb = layout.zbar_base + unit_cells
     y = layout.y_base + unit_cells
@@ -439,62 +566,34 @@ def build_model(inst: Instance) -> MilpModel:
     one = np.ones(n_u * n)
     k = np.tile(np.arange(1, 7), n_u * n)
     families.append(_rows(
-        "bigm", "bigm{}_u{}_i{}_j{}", np.column_stack((k, np.repeat(unit_labels, 6, axis=0))),
-        [2, 2, 2, 1, 3, 2],
+        "bigm", "bigm{}_u{}_i{}_j{}",
+        np.column_stack((k, np.repeat(_unit_labels(layout), 6, axis=0))),
+        np.tile([2, 2, 2, 1, 3, 2], n_u * n),
         np.column_stack((z, y, z, y, zb, z, zb, zb, z, y, zb, y)).ravel(),
         np.column_stack((one, m, one, m, one, -one, one, one, -one, -m, one, m)).ravel(),
-        [SENSE_LE, SENSE_GE, SENSE_LE, SENSE_LE, SENSE_GE, SENSE_GE],
+        np.tile([SENSE_LE, SENSE_GE, SENSE_LE, SENSE_LE, SENSE_GE, SENSE_GE], n_u * n),
         np.column_stack((d + m, d, np.zeros(n_u * n), d, -m, d)).ravel(),
     ))
 
-    # Peak rows: zmax dominates every reduced value.
-    fields = [inst.measure_by_id(u).field for u in mids]
-    families.append(_rows(
-        "peak", "peak_u{}_i{}_j{}", unit_labels, 2,
-        np.column_stack((layout.zmax_base + unit_cells // n, zb)).ravel(),
-        np.ones(2 * n_u * n), SENSE_GE, np.concatenate([a.ravel() for a in fields]),
-    ))
-
-    # Mean rows: zavg equals the average reduced value.
-    families.append(_rows(
-        "avg", "avg_u{}", np.arange(n_u)[:, None], n + 1,
-        np.column_stack((layout.zavg_base + np.arange(n_u), zb.reshape(n_u, n))).ravel(),
-        np.tile(np.r_[1.0, np.full(n, 1.0 / n)], n_u), SENSE_EQ,
-        [float(a.mean()) for a in fields],
-    ))
+    families.append(_peak_rows(inst, layout))
+    families.append(_avg_rows(inst, layout, zavg=True))
 
     # Fairness rows: f equals the population-weighted accessibility sum.
-    counts, cols, coefs = _windowed_rows(
-        layout, layout.f_base + np.arange(n), -inst.population.ravel(),
-        [inst.fairness_kernels[t] for t in ids], [np.ones(n, dtype=bool)] * n_t,
-    )
     families.append(_rows(
-        "fairness", "fair_i{}_j{}", cells, counts, cols, coefs, SENSE_EQ, 0.0
+        "fairness", "fair_i{}_j{}", _grid_labels(layout.width, layout.height),
+        *_fairness_entries(inst, layout, layout.f_base + np.arange(n)), SENSE_EQ, 0.0,
     ))
 
     # Objective: weighted normalized peak + mean + cost - fairness.
-    c = np.zeros(n_vars)
-    for ui, u in enumerate(mids):
-        c[layout.zmax_base + ui] = inst.weights.peak[u] * norms.peak_scale[u]
-        c[layout.zavg_base + ui] = inst.weights.avg[u] * norms.peak_scale[u]
-    for cols, cost in zip(new_cols, costs):
-        c[cols] = inst.weights.cost * cost * norms.cost_scale
-    wf = inst.weights.fairness * norms.fairness_scale
+    c, czavg, wf = _objective(inst, layout, norms)
+    c[layout.zavg_base : layout.f_base] = czavg
     c[layout.f_base : layout.lam_base] = -wf
 
     a, sense, rhs, blocks = _stack(families, n_vars)
     return MilpModel(
-        a=a,
-        sense=sense,
-        rhs=rhs,
-        c=c,
-        objective_constant=wf * norms.fairness_min,
-        lower=lower,
-        upper=upper,
-        is_integer=is_integer,
-        constraints=blocks,
-        layout=layout,
-        norms=norms,
+        a=a, sense=sense, rhs=rhs, c=c, objective_constant=wf * norms.fairness_min,
+        lower=np.zeros(n_vars), upper=upper, is_integer=is_integer, constraints=blocks,
+        layout=layout, norms=norms,
     )
 
 
@@ -507,151 +606,99 @@ def expected_variable_count(inst: Instance) -> int:
     return n * n_t + 3 * n * n_u + 2 * n_u + n + n_clusters
 
 
-# --- Compact solve model -------------------------------------------------------
+# --- Compact solve model ---------------------------------------------------------
 
 
-@dataclass(eq=False)
-class CompactModel(MipProblem):
-    """The model the in-process solve hands HiGHS, sliced from a MilpModel;
-    `columns` holds the MilpModel column of each compact column, and
-    `guarded` the number of guard binaries of each guarded measure.
-    """
-
-    columns: np.ndarray
-    guarded: dict[str, int]
-
-
-def _deltas(model: MilpModel) -> np.ndarray:
-    """The cap of every zbar column: bigm4, the fourth row of each (u, cell)
-    group, reads zbar <= delta."""
-    return model.rhs[model.rows("bigm")][3::6]
-
-
-def impact_bounds(model: MilpModel) -> np.ndarray:
-    """M_c, the largest impact Kx each conv row can reach, per (u, cell).
-
-    Each source cell in the row adds its largest coefficient over the NBS
-    types that may be newly installed there: not forbidden for the type and
-    not pre-existing for any, since a cell hosts one NBS at most. The
-    coefficients are read from the conv rows, one measure at a time, into a
-    (cell, window offset) array.
-    """
-    layout, a, blocks = model.layout, model.a, {b.tag: b for b in model.constraints}
-    n, h = layout.n_cells, layout.height
-    installable = np.ones(layout.y_base, dtype=bool)  # one per x column
-    installable[blocks["forbidden"].indices] = False
-    installable.reshape(-1, n)[:, blocks["pre_existing"].indices % n] = False
-    first = model.rows("conv").start
-    bounds = np.zeros((len(layout.measure_ids), n))
-    for ui, bound in enumerate(bounds):
-        ptr = a.indptr[first + ui * n : first + (ui + 1) * n + 1]
-        cell, col = np.repeat(np.arange(n), np.diff(ptr)), a.indices[ptr[0] : ptr[-1]]
-        ok = col < layout.y_base  # x entries, not the lead z
-        ok[ok] = installable[col[ok]]
-        cell, src, coef = cell[ok], col[ok] % n, a.data[ptr[0] : ptr[-1]][ok]
-        di, dj = src // h - cell // h, src % h - cell % h
-        r = max(np.abs(di).max(initial=0), np.abs(dj).max(initial=0))
-        largest = np.zeros((n, 2 * r + 1, 2 * r + 1))
-        np.maximum.at(largest, (cell, di + r, dj + r), -coef)
-        bound[:] = largest.sum(axis=(1, 2))
-    return bounds
-
-
-def compact_model(model: MilpModel) -> CompactModel:
+def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> CompactModel:
     """The paper model without its big-M rows and its defined columns, with
-    the same optimum.
+    the same optimum, built from the instance.
 
-    The bigm and fairness rows go, and so do the z, zavg and f columns; each
-    z column is mapped onto its zbar column. So the conv rows read
-    `zbar - Kx <= 0`, the avg rows `mean(zbar) <= mean(a)`, and zbar takes
-    the cap `delta` as its upper bound. zavg and f leave the objective
-    through the avg and fairness rows that define them. A paper solution
-    keeps its objective in the compact model.
+    There are no bigm or fairness rows and no z, zavg or f columns: the conv
+    rows read `zbar - Kx <= 0`, the avg rows `mean(zbar) <= mean(a)`, zbar is
+    capped at `delta`, and the costs of zavg and f move onto x, zbar and the
+    constant through the rows that define them, so a paper solution keeps its
+    objective.
 
     To keep an avg row, zbar could stay below min(Kx, delta). No placement
     needs to for a measure with sum_c min(M_c, delta) <= sum_c a_c (M_c from
-    `impact_bounds`). Every other measure is guarded: a cell with
-    M_c <= delta gets the conv row zbar = Kx; any other keeps its y column,
-    with the rows `zbar >= Kx - (M_c - delta)(1 - y)` and
-    `zbar >= delta (1 - y)` appended, the paper's bigm5 and bigm6 with a
-    per-cell M.
+    `impact_bounds`, computed only where n delta > sum_c a_c). Every other
+    measure is guarded: a cell with M_c <= delta gets the conv row zbar = Kx;
+    any other gets a y column and the rows `zbar >= Kx - (M_c - delta)(1 - y)`
+    (guard_conv) and `zbar >= delta (1 - y)` (guard_delta), the paper's bigm5
+    and bigm6 with a per-cell M.
     """
-    from scipy import sparse
-
-    layout = model.layout
-    a, n_rows, n_vars = model.a, model.n_constraints, model.n_variables
-    avg, fair, conv = model.rows("avg"), model.rows("fairness"), model.rows("conv")
-    n_u, n = len(layout.measure_ids), layout.n_cells
-
-    # c' = c - c_def @ A_def and const' = const + c_def @ rhs_def; each defined
-    # column leads its row with coefficient 1, so its own cost cancels
-    c_def = np.zeros(n_rows)
-    c_def[avg] = model.c[layout.zavg_base : layout.f_base]
-    c_def[fair] = model.c[layout.f_base : layout.lam_base]
-    c = model.c - a.T @ c_def
-    constant = model.objective_constant + float(c_def @ model.rhs)
-
-    delta, bound = _deltas(model), impact_bounds(model).ravel()
-    reach = np.minimum(bound, delta).reshape(n_u, n).sum(axis=1)
-    guarded = reach > model.rhs[model.rows("peak")].reshape(n_u, n).sum(axis=1)
+    if norms is None:
+        norms = objective_normalizers(inst)
+    mids = inst.measure_ids
+    n, n_u = inst.dims.n_cells, len(mids)
+    delta = np.repeat([inst.delta(u) for u in mids], n).reshape(n_u, n)
+    totals = np.stack([inst.measure_by_id(u).field.ravel() for u in mids]).sum(axis=1)
+    # min(M_c, delta) <= delta, so the sum over cells is at most delta's
+    maybe = delta.sum(axis=1) > totals
+    bound = np.zeros((n_u, n))
+    bound[maybe] = impact_bounds(inst, [u for u, m in zip(mids, maybe) if m])
+    guarded = maybe & (np.minimum(bound, delta).sum(axis=1) > totals)
+    bound, delta = bound.ravel(), delta.ravel()
     guarded_cell = np.repeat(guarded, n)  # per (u, cell), as the conv rows
     binary = guarded_cell & (bound > delta)
-    binaries = binary.reshape(n_u, n).sum(axis=1)
-
-    keep_col = np.ones(n_vars, dtype=bool)
-    keep_col[layout.y_base : layout.z_base] = binary
-    keep_col[layout.z_base : layout.zbar_base] = False  # z
-    keep_col[layout.zavg_base : layout.lam_base] = False  # zavg and f
-    columns = np.flatnonzero(keep_col)
-    new_col = np.full(n_vars, -1, dtype=a.indices.dtype)
-    new_col[columns] = np.arange(len(columns))
-    # z sits after every x and y column and zbar after every z, so rows stay sorted
-    new_col[layout.z_base : layout.zbar_base] = new_col[layout.zbar_base : layout.zmax_base]
-
-    keep_row = np.ones(n_rows, dtype=bool)
-    keep_row[model.rows("bigm")] = False
-    keep_row[fair] = False
-    sense = model.sense.copy()
-    sense[conv] = np.where(guarded_cell & ~binary, SENSE_EQ, SENSE_LE)
-    sense[avg] = SENSE_LE
-
-    col = new_col[a.indices]
-    keep = np.repeat(keep_row, np.diff(a.indptr)) & (col >= 0)
-    starts = a.indptr[np.append(np.flatnonzero(keep_row), n_rows)]
-    indptr = np.concatenate(([0], np.cumsum(keep)))[starts]
-    upper = model.upper[columns]
-    upper[new_col[layout.zbar_base : layout.zmax_base]] = delta
-    shape = (len(starts) - 1, len(columns))
-    compact = sparse.csr_matrix((a.data[keep], col[keep], indptr), shape=shape)
-    sense, rhs = sense[keep_row], model.rhs[keep_row]
-
     cells = np.flatnonzero(binary)
-    if cells.size:  # scipy's sparse algebra costs more than a small solve
-        y, zbar = new_col[layout.y_base + cells], new_col[layout.zbar_base + cells]
-        slack, k = bound[cells] - delta[cells], np.arange(len(cells))
-        guard_shape = (len(cells), shape[1])
-        new_row = np.cumsum(keep_row) - 1
-        tight = compact[new_row[conv.start + cells]] - sparse.csr_matrix(
-            (slack, (k, y)), shape=guard_shape
-        )
-        floor = sparse.csr_matrix(
-            (np.r_[delta[cells], np.ones(len(k))], (np.r_[k, k], np.r_[y, zbar])),
-            shape=guard_shape,
-        )
-        compact = sparse.vstack([compact, tight, floor], format="csr")
-        sense = np.concatenate((sense, np.full(2 * len(k), SENSE_GE)))
-        rhs = np.concatenate((rhs, -slack, delta[cells]))
+    layout = VariableLayout(inst, guards=len(cells))
+    n_vars = layout.n_variables
+    zbar = layout.zbar_base + np.arange(n_u * n)
+
+    families = _shared_rows(inst, layout)
+    conv = _conv_rows(
+        inst, layout, layout.zbar_base, np.where(guarded_cell & ~binary, SENSE_EQ, SENSE_LE)
+    )
+    avg = _avg_rows(inst, layout, zavg=False)
+    families += [conv, _peak_rows(inst, layout), avg]
+    # in the paper model, the avg rows follow the six bigm rows per (u, cell)
+    paper_avg = sum(len(f.labels) for f in families[:-1]) + 6 * n_u * n
+
+    if cells.size:
+        y = layout.y_base + np.arange(len(cells))
+        slack = bound[cells] - delta[cells]
+        take = np.repeat(binary, conv.counts)  # the guarded cells' conv entries
+        ends = np.cumsum(conv.counts[cells])
+        families.append(_rows(
+            "guard_conv", "guard_conv_u{}_i{}_j{}", conv.labels[cells], conv.counts[cells] + 1,
+            np.insert(conv.indices[take], ends, y), np.insert(conv.coeffs[take], ends, -slack),
+            SENSE_GE, -slack,
+        ))
+        families.append(_rows(
+            "guard_delta", "guard_delta_u{}_i{}_j{}", conv.labels[cells], 2,
+            np.column_stack((y, zbar[cells])).ravel(),
+            np.column_stack((delta[cells], np.ones(len(cells)))).ravel(),
+            SENSE_GE, delta[cells],
+        ))
+
+    # c - c_def @ A_def and const + c_def @ rhs_def, with c_def the costs of
+    # the defined columns on their rows, summed as over the paper model's rows
+    c, czavg, wf = _objective(inst, layout, norms)
+    _, fair_cols, fair_coefs = _fairness_entries(inst, layout, None)
+    c[: layout.y_base] -= np.bincount(fair_cols, fair_coefs * -wf, minlength=layout.y_base)
+    c[zbar] -= np.repeat(czavg, n) * (1.0 / n)
+    c_def, rhs_def = np.zeros(paper_avg + n_u + n), np.zeros(paper_avg + n_u + n)
+    c_def[paper_avg : paper_avg + n_u] = czavg
+    c_def[paper_avg + n_u :] = -wf
+    rhs_def[paper_avg : paper_avg + n_u] = avg.rhs
+
+    upper = np.ones(n_vars)
+    upper[zbar] = delta
+    upper[layout.zmax_base : layout.zavg_base] = np.inf
+    is_integer = np.ones(n_vars, dtype=bool)
+    is_integer[layout.zbar_base : layout.zavg_base] = False
+    paper = VariableLayout(inst)  # for the paper model's column of each column
+    binaries = binary.reshape(n_u, n).sum(axis=1)
+    a, sense, rhs, blocks = _stack(families, n_vars)
     return CompactModel(
-        a=compact,
-        sense=sense,
-        rhs=rhs,
-        c=c[columns],
-        objective_constant=constant,
-        lower=model.lower[columns],
-        upper=upper,
-        is_integer=model.is_integer[columns],
-        columns=columns,
-        guarded={u: int(b) for u, g, b in zip(layout.measure_ids, guarded, binaries) if g},
+        a=a, sense=sense, rhs=rhs, c=c,
+        objective_constant=wf * norms.fairness_min + float(c_def @ rhs_def),
+        lower=np.zeros(n_vars), upper=upper, is_integer=is_integer, constraints=blocks,
+        layout=layout, norms=norms,
+        columns=np.r_[: paper.y_base, paper.y_base + cells, paper.zbar_base : paper.zavg_base,
+                      paper.lam_base : paper.n_variables],
+        guarded={u: int(b) for u, g, b in zip(mids, guarded, binaries) if g},
     )
 
 
@@ -661,10 +708,8 @@ def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndar
     x and lam are the compact values rounded. Every other column takes the
     value its rows define: z from the conv rows, `zbar = min(z, delta)`,
     `y = [z <= delta]`, zmax the largest reduced value (at least 0), zavg
-    from the avg rows and f from the fairness rows. Each row is solved for its
-    lead column, which is 0 in the vector it is read from: z from `a @ v`
-    with x and lam alone set, the others from `a @ v` once y, z and zbar are
-    set too.
+    from the avg rows and f from the fairness rows, each row solved for its
+    lead column, which is 0 in the vector it is read from.
     """
     layout = model.layout
     v = np.zeros(model.n_variables)
@@ -675,7 +720,8 @@ def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndar
         rows = model.rows(tag)
         return model.rhs[rows] - lhs[rows]
 
-    z, delta = defined("conv", model.a @ v), _deltas(model)
+    # bigm4, the fourth row of each (u, cell) group, reads zbar <= delta
+    z, delta = defined("conv", model.a @ v), model.rhs[model.rows("bigm")][3::6]
     v[layout.y_base : layout.z_base] = z <= delta
     v[layout.z_base : layout.zbar_base] = z
     v[layout.zbar_base : layout.zmax_base] = np.minimum(z, delta)
@@ -685,37 +731,6 @@ def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndar
     v[layout.zavg_base : layout.f_base] = defined("avg", lhs)
     v[layout.f_base : layout.lam_base] = defined("fairness", lhs)
     return v
-
-
-def constraint_residuals(model: MipProblem, values: np.ndarray) -> float:
-    """Largest violation of any row or column bound of `model` at `values`
-    (<= 0 is feasible). Row violations are relative to 1 + |rhs|, as
-    check_placement measures the budget's."""
-    lhs = model.a @ values
-    gap = np.where(
-        model.sense == SENSE_LE,
-        lhs - model.rhs,
-        np.where(model.sense == SENSE_GE, model.rhs - lhs, np.abs(lhs - model.rhs)),
-    )
-    rows = gap / (1.0 + np.abs(model.rhs))
-    cols = np.maximum(model.lower - values, values - model.upper)
-    return float(max(rows.max(initial=-np.inf), cols.max(initial=-np.inf)))
-
-
-def certify(model: MilpModel, values: np.ndarray, objective: float) -> str:
-    """Why the paper-layout vector `values` is not a solution of `model` with
-    an objective at most `objective`, or "" when it is.
-
-    A vector that passes, lifted from an optimum of the compact model (a
-    relaxation of `model`), is optimal for `model` too.
-    """
-    worst = constraint_residuals(model, values)
-    if worst > FEAS_TOL:
-        return f"a row or column bound is violated by {worst:.3g}"
-    lifted = float(values @ model.c) + model.objective_constant
-    if lifted > objective and not values_close(lifted, objective):
-        return f"lifted objective {lifted!r} exceeds the compact {objective!r}"
-    return ""
 
 
 # --- Placement feasibility and objective evaluation --------------------------
@@ -737,70 +752,61 @@ class InfeasiblePlacement(ValueError):
         super().__init__("infeasible placement:\n - " + "\n - ".join(lines))
 
 
-def check_placement(inst: Instance, placement: engine.Placement) -> list[Violation]:
-    """Independent check of every constraint family against a placement."""
-    violations: list[Violation] = []
-
-    stack = np.zeros(inst.dims.shape, dtype=int)
-    for t in inst.nbs_ids:
-        stack += placement.masks[t].astype(int)
-    bad = np.argwhere(stack > 1)
-    if bad.size:
-        cells = tuple((int(i), int(j)) for i, j in bad)
-        violations.append(
-            Violation("one_type", f"{len(cells)} cell(s) host more than one NBS", cells)
-        )
-
+def _new_cost(inst: Instance, placement: engine.Placement) -> float:
+    """The cost of a placement's newly installed cells."""
     cost = 0.0
     for t in inst.nbs_ids:
         cost += inst.nbs_by_id(t).cost * int(placement.new_mask(inst, t).sum())
+    return cost
+
+
+def check_placement(
+    inst: Instance,
+    placement: engine.Placement,
+    reduction: dict[str, np.ndarray] | None = None,
+) -> list[Violation]:
+    """Independent check of every constraint family against a placement;
+    `reduction` holds the placement's reduction field of each measure when
+    it is known."""
+    violations: list[Violation] = []
+
+    def at(mask: np.ndarray) -> tuple[Cell, ...]:
+        return tuple((int(i), int(j)) for i, j in np.argwhere(mask))
+
+    crowded = at(sum(placement.masks[t].astype(int) for t in inst.nbs_ids) > 1)
+    if crowded:
+        violations.append(Violation(
+            "one_type", f"{len(crowded)} cell(s) host more than one NBS", crowded))
+
+    cost = _new_cost(inst, placement)
     if cost > inst.budget * (1 + FEAS_TOL) + FEAS_TOL:
-        violations.append(
-            Violation("budget", f"cost {cost!r} exceeds budget {inst.budget!r}")
-        )
+        violations.append(Violation("budget", f"cost {cost!r} exceeds budget {inst.budget!r}"))
 
     for t in inst.nbs_ids:
-        on_forbidden = placement.masks[t] & inst.forbidden_mask(t)
-        bad = np.argwhere(on_forbidden)
-        if bad.size:
-            cells = tuple((int(i), int(j)) for i, j in bad)
-            violations.append(
-                Violation("forbidden", f"NBS {t!r} placed on forbidden cell(s)", cells)
-            )
-        missing = inst.pre_mask(t) & ~placement.masks[t]
-        bad = np.argwhere(missing)
-        if bad.size:
-            cells = tuple((int(i), int(j)) for i, j in bad)
-            violations.append(
-                Violation(
-                    "pre_existing", f"pre-existing NBS {t!r} cell(s) switched off", cells
-                )
-            )
+        on_forbidden = at(placement.masks[t] & inst.forbidden_mask(t))
+        if on_forbidden:
+            violations.append(Violation(
+                "forbidden", f"NBS {t!r} placed on forbidden cell(s)", on_forbidden))
+        switched_off = at(inst.pre_mask(t) & ~placement.masks[t])
+        if switched_off:
+            violations.append(Violation(
+                "pre_existing", f"pre-existing NBS {t!r} cell(s) switched off", switched_off))
 
     for t in inst.nbs_ids:
         mask = placement.masks[t]
         for q, group in enumerate(inst.clusters_for(t)):
-            values = {bool(mask[i, j]) for i, j in group}
-            if len(values) > 1:
-                violations.append(
-                    Violation(
-                        "cluster",
-                        f"cluster {q} of NBS {t!r} is partially used",
-                        tuple(group),
-                    )
-                )
+            if len({bool(mask[i, j]) for i, j in group}) > 1:
+                violations.append(Violation(
+                    "cluster", f"cluster {q} of NBS {t!r} is partially used", tuple(group)))
 
     # zavg is a nonnegative variable, so placements driving the mean reduced
     # value below zero are infeasible in the MILP as well.
+    if reduction is None:
+        reduction = {u: engine.measure_reduction(inst, placement, u) for u in inst.measure_ids}
     for u in inst.measures:
-        zbar = engine.measure_reduction(inst, placement, u.id)
-        if float((u.field - zbar).mean()) < -FEAS_TOL:
-            violations.append(
-                Violation(
-                    "avg_nonneg",
-                    f"mean reduced value of measure {u.id!r} is negative",
-                )
-            )
+        if float((u.field - reduction[u.id]).mean()) < -FEAS_TOL:
+            violations.append(Violation(
+                "avg_nonneg", f"mean reduced value of measure {u.id!r} is negative"))
 
     return violations
 
@@ -810,8 +816,8 @@ class ObjectiveBreakdown:
     """Raw quantities and weighted normalized terms of the objective.
 
     `reduction` (the achieved reduction field of each measure) and
-    `fairness_field` are the fields the quantities were computed from; they
-    are not part of `to_dict`.
+    `fairness_field` are the fields the quantities were computed from, and
+    `norms` the normalizers of the terms; they are not part of `to_dict`.
     """
 
     peak_value: dict[str, float]
@@ -825,6 +831,7 @@ class ObjectiveBreakdown:
     total: float
     reduction: dict[str, np.ndarray] = field(compare=False, repr=False)
     fairness_field: np.ndarray = field(compare=False, repr=False)
+    norms: Normalizers = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -852,11 +859,13 @@ def evaluate_solution(
     involved, so it doubles as the independent evaluation for the enumeration
     oracle and for verifying solver output. `norms` are computed from the
     instance when not given; callers holding a model pass its `norms`, the
-    ones its objective was built with. The breakdown keeps the reduction and
+    ones its objective was built with. Each reduction field is computed once,
+    for the check and the terms, and the breakdown keeps the reduction and
     fairness fields, so the report does not compute them again.
     """
+    reduction = {u: engine.measure_reduction(inst, placement, u) for u in inst.measure_ids}
     if check:
-        violations = check_placement(inst, placement)
+        violations = check_placement(inst, placement, reduction)
         if violations:
             raise InfeasiblePlacement(violations)
     if norms is None:
@@ -866,11 +875,9 @@ def evaluate_solution(
     avg_value: dict[str, float] = {}
     peak_term: dict[str, float] = {}
     avg_term: dict[str, float] = {}
-    reduction: dict[str, np.ndarray] = {}
     total = 0.0
     for u in inst.measures:
-        zbar = reduction[u.id] = engine.measure_reduction(inst, placement, u.id)
-        reduced = u.field - zbar
+        reduced = u.field - reduction[u.id]
         # zmax/zavg live in R+, so the solver can never report below zero.
         peak_value[u.id] = max(0.0, float(reduced.max()))
         avg_value[u.id] = float(reduced.mean())
@@ -878,9 +885,7 @@ def evaluate_solution(
         avg_term[u.id] = inst.weights.avg[u.id] * norms.peak_scale[u.id] * avg_value[u.id]
         total += peak_term[u.id] + avg_term[u.id]
 
-    cost_value = 0.0
-    for t in inst.nbs_ids:
-        cost_value += inst.nbs_by_id(t).cost * int(placement.new_mask(inst, t).sum())
+    cost_value = _new_cost(inst, placement)
     cost_term = inst.weights.cost * norms.cost_scale * cost_value
     total += cost_term
 
@@ -903,4 +908,5 @@ def evaluate_solution(
         total=total,
         reduction=reduction,
         fairness_field=fairness_field,
+        norms=norms,
     )

@@ -12,17 +12,17 @@ The external backend solves the MILP with a MILP solver. By default it
 solves in-process with the bundled HiGHS, through `solver_cli.solve_mps`,
 which `python -m nbsopt.solver_cli` also runs on the MPS file it reads; no
 name is formatted and no file is written. HiGHS gets the compact model that
-`model.compact_model` slices from the paper model's one constraint matrix:
-no big-M rows, no z, zavg or f columns, and y columns only for the guard
-rows of the measures whose `zavg >= 0` domain can bind. Its optimum is
-lifted back into the paper layout (`model.lift`) and certified on the paper
-model's rows, column bounds and objective (`model.certify`). The compact
+`model.build_compact_model` builds from the instance: no big-M rows, no z,
+zavg or f columns, and y columns only for the guard rows of the measures
+whose `zavg >= 0` domain can bind. The paper model is not built. The compact
 model has the paper model's optimum, so its status and bound are the paper
-model's, and a lifted optimum that fails the certificate is a defect: it
-raises SolverFailed, which gives an error result, and no second model is
-solved. The result's `formulation` is `compact` for every in-process solve
-and `paper` for every template solve. The relative gap applies to HiGHS's
-own objective, which leaves out a constant in both models.
+model's, and its answer, over its own columns and with its own objective,
+goes to the one check every answer gets (`_verify`). The result's
+`formulation` is `compact` for every in-process solve and `paper` for every
+template solve. The relative gap applies to HiGHS's own objective, which
+leaves out a constant in both models. With `workdir` set, the in-process
+solve also builds the paper model and writes it, with the answer lifted into
+its columns (`model.lift`), as a solver command would leave them.
 
 A command template (the solver_cmd setting or the NBSOPT_SOLVER_CMD
 environment variable) with {model}, {solution}, {timelimit} and {gap}
@@ -33,12 +33,12 @@ value' metadata lines (solver, status, objective, bound, walltime, message)
 and one 'name value' line per column. This module owns that format:
 `solution_text` writes it (for `solver_cli` and for the in-process solve's
 --workdir copy) and `parse_solution_file` reads it. Each route returns an
-`Answer` over the paper model's columns, the objective constant included,
-and `solve_external` hands it to the one verification step, `_verify`,
-which re-checks feasibility and re-computes the objective before trusting
-it. A command that fails or outruns its grace period raises SolverFailed,
-as a failed certificate does, and `solve_external` turns it into an error
-result.
+`Answer` over the columns of the model it solved, the objective constant
+included, and `solve_external` hands it with that model to the one
+verification step, `_verify`, which checks the placement against every
+constraint family and re-computes the objective before trusting it. A
+command that fails or outruns its grace period raises SolverFailed, and
+`solve_external` turns it into an error result.
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ import numpy as np
 from . import engine
 from .instance import Cell, Instance
 from .model import (
+    BuiltModel,
+    CompactModel,
+    InfeasiblePlacement,
     MilpModel,
     ObjectiveBreakdown,
+    build_compact_model,
     build_model,
-    certify,
-    check_placement,
-    compact_model,
     evaluate_solution,
     lift,
     objective_normalizers,
@@ -121,7 +122,6 @@ class SolveResult:
     bound: float | None = None
     wall_time: float = 0.0
     breakdown: ObjectiveBreakdown | None = None
-    variables: np.ndarray | None = None  # solved columns, VariableLayout order
     message: str = ""
     formulation: str | None = None  # the MILP solved: "compact" or "paper"
 
@@ -343,8 +343,7 @@ class Answer:
 
 
 class SolverFailed(RuntimeError):
-    """The solver command failed or outran its grace period, or an answer failed
-    its certificate."""
+    """The solver command failed or outran its grace period."""
 
 
 def solution_text(column_names: list[str], answer: Answer, wall_time: float) -> str:
@@ -410,7 +409,7 @@ def parse_solution_file(path: Path, model: MilpModel) -> Answer:
 
 
 def placement_from_values(
-    inst: Instance, model: MilpModel, values: np.ndarray
+    inst: Instance, model: BuiltModel, values: np.ndarray
 ) -> engine.Placement:
     """Rebuild a placement from the solved x columns of a column vector."""
     layout = model.layout
@@ -419,13 +418,15 @@ def placement_from_values(
     return engine.Placement(dict(zip(inst.nbs_ids, masks)))
 
 
-def _verify(inst: Instance, model: MilpModel, answer: Answer) -> SolveResult:
-    """Turn a solver's answer into a result, trusting none of it unchecked.
+def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
+    """Turn a solver's answer on `model` into a result, trusting none of it
+    unchecked: the one check of every answer.
 
     The placement is read from the x columns of `answer.x`, checked against
-    every constraint family, and its objective re-computed directly from the
-    fields with the model's normalizers; a reported objective that differs by
-    more than OBJECTIVE_MATCH_TOL is an error.
+    every constraint family (`avg_nonneg` included), and its objective
+    re-computed directly from the fields with the model's normalizers; a
+    reported objective that differs by more than OBJECTIVE_MATCH_TOL is an
+    error.
     """
     status, values, bound = answer.status, answer.x, answer.bound
     if status == STATUS_INFEASIBLE:
@@ -452,22 +453,19 @@ def _verify(inst: Instance, model: MilpModel, answer: Answer) -> SolveResult:
         )
 
     placement = placement_from_values(inst, model, values)
-    violations = check_placement(inst, placement)
-    if violations:
-        families = sorted({v.family for v in violations})
+    try:
+        breakdown = evaluate_solution(inst, placement, norms=model.norms)
+    except InfeasiblePlacement as exc:
+        families = sorted({v.family for v in exc.violations})
         return SolveResult(
             status=STATUS_ERROR,
             backend="external",
-            variables=values,
             message=f"solver placement violates: {', '.join(families)}",
         )
-    breakdown = evaluate_solution(inst, placement, norms=model.norms, check=False)
-
     if answer.objective is not None and not values_close(breakdown.total, answer.objective):
         return SolveResult(
             status=STATUS_ERROR,
             backend="external",
-            variables=values,
             message=(
                 f"objective mismatch: solver {answer.objective!r}, "
                 f"re-evaluated {breakdown.total!r}"
@@ -480,46 +478,44 @@ def _verify(inst: Instance, model: MilpModel, answer: Answer) -> SolveResult:
         objective=breakdown.total,
         bound=bound if bound is not None else breakdown.total,
         breakdown=breakdown,
-        variables=values,
     )
 
 
-def _solve_in_process(model: MilpModel, config: SolveConfig) -> Answer:
-    """The bundled HiGHS's answer on the compact model, lifted into the paper
-    layout: an answer over the paper model's columns. SolverFailed when the
-    lifted answer fails the certificate."""
+def _solve_in_process(inst: Instance, config: SolveConfig) -> tuple[CompactModel, Answer]:
+    """The compact model, and the bundled HiGHS's answer on it: over its
+    columns, with its objective. With `config.workdir` set, the paper model
+    and the answer lifted into its columns, with the paper objective, are
+    written there as a solver command leaves them."""
     # imported on the first solve, so that `import nbsopt` loads no HiGHS binding
     from . import solver_cli
 
     started = time.perf_counter()
-    compact = compact_model(model)
-    derived = time.perf_counter()
+    model = build_compact_model(inst)
+    built = time.perf_counter()
     logger.info(
-        "compact model: %d rows, %d columns, %d nonzeros (paper model: %d, %d, %d), "
-        "guard binaries per guarded measure %s, derived in %.4f s",
-        *compact.a.shape, compact.a.nnz, *model.a.shape, model.a.nnz, compact.guarded,
-        derived - started,
+        "compact model: %d rows, %d columns, %d nonzeros (rows/nonzeros per family: %s), "
+        "guard binaries per guarded measure %s, built in %.4f s", *model.a.shape, model.a.nnz,
+        ", ".join(f"{b.tag} {len(b.labels)}/{len(b.indices)}" for b in model.constraints),
+        model.guarded, built - started,
     )
-    answer = solver_cli.solve_mps(compact, config.time_limit, config.gap)
-    solved = time.perf_counter()
-    headline = "HiGHS on the compact model: %s in %.4f s, %s nodes, MIP gap %s"
-    effort = (answer.status, solved - derived, answer.mip_node_count, answer.mip_gap)
-    if answer.x is None:
-        # no vector to certify: the compact model solves the paper model, so
-        # its status and bound are the paper model's
-        logger.info(headline, *effort)
-        return answer
-    values = lift(model, compact, answer.x)
-    failure = certify(model, values, answer.objective)
+    answer = solver_cli.solve_mps(model, config.time_limit, config.gap)
     logger.info(
-        headline + "; certificate %s in %.4f s", *effort,
-        f"failed: {failure}" if failure else "passed", time.perf_counter() - solved,
+        "HiGHS on the compact model: %s in %.4f s, %s nodes, MIP gap %s",
+        answer.status, time.perf_counter() - built, answer.mip_node_count, answer.mip_gap,
     )
-    if failure:
-        raise SolverFailed(f"the compact model's answer fails the certificate: {failure}")
-    # the answer, restated over the paper model's columns and objective
-    objective = float(values @ model.c) + model.objective_constant
-    return replace(answer, x=values, objective=objective)
+    if config.workdir is not None:
+        workdir = Path(config.workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
+        paper = build_model(inst, model.norms)
+        export_interchange(paper, workdir / "model.mps")
+        lifted = answer
+        if answer.x is not None:
+            values = lift(paper, model, answer.x)
+            objective = float(values @ paper.c) + paper.objective_constant
+            lifted = replace(answer, x=values, objective=objective)
+        text = solution_text(paper.layout.column_names(), lifted, time.perf_counter() - started)
+        (workdir / "solution.sol").write_text(text, encoding="utf-8")
+    return model, answer
 
 
 def _solve_with_command(model: MilpModel, config: SolveConfig, template: str) -> Answer:
@@ -564,22 +560,14 @@ def solve_external(inst: Instance, config: SolveConfig | None = None) -> SolveRe
     `config.workdir` when that is set; a solver command writes its own."""
     config = config or SolveConfig(backend="external")
     t0 = time.perf_counter()
-    model = build_model(inst)
     template = config.resolved_solver_cmd()
+    model: BuiltModel
     try:
         if template is not None:
+            model = build_model(inst)
             answer = _solve_with_command(model, config, template)
         else:
-            started = time.perf_counter()
-            answer = _solve_in_process(model, config)
-            if config.workdir is not None:
-                workdir = Path(config.workdir)
-                workdir.mkdir(parents=True, exist_ok=True)
-                export_interchange(model, workdir / "model.mps")
-                text = solution_text(
-                    model.layout.column_names(), answer, time.perf_counter() - started
-                )
-                (workdir / "solution.sol").write_text(text, encoding="utf-8")
+            model, answer = _solve_in_process(inst, config)
     except SolverFailed as exc:
         result = SolveResult(status=STATUS_ERROR, backend="external", message=str(exc))
     else:

@@ -3,9 +3,9 @@ subprocess that reads MPS, solves with HiGHS and writes a solution file.
 
 Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
-Both go through `solve_mps`, which takes a MilpModel, the CompactModel sliced
-from one, or the MpsData that `mps.read_mps` gets from HiGHS's own MPS
-reader: each is a MipProblem. Every one reaches the HiGHS that scipy bundles
+Both go through `solve_mps`, which takes a MilpModel, a CompactModel, or the
+MpsData that `mps.read_mps` gets from HiGHS's own MPS reader: each is a
+MipProblem. Every one reaches the HiGHS that scipy bundles
 through its `_Highs` binding as the same arrays (the CSR matrix passed as
 HiGHS's row-wise one, with no copy made here) with the same options, so a
 file exported from a model is solved exactly as the model is in-process.

@@ -7,9 +7,11 @@ independent of the production code paths they check.
 from __future__ import annotations
 
 import csv
+import importlib
 import shlex
 import sys
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,20 @@ from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement
 from nbsopt.instance import validate_instance
 from nbsopt.kernels import TEMP_MAX, Kernel, default_kernel_set
-from nbsopt.model import MilpModel, linearization_big_m
-from nbsopt.solve import SolveConfig, SolveResult
+from nbsopt.model import (
+    FEAS_TOL,
+    SENSE_EQ,
+    SENSE_GE,
+    SENSE_LE,
+    CompactModel,
+    MilpModel,
+    MipProblem,
+    build_model,
+    lift,
+    linearization_big_m,
+    values_close,
+)
+from nbsopt.solve import Answer, SolveConfig, SolveResult
 
 # The directory holding the package under test, for child processes to import
 # it from whether or not PYTHONPATH names it.
@@ -46,8 +60,13 @@ def solve_paper_model(inst: Instance, model: MilpModel, config: SolveConfig) -> 
     return _verify(inst, model, solver_cli.solve_mps(model, config.time_limit, config.gap))
 
 
-def spy_on_highs(monkeypatch) -> list[dict]:
-    """Record what every in-process HiGHS call is given, then make the call.
+class HighsNotRun(Exception):
+    """Raised by a `spy_on_highs(..., run=False)` spy in place of a HiGHS run."""
+
+
+def spy_on_highs(monkeypatch, run: bool = True) -> list[dict]:
+    """Record what every in-process HiGHS call is given, then make the call,
+    or raise HighsNotRun instead when `run` is false.
 
     Each entry holds the arrays `nbsopt.solver_cli` hands HiGHS: the
     objective `c`, the CSR matrix `a` that HiGHS takes row-wise, `row_lower`,
@@ -64,10 +83,196 @@ def spy_on_highs(monkeypatch) -> list[dict]:
 
     def spy(options, **arrays):
         calls.append({**arrays, "options": dict(options)})
+        if not run:
+            raise HighsNotRun
         return real(options, **arrays)
 
     monkeypatch.setattr(solver_cli, "_run_highs", spy)
     return calls
+
+
+def record_answers(monkeypatch) -> list[tuple[MilpModel | CompactModel, Answer]]:
+    """Record the model and the answer of every solve that reaches
+    `nbsopt.solve._verify`, the one check of a solver's answer."""
+    solve = importlib.import_module("nbsopt.solve")  # not the package's `solve` function
+    seen: list[tuple[MilpModel | CompactModel, Answer]] = []
+    real = solve._verify
+
+    def verify(inst, model, answer):
+        seen.append((model, answer))
+        return real(inst, model, answer)
+
+    monkeypatch.setattr(solve, "_verify", verify)
+    return seen
+
+
+# --- The paper model's certificate of a compact answer ----------------------------
+
+
+def constraint_residuals(model: MipProblem, values: np.ndarray) -> float:
+    """Largest violation of any row or column bound of `model` at `values`
+    (<= 0 is feasible). Row violations are relative to 1 + |rhs|, as
+    check_placement measures the budget's."""
+    lhs = model.a @ values
+    gap = np.where(
+        model.sense == SENSE_LE,
+        lhs - model.rhs,
+        np.where(model.sense == SENSE_GE, model.rhs - lhs, np.abs(lhs - model.rhs)),
+    )
+    rows = gap / (1.0 + np.abs(model.rhs))
+    cols = np.maximum(model.lower - values, values - model.upper)
+    return float(max(rows.max(initial=-np.inf), cols.max(initial=-np.inf)))
+
+
+def certify(model: MilpModel, values: np.ndarray, objective: float) -> str:
+    """Why the paper-layout vector `values` is not a solution of `model` with
+    an objective at most `objective`, or "" when it is.
+
+    A vector that passes, lifted from an optimum of the compact model (a
+    relaxation of `model`), is optimal for `model` too.
+    """
+    worst = constraint_residuals(model, values)
+    if worst > FEAS_TOL:
+        return f"a row or column bound is violated by {worst:.3g}"
+    lifted = float(values @ model.c) + model.objective_constant
+    if lifted > objective and not values_close(lifted, objective):
+        return f"lifted objective {lifted!r} exceeds the compact {objective!r}"
+    return ""
+
+
+def certify_compact_answer(inst: Instance, compact: CompactModel, answer: Answer) -> str:
+    """`certify` on the paper model for a compact answer, lifted into the
+    paper model's columns."""
+    model = build_model(inst, compact.norms)
+    return certify(model, lift(model, compact, answer.x), answer.objective)
+
+
+# --- The compact model sliced from the paper model ----------------------------------
+
+
+@dataclass(eq=False)
+class SlicedModel(MipProblem):
+    """`compact_model`'s problem: `columns` holds the paper-model column of
+    each column, and `guarded` the guard binaries of each guarded measure."""
+
+    columns: np.ndarray
+    guarded: dict[str, int]
+
+
+def impact_bounds_from_rows(model: MilpModel) -> np.ndarray:
+    """M_c per (u, cell), read from the paper model's conv rows: each source
+    cell in the row adds its largest coefficient over the NBS types that may
+    be newly installed there, into a (cell, window offset) array."""
+    layout, a, blocks = model.layout, model.a, {b.tag: b for b in model.constraints}
+    n, h = layout.n_cells, layout.height
+    installable = np.ones(layout.y_base, dtype=bool)  # one per x column
+    installable[blocks["forbidden"].indices] = False
+    installable.reshape(-1, n)[:, blocks["pre_existing"].indices % n] = False
+    first = model.rows("conv").start
+    bounds = np.zeros((len(layout.measure_ids), n))
+    for ui, bound in enumerate(bounds):
+        ptr = a.indptr[first + ui * n : first + (ui + 1) * n + 1]
+        cell, col = np.repeat(np.arange(n), np.diff(ptr)), a.indices[ptr[0] : ptr[-1]]
+        ok = col < layout.y_base  # x entries, not the lead z
+        ok[ok] = installable[col[ok]]
+        cell, src, coef = cell[ok], col[ok] % n, a.data[ptr[0] : ptr[-1]][ok]
+        di, dj = src // h - cell // h, src % h - cell % h
+        r = max(np.abs(di).max(initial=0), np.abs(dj).max(initial=0))
+        largest = np.zeros((n, 2 * r + 1, 2 * r + 1))
+        np.maximum.at(largest, (cell, di + r, dj + r), -coef)
+        bound[:] = largest.sum(axis=(1, 2))
+    return bounds
+
+
+def compact_model(model: MilpModel) -> SlicedModel:
+    """The compact model sliced from the paper model's matrix: the reference
+    for `build_compact_model`, which builds it from the instance.
+
+    The bigm and fairness rows go, and so do the z, zavg and f columns; each
+    z column is mapped onto its zbar column, the conv rows become `<=` rows
+    (`=` for the unguarded cells of a guarded measure), the avg rows `<=`
+    rows, and zbar is capped at delta. zavg and f leave the objective through
+    the rows that define them. The guard rows come last.
+    """
+    from scipy import sparse
+
+    layout = model.layout
+    a, n_rows, n_vars = model.a, model.n_constraints, model.n_variables
+    avg, fair, conv = model.rows("avg"), model.rows("fairness"), model.rows("conv")
+    n_u, n = len(layout.measure_ids), layout.n_cells
+
+    # c' = c - c_def @ A_def and const' = const + c_def @ rhs_def; each defined
+    # column leads its row with coefficient 1, so its own cost cancels
+    c_def = np.zeros(n_rows)
+    c_def[avg] = model.c[layout.zavg_base : layout.f_base]
+    c_def[fair] = model.c[layout.f_base : layout.lam_base]
+    c = model.c - a.T @ c_def
+    constant = model.objective_constant + float(c_def @ model.rhs)
+
+    # bigm4, the fourth row of each (u, cell) group, reads zbar <= delta
+    delta = model.rhs[model.rows("bigm")][3::6]
+    bound = impact_bounds_from_rows(model).ravel()
+    reach = np.minimum(bound, delta).reshape(n_u, n).sum(axis=1)
+    guarded = reach > model.rhs[model.rows("peak")].reshape(n_u, n).sum(axis=1)
+    guarded_cell = np.repeat(guarded, n)  # per (u, cell), as the conv rows
+    binary = guarded_cell & (bound > delta)
+    binaries = binary.reshape(n_u, n).sum(axis=1)
+
+    keep_col = np.ones(n_vars, dtype=bool)
+    keep_col[layout.y_base : layout.z_base] = binary
+    keep_col[layout.z_base : layout.zbar_base] = False  # z
+    keep_col[layout.zavg_base : layout.lam_base] = False  # zavg and f
+    columns = np.flatnonzero(keep_col)
+    new_col = np.full(n_vars, -1, dtype=a.indices.dtype)
+    new_col[columns] = np.arange(len(columns))
+    # z sits after every x and y column and zbar after every z, so rows stay sorted
+    new_col[layout.z_base : layout.zbar_base] = new_col[layout.zbar_base : layout.zmax_base]
+
+    keep_row = np.ones(n_rows, dtype=bool)
+    keep_row[model.rows("bigm")] = False
+    keep_row[fair] = False
+    sense = model.sense.copy()
+    sense[conv] = np.where(guarded_cell & ~binary, SENSE_EQ, SENSE_LE)
+    sense[avg] = SENSE_LE
+
+    col = new_col[a.indices]
+    keep = np.repeat(keep_row, np.diff(a.indptr)) & (col >= 0)
+    starts = a.indptr[np.append(np.flatnonzero(keep_row), n_rows)]
+    indptr = np.concatenate(([0], np.cumsum(keep)))[starts]
+    upper = model.upper[columns]
+    upper[new_col[layout.zbar_base : layout.zmax_base]] = delta
+    shape = (len(starts) - 1, len(columns))
+    compact = sparse.csr_matrix((a.data[keep], col[keep], indptr), shape=shape)
+    sense, rhs = sense[keep_row], model.rhs[keep_row]
+
+    cells = np.flatnonzero(binary)
+    if cells.size:
+        y, zbar = new_col[layout.y_base + cells], new_col[layout.zbar_base + cells]
+        slack, k = bound[cells] - delta[cells], np.arange(len(cells))
+        guard_shape = (len(cells), shape[1])
+        new_row = np.cumsum(keep_row) - 1
+        tight = compact[new_row[conv.start + cells]] - sparse.csr_matrix(
+            (slack, (k, y)), shape=guard_shape
+        )
+        floor = sparse.csr_matrix(
+            (np.r_[delta[cells], np.ones(len(k))], (np.r_[k, k], np.r_[y, zbar])),
+            shape=guard_shape,
+        )
+        compact = sparse.vstack([compact, tight, floor], format="csr")
+        sense = np.concatenate((sense, np.full(2 * len(k), SENSE_GE)))
+        rhs = np.concatenate((rhs, -slack, delta[cells]))
+    return SlicedModel(
+        a=compact,
+        sense=sense,
+        rhs=rhs,
+        c=c[columns],
+        objective_constant=constant,
+        lower=model.lower[columns],
+        upper=upper,
+        is_integer=model.is_integer[columns],
+        columns=columns,
+        guarded={u: int(b) for u, g, b in zip(layout.measure_ids, guarded, binaries) if g},
+    )
 
 
 def naive_correlate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:

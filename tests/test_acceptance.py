@@ -31,7 +31,13 @@ from nbsopt.mps import export_interchange
 from nbsopt.solve import SolveConfig, solve_external, solve_oracle
 from nbsopt.suite import desk_suite
 
-from _helpers import cluster_demo_instance, make_instance, solve_paper_model
+from _helpers import (
+    cluster_demo_instance,
+    make_instance,
+    record_answers,
+    solve_paper_model,
+    variable_vector,
+)
 
 SUITE_SIZE = 50
 REL_TOL = 1e-6
@@ -106,17 +112,21 @@ def test_c01_oracle_milp_equivalence(suite_results):
           f"{elapsed:.1f}s): PASS")
 
 
-def test_c02_linearization_property(suite_results):
-    # the default solve lifts the compact optimum into the paper layout; the
-    # paper model's big-M rows are checked by solving the paper model itself
+def test_c02_linearization_property(suite_results, monkeypatch):
+    # the default solve's placement embedded in the paper layout with its
+    # defined columns; the paper model's big-M rows are checked by solving the
+    # paper model itself
     results, _ = suite_results
     config = SolveConfig(backend="external", time_limit=120.0)
+    answers = record_answers(monkeypatch)
     for seed, inst, model, _, external in results:
         paper = solve_paper_model(inst, model, config)
         assert paper.status == "optimal", f"seed {seed}: paper model {paper.status}"
+        [(_, answer)] = answers
+        answers.clear()
         layout = model.layout
         n = layout.n_cells
-        for vals in (external.variables, paper.variables):
+        for vals in (variable_vector(inst, model, external.placement), answer.x):
             for ui, u in enumerate(layout.measure_ids):
                 delta = inst.delta(u)
                 z = vals[layout.z_base + ui * n : layout.z_base + (ui + 1) * n]

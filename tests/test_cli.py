@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import shlex
@@ -148,18 +149,26 @@ class TestSolveAndReport:
 
     def test_a_failed_certificate_exits_3(self, tiny_instance_path, tmp_path, monkeypatch,
                                           capsys):
-        # the compact model solves the paper model exactly, so a lifted
-        # answer that fails the certificate is a defect, not a second solve
+        # the compact model solves the paper model exactly, so an answer that
+        # fails the check is a defect, not a second solve; here the objective
+        # HiGHS reports is planted 1e-3 off the placement's
+        from nbsopt import solver_cli
+
         calls = spy_on_highs(monkeypatch)
-        monkeypatch.setattr(sys.modules["nbsopt.solve"], "certify",
-                            lambda *args: "a planted reason")
+        real = solver_cli.solve_mps
+
+        def planted(*args):
+            answer = real(*args)
+            return dataclasses.replace(answer, objective=answer.objective + 1e-3)
+
+        monkeypatch.setattr(solver_cli, "solve_mps", planted)
         out = tmp_path / "r.json"
         assert run(["solve", str(tiny_instance_path), "--backend", "external",
                     "--out", str(out)]) == 3
         assert len(calls) == 1
         result = json.loads(out.read_text())
         assert (result["status"], result["metadata"]["formulation"]) == ("error", "compact")
-        assert "a planted reason" in result["metadata"]["message"]
+        assert "objective mismatch" in result["metadata"]["message"]
         assert "solve.error" in capsys.readouterr().err
 
     def test_gap_reaches_the_solver(self, tiny_instance_path, tmp_path):

@@ -13,7 +13,6 @@ from nbsopt.model import (
     big_m_values,
     build_model,
     check_placement,
-    constraint_residuals,
     evaluate_solution,
     expected_variable_count,
     impact_bounds,
@@ -26,6 +25,8 @@ from nbsopt.suite import desk_suite
 from _helpers import (
     clamp_witness,
     cluster_demo_instance,
+    constraint_residuals,
+    impact_bounds_from_rows,
     make_instance,
     variable_vector,
 )
@@ -206,9 +207,10 @@ class TestImpactBounds:
         if clustered:
             inst = with_clusters(inst, partition_instance(inst, inst.nbs_ids[:1]))
         assert any(inst.masks.pre_existing.values())
-        np.testing.assert_allclose(
-            impact_bounds(build_model(inst)), naive_impact_bounds(inst), rtol=1e-12
-        )
+        bounds = impact_bounds(inst, inst.measure_ids)
+        np.testing.assert_allclose(bounds, naive_impact_bounds(inst), rtol=1e-12)
+        # summed as when read back from the paper model's conv rows
+        np.testing.assert_array_equal(bounds, impact_bounds_from_rows(build_model(inst)))
 
 
 class TestEvaluateSolution:

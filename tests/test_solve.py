@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 import shlex
@@ -19,11 +20,9 @@ from nbsopt.engine import Placement
 from nbsopt.instance import ObjectiveWeights
 from nbsopt.model import (
     OBJECTIVE_MATCH_TOL,
+    build_compact_model,
     build_model,
-    certify,
     check_placement,
-    compact_model,
-    constraint_residuals,
     evaluate_solution,
     lift,
 )
@@ -43,8 +42,13 @@ from nbsopt.suite import desk_instance, desk_suite
 
 from _helpers import (
     SRC,
+    HighsNotRun,
+    certify,
     cluster_demo_instance,
+    compact_model,
+    constraint_residuals,
     make_instance,
+    record_answers,
     solve_paper_model,
     solver_cli_template,
     spy_on_highs,
@@ -232,7 +236,7 @@ class TestAvgDomain:
         from nbsopt import solver_cli
 
         model = build_model(inst)
-        guarded = compact_model(model)
+        guarded = build_compact_model(inst)
         # every cell has a guard binary, so no conv row is an equality
         assert guarded.guarded == {"M": inst.dims.n_cells}
         layout = model.layout
@@ -279,10 +283,12 @@ def test_guarded_instances_match_the_paper_model(monkeypatch, seed, side, nbs, m
     model = build_model(inst)
     assert compact_model(model).guarded
     calls = spy_on_highs(monkeypatch)
+    answers = record_answers(monkeypatch)
     result = solve_external(inst, EXTERNAL)
     assert len(calls) == 1
     assert (result.status, result.formulation) == ("optimal", "compact")
-    assert certify(model, result.variables, result.objective) == ""
+    [(compact, answer)] = answers
+    assert certify(model, lift(model, compact, answer.x), answer.objective) == ""
     paper = solve_paper_model(inst, model, EXTERNAL)
     assert paper.status == "optimal"
     assert values_close(result.objective, paper.objective)
@@ -327,9 +333,10 @@ class TestInProcess:
             np.testing.assert_array_equal(mem["col_upper"], file["col_upper"])
             assert mem["options"] == file["options"]
 
-    def test_matches_the_solver_cli_template(self, problem_instances):
+    def test_matches_the_solver_cli_template(self, monkeypatch, problem_instances):
         template = SolveConfig(backend="external", time_limit=60.0,
                                solver_cmd=solver_cli_template())
+        answers = record_answers(monkeypatch)
         for inst in problem_instances:
             model = build_model(inst)
             paper = solve_paper_model(inst, model, EXTERNAL)
@@ -340,7 +347,9 @@ class TestInProcess:
             assert (paper.status, paper.objective, paper.bound) == (b.status, b.objective, b.bound)
             for t in inst.nbs_ids:
                 np.testing.assert_array_equal(paper.placement.masks[t], b.placement.masks[t])
-            np.testing.assert_array_equal(paper.variables, b.variables)
+            (_, in_process), _, (_, through_file) = answers
+            answers.clear()
+            np.testing.assert_array_equal(in_process.x, through_file.x)
             # the compact model: the same optimum, up to ties between placements
             assert compact.status == b.status
             assert values_close(compact.objective, b.objective, OBJECTIVE_MATCH_TOL)
@@ -367,21 +376,32 @@ class TestInProcess:
         assert solve_external(inst, cfg).status == "optimal"
         assert len(calls) == 1
 
-    def test_workdir_files_describe_the_solve(self, tmp_path):
+    def test_workdir_files_describe_the_solve(self, tmp_path, monkeypatch):
+        # the paper model as `nbsopt build` writes it, and the compact answer
+        # lifted into its columns, with the paper objective
+        from nbsopt import cli
+        from nbsopt.instance import save_instance
+
         inst = generate_synthetic(2, GridDims(3, 3), nbs_count=1, measure_count=1,
                                   forbidden_fraction=0.7, pre_existing_fraction=0.0)
         model = build_model(inst)
+        answers = record_answers(monkeypatch)
         cfg = SolveConfig(backend="external", time_limit=60, workdir=tmp_path / "w")
         result = solve_external(inst, cfg)
         assert result.status == "optimal"
-        export_interchange(model, tmp_path / "expected.mps")
+        save_instance(inst, tmp_path / "inst.json")
+        assert cli.main(["build", str(tmp_path / "inst.json"),
+                         "--out", str(tmp_path / "built.mps")]) == 0
         assert ((tmp_path / "w" / "model.mps").read_bytes()
-                == (tmp_path / "expected.mps").read_bytes())
+                == (tmp_path / "built.mps").read_bytes())
         answer = parse_solution_file(tmp_path / "w" / "solution.sol", model)
         assert answer.status == "optimal"
         assert answer.bound == result.bound
         assert values_close(answer.objective, result.objective)
-        np.testing.assert_array_equal(answer.x, result.variables)
+        [(compact, solved)] = answers
+        lifted = lift(model, compact, solved.x)
+        np.testing.assert_array_equal(answer.x, lifted)
+        assert answer.objective == float(lifted @ model.c) + model.objective_constant
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         # nor the HiGHS binding, which the first solve loads
@@ -397,12 +417,15 @@ class TestInProcess:
 class TestCompactSolve:
     def test_highs_gets_the_paper_matrix_sliced(self, monkeypatch, problem_instances):
         calls = spy_on_highs(monkeypatch)
+        answers = record_answers(monkeypatch)
         for inst in problem_instances:
             model = build_model(inst)
             result = solve_external(inst, EXTERNAL)
             assert (result.status, result.formulation) == ("optimal", "compact")
             [call] = calls
             calls.clear()
+            [(compact, answer)] = answers
+            answers.clear()
 
             # row mask: every family but the big-M and fairness rows
             tags = np.concatenate([[b.tag] * len(b.labels) for b in model.constraints])
@@ -450,7 +473,7 @@ class TestCompactSolve:
             paper = variable_vector(inst, model, result.placement)
             objective = call["c"] @ paper[kept] + compact_model(model).objective_constant
             assert objective == pytest.approx(paper @ model.c + model.objective_constant, abs=1e-9)
-            assert constraint_residuals(model, result.variables) <= 1e-9
+            assert constraint_residuals(model, lift(model, compact, answer.x)) <= 1e-9
 
     def test_no_incumbent_is_verified_without_the_paper_model(self, monkeypatch):
         # the compact model's status and bound are the paper model's
@@ -496,6 +519,77 @@ class TestCompactSolve:
         assert values_close(compact.objective, paper.objective)
         for result in (paper, compact):
             assert check_placement(inst, result.placement) == []
+
+
+def _clustered(seed: int, side: int):
+    """A benchmark-style instance: 4 NBS types, 4 measures, urban parks clustered."""
+    inst = generate_synthetic(seed, GridDims(side, side), nbs_count=4, measure_count=4,
+                              forbidden_fraction=0.55, pre_existing_fraction=0.05)
+    return with_clusters(inst, partition_instance(inst, ["UP"]))
+
+
+def _guarded(seed, side, nbs, measures, clustered):
+    inst = generate_synthetic(seed, GridDims(side, side), nbs_count=nbs,
+                              measure_count=measures, forbidden_fraction=0.5,
+                              pre_existing_fraction=0.05)
+    return with_clusters(inst, partition_instance(inst, inst.nbs_ids[:1])) if clustered else inst
+
+
+# The desk suite, the mid-size benchmark's sizes, every guarded case and the
+# guarded 20x20 seed-3 instance, by a label and a builder.
+BUILT_CASES = (
+    [(f"desk-{seed}", lambda seed=seed: desk_instance(seed)) for seed, _ in desk_suite(20)]
+    + [(f"mid-{side}", lambda side=side: _clustered(4, side)) for side in (12, 14, 16, 18)]
+    + [(f"guarded-{case[0]}", lambda case=case: _guarded(*case)) for case in GUARDED]
+    + [("20x20-s3", lambda: _clustered(3, 20))]
+)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
+        a, b = a.astype(float).view(np.uint64), b.astype(float).view(np.uint64)
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("label, make", BUILT_CASES, ids=[label for label, _ in BUILT_CASES])
+def test_highs_gets_the_arrays_sliced_from_the_paper_model(monkeypatch, label, make):
+    # the compact model built from the instance is, bit for bit, the one
+    # sliced from the paper model's matrix; HiGHS runs on neither
+    from nbsopt import solver_cli
+
+    inst = make()
+    calls = spy_on_highs(monkeypatch, run=False)
+    with pytest.raises(HighsNotRun):
+        solve_external(inst, EXTERNAL)
+    with pytest.raises(HighsNotRun):
+        solver_cli.solve_mps(compact_model(build_model(inst)), EXTERNAL.time_limit, EXTERNAL.gap)
+    built, sliced = calls
+    for name in ("c", "row_lower", "row_upper", "col_lower", "col_upper", "integrality"):
+        assert _same_bits(built[name], sliced[name]), name
+    assert built["a"].shape == sliced["a"].shape
+    for name in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(built["a"], name), getattr(sliced["a"], name)), name
+    assert built["options"] == sliced["options"]
+
+
+@pytest.mark.parametrize("inst", [desk_instance(1), _guarded(*GUARDED[0])],
+                         ids=["desk-1", "guarded"])
+def test_the_default_solve_builds_no_paper_model(monkeypatch, inst):
+    model, mps, solve_module = (
+        importlib.import_module(f"nbsopt.{name}") for name in ("model", "mps", "solve")
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default solve reached the paper model")
+
+    for module, name in ((model, "build_model"), (model, "lift"), (mps, "export_interchange"),
+                         (solve_module, "build_model"), (solve_module, "lift"),
+                         (solve_module, "export_interchange")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.delenv("NBSOPT_SOLVER_CMD", raising=False)
+    result = solve_external(inst, EXTERNAL)
+    assert (result.status, result.formulation) == ("optimal", "compact")
 
 
 class TestSolutionParsing:
