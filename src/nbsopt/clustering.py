@@ -11,16 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .instance import Cell, Instance
 
 DEFAULT_MIN_SIZE = 5
 DEFAULT_MAX_SIZE = 50
 DEFAULT_CLUSTERED_NBS = ("UP",)
-
-# 4-connectivity: no diagonal adjacency.
-_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass
@@ -44,18 +40,42 @@ def label_components(mask: np.ndarray) -> list[list[Cell]]:
     """Maximal 4-connected regions of True cells, as sorted coordinate lists.
 
     Components are ordered by their first cell in row-major order, which makes
-    the output independent of any internal labeling order. One stable sort of
-    the labels groups the cells, each label's in row-major order.
+    the output independent of any internal labeling order.
+
+    The True cells of each row form runs, numbered in row-major order of their
+    first cell. Runs that touch across adjacent rows are joined with a
+    union-find whose root is always the smallest run of its set, so a
+    component's root is the run holding its first cell. One stable sort of
+    the cells by root groups them, each component's in row-major order.
     """
     mask = np.asarray(mask, dtype=bool)
-    labeled, n = ndimage.label(mask, structure=_STRUCTURE)
-    ii, jj = np.unravel_index(np.argsort(labeled, axis=None, kind="stable"), mask.shape)
-    cells = list(zip(ii.tolist(), jj.tolist()))
-    ends = np.cumsum(np.bincount(labeled.ravel(), minlength=n + 1)).tolist()
-    # label 0, the background, comes first
-    components = [cells[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    components.sort(key=lambda cells: cells[0])
-    return components
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]  # a run starts where its left neighbour is False
+    run = np.cumsum(starts).reshape(mask.shape) - 1  # the run of each True cell
+    parent = list(range(int(starts.sum())))
+    if not parent:
+        return []
+
+    def root(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    touching = mask[:-1] & mask[1:]  # cells whose lower neighbour is True
+    n_runs = len(parent)
+    pairs = np.unique(run[:-1][touching] * n_runs + run[1:][touching])
+    for upper, lower in zip(*(p.tolist() for p in np.divmod(pairs, n_runs))):
+        a, b = root(upper), root(lower)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    roots = np.array([root(r) for r in range(len(parent))], dtype=np.int64)
+    ii, jj = np.nonzero(mask)
+    labels = roots[run[ii, jj]]
+    order = np.argsort(labels, kind="stable")
+    cells = list(zip(ii[order].tolist(), jj[order].tolist()))
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(cells)]
+    return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def build_partition(

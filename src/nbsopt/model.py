@@ -18,9 +18,10 @@ pre-existing cells, zero padded); six big-M rows per (u, i, j) encoding
 zbar = min(z, delta); peak rows zmax >= a - zbar; mean rows; fairness rows.
 Each family has one row builder, which builds its rows from whole index
 arrays (the windowed sums apply each kernel's offsets to the full cell grid);
-the families are stacked once into one row-sorted CSR matrix, and a
-ConstraintBlock names a family's rows. Row and column names are formatted
-only on request.
+the families are stacked once into one CsrMatrix, a compressed sparse row
+matrix over numpy arrays whose rows are put in column order by one stable
+sort of all entries, and a ConstraintBlock names a family's rows. Row and
+column names are formatted only on request.
 
 The minimized objective is the weighted sum of normalized peak, mean, and
 cost terms minus the normalized total fairness. Peak and mean terms divide by
@@ -31,23 +32,20 @@ Two models share the row builders: the paper model (`build_model`), which
 `nbsopt build` and the swap-in solver path write as MPS, and the compact model
 the in-process solve hands HiGHS (`build_compact_model`), built straight from
 the instance with no big-M or fairness rows and no z, zavg or f columns.
-`lift` restates a compact answer in the paper model's columns.
+`lift` restates a compact answer in the paper model's columns, mapping each
+compact column to its paper column from the layout and the guard cells.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import engine
 from .instance import Cell, Instance
 from .kernels import Kernel, compute_big_m
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 SENSE_LE = "<="
 SENSE_EQ = "="
@@ -105,6 +103,47 @@ class ConstraintBlock:
         return _format_labels(self.name_format, self.labels)
 
 
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse matrix in compressed sparse row form, the form HiGHS takes as
+    its row-wise matrix: row r holds the coefficients
+    `data[indptr[r] : indptr[r + 1]]` in the columns
+    `indices[indptr[r] : indptr[r + 1]]`, increasing, none repeated."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_rows(cls, counts: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                  n_cols: int) -> CsrMatrix:
+        """The matrix whose row r holds the next `counts[r]` entries of
+        `indices` and `data`, which are already in column order."""
+        # 32-bit indices where they fit, the type HiGHS takes them in
+        index = np.int32 if max(len(indices), n_cols) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(len(counts) + 1, dtype=index)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(indptr, indices.astype(index, copy=False), data, (len(counts), n_cols))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def row_of_entries(self) -> np.ndarray:
+        """The row of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indptr.dtype), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """`a @ x` for a vector `x`: each row's products added in storage
+        order to 0.0, as scipy's CSR product adds them, so the two agree bit
+        for bit."""
+        if np.shape(x) != (self.shape[1],):
+            raise ValueError(f"a {self.shape} matrix times a vector of shape {np.shape(x)}")
+        products = self.data * np.asarray(x, dtype=float)[self.indices]
+        return np.bincount(self.row_of_entries(), products, minlength=self.shape[0])
+
+
 # A family's rows before stacking: per-row entry counts, then the columns and
 # coefficients row by row, with each row's sense and right-hand side.
 _Family = namedtuple("_Family", "tag name_format labels counts indices coeffs sense rhs")
@@ -126,7 +165,7 @@ def _rows(
         name_format,
         labels,
         per_row(np.asarray(counts, dtype=np.int64)),
-        # column indices fit int32, the type scipy keeps them in at these sizes
+        # column indices fit int32, the type HiGHS takes them in at these sizes
         np.asarray(indices, dtype=np.int32),
         np.asarray(coeffs, dtype=float),
         per_row(np.asarray(sense)),
@@ -135,20 +174,32 @@ def _rows(
 
 
 def _stack(families: list[_Family], n_cols: int):
-    """Every family's rows, in order, as one CSR matrix with sorted columns in
-    each row, with the per-row sense and right-hand side and one
-    ConstraintBlock per family. Empties `families`, so each family's arrays
-    are freed once stacked."""
-    from scipy import sparse
+    """Every family's rows, in order, as one CsrMatrix, with the per-row
+    sense and right-hand side and one ConstraintBlock per family. Empties
+    `families`, so each family's arrays are freed once stacked.
 
+    One stable sort of the entries by (row, column) puts each row in column
+    order; two entries in the same row and column raise ValueError.
+    """
     tags, formats, labels, counts, indices, coeffs, sense, rhs = zip(*families)
     families.clear()
-    indptr = np.zeros(sum(map(len, labels)) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    indices = np.concatenate(indices)
-    coeffs = np.concatenate(coeffs)
-    a = sparse.csr_matrix((coeffs, indices, indptr), shape=(len(indptr) - 1, n_cols))
-    a.sum_duplicates()  # sorted columns in each row, the form read_mps returns
+    counts, indices, coeffs = map(np.concatenate, (counts, indices, coeffs))
+    # each index array is dropped once used: at 50x50 each holds 11 MB
+    key = np.repeat(np.arange(len(counts), dtype=np.int64) * n_cols, counts)
+    key += indices
+    order = np.argsort(key, kind="stable")
+    del key
+    indices, coeffs = indices[order], coeffs[order]
+    del order
+    a = CsrMatrix.from_rows(counts, indices, coeffs, n_cols)
+    # sorted, a repeated entry lies next to its twin, in the same row
+    repeated = indices[1:] == indices[:-1]
+    starts = a.indptr[1:-1]
+    repeated[starts[(starts > 0) & (starts < a.nnz)] - 1] = False  # across a row start
+    if repeated.any():
+        at = int(np.argmax(repeated))
+        row = int(np.searchsorted(a.indptr, at, side="right")) - 1
+        raise ValueError(f"row {row} has two entries in column {indices[at]}")
     bounds = np.cumsum([0, *map(len, labels)])
     blocks = [
         ConstraintBlock(tag, name_format, rows, a.indices[a.indptr[lo] : a.indptr[hi]])
@@ -161,13 +212,13 @@ def _stack(families: list[_Family], n_cols: int):
 class MipProblem:
     """Minimize `c @ x + objective_constant` subject to `a @ x` against `rhs`
     row by row, with the row's `sense`, and `lower <= x <= upper`, integer
-    where `is_integer`.
+    where `is_integer`, with `a` one CsrMatrix.
 
-    `a` is one CSR matrix with sorted columns in every row. The paper model,
-    the compact model and a model read from MPS all extend this.
+    The paper model, the compact model and a model read from MPS all extend
+    this.
     """
 
-    a: sparse.csr_matrix
+    a: CsrMatrix
     sense: np.ndarray
     rhs: np.ndarray
     c: np.ndarray
@@ -213,11 +264,12 @@ class MilpModel(BuiltModel):
 @dataclass(eq=False)
 class CompactModel(BuiltModel):
     """The model the in-process solve hands HiGHS (`build_compact_model`);
-    `columns` holds the paper-model column of each column, and `guarded` the
-    number of guard binaries of each guarded measure.
+    `guard_cells` holds the (measure, cell) pair, measure-major, of each guard
+    binary, and `guarded` the number of guard binaries of each guarded
+    measure.
     """
 
-    columns: np.ndarray
+    guard_cells: np.ndarray
     guarded: dict[str, int]
 
 
@@ -688,7 +740,6 @@ def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> Com
     upper[layout.zmax_base : layout.zavg_base] = np.inf
     is_integer = np.ones(n_vars, dtype=bool)
     is_integer[layout.zbar_base : layout.zavg_base] = False
-    paper = VariableLayout(inst)  # for the paper model's column of each column
     binaries = binary.reshape(n_u, n).sum(axis=1)
     a, sense, rhs, blocks = _stack(families, n_vars)
     return CompactModel(
@@ -696,8 +747,7 @@ def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> Com
         objective_constant=wf * norms.fairness_min + float(c_def @ rhs_def),
         lower=np.zeros(n_vars), upper=upper, is_integer=is_integer, constraints=blocks,
         layout=layout, norms=norms,
-        columns=np.r_[: paper.y_base, paper.y_base + cells, paper.zbar_base : paper.zavg_base,
-                      paper.lam_base : paper.n_variables],
+        guard_cells=cells,
         guarded={u: int(b) for u, g, b in zip(mids, guarded, binaries) if g},
     )
 
@@ -712,8 +762,11 @@ def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndar
     lead column, which is 0 in the vector it is read from.
     """
     layout = model.layout
+    # the paper column of each compact column: x, the guard y, zbar, zmax, lam
+    columns = np.r_[: layout.y_base, layout.y_base + compact.guard_cells,
+                    layout.zbar_base : layout.zavg_base, layout.lam_base : layout.n_variables]
     v = np.zeros(model.n_variables)
-    v[compact.columns] = np.round(values)
+    v[columns] = np.round(values)
     v[layout.y_base : layout.lam_base] = 0.0
 
     def defined(tag: str, lhs: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ INTORG/INTEND integrality markers) / RHS / BOUNDS / ENDATA, one coefficient
 per line, names as written by the model builder. Binary variables carry BV
 bounds. An objective constant is encoded as minus the RHS entry of the
 objective row, the convention shared by common solvers. The writer reads the
-model's one constraint matrix, with the nonzeros of the objective vector as
-an extra first row. Output is byte-deterministic for a given model.
+model's one constraint matrix (a `model.CsrMatrix`) column by column, through
+one stable sort of its entries by column, and writes each column's objective
+coefficient, when nonzero, before the column's matrix entries; it makes no
+second copy of the matrix. Output is byte-deterministic for a given model.
 
 The text is assembled CHUNK_LINES lines at a time, with no Python call per
 line: a chunk's pieces (shared separators, row and column names indexed from
@@ -17,12 +19,13 @@ coefficients and right-hand sides, and looked up by bit pattern, so -0.0 and
 0.0 keep their own text.
 
 The reader hands the file to the HiGHS that scipy bundles and turns the model
-HiGHS read into an MpsData, a MipProblem like MilpModel (one CSR matrix `a`,
-per-row `sense` and `rhs`, objective vector `c`), so the solver entry point
-takes either. It shares no code with the writer. HiGHS parses leniently: it
-reads an unknown section header as a row name and drops a non-numeric or
-repeated coefficient without saying so. The files read here are the ones this
-writer produced, and every answer is checked against the instance again.
+HiGHS read into an MpsData, a MipProblem like MilpModel (one CsrMatrix `a`,
+sorted from HiGHS's column-wise matrix, per-row `sense` and `rhs`, objective
+vector `c`), so the solver entry point takes either. It shares no code with
+the writer. HiGHS parses leniently: it reads an unknown section header as a
+row name and drops a non-numeric or repeated coefficient without saying so.
+The files read here are the ones this writer produced, and every answer is
+checked against the instance again.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from typing import Iterator
 
 import numpy as np
 import scipy
-from scipy import sparse
 
-from .model import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, MipProblem
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, CsrMatrix, MilpModel, MipProblem
 
 _SENSE_TO_CODE = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
 
@@ -87,19 +89,31 @@ def iter_mps_text(model: MilpModel) -> Iterator[str]:
         [OBJECTIVE_ROW] + [s for b in model.constraints for s in b.row_names()],
         dtype=object,
     )
-    rhs = model.rhs
-    # the objective's nonzeros as row 0; each column's entries sorted by row
-    a = sparse.vstack([sparse.csr_matrix(model.c[None, :]), model.a], format="csc")
-
-    covered = np.diff(a.indptr) > 0
-    if not covered.all():
-        missing = col_names[int(np.argmin(covered))]
+    a, c, rhs = model.a, model.c, model.rhs
+    # The COLUMNS lines, column by column: the objective's entry, when it is
+    # nonzero, then the matrix's entries, rows ascending. `order` visits the
+    # matrix's entries that way, and `line_row` holds each line's index into
+    # `row_names`, 0 (the objective) for an objective line. `order` takes the
+    # index type of `a.indptr`, 32 bits where the entry count fits.
+    order = np.argsort(a.indices, kind="stable").astype(a.indptr.dtype)
+    in_objective = c != 0.0
+    per_column = np.bincount(a.indices, minlength=model.n_variables) + in_objective
+    if not per_column.all():
+        missing = col_names[int(np.argmin(per_column))]
         raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
+    line_column = np.repeat(np.arange(model.n_variables, dtype=np.int32), per_column)
+    ends = np.cumsum(per_column)
+    from_matrix = np.ones(len(line_column), dtype=bool)
+    from_matrix[(ends - per_column)[in_objective]] = False
+    line_row = np.zeros(len(line_column), dtype=np.int32)
+    line_row[from_matrix] = a.row_of_entries()[order] + 1
 
     # Every coefficient's and right-hand side's text, " repr\n", once per
     # distinct bit pattern, so -0.0 and 0.0 stay apart. The matrix's patterns
     # are made unique on their own first, so its data is never copied whole.
-    bits = np.union1d(np.unique(a.data.view(np.int64)), rhs.view(np.int64))
+    bits = np.unique(np.concatenate(
+        (np.unique(a.data.view(np.int64)), c[in_objective].view(np.int64), rhs.view(np.int64))
+    ))
     value_text = np.array([f" {v!r}\n" for v in bits.view(float).tolist()], dtype=object)
 
     def values(v: np.ndarray) -> np.ndarray:
@@ -114,17 +128,20 @@ def iter_mps_text(model: MilpModel) -> Iterator[str]:
     yield "COLUMNS\n"
     is_integer = model.is_integer
     edges = np.flatnonzero(is_integer[1:] != is_integer[:-1]) + 1
-    in_integer, marker = False, 0
+    in_integer, marker, entry = False, 0, 0
     for start, stop in zip([0, *edges.tolist()], [*edges.tolist(), model.n_variables]):
         if is_integer[start] != in_integer:
             in_integer = not in_integer
             yield f" M{marker} 'MARKER' '{'INTORG' if in_integer else 'INTEND'}'\n"
             marker += 1
-        for lo in range(a.indptr[start], a.indptr[stop], CHUNK_LINES):
-            hi = min(lo + CHUNK_LINES, a.indptr[stop])
-            cols = np.searchsorted(a.indptr, np.arange(lo, hi), side="right") - 1
-            rows = row_names[a.indices[lo:hi]]
-            yield _lines(" ", col_names[cols], " ", rows, values(a.data[lo:hi]))
+        for lo in range(ends[start] - per_column[start], ends[stop - 1], CHUNK_LINES):
+            hi = min(lo + CHUNK_LINES, ends[stop - 1])
+            cols, matrix = line_column[lo:hi], from_matrix[lo:hi]
+            taken = int(matrix.sum())
+            coef = c[cols]  # the objective's, replaced below on the matrix's lines
+            coef[matrix] = a.data[order[entry : entry + taken]]
+            entry += taken
+            yield _lines(" ", col_names[cols], " ", row_names[line_row[lo:hi]], values(coef))
     if in_integer:
         yield f" M{marker} 'MARKER' 'INTEND'\n"
 
@@ -231,11 +248,14 @@ def read_mps(path: str | Path) -> MpsData:
     if set(kinds) - {continuous, integer}:
         raise MpsFormatError("semi-continuous and semi-integer columns are not supported")
 
+    # HiGHS holds the matrix column by column; a stable sort by row keeps
+    # each row's entries in column order
     m = lp.a_matrix_
-    a = sparse.csc_matrix(
-        (np.array(m.value_, dtype=float), np.array(m.index_, dtype=int), np.array(m.start_)),
-        shape=(lp.num_row_, lp.num_col_),
-    ).tocsr()
+    rows = np.array(m.index_, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    cols = np.repeat(np.arange(lp.num_col_), np.diff(m.start_))
+    a = CsrMatrix.from_rows(np.bincount(rows, minlength=lp.num_row_), cols[order],
+                            np.array(m.value_, dtype=float)[order], lp.num_col_)
     # kHighsInf is IEEE infinity, so the column bounds need no mapping
     return MpsData(
         a=a,

@@ -28,6 +28,7 @@ from nbsopt.model import (
     SENSE_GE,
     SENSE_LE,
     CompactModel,
+    CsrMatrix,
     MilpModel,
     MipProblem,
     build_model,
@@ -40,6 +41,15 @@ from nbsopt.solve import Answer, SolveConfig, SolveResult
 # The directory holding the package under test, for child processes to import
 # it from whether or not PYTHONPATH names it.
 SRC = Path(nbsopt.__file__).resolve().parents[1]
+
+
+def to_scipy(a: CsrMatrix):
+    """`a` as a `scipy.sparse.csr_matrix` over the same arrays, for tests that
+    slice a matrix, count its entries per row or take its columns; the
+    package's CsrMatrix does none of that."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def solver_cli_template() -> str:
@@ -197,7 +207,7 @@ def compact_model(model: MilpModel) -> SlicedModel:
     from scipy import sparse
 
     layout = model.layout
-    a, n_rows, n_vars = model.a, model.n_constraints, model.n_variables
+    a, n_rows, n_vars = to_scipy(model.a), model.n_constraints, model.n_variables
     avg, fair, conv = model.rows("avg"), model.rows("fairness"), model.rows("conv")
     n_u, n = len(layout.measure_ids), layout.n_cells
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import (
@@ -44,6 +47,40 @@ class TestLabelComponents:
         mask = np.random.default_rng(300).random((300, 300)) < 0.45
         components = label_components(mask)
         assert len(components) > 1000
+        assert components == flood_fill_components(mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(0, 14), st.integers(0, 14))))
+    def test_matches_flood_fill_under_hypothesis(self, mask):
+        assert label_components(mask) == flood_fill_components(mask)
+
+    @pytest.mark.parametrize("mask", [
+        np.ones((1, 9), dtype=bool),
+        np.array([[True, False, True, True, False, True]]),
+        np.ones((9, 1), dtype=bool),
+        np.array([[True], [False], [True], [True]]),
+        np.indices((7, 8)).sum(axis=0) % 2 == 0,  # checkerboard: every cell alone
+        np.zeros((5, 6), dtype=bool),
+        np.ones((5, 6), dtype=bool),
+        np.zeros((0, 4), dtype=bool),
+    ], ids=["1xN", "1xN-gaps", "Nx1", "Nx1-gaps", "checkerboard", "empty", "full", "no-rows"])
+    def test_matches_flood_fill_on_edge_shapes(self, mask):
+        assert label_components(mask) == flood_fill_components(mask)
+
+    @pytest.mark.parametrize("side", [5, 8, 21])
+    def test_a_spiral_is_one_component(self, side):
+        # a path winding clockwise inwards with a gap between its turns, so
+        # that its rows join only at the corners
+        mask = np.zeros((side, side), dtype=bool)
+        lengths = [side] + [n for n in range(side - 1, 0, -2) for _ in range(2)]
+        i, j = 0, -1
+        for k, length in enumerate(lengths):
+            di, dj = [(0, 1), (1, 0), (0, -1), (-1, 0)][k % 4]
+            for _ in range(length):
+                i, j = i + di, j + dj
+                mask[i, j] = True
+        components = label_components(mask)
+        assert len(components) == 1
         assert components == flood_fill_components(mask)
 
     def test_partition_property(self):

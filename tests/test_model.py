@@ -10,6 +10,8 @@ from nbsopt.instance import ObjectiveWeights
 from nbsopt.model import (
     InfeasiblePlacement,
     _format_labels,
+    _rows,
+    _stack,
     big_m_values,
     build_model,
     check_placement,
@@ -28,6 +30,7 @@ from _helpers import (
     constraint_residuals,
     impact_bounds_from_rows,
     make_instance,
+    to_scipy,
     variable_vector,
 )
 
@@ -116,7 +119,7 @@ class TestOneMatrix:
 
     def test_rows_have_sorted_columns(self, suite_models):
         for model in suite_models:
-            assert model.a.has_sorted_indices
+            assert to_scipy(model.a).has_sorted_indices
 
     def test_families_tile_the_rows_in_order(self, suite_models):
         for model in suite_models:
@@ -126,6 +129,47 @@ class TestOneMatrix:
             np.testing.assert_array_equal(
                 np.concatenate([b.indices for b in blocks]), model.a.indices
             )
+
+
+class TestCsrMatrix:
+    @staticmethod
+    def stack(counts, indices, coeffs, n_cols):
+        labels = np.arange(len(counts))[:, None]
+        return _stack([_rows("t", "t{}", labels, counts, indices, coeffs, "<=", 0.0)], n_cols)[0]
+
+    def test_a_repeated_entry_is_an_error(self):
+        with pytest.raises(ValueError, match="row 1 has two entries in column 2"):
+            self.stack([1, 3], [2, 2, 0, 2], np.ones(4), 3)
+
+    def test_a_column_may_end_one_row_and_start_the_next(self):
+        a = self.stack([2, 0, 2], [0, 2, 2, 1], np.ones(4), 3)
+        assert a.indptr.tolist() == [0, 2, 2, 4]
+        assert a.indices.tolist() == [0, 2, 1, 2]
+
+    def test_entries_are_sorted_within_each_row(self):
+        a = self.stack([1, 3, 0], [1, 2, 0, 1], [2.0, 1.0, 3.0, 4.0], 3)
+        assert a.shape == (3, 3)
+        assert a.indptr.tolist() == [0, 1, 4, 4]
+        assert a.indices.tolist() == [1, 0, 1, 2]
+        assert a.data.tolist() == [2.0, 3.0, 4.0, 1.0]
+        assert a.nnz == 4
+
+    def test_product_matches_scipy_bit_for_bit(self, suite_models):
+        # `lift` reads its defined columns from this product
+        rng = np.random.default_rng(5)
+        for model in suite_models:
+            expected = to_scipy(model.a)
+            for x in (rng.normal(size=model.n_variables),
+                      rng.integers(0, 2, model.n_variables).astype(float),
+                      rng.normal(size=model.n_variables) * 10.0 ** rng.integers(-9, 9)):
+                np.testing.assert_array_equal(
+                    (model.a @ x).view(np.uint64), (expected @ x).view(np.uint64)
+                )
+
+    def test_product_needs_one_value_per_column(self, suite_models):
+        a = suite_models[0].a
+        with pytest.raises(ValueError):
+            a @ np.ones(a.shape[1] + 1)
 
 
 class TestNormalizers:

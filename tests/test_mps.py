@@ -18,7 +18,7 @@ from nbsopt.mps import (
 )
 from nbsopt.suite import desk_suite
 
-from _helpers import cluster_demo_instance, make_instance
+from _helpers import cluster_demo_instance, make_instance, to_scipy
 
 
 @pytest.fixture
@@ -56,7 +56,7 @@ class TestWriter:
         link_rows = [r for r, name in enumerate(data.row_names) if name.startswith("link_")]
         assert len(link_rows) == 5  # one row per cluster cell
         for r in link_rows:
-            row = data.a[[r]]
+            row = to_scipy(data.a)[[r]]
             entries = {data.column_names[c]: v for c, v in zip(row.indices, row.data)}
             assert data.sense[r] == "="
             assert data.rhs[r] == 0.0
@@ -73,7 +73,7 @@ class TestWriter:
         assert data.column_names == model.layout.column_names()
         assert data.row_names == [s for b in model.constraints for s in b.row_names()]
         np.testing.assert_array_equal(data.sense, model.sense)
-        np.testing.assert_array_equal(data.a.toarray(), model.a.toarray())
+        np.testing.assert_array_equal(to_scipy(data.a).toarray(), to_scipy(model.a).toarray())
         np.testing.assert_array_equal(data.rhs, model.rhs)
         np.testing.assert_array_equal(data.c, model.c)
         assert data.objective_constant == model.objective_constant
@@ -97,7 +97,7 @@ def _reference_text(model) -> str:
     lines = ["NAME nbsopt\n", "ROWS\n", " N obj\n"]
     lines += [f" {code[s]} {row}\n" for s, row in zip(model.sense.tolist(), rows)]
     lines.append("COLUMNS\n")
-    a = model.a.tocsc()
+    a = to_scipy(model.a).tocsc()
     in_integer, marker = False, 0
     for j, column in enumerate(columns):
         if model.is_integer[j] != in_integer:
@@ -153,7 +153,7 @@ class TestWriterOracle:
         model = build_model(inst)
         # the writer's chunks restart at each integrality run of the matrix
         # with the objective on top; one of them must split a column
-        starts = np.r_[0, np.cumsum(np.diff(model.a.tocsc().indptr) + (model.c != 0))]
+        starts = np.r_[0, np.cumsum(np.diff(to_scipy(model.a).tocsc().indptr) + (model.c != 0))]
         runs = np.flatnonzero(np.diff(model.is_integer.astype(int))) + 1
         bounds = [b for lo, hi in zip(starts[np.r_[0, runs]], starts[np.r_[runs, -1]])
                   for b in range(lo + CHUNK_LINES, hi, CHUNK_LINES)]
@@ -319,5 +319,12 @@ class TestReader:
         assert data.c.tolist() == [1.0]
         assert data.sense.tolist() == ["<=", ">="]
         assert data.rhs.tolist() == [4.0, 1.0]
-        assert data.a.toarray().tolist() == [[2.0], [3.0]]
+        assert to_scipy(data.a).toarray().tolist() == [[2.0], [3.0]]
         assert data.upper[0] == 9.0
+
+    def test_a_matrix_without_entries(self, tmp_path):
+        text = ("NAME t\nROWS\n N obj\n L c1\nCOLUMNS\n x obj 1.0\nRHS\n rhs c1 4.0\n"
+                "BOUNDS\n UP bnd x 9.0\nENDATA\n")
+        data = _read(tmp_path, text)
+        assert data.a.shape == (1, 1) and data.a.nnz == 0
+        assert data.a.indptr.tolist() == [0, 0]

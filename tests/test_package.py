@@ -90,6 +90,18 @@ def test_no_module_imports_scipy_optimize():
     assert imported == [], f"scipy.optimize imported: {imported}"
 
 
+def test_no_module_imports_scipy_sparse_or_ndimage():
+    """The package runs on numpy alone, apart from the HiGHS binding: no
+    import statement names `scipy.sparse` or `scipy.ndimage`, whose imports
+    cost a process more than the rest of the package."""
+    imported = [f"{path.name}: {name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+                for banned in ("scipy.sparse", "scipy.ndimage")
+                if name == banned or name.startswith(banned + ".")]
+    assert imported == [], f"scipy subpackages imported: {imported}"
+
+
 def test_the_binding_is_named_only_in_highs_binding():
     """Outside docstrings, the binding's module name (or any name in
     `scipy.optimize`) is written only in `mps.highs_binding`, so every use of
@@ -144,6 +156,29 @@ def test_a_solve_loads_the_binding_but_not_scipy_optimize(tmp_path):
     assert _run_python(f"import sys\nfrom nbsopt import solver_cli\n{main}\n{LOADED}") \
         == ["False", "True"]
     assert "# status optimal" in (tmp_path / "m.sol").read_text().splitlines()
+
+
+def test_no_workload_loads_scipy_sparse_or_ndimage(tmp_path):
+    """Neither importing the package, nor a solve, nor `nbsopt build`, nor
+    the solver program on an MPS file loads `scipy.sparse` or
+    `scipy.ndimage`."""
+    unloaded = "print('scipy.sparse' in sys.modules, 'scipy.ndimage' in sys.modules)\n"
+    mps, sol = tmp_path / "m.mps", tmp_path / "m.sol"
+    code = (
+        f"import sys\nimport nbsopt\n{unloaded}{DESK_SOLVE}{unloaded}"
+        "import contextlib\nfrom nbsopt import cli\nfrom nbsopt.instance import save_instance\n"
+        f"save_instance(inst, {str(tmp_path / 'i.json')!r})\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        f"    code = cli.main(['build', {str(tmp_path / 'i.json')!r}, '--out', {str(mps)!r}])\n"
+        "print(code)\n"
+        f"{unloaded}"
+        "from nbsopt import solver_cli\n"
+        f"print(solver_cli.main([{str(mps)!r}, {str(sol)!r}, '10']))\n"
+        f"{unloaded}"
+    )
+    assert _run_python(code) == ["False", "False", "optimal", "False", "False",
+                                 "0", "False", "False", "0", "False", "False"]
+    assert "# status optimal" in sol.read_text().splitlines()
 
 
 def test_scipy_optimize_works_after_a_solve():

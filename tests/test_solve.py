@@ -52,6 +52,7 @@ from _helpers import (
     solve_paper_model,
     solver_cli_template,
     spy_on_highs,
+    to_scipy,
     variable_vector,
 )
 
@@ -240,13 +241,15 @@ class TestAvgDomain:
         # every cell has a guard binary, so no conv row is an equality
         assert guarded.guarded == {"M": inst.dims.n_cells}
         layout = model.layout
-        is_y = (guarded.columns >= layout.y_base) & (guarded.columns < layout.z_base)
-        guard_rows = guarded.a[:, is_y].getnnz(axis=1) > 0
+        is_y = np.zeros(guarded.n_variables, dtype=bool)
+        is_y[guarded.layout.y_base : guarded.layout.z_base] = True
+        a = to_scipy(guarded.a)
+        guard_rows = a[:, is_y].getnnz(axis=1) > 0
         relaxed = replace(
-            guarded, a=guarded.a[~guard_rows][:, ~is_y], sense=guarded.sense[~guard_rows],
+            guarded, a=a[~guard_rows][:, ~is_y], sense=guarded.sense[~guard_rows],
             rhs=guarded.rhs[~guard_rows], c=guarded.c[~is_y], lower=guarded.lower[~is_y],
             upper=guarded.upper[~is_y], is_integer=guarded.is_integer[~is_y],
-            columns=guarded.columns[~is_y], guarded={},
+            guard_cells=guarded.guard_cells[:0], guarded={},
         )
         for compact, optimum, passes in ((relaxed, 1 / 6, False), (guarded, 19 / 72, True)):
             answer = solver_cli.solve_mps(compact, 60.0)
@@ -321,7 +324,7 @@ class TestInProcess:
         for mem, file in zip(calls[::2], calls[1::2]):
             np.testing.assert_array_equal(mem["c"], file["c"])
             a_mem, a_file = mem["a"], file["a"]
-            assert a_mem.has_sorted_indices and a_file.has_sorted_indices
+            assert to_scipy(a_mem).has_sorted_indices and to_scipy(a_file).has_sorted_indices
             assert a_mem.shape == a_file.shape
             np.testing.assert_array_equal(a_mem.indptr, a_file.indptr)
             np.testing.assert_array_equal(a_mem.indices, a_file.indices)
@@ -443,10 +446,10 @@ class TestCompactSolve:
                 (np.ones(len(mapped)), (mapped, target[mapped])),
                 shape=(model.n_variables, len(kept)),
             )
-            expected = sparse.csr_matrix(model.a[rows] @ column_map)
+            expected = sparse.csr_matrix(to_scipy(model.a)[rows] @ column_map)
             expected.sort_indices()
             seen = call["a"]
-            assert seen.has_sorted_indices
+            assert to_scipy(seen).has_sorted_indices
             assert seen.shape == expected.shape
             np.testing.assert_array_equal(seen.indptr, expected.indptr)
             np.testing.assert_array_equal(seen.indices, expected.indices)
@@ -571,6 +574,32 @@ def test_highs_gets_the_arrays_sliced_from_the_paper_model(monkeypatch, label, m
     for name in ("indptr", "indices", "data"):
         assert _same_bits(getattr(built["a"], name), getattr(sliced["a"], name)), name
     assert built["options"] == sliced["options"]
+
+
+@pytest.mark.parametrize("label, make", BUILT_CASES, ids=[label for label, _ in BUILT_CASES])
+def test_stacked_rows_match_scipy(monkeypatch, label, make):
+    # each model's rows, before stacking, summed into scipy's canonical CSR
+    # form give the very arrays of the stacked matrix
+    model_module = importlib.import_module("nbsopt.model")
+    real, stacked = model_module._stack, []
+
+    def spy(families, n_cols):
+        counts, indices, coeffs = (np.concatenate([getattr(f, name) for f in families])
+                                   for name in ("counts", "indices", "coeffs"))
+        indptr = np.r_[0, np.cumsum(counts)]
+        expected = sparse.csr_matrix((coeffs, indices, indptr), shape=(len(counts), n_cols))
+        expected.sum_duplicates()
+        stacked.append(expected)
+        return real(families, n_cols)
+
+    monkeypatch.setattr(model_module, "_stack", spy)
+    inst = make()
+    models = [build_model(inst), build_compact_model(inst)]
+    assert len(stacked) == len(models)
+    for model, expected in zip(models, stacked):
+        assert model.a.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            assert _same_bits(getattr(model.a, name), getattr(expected, name)), name
 
 
 @pytest.mark.parametrize("inst", [desk_instance(1), _guarded(*GUARDED[0])],
