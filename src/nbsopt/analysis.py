@@ -148,7 +148,6 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
         placement_categories=categories,
         metadata={
             "backend": result.backend,
-            "formulation": result.formulation,
             "status": result.status,
             "wall_time": result.wall_time,
             "objective": result.objective,

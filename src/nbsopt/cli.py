@@ -93,7 +93,6 @@ def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
         "objective_terms": result.breakdown.to_dict() if result.breakdown else None,
         "metadata": {
             "backend": result.backend,
-            "formulation": result.formulation,
             "wall_time": result.wall_time,
             "message": result.message,
         },
@@ -136,7 +135,6 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
         bound=raw.get("bound"),
         wall_time=float(wall_time),
         message=meta.get("message", ""),
-        formulation=meta.get("formulation"),
     )
 
 
@@ -190,15 +188,14 @@ def cmd_kernels(args: argparse.Namespace, config: dict) -> int:
 def cmd_cluster(args: argparse.Namespace, config: dict) -> int:
     inst = load_instance(args.instance)
     nbs_ids = args.nbs if args.nbs else None
-    partition = clustering.partition_instance(
+    clusters = clustering.partition_instance(
         inst,
         nbs_ids=nbs_ids,
         min_size=int(_pick(args, config, "min", clustering.DEFAULT_MIN_SIZE)),
         max_size=int(_pick(args, config, "max", clustering.DEFAULT_MAX_SIZE)),
     )
-    annotated = clustering.with_clusters(inst, partition)
-    save_instance(annotated, args.out)
-    total = sum(len(e.clusters) for e in partition.entries.values())
+    save_instance(clustering.with_clusters(inst, clusters), args.out)
+    total = sum(map(len, clusters.values()))
     print(f"wrote {args.out} ({total} cluster(s))")
     return EXIT_OK
 
@@ -366,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, help="relative MIP gap (default 0)")
     p.add_argument("--solver-cmd", dest="solver_cmd", help="command template")
     p.add_argument("--cap", type=int, help="oracle decision-unit cap (default 16)")
-    p.add_argument("--workdir", help="keep the solve's model.mps and solution.sol here "
-                   "(the default solves in-process; --solver-cmd runs a subprocess over MPS)")
+    p.add_argument("--workdir", help="keep the solved model's model.mps and solution.sol "
+                   "here (the compact model; the default solves in-process, --solver-cmd "
+                   "runs a subprocess over MPS)")
     p.add_argument("--out", help="write the result JSON here")
     p.add_argument("--config")
     p.set_defaults(func=cmd_solve)

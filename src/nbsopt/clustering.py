@@ -8,7 +8,7 @@ bundled type that needs contiguous ground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,23 +17,6 @@ from .instance import Cell, Instance
 DEFAULT_MIN_SIZE = 5
 DEFAULT_MAX_SIZE = 50
 DEFAULT_CLUSTERED_NBS = ("UP",)
-
-
-@dataclass
-class PartitionEntry:
-    """The clusters of one NBS type; its other eligible cells stay
-    individually placeable."""
-
-    nbs_id: str
-    clusters: list[list[Cell]]
-
-
-@dataclass
-class ClusterPartition:
-    entries: dict[str, PartitionEntry]
-
-    def as_instance_clusters(self) -> dict[str, list[list[Cell]]]:
-        return {t: e.clusters for t, e in sorted(self.entries.items())}
 
 
 def label_components(mask: np.ndarray) -> list[list[Cell]]:
@@ -83,7 +66,7 @@ def build_partition(
     nbs_id: str,
     min_size: int = DEFAULT_MIN_SIZE,
     max_size: int = DEFAULT_MAX_SIZE,
-) -> PartitionEntry:
+) -> list[list[Cell]]:
     """Cluster one NBS type's eligible cells by connected component size.
 
     Components inside [min_size, max_size] become clusters. Smaller and larger
@@ -93,13 +76,11 @@ def build_partition(
         raise ValueError(f"cluster sizes must be >= 1, got min {min_size} and max {max_size}")
     if min_size > max_size:
         raise ValueError(f"min_size {min_size} > max_size {max_size}")
-    eligible = inst.eligible_mask(nbs_id)
-    clusters = [
+    return [
         component
-        for component in label_components(eligible)
+        for component in label_components(inst.eligible_mask(nbs_id))
         if min_size <= len(component) <= max_size
     ]
-    return PartitionEntry(nbs_id=nbs_id, clusters=clusters)
 
 
 def partition_instance(
@@ -107,16 +88,15 @@ def partition_instance(
     nbs_ids: list[str] | None = None,
     min_size: int = DEFAULT_MIN_SIZE,
     max_size: int = DEFAULT_MAX_SIZE,
-) -> ClusterPartition:
-    """Partition the given NBS types (default: urban parks, when present)."""
+) -> dict[str, list[list[Cell]]]:
+    """The clusters of the given NBS types (default: urban parks, when
+    present), keyed by NBS id in sorted order, as `Instance.clusters` holds
+    them."""
     if nbs_ids is None:
         nbs_ids = [t for t in DEFAULT_CLUSTERED_NBS if t in inst.nbs_ids]
-    entries = {t: build_partition(inst, t, min_size, max_size) for t in nbs_ids}
-    return ClusterPartition(entries=entries)
+    return {t: build_partition(inst, t, min_size, max_size) for t in sorted(nbs_ids)}
 
 
-def with_clusters(inst: Instance, partition: ClusterPartition) -> Instance:
-    """Copy of the instance annotated with the partition's clusters."""
-    from dataclasses import replace
-
-    return replace(inst, clusters=partition.as_instance_clusters())
+def with_clusters(inst: Instance, clusters: dict[str, list[list[Cell]]]) -> Instance:
+    """Copy of the instance annotated with `clusters`."""
+    return replace(inst, clusters=clusters)

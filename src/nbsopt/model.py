@@ -29,11 +29,10 @@ the field maximum, cost by the budget, and fairness is min-max scaled between
 the pre-existing-only total and the best single-type-everywhere total.
 
 Two models share the row builders: the paper model (`build_model`), which
-`nbsopt build` and the swap-in solver path write as MPS, and the compact model
-the in-process solve hands HiGHS (`build_compact_model`), built straight from
-the instance with no big-M or fairness rows and no z, zavg or f columns.
-`lift` restates a compact answer in the paper model's columns, mapping each
-compact column to its paper column from the layout and the guard cells.
+`nbsopt build` writes as MPS, and the compact model every solve hands its
+solver (`build_compact_model`), built straight from the instance with no
+big-M or fairness rows and no z, zavg or f columns, and y columns only for
+its guard cells. Each model's VariableLayout names its own columns.
 """
 
 from __future__ import annotations
@@ -133,15 +132,6 @@ class CsrMatrix:
     def row_of_entries(self) -> np.ndarray:
         """The row of every stored entry, in storage order."""
         return np.repeat(np.arange(self.shape[0], dtype=self.indptr.dtype), np.diff(self.indptr))
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """`a @ x` for a vector `x`: each row's products added in storage
-        order to 0.0, as scipy's CSR product adds them, so the two agree bit
-        for bit."""
-        if np.shape(x) != (self.shape[1],):
-            raise ValueError(f"a {self.shape} matrix times a vector of shape {np.shape(x)}")
-        products = self.data * np.asarray(x, dtype=float)[self.indices]
-        return np.bincount(self.row_of_entries(), products, minlength=self.shape[0])
 
 
 # A family's rows before stacking: per-row entry counts, then the columns and
@@ -246,15 +236,6 @@ class BuiltModel(MipProblem):
     def n_constraints(self) -> int:
         return self.a.shape[0]
 
-    def rows(self, tag: str) -> slice:
-        """The rows of the constraint family `tag`, as a slice of `a`."""
-        start = 0
-        for block in self.constraints:
-            if block.tag == tag:
-                return slice(start, start + len(block.labels))
-            start += len(block.labels)
-        raise KeyError(tag)
-
 
 @dataclass(eq=False)
 class MilpModel(BuiltModel):
@@ -263,22 +244,19 @@ class MilpModel(BuiltModel):
 
 @dataclass(eq=False)
 class CompactModel(BuiltModel):
-    """The model the in-process solve hands HiGHS (`build_compact_model`);
-    `guard_cells` holds the (measure, cell) pair, measure-major, of each guard
-    binary, and `guarded` the number of guard binaries of each guarded
-    measure.
-    """
+    """The model every solve hands its solver (`build_compact_model`);
+    `guarded` holds the number of guard binaries of each guarded measure."""
 
-    guard_cells: np.ndarray
     guarded: dict[str, int]
 
 
 class VariableLayout:
     """Bijection between (kind, coordinates) and flat column indices: the
-    paper model's, or with `guards` given the compact model's, which has that
-    many y columns and empty z, zavg and f ranges. Names are the paper's."""
+    paper model's, or with `guard_cells` given the compact model's, which has
+    a y column for each guard cell (a (measure, cell) pair, measure-major,
+    as a flat index) and empty z, zavg and f ranges."""
 
-    def __init__(self, inst: Instance, guards: int | None = None):
+    def __init__(self, inst: Instance, guard_cells: np.ndarray | None = None):
         self.width, self.height = inst.dims.shape
         self.n_cells = inst.dims.n_cells
         self.nbs_ids = inst.nbs_ids
@@ -287,10 +265,11 @@ class VariableLayout:
             t: inst.clusters_for(t) for t in self.nbs_ids
         }
         n, n_t, n_u = self.n_cells, len(self.nbs_ids), len(self.measure_ids)
-        paper = guards is None
+        self.guard_cells = guard_cells
+        paper = guard_cells is None
         self.x_base = 0
         self.y_base = n_t * n
-        self.z_base = self.y_base + (n_u * n if paper else guards)
+        self.z_base = self.y_base + (n_u * n if paper else len(guard_cells))
         self.zbar_base = self.z_base + (n_u * n if paper else 0)
         self.zmax_base = self.zbar_base + n_u * n
         self.zavg_base = self.zmax_base + n_u
@@ -305,23 +284,27 @@ class VariableLayout:
 
     def column_names(self) -> list[str]:
         """Every column's name in index order, formatted on each call by
-        `_format_labels`, one kind of column at a time."""
+        `_format_labels`, one kind of column at a time: the compact model
+        names a y column only for each guard cell, and no z, zavg or f
+        column."""
         w, h = self.width, self.height
-        n_t, n_u = len(self.nbs_ids), len(self.measure_ids)
-        names: list[str] = []
-        for name_format, shape in (
-            ("x_t{}_i{}_j{}", (n_t, w, h)),
-            ("y_u{}_i{}_j{}", (n_u, w, h)),
-            ("z_u{}_i{}_j{}", (n_u, w, h)),
-            ("zbar_u{}_i{}_j{}", (n_u, w, h)),
-            ("zmax_u{}", (n_u,)),
-            ("zavg_u{}", (n_u,)),
-            ("f_i{}_j{}", (w, h)),
-        ):
-            names += _format_labels(name_format, _grid_labels(*shape))
+        paper = self.guard_cells is None
+        units = _grid_labels(len(self.measure_ids), w, h)  # (u, i, j), measure-major
+        measures = _grid_labels(len(self.measure_ids))
+        kinds = [
+            ("x_t{}_i{}_j{}", _grid_labels(len(self.nbs_ids), w, h)),
+            ("y_u{}_i{}_j{}", units if paper else units[self.guard_cells]),
+        ]
+        if paper:
+            kinds.append(("z_u{}_i{}_j{}", units))
+        kinds += [("zbar_u{}_i{}_j{}", units), ("zmax_u{}", measures)]
+        if paper:
+            kinds += [("zavg_u{}", measures), ("f_i{}_j{}", _grid_labels(w, h))]
         lam = [(ti, q) for ti, t in enumerate(self.nbs_ids)
                for q in range(len(self.cluster_lists[t]))]
-        return names + _format_labels("lam_t{}_q{}", np.array(lam, dtype=np.int64).reshape(-1, 2))
+        kinds.append(("lam_t{}_q{}", np.array(lam, dtype=np.int64).reshape(-1, 2)))
+        return [name for name_format, labels in kinds
+                for name in _format_labels(name_format, labels)]
 
 
 @dataclass(frozen=True)
@@ -372,23 +355,17 @@ def objective_normalizers(inst: Instance) -> Normalizers:
     )
 
 
-def big_m_values(inst: Instance) -> dict[str, float]:
-    """Per-measure upper bounds on the raw impact z (max kernel sum)."""
-    return {
-        u: compute_big_m([inst.kernel(u, t) for t in inst.nbs_ids])
-        for u in inst.measure_ids
-    }
-
-
 def linearization_big_m(inst: Instance) -> dict[str, float]:
-    """Big-M constants used in the clamp rows.
+    """Big-M constants used in the clamp rows, per measure.
 
-    The impact bound alone is not enough: the rows z >= delta - M*y and
+    The upper bound on the raw impact z (`compute_big_m`, the largest kernel
+    sum) alone is not enough: the rows z >= delta - M*y and
     zbar >= delta - M*y must stay satisfiable at z = 0 with y = 1, which
     needs M >= delta. Take the max of both.
     """
     return {
-        u: max(m, inst.delta(u)) for u, m in big_m_values(inst).items()
+        u: max(compute_big_m([inst.kernel(u, t) for t in inst.nbs_ids]), inst.delta(u))
+        for u in inst.measure_ids
     }
 
 
@@ -694,7 +671,7 @@ def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> Com
     guarded_cell = np.repeat(guarded, n)  # per (u, cell), as the conv rows
     binary = guarded_cell & (bound > delta)
     cells = np.flatnonzero(binary)
-    layout = VariableLayout(inst, guards=len(cells))
+    layout = VariableLayout(inst, guard_cells=cells)
     n_vars = layout.n_variables
     zbar = layout.zbar_base + np.arange(n_u * n)
 
@@ -747,43 +724,8 @@ def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> Com
         objective_constant=wf * norms.fairness_min + float(c_def @ rhs_def),
         lower=np.zeros(n_vars), upper=upper, is_integer=is_integer, constraints=blocks,
         layout=layout, norms=norms,
-        guard_cells=cells,
         guarded={u: int(b) for u, g, b in zip(mids, guarded, binaries) if g},
     )
-
-
-def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndarray:
-    """The paper-layout column vector of a compact solution.
-
-    x and lam are the compact values rounded. Every other column takes the
-    value its rows define: z from the conv rows, `zbar = min(z, delta)`,
-    `y = [z <= delta]`, zmax the largest reduced value (at least 0), zavg
-    from the avg rows and f from the fairness rows, each row solved for its
-    lead column, which is 0 in the vector it is read from.
-    """
-    layout = model.layout
-    # the paper column of each compact column: x, the guard y, zbar, zmax, lam
-    columns = np.r_[: layout.y_base, layout.y_base + compact.guard_cells,
-                    layout.zbar_base : layout.zavg_base, layout.lam_base : layout.n_variables]
-    v = np.zeros(model.n_variables)
-    v[columns] = np.round(values)
-    v[layout.y_base : layout.lam_base] = 0.0
-
-    def defined(tag: str, lhs: np.ndarray) -> np.ndarray:
-        rows = model.rows(tag)
-        return model.rhs[rows] - lhs[rows]
-
-    # bigm4, the fourth row of each (u, cell) group, reads zbar <= delta
-    z, delta = defined("conv", model.a @ v), model.rhs[model.rows("bigm")][3::6]
-    v[layout.y_base : layout.z_base] = z <= delta
-    v[layout.z_base : layout.zbar_base] = z
-    v[layout.zbar_base : layout.zmax_base] = np.minimum(z, delta)
-    lhs = model.a @ v
-    reduced = defined("peak", lhs).reshape(len(layout.measure_ids), layout.n_cells)
-    v[layout.zmax_base : layout.zavg_base] = np.maximum(reduced.max(axis=1), 0.0)
-    v[layout.zavg_base : layout.f_base] = defined("avg", lhs)
-    v[layout.f_base : layout.lam_base] = defined("fairness", lhs)
-    return v
 
 
 # --- Placement feasibility and objective evaluation --------------------------

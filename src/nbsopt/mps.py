@@ -1,4 +1,4 @@
-"""Free-format MPS export and import for MilpModel.
+"""Free-format MPS export and import for the paper and compact models.
 
 The emitted dialect is plain free MPS: NAME / ROWS / COLUMNS (with
 INTORG/INTEND integrality markers) / RHS / BOUNDS / ENDATA, one coefficient
@@ -19,7 +19,7 @@ coefficients and right-hand sides, and looked up by bit pattern, so -0.0 and
 0.0 keep their own text.
 
 The reader hands the file to the HiGHS that scipy bundles and turns the model
-HiGHS read into an MpsData, a MipProblem like MilpModel (one CsrMatrix `a`,
+HiGHS read into an MpsData, a MipProblem like either model (one CsrMatrix `a`,
 sorted from HiGHS's column-wise matrix, per-row `sense` and `rhs`, objective
 vector `c`), so the solver entry point takes either. It shares no code with
 the writer. HiGHS parses leniently: it reads an unknown section header as a
@@ -42,7 +42,7 @@ from typing import Iterator
 import numpy as np
 import scipy
 
-from .model import SENSE_EQ, SENSE_GE, SENSE_LE, CsrMatrix, MilpModel, MipProblem
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, BuiltModel, CsrMatrix, MipProblem
 
 _SENSE_TO_CODE = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
 
@@ -82,7 +82,7 @@ def _bound_lines(name: str, lower: float, upper: float, binary: bool) -> str:
     return lo + up
 
 
-def iter_mps_text(model: MilpModel) -> Iterator[str]:
+def iter_mps_text(model: BuiltModel) -> Iterator[str]:
     """Yield the MPS file text for a model, a bounded number of lines at a time."""
     col_names = np.array(model.layout.column_names(), dtype=object)
     row_names = np.array(
@@ -162,7 +162,7 @@ def iter_mps_text(model: MilpModel) -> Iterator[str]:
     yield "ENDATA\n"
 
 
-def export_interchange(model: MilpModel, path: str | Path) -> None:
+def export_interchange(model: BuiltModel, path: str | Path) -> None:
     """Write the model as a free-format MPS file (byte-deterministic)."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:

@@ -8,37 +8,34 @@ re-evaluated directly before it is returned; the oracle never touches the
 MILP or its big-M linearization, which makes it an independent check of the
 MILP. It is exact but exponential, so it is capped by a decision-unit budget.
 
-The external backend solves the MILP with a MILP solver. By default it
-solves in-process with the bundled HiGHS, through `solver_cli.solve_mps`,
-which `python -m nbsopt.solver_cli` also runs on the MPS file it reads; no
-name is formatted and no file is written. HiGHS gets the compact model that
-`model.build_compact_model` builds from the instance: no big-M rows, no z,
-zavg or f columns, and y columns only for the guard rows of the measures
-whose `zavg >= 0` domain can bind. The paper model is not built. The compact
-model has the paper model's optimum, so its status and bound are the paper
-model's, and its answer, over its own columns and with its own objective,
-goes to the one check every answer gets (`_verify`). The result's
-`formulation` is `compact` for every in-process solve and `paper` for every
-template solve. The relative gap applies to HiGHS's own objective, which
-leaves out a constant in both models. With `workdir` set, the in-process
-solve also builds the paper model and writes it, with the answer lifted into
-its columns (`model.lift`), as a solver command would leave them.
+The external backend solves the MILP with a MILP solver. Every solve builds
+one model, the compact model that `model.build_compact_model` builds from the
+instance: no big-M rows, no z, zavg or f columns, and y columns only for the
+guard rows of the measures whose `zavg >= 0` domain can bind. The paper
+model is not built. The compact model has the paper model's optimum, so its
+status and bound are the paper model's. The route decides only how the model
+reaches a solver. By default the bundled HiGHS solves it in-process, through
+`solver_cli.solve_mps`, which `python -m nbsopt.solver_cli` also runs on the
+MPS file it reads; no name is formatted and no file is written unless
+`workdir` is set, and then the model and the answer are written there as a
+solver command would leave them. The relative gap applies to the solver's
+own objective, which leaves out the model's constant.
 
 A command template (the solver_cmd setting or the NBSOPT_SOLVER_CMD
 environment variable) with {model}, {solution}, {timelimit} and {gap}
-placeholders swaps in any other solver: the paper model is written to a
+placeholders swaps in any other solver: the model is written to a
 free-format MPS file, the command runs as a subprocess, and
 `parse_solution_file` reads the solution file it leaves behind: '# key
 value' metadata lines (solver, status, objective, bound, walltime, message)
 and one 'name value' line per column. This module owns that format:
 `solution_text` writes it (for `solver_cli` and for the in-process solve's
 --workdir copy) and `parse_solution_file` reads it. Each route returns an
-`Answer` over the columns of the model it solved, the objective constant
-included, and `solve_external` hands it with that model to the one
-verification step, `_verify`, which checks the placement against every
-constraint family and re-computes the objective before trusting it. A
-command that fails or outruns its grace period raises SolverFailed, and
-`solve_external` turns it into an error result.
+`Answer` over the model's columns, the objective constant included, and
+`solve_external` hands it with the model to the one verification step,
+`_verify`, which checks the placement against every constraint family and
+re-computes the objective before trusting it. A command that fails or
+outruns its grace period raises SolverFailed, and `solve_external` turns it
+into an error result.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +59,9 @@ from .model import (
     BuiltModel,
     CompactModel,
     InfeasiblePlacement,
-    MilpModel,
     ObjectiveBreakdown,
     build_compact_model,
-    build_model,
     evaluate_solution,
-    lift,
     objective_normalizers,
     values_close,
 )
@@ -123,7 +117,6 @@ class SolveResult:
     wall_time: float = 0.0
     breakdown: ObjectiveBreakdown | None = None
     message: str = ""
-    formulation: str | None = None  # the MILP solved: "compact" or "paper"
 
     @property
     def ok(self) -> bool:
@@ -362,7 +355,7 @@ def solution_text(column_names: list[str], answer: Answer, wall_time: float) -> 
     return "\n".join(lines) + "\n"
 
 
-def parse_solution_file(path: Path, model: MilpModel) -> Answer:
+def parse_solution_file(path: Path, model: BuiltModel) -> Answer:
     """The answer a solution file states over the model's columns.
 
     '# key value' lines give the status, objective, bound and message; a
@@ -481,44 +474,30 @@ def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
     )
 
 
-def _solve_in_process(inst: Instance, config: SolveConfig) -> tuple[CompactModel, Answer]:
-    """The compact model, and the bundled HiGHS's answer on it: over its
-    columns, with its objective. With `config.workdir` set, the paper model
-    and the answer lifted into its columns, with the paper objective, are
-    written there as a solver command leaves them."""
+def _solve_in_process(model: CompactModel, config: SolveConfig) -> Answer:
+    """The bundled HiGHS's answer on the model. With `config.workdir` set,
+    the model and the answer are written there as a solver command leaves
+    them."""
     # imported on the first solve, so that `import nbsopt` loads no HiGHS binding
     from . import solver_cli
 
     started = time.perf_counter()
-    model = build_compact_model(inst)
-    built = time.perf_counter()
-    logger.info(
-        "compact model: %d rows, %d columns, %d nonzeros (rows/nonzeros per family: %s), "
-        "guard binaries per guarded measure %s, built in %.4f s", *model.a.shape, model.a.nnz,
-        ", ".join(f"{b.tag} {len(b.labels)}/{len(b.indices)}" for b in model.constraints),
-        model.guarded, built - started,
-    )
     answer = solver_cli.solve_mps(model, config.time_limit, config.gap)
+    solved = time.perf_counter() - started
     logger.info(
         "HiGHS on the compact model: %s in %.4f s, %s nodes, MIP gap %s",
-        answer.status, time.perf_counter() - built, answer.mip_node_count, answer.mip_gap,
+        answer.status, solved, answer.mip_node_count, answer.mip_gap,
     )
     if config.workdir is not None:
         workdir = Path(config.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
-        paper = build_model(inst, model.norms)
-        export_interchange(paper, workdir / "model.mps")
-        lifted = answer
-        if answer.x is not None:
-            values = lift(paper, model, answer.x)
-            objective = float(values @ paper.c) + paper.objective_constant
-            lifted = replace(answer, x=values, objective=objective)
-        text = solution_text(paper.layout.column_names(), lifted, time.perf_counter() - started)
+        export_interchange(model, workdir / "model.mps")
+        text = solution_text(model.layout.column_names(), answer, solved)
         (workdir / "solution.sol").write_text(text, encoding="utf-8")
-    return model, answer
+    return answer
 
 
-def _solve_with_command(model: MilpModel, config: SolveConfig, template: str) -> Answer:
+def _solve_with_command(model: CompactModel, config: SolveConfig, template: str) -> Answer:
     """Export MPS, run the solver command, and read the solution file it
     writes; SolverFailed when the command fails or outruns its grace period."""
     with tempfile.TemporaryDirectory(prefix="nbsopt-solve-") as scratch:
@@ -554,25 +533,30 @@ def _solve_with_command(model: MilpModel, config: SolveConfig, template: str) ->
 
 
 def solve_external(inst: Instance, config: SolveConfig | None = None) -> SolveResult:
-    """Solve the MILP in-process with HiGHS, or with the configured solver
-    command, and verify the answer: the one place a solver's answer becomes
-    a result. The in-process solve writes the paper model and its answer to
-    `config.workdir` when that is set; a solver command writes its own."""
+    """Build the compact model, solve it in-process with HiGHS or with the
+    configured solver command, and verify the answer: the one place a
+    solver's answer becomes a result. The in-process solve writes the model
+    and its answer to `config.workdir` when that is set; a solver command
+    writes its own."""
     config = config or SolveConfig(backend="external")
     t0 = time.perf_counter()
     template = config.resolved_solver_cmd()
-    model: BuiltModel
+    model = build_compact_model(inst)
+    logger.info(
+        "compact model: %d rows, %d columns, %d nonzeros (rows/nonzeros per family: %s), "
+        "guard binaries per guarded measure %s, built in %.4f s", *model.a.shape, model.a.nnz,
+        ", ".join(f"{b.tag} {len(b.labels)}/{len(b.indices)}" for b in model.constraints),
+        model.guarded, time.perf_counter() - t0,
+    )
     try:
-        if template is not None:
-            model = build_model(inst)
-            answer = _solve_with_command(model, config, template)
+        if template is None:
+            answer = _solve_in_process(model, config)
         else:
-            model, answer = _solve_in_process(inst, config)
+            answer = _solve_with_command(model, config, template)
     except SolverFailed as exc:
         result = SolveResult(status=STATUS_ERROR, backend="external", message=str(exc))
     else:
         result = _verify(inst, model, answer)
-    result.formulation = "paper" if template is not None else "compact"
     result.wall_time = time.perf_counter() - t0
     return result
 

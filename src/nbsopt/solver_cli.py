@@ -3,12 +3,13 @@ subprocess that reads MPS, solves with HiGHS and writes a solution file.
 
 Usage: python -m nbsopt.solver_cli MODEL.mps SOLUTION.sol TIMELIMIT [--gap G]
 
-Both go through `solve_mps`, which takes a MilpModel, a CompactModel, or the
-MpsData that `mps.read_mps` gets from HiGHS's own MPS reader: each is a
-MipProblem. Every one reaches the HiGHS that scipy bundles
-through its `_Highs` binding as the same arrays (the CSR matrix passed as
-HiGHS's row-wise one, with no copy made here) with the same options, so a
-file exported from a model is solved exactly as the model is in-process.
+Both go through `solve_mps`, which takes any MipProblem: the compact model
+that every solve hands its solver, the paper model, or the MpsData that
+`mps.read_mps` gets from HiGHS's own MPS reader. Every one reaches the HiGHS
+that scipy bundles through its `_Highs` binding as the same arrays (the CSR
+matrix passed as HiGHS's row-wise one, with no copy made here) with the same
+options, so the compact model exported by a solver-command solve is solved
+exactly as the in-process solve solves it.
 `mps.highs_binding` loads that binding from its extension file without
 importing `scipy.optimize`, whose package init costs a process more than the
 binding does. HiGHS's stray debug lines on stdout go to stderr.

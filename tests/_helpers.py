@@ -27,12 +27,12 @@ from nbsopt.model import (
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
+    BuiltModel,
     CompactModel,
     CsrMatrix,
     MilpModel,
     MipProblem,
     build_model,
-    lift,
     linearization_big_m,
     values_close,
 )
@@ -45,8 +45,8 @@ SRC = Path(nbsopt.__file__).resolve().parents[1]
 
 def to_scipy(a: CsrMatrix):
     """`a` as a `scipy.sparse.csr_matrix` over the same arrays, for tests that
-    slice a matrix, count its entries per row or take its columns; the
-    package's CsrMatrix does none of that."""
+    multiply a matrix by a vector, slice it, count its entries per row or take
+    its columns; the package's CsrMatrix does none of that."""
     from scipy import sparse
 
     return sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
@@ -123,7 +123,7 @@ def constraint_residuals(model: MipProblem, values: np.ndarray) -> float:
     """Largest violation of any row or column bound of `model` at `values`
     (<= 0 is feasible). Row violations are relative to 1 + |rhs|, as
     check_placement measures the budget's."""
-    lhs = model.a @ values
+    lhs = to_scipy(model.a) @ values
     gap = np.where(
         model.sense == SENSE_LE,
         lhs - model.rhs,
@@ -148,6 +148,51 @@ def certify(model: MilpModel, values: np.ndarray, objective: float) -> str:
     if lifted > objective and not values_close(lifted, objective):
         return f"lifted objective {lifted!r} exceeds the compact {objective!r}"
     return ""
+
+
+def family_rows(model: BuiltModel, tag: str) -> slice:
+    """The rows of the constraint family `tag`, as a slice of `model.a`."""
+    start = 0
+    for block in model.constraints:
+        if block.tag == tag:
+            return slice(start, start + len(block.labels))
+        start += len(block.labels)
+    raise KeyError(tag)
+
+
+def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndarray:
+    """The paper-layout column vector of a compact solution.
+
+    x and lam are the compact values rounded. Every other column takes the
+    value its rows define: z from the conv rows, `zbar = min(z, delta)`,
+    `y = [z <= delta]`, zmax the largest reduced value (at least 0), zavg
+    from the avg rows and f from the fairness rows, each row solved for its
+    lead column, which is 0 in the vector it is read from.
+    """
+    layout = model.layout
+    # the paper column of each compact column: x, the guard y, zbar, zmax, lam
+    columns = np.r_[: layout.y_base, layout.y_base + compact.layout.guard_cells,
+                    layout.zbar_base : layout.zavg_base, layout.lam_base : layout.n_variables]
+    v = np.zeros(model.n_variables)
+    v[columns] = np.round(values)
+    v[layout.y_base : layout.lam_base] = 0.0
+    a = to_scipy(model.a)
+
+    def defined(tag: str, lhs: np.ndarray) -> np.ndarray:
+        rows = family_rows(model, tag)
+        return model.rhs[rows] - lhs[rows]
+
+    # bigm4, the fourth row of each (u, cell) group, reads zbar <= delta
+    z, delta = defined("conv", a @ v), model.rhs[family_rows(model, "bigm")][3::6]
+    v[layout.y_base : layout.z_base] = z <= delta
+    v[layout.z_base : layout.zbar_base] = z
+    v[layout.zbar_base : layout.zmax_base] = np.minimum(z, delta)
+    lhs = a @ v
+    reduced = defined("peak", lhs).reshape(len(layout.measure_ids), layout.n_cells)
+    v[layout.zmax_base : layout.zavg_base] = np.maximum(reduced.max(axis=1), 0.0)
+    v[layout.zavg_base : layout.f_base] = defined("avg", lhs)
+    v[layout.f_base : layout.lam_base] = defined("fairness", lhs)
+    return v
 
 
 def certify_compact_answer(inst: Instance, compact: CompactModel, answer: Answer) -> str:
@@ -178,7 +223,7 @@ def impact_bounds_from_rows(model: MilpModel) -> np.ndarray:
     installable = np.ones(layout.y_base, dtype=bool)  # one per x column
     installable[blocks["forbidden"].indices] = False
     installable.reshape(-1, n)[:, blocks["pre_existing"].indices % n] = False
-    first = model.rows("conv").start
+    first = family_rows(model, "conv").start
     bounds = np.zeros((len(layout.measure_ids), n))
     for ui, bound in enumerate(bounds):
         ptr = a.indptr[first + ui * n : first + (ui + 1) * n + 1]
@@ -208,7 +253,7 @@ def compact_model(model: MilpModel) -> SlicedModel:
 
     layout = model.layout
     a, n_rows, n_vars = to_scipy(model.a), model.n_constraints, model.n_variables
-    avg, fair, conv = model.rows("avg"), model.rows("fairness"), model.rows("conv")
+    avg, fair, conv = (family_rows(model, tag) for tag in ("avg", "fairness", "conv"))
     n_u, n = len(layout.measure_ids), layout.n_cells
 
     # c' = c - c_def @ A_def and const' = const + c_def @ rhs_def; each defined
@@ -220,10 +265,10 @@ def compact_model(model: MilpModel) -> SlicedModel:
     constant = model.objective_constant + float(c_def @ model.rhs)
 
     # bigm4, the fourth row of each (u, cell) group, reads zbar <= delta
-    delta = model.rhs[model.rows("bigm")][3::6]
+    delta = model.rhs[family_rows(model, "bigm")][3::6]
     bound = impact_bounds_from_rows(model).ravel()
     reach = np.minimum(bound, delta).reshape(n_u, n).sum(axis=1)
-    guarded = reach > model.rhs[model.rows("peak")].reshape(n_u, n).sum(axis=1)
+    guarded = reach > model.rhs[family_rows(model, "peak")].reshape(n_u, n).sum(axis=1)
     guarded_cell = np.repeat(guarded, n)  # per (u, cell), as the conv rows
     binary = guarded_cell & (bound > delta)
     binaries = binary.reshape(n_u, n).sum(axis=1)
@@ -239,7 +284,7 @@ def compact_model(model: MilpModel) -> SlicedModel:
     new_col[layout.z_base : layout.zbar_base] = new_col[layout.zbar_base : layout.zmax_base]
 
     keep_row = np.ones(n_rows, dtype=bool)
-    keep_row[model.rows("bigm")] = False
+    keep_row[family_rows(model, "bigm")] = False
     keep_row[fair] = False
     sense = model.sense.copy()
     sense[conv] = np.where(guarded_cell & ~binary, SENSE_EQ, SENSE_LE)

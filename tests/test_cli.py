@@ -144,8 +144,25 @@ class TestSolveAndReport:
                     "--out", str(tmp_path / "r.json")])
         assert code == 0
         assert (tmp_path / "w" / "model.mps").exists()
+        assert (tmp_path / "w" / "solution.sol").exists()
         meta = json.loads((tmp_path / "r.json").read_text())["metadata"]
-        assert meta["formulation"] == "compact"
+        assert "formulation" not in meta
+
+    def test_a_result_naming_its_formulation_still_loads(self, tiny_instance_path, tmp_path):
+        # result files from before every solve used the compact model carry
+        # `metadata.formulation`; `report` reads past it
+        result_path = tmp_path / "result.json"
+        assert run(["solve", str(tiny_instance_path), "--backend", "external",
+                    "--timelimit", "60", "--out", str(result_path)]) == 0
+        raw = json.loads(result_path.read_text())
+        raw["metadata"]["formulation"] = "paper"
+        result_path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "rep"
+        assert run(["report", str(tiny_instance_path), str(result_path),
+                    "--out-dir", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["metadata"]["status"] == "optimal"
+        assert "formulation" not in report["metadata"]
 
     def test_a_failed_certificate_exits_3(self, tiny_instance_path, tmp_path, monkeypatch,
                                           capsys):
@@ -167,7 +184,7 @@ class TestSolveAndReport:
                     "--out", str(out)]) == 3
         assert len(calls) == 1
         result = json.loads(out.read_text())
-        assert (result["status"], result["metadata"]["formulation"]) == ("error", "compact")
+        assert result["status"] == "error"
         assert "objective mismatch" in result["metadata"]["message"]
         assert "solve.error" in capsys.readouterr().err
 

@@ -114,14 +114,14 @@ class TestBuildPartition:
 
     def test_component_of_four_stays_free(self):
         inst = self.make_line_instance(4)
-        entry = build_partition(inst, "GW")
-        assert entry.clusters == []
+        clusters = build_partition(inst, "GW")
+        assert clusters == []
 
     def test_component_of_five_becomes_cluster(self):
         inst = self.make_line_instance(5)
-        entry = build_partition(inst, "GW")
-        assert len(entry.clusters) == 1
-        assert len(entry.clusters[0]) == 5
+        clusters = build_partition(inst, "GW")
+        assert len(clusters) == 1
+        assert len(clusters[0]) == 5
 
     def test_component_of_fifty_becomes_cluster(self):
         inst = make_instance(
@@ -129,9 +129,9 @@ class TestBuildPartition:
             forbidden={(i, j) for i in range(10) for j in range(60)}
             - {(i, j) for i in range(5) for j in range(10)},
         )
-        entry = build_partition(inst, "GW")
-        assert len(entry.clusters) == 1
-        assert len(entry.clusters[0]) == 50
+        clusters = build_partition(inst, "GW")
+        assert len(clusters) == 1
+        assert len(clusters[0]) == 50
 
     def test_component_of_sixty_stays_free(self):
         inst = make_instance(
@@ -139,8 +139,8 @@ class TestBuildPartition:
             forbidden={(i, j) for i in range(10) for j in range(60)}
             - {(i, j) for i in range(6) for j in range(10)},
         )
-        entry = build_partition(inst, "GW")
-        assert entry.clusters == []
+        clusters = build_partition(inst, "GW")
+        assert clusters == []
 
     def test_pre_existing_cells_never_clustered(self):
         cells = {(5, j) for j in range(6)}
@@ -150,10 +150,10 @@ class TestBuildPartition:
             forbidden=all_cells - cells - {(0, 0)},
             pre_existing={(5, 0)},
         )
-        entry = build_partition(inst, "GW")
+        clusters = build_partition(inst, "GW")
         # the run shrinks to 5 once the pre-existing cell is excluded
-        assert len(entry.clusters) == 1
-        assert (5, 0) not in entry.clusters[0]
+        assert len(clusters) == 1
+        assert (5, 0) not in clusters[0]
 
     def test_min_above_max_rejected(self):
         inst = self.make_line_instance(5)
@@ -163,8 +163,8 @@ class TestBuildPartition:
     def test_cluster_sizes_within_bounds(self):
         inst = generate_synthetic(21, GridDims(20, 20), nbs_count=1, measure_count=1,
                                   forbidden_fraction=0.55, pre_existing_fraction=0.05)
-        entry = build_partition(inst, "GW")
-        for cluster in entry.clusters:
+        clusters = build_partition(inst, "GW")
+        for cluster in clusters:
             assert 5 <= len(cluster) <= 50
 
 
@@ -172,19 +172,20 @@ class TestPartitionInstance:
     def test_defaults_to_urban_parks_only(self):
         inst = generate_synthetic(4, GridDims(10, 10), nbs_count=4, measure_count=1,
                                   forbidden_fraction=0.5, pre_existing_fraction=0.0)
-        partition = partition_instance(inst)
-        assert set(partition.entries) == {"UP"}
+        assert set(partition_instance(inst)) == {"UP"}
 
     def test_no_urban_parks_no_entries(self):
         inst = generate_synthetic(4, GridDims(6, 6), nbs_count=2, measure_count=1,
                                   forbidden_fraction=0.5, pre_existing_fraction=0.0)
-        partition = partition_instance(inst)
-        assert partition.entries == {}
+        assert partition_instance(inst) == {}
 
     def test_annotated_instance_validates(self):
         inst = generate_synthetic(8, GridDims(15, 15), nbs_count=4, measure_count=1,
                                   forbidden_fraction=0.6, pre_existing_fraction=0.05)
-        annotated = with_clusters(inst, partition_instance(inst, ["UP", "GW"]))
+        clusters = partition_instance(inst, ["UP", "GW"])
+        assert list(clusters) == ["GW", "UP"]  # sorted, as Instance.clusters holds them
+        annotated = with_clusters(inst, clusters)
+        assert annotated.clusters is clusters
         validate_instance(annotated)
         for t, groups in annotated.clusters.items():
             for group in groups:

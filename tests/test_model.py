@@ -7,12 +7,12 @@ from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement
 from nbsopt.instance import ObjectiveWeights
+from nbsopt.kernels import compute_big_m
 from nbsopt.model import (
     InfeasiblePlacement,
     _format_labels,
     _rows,
     _stack,
-    big_m_values,
     build_model,
     check_placement,
     evaluate_solution,
@@ -154,23 +154,6 @@ class TestCsrMatrix:
         assert a.data.tolist() == [2.0, 3.0, 4.0, 1.0]
         assert a.nnz == 4
 
-    def test_product_matches_scipy_bit_for_bit(self, suite_models):
-        # `lift` reads its defined columns from this product
-        rng = np.random.default_rng(5)
-        for model in suite_models:
-            expected = to_scipy(model.a)
-            for x in (rng.normal(size=model.n_variables),
-                      rng.integers(0, 2, model.n_variables).astype(float),
-                      rng.normal(size=model.n_variables) * 10.0 ** rng.integers(-9, 9)):
-                np.testing.assert_array_equal(
-                    (model.a @ x).view(np.uint64), (expected @ x).view(np.uint64)
-                )
-
-    def test_product_needs_one_value_per_column(self, suite_models):
-        a = suite_models[0].a
-        with pytest.raises(ValueError):
-            a @ np.ones(a.shape[1] + 1)
-
 
 class TestNormalizers:
     def test_peak_scale_is_inverse_field_max(self):
@@ -208,7 +191,7 @@ class TestBigM:
     def test_linearization_big_m_covers_delta(self):
         # tiny kernels with a large field: delta exceeds the impact bound
         inst = make_instance(np.full((3, 3), 100.0))
-        assert big_m_values(inst)["M"] == 10.0
+        assert compute_big_m([inst.kernel("M", t) for t in inst.nbs_ids]) == 10.0
         assert linearization_big_m(inst)["M"] == 20.0  # delta = 0.2 * 100
 
     def test_clamp_witness_residuals(self):

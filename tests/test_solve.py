@@ -20,11 +20,11 @@ from nbsopt.engine import Placement
 from nbsopt.instance import ObjectiveWeights
 from nbsopt.model import (
     OBJECTIVE_MATCH_TOL,
+    VariableLayout,
     build_compact_model,
     build_model,
     check_placement,
     evaluate_solution,
-    lift,
 )
 from nbsopt.solve import (
     DEFAULT_UNIT_CAP,
@@ -47,6 +47,7 @@ from _helpers import (
     cluster_demo_instance,
     compact_model,
     constraint_residuals,
+    lift,
     make_instance,
     record_answers,
     solve_paper_model,
@@ -249,7 +250,7 @@ class TestAvgDomain:
             guarded, a=a[~guard_rows][:, ~is_y], sense=guarded.sense[~guard_rows],
             rhs=guarded.rhs[~guard_rows], c=guarded.c[~is_y], lower=guarded.lower[~is_y],
             upper=guarded.upper[~is_y], is_integer=guarded.is_integer[~is_y],
-            guard_cells=guarded.guard_cells[:0], guarded={},
+            layout=VariableLayout(inst, guard_cells=guarded.layout.guard_cells[:0]), guarded={},
         )
         for compact, optimum, passes in ((relaxed, 1 / 6, False), (guarded, 19 / 72, True)):
             answer = solver_cli.solve_mps(compact, 60.0)
@@ -263,7 +264,7 @@ class TestAvgDomain:
         calls = spy_on_highs(monkeypatch)
         result = solve_external(inst, EXTERNAL)
         assert len(calls) == 1
-        assert (result.status, result.formulation) == ("optimal", "compact")
+        assert result.status == "optimal"
         assert result.objective == pytest.approx(19 / 72, abs=1e-9)
         assert result.bound == pytest.approx(19 / 72, abs=1e-9)
 
@@ -289,7 +290,7 @@ def test_guarded_instances_match_the_paper_model(monkeypatch, seed, side, nbs, m
     answers = record_answers(monkeypatch)
     result = solve_external(inst, EXTERNAL)
     assert len(calls) == 1
-    assert (result.status, result.formulation) == ("optimal", "compact")
+    assert result.status == "optimal"
     [(compact, answer)] = answers
     assert certify(model, lift(model, compact, answer.x), answer.objective) == ""
     paper = solve_paper_model(inst, model, EXTERNAL)
@@ -312,28 +313,37 @@ def problem_instances():
 class TestInProcess:
     def test_highs_gets_the_problem_the_solver_cli_reads(self, tmp_path, monkeypatch,
                                                          problem_instances):
+        # each model reaches HiGHS as the same arrays, bit for bit, whether it
+        # is handed over in memory or read back from its MPS file: the paper
+        # model, solved as the reference, and the compact model every solve
+        # hands its solver, guarded cases included, on which HiGHS need not run
         from nbsopt import solver_cli
 
-        calls = spy_on_highs(monkeypatch)
+        paper_calls = spy_on_highs(monkeypatch)
         for inst in problem_instances:
             model = build_model(inst)
             assert solve_paper_model(inst, model, EXTERNAL).status == "optimal"
             export_interchange(model, tmp_path / "m.mps")
             solver_cli.solve_mps(read_mps(tmp_path / "m.mps"), 60.0)
-        assert len(calls) == 2 * len(problem_instances)
+        compact_calls = spy_on_highs(monkeypatch, run=False)
+        instances = problem_instances + [_guarded(*case) for case in GUARDED]
+        for inst in instances:
+            model = build_compact_model(inst)
+            export_interchange(model, tmp_path / "m.mps")
+            for problem in (model, read_mps(tmp_path / "m.mps")):
+                with pytest.raises(HighsNotRun):
+                    solver_cli.solve_mps(problem, 60.0)
+        assert len(compact_calls) == 2 * len(instances)
+        assert len(paper_calls) == 2 * len(problem_instances)
+        calls = paper_calls + compact_calls
         for mem, file in zip(calls[::2], calls[1::2]):
-            np.testing.assert_array_equal(mem["c"], file["c"])
+            for name in ("c", "row_lower", "row_upper", "integrality", "col_lower", "col_upper"):
+                assert _same_bits(mem[name], file[name]), name
             a_mem, a_file = mem["a"], file["a"]
             assert to_scipy(a_mem).has_sorted_indices and to_scipy(a_file).has_sorted_indices
             assert a_mem.shape == a_file.shape
-            np.testing.assert_array_equal(a_mem.indptr, a_file.indptr)
-            np.testing.assert_array_equal(a_mem.indices, a_file.indices)
-            np.testing.assert_array_equal(a_mem.data, a_file.data)
-            np.testing.assert_array_equal(mem["row_lower"], file["row_lower"])
-            np.testing.assert_array_equal(mem["row_upper"], file["row_upper"])
-            np.testing.assert_array_equal(mem["integrality"], file["integrality"])
-            np.testing.assert_array_equal(mem["col_lower"], file["col_lower"])
-            np.testing.assert_array_equal(mem["col_upper"], file["col_upper"])
+            for name in ("indptr", "indices", "data"):
+                assert _same_bits(getattr(a_mem, name), getattr(a_file, name)), name
             assert mem["options"] == file["options"]
 
     def test_matches_the_solver_cli_template(self, monkeypatch, problem_instances):
@@ -341,22 +351,20 @@ class TestInProcess:
                                solver_cmd=solver_cli_template())
         answers = record_answers(monkeypatch)
         for inst in problem_instances:
-            model = build_model(inst)
-            paper = solve_paper_model(inst, model, EXTERNAL)
-            compact = solve_external(inst, EXTERNAL)
+            paper = solve_paper_model(inst, build_model(inst), EXTERNAL)
+            a = solve_external(inst, EXTERNAL)
             b = solve_external(inst, template)
-            assert (compact.formulation, b.formulation) == ("compact", "paper")
-            # the paper model in-process and through the template: bit for bit
-            assert (paper.status, paper.objective, paper.bound) == (b.status, b.objective, b.bound)
-            for t in inst.nbs_ids:
-                np.testing.assert_array_equal(paper.placement.masks[t], b.placement.masks[t])
-            (_, in_process), _, (_, through_file) = answers
+            (_, _), (_, in_process), (_, through_file) = answers
             answers.clear()
-            np.testing.assert_array_equal(in_process.x, through_file.x)
-            # the compact model: the same optimum, up to ties between placements
-            assert compact.status == b.status
-            assert values_close(compact.objective, b.objective, OBJECTIVE_MATCH_TOL)
-            for result in (compact, b):
+            # the compact model in-process and through the template: bit for bit
+            assert (a.status, a.objective, a.bound) == (b.status, b.objective, b.bound)
+            assert _same_bits(in_process.x, through_file.x)
+            for t in inst.nbs_ids:
+                np.testing.assert_array_equal(a.placement.masks[t], b.placement.masks[t])
+            # the paper model: the same optimum, up to ties between placements
+            assert paper.status == a.status == "optimal"
+            assert values_close(a.objective, paper.objective, OBJECTIVE_MATCH_TOL)
+            for result in (paper, a):
                 assert result.bound <= result.objective + 1e-6
                 assert check_placement(inst, result.placement) == []
 
@@ -379,32 +387,35 @@ class TestInProcess:
         assert solve_external(inst, cfg).status == "optimal"
         assert len(calls) == 1
 
-    def test_workdir_files_describe_the_solve(self, tmp_path, monkeypatch):
-        # the paper model as `nbsopt build` writes it, and the compact answer
-        # lifted into its columns, with the paper objective
-        from nbsopt import cli
-        from nbsopt.instance import save_instance
+    def test_workdir_files_describe_the_solve(self, tmp_path):
+        # the compact model that was solved, and its answer, as the bundled
+        # solver command leaves them, apart from the wall time
+        from nbsopt import solver_cli
 
-        inst = generate_synthetic(2, GridDims(3, 3), nbs_count=1, measure_count=1,
-                                  forbidden_fraction=0.7, pre_existing_fraction=0.0)
-        model = build_model(inst)
-        answers = record_answers(monkeypatch)
-        cfg = SolveConfig(backend="external", time_limit=60, workdir=tmp_path / "w")
-        result = solve_external(inst, cfg)
-        assert result.status == "optimal"
-        save_instance(inst, tmp_path / "inst.json")
-        assert cli.main(["build", str(tmp_path / "inst.json"),
-                         "--out", str(tmp_path / "built.mps")]) == 0
-        assert ((tmp_path / "w" / "model.mps").read_bytes()
-                == (tmp_path / "built.mps").read_bytes())
-        answer = parse_solution_file(tmp_path / "w" / "solution.sol", model)
-        assert answer.status == "optimal"
-        assert answer.bound == result.bound
-        assert values_close(answer.objective, result.objective)
-        [(compact, solved)] = answers
-        lifted = lift(model, compact, solved.x)
-        np.testing.assert_array_equal(answer.x, lifted)
-        assert answer.objective == float(lifted @ model.c) + model.objective_constant
+        def lines(path):
+            text = path.read_text(encoding="utf-8")
+            return [line for line in text.splitlines() if not line.startswith("# walltime ")]
+
+        small = generate_synthetic(2, GridDims(3, 3), nbs_count=1, measure_count=1,
+                                   forbidden_fraction=0.7, pre_existing_fraction=0.0)
+        for k, inst in enumerate((small, _guarded(*GUARDED[0]))):
+            kept, through = tmp_path / f"w{k}", tmp_path / f"t{k}"
+            result = solve_external(inst, replace(EXTERNAL, workdir=kept))
+            assert result.status == "optimal"
+            model = build_compact_model(inst)
+            export_interchange(model, tmp_path / "compact.mps")
+            assert (kept / "model.mps").read_bytes() == (tmp_path / "compact.mps").read_bytes()
+            assert solver_cli.main([str(kept / "model.mps"), str(tmp_path / "cli.sol"), "60.0",
+                                    "--gap", "0.0"]) == 0
+            assert lines(kept / "solution.sol") == lines(tmp_path / "cli.sol")
+            # a solver command leaves the same files
+            template = replace(EXTERNAL, workdir=through, solver_cmd=solver_cli_template())
+            assert solve_external(inst, template).status == "optimal"
+            assert (through / "model.mps").read_bytes() == (kept / "model.mps").read_bytes()
+            assert lines(through / "solution.sol") == lines(kept / "solution.sol")
+            answer = parse_solution_file(kept / "solution.sol", model)
+            assert (answer.status, answer.bound) == ("optimal", result.bound)
+            assert values_close(answer.objective, result.objective)
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         # nor the HiGHS binding, which the first solve loads
@@ -424,7 +435,7 @@ class TestCompactSolve:
         for inst in problem_instances:
             model = build_model(inst)
             result = solve_external(inst, EXTERNAL)
-            assert (result.status, result.formulation) == ("optimal", "compact")
+            assert result.status == "optimal"
             [call] = calls
             calls.clear()
             [(compact, answer)] = answers
@@ -485,7 +496,7 @@ class TestCompactSolve:
         calls = spy_on_highs(monkeypatch)
         result = solve_external(inst, SolveConfig(backend="external", time_limit=0))
         assert len(calls) == 1
-        assert (result.status, result.formulation) == ("feasible-timeout", "compact")
+        assert result.status == "feasible-timeout"
         assert result.placement.new_cells(inst) == {t: [] for t in inst.nbs_ids}
 
     @settings(max_examples=20, deadline=None)
@@ -602,23 +613,60 @@ def test_stacked_rows_match_scipy(monkeypatch, label, make):
             assert _same_bits(getattr(model.a, name), getattr(expected, name)), name
 
 
-@pytest.mark.parametrize("inst", [desk_instance(1), _guarded(*GUARDED[0])],
-                         ids=["desk-1", "guarded"])
-def test_the_default_solve_builds_no_paper_model(monkeypatch, inst):
+# The instances the routes below solve with the paper model refused; the
+# solver-cli route runs the bundled solver as a command.
+NO_PAPER_INSTANCES = {"desk-1": desk_instance(1), "guarded": _guarded(*GUARDED[0])}
+ROUTES = ("in-process", "workdir", "solver-cli")
+ROUTE_CASES = list(itertools.product(ROUTES, NO_PAPER_INSTANCES))
+
+
+@pytest.mark.parametrize(
+    "route, label", ROUTE_CASES,
+    ids=[label if route == "in-process" else f"{label}-{route}" for route, label in ROUTE_CASES],
+)
+def test_the_default_solve_builds_no_paper_model(monkeypatch, tmp_path, route, label):
+    # every route hands its solver the compact model; the in-process route
+    # without a workdir writes no file either
     model, mps, solve_module = (
         importlib.import_module(f"nbsopt.{name}") for name in ("model", "mps", "solve")
     )
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the default solve reached the paper model")
+        raise AssertionError(f"the {route} solve reached a refused function")
 
-    for module, name in ((model, "build_model"), (model, "lift"), (mps, "export_interchange"),
-                         (solve_module, "build_model"), (solve_module, "lift"),
-                         (solve_module, "export_interchange")):
-        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(model, "build_model", refuse)
+    if route == "in-process":
+        for module in (mps, solve_module):
+            monkeypatch.setattr(module, "export_interchange", refuse)
+    assert not hasattr(model, "lift") and not hasattr(solve_module, "build_model")
     monkeypatch.delenv("NBSOPT_SOLVER_CMD", raising=False)
-    result = solve_external(inst, EXTERNAL)
-    assert (result.status, result.formulation) == ("optimal", "compact")
+    config = replace(
+        EXTERNAL,
+        workdir=tmp_path / "w" if route == "workdir" else None,
+        solver_cmd=solver_cli_template() if route == "solver-cli" else None,
+    )
+    assert solve_external(NO_PAPER_INSTANCES[label], config).status == "optimal"
+
+
+@pytest.mark.parametrize("label, make", BUILT_CASES, ids=[label for label, _ in BUILT_CASES])
+def test_each_model_names_its_own_columns(label, make):
+    inst = make()
+    paper, compact = build_model(inst), build_compact_model(inst)
+    for built in (paper, compact):
+        names = built.layout.column_names()
+        assert len(names) == len(set(names)) == built.n_variables
+    # a compact column has the name of its paper column: x, the guard
+    # cells' y, zbar, zmax and lam
+    p, c = paper.layout, compact.layout
+    columns = np.r_[: p.y_base, p.y_base + c.guard_cells, p.zbar_base : p.zavg_base,
+                    p.lam_base : p.n_variables]
+    paper_names = np.array(paper.layout.column_names())
+    assert compact.layout.column_names() == paper_names[columns].tolist()
+    n, h = c.n_cells, c.height
+    u, cell = np.divmod(c.guard_cells, n)
+    guard_names = [f"y_u{a}_i{b // h}_j{b % h}" for a, b in zip(u.tolist(), cell.tolist())]
+    assert [name for name in compact.layout.column_names() if name.startswith("y_")] == guard_names
+    assert len(guard_names) == sum(compact.guarded.values())
 
 
 class TestSolutionParsing:
