@@ -17,11 +17,11 @@ cluster linking (x = lam); impact definition (windowed sums excluding
 pre-existing cells, zero padded); six big-M rows per (u, i, j) encoding
 zbar = min(z, delta); peak rows zmax >= a - zbar; mean rows; fairness rows.
 Each family has one row builder, which builds its rows from whole index
-arrays (the windowed sums apply each kernel's offsets to the full cell grid);
-the families are stacked once into one CsrMatrix, a compressed sparse row
-matrix over numpy arrays whose rows are put in column order by one stable
-sort of all entries, and a ConstraintBlock names a family's rows. Row and
-column names are formatted only on request.
+arrays (the windowed sums apply each kernel's offsets to the full cell grid)
+and emits each row's entries in increasing column order; the families are
+concatenated once into one CsrMatrix, a compressed sparse row matrix over
+numpy arrays, and a ConstraintBlock names a family's rows. Row and column
+names are formatted only on request.
 
 The minimized objective is the weighted sum of normalized peak, mean, and
 cost terms minus the normalized total fairness. Peak and mean terms divide by
@@ -129,10 +129,6 @@ class CsrMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
-    def row_of_entries(self) -> np.ndarray:
-        """The row of every stored entry, in storage order."""
-        return np.repeat(np.arange(self.shape[0], dtype=self.indptr.dtype), np.diff(self.indptr))
-
 
 # A family's rows before stacking: per-row entry counts, then the columns and
 # coefficients row by row, with each row's sense and right-hand side.
@@ -168,28 +164,26 @@ def _stack(families: list[_Family], n_cols: int):
     sense and right-hand side and one ConstraintBlock per family. Empties
     `families`, so each family's arrays are freed once stacked.
 
-    One stable sort of the entries by (row, column) puts each row in column
-    order; two entries in the same row and column raise ValueError.
+    The row builders emit each row's entries in increasing column order, so
+    the rows are only concatenated. The first row whose columns do not
+    strictly increase raises ValueError: naming a column it holds twice, if
+    any, or else the first column out of order.
     """
     tags, formats, labels, counts, indices, coeffs, sense, rhs = zip(*families)
     families.clear()
     counts, indices, coeffs = map(np.concatenate, (counts, indices, coeffs))
-    # each index array is dropped once used: at 50x50 each holds 11 MB
-    key = np.repeat(np.arange(len(counts), dtype=np.int64) * n_cols, counts)
-    key += indices
-    order = np.argsort(key, kind="stable")
-    del key
-    indices, coeffs = indices[order], coeffs[order]
-    del order
     a = CsrMatrix.from_rows(counts, indices, coeffs, n_cols)
-    # sorted, a repeated entry lies next to its twin, in the same row
-    repeated = indices[1:] == indices[:-1]
+    unordered = a.indices[1:] <= a.indices[:-1]
     starts = a.indptr[1:-1]
-    repeated[starts[(starts > 0) & (starts < a.nnz)] - 1] = False  # across a row start
-    if repeated.any():
-        at = int(np.argmax(repeated))
+    unordered[starts[(starts > 0) & (starts < a.nnz)] - 1] = False  # across a row start
+    if unordered.any():
+        at = int(np.argmax(unordered)) + 1
         row = int(np.searchsorted(a.indptr, at, side="right")) - 1
-        raise ValueError(f"row {row} has two entries in column {indices[at]}")
+        columns = np.sort(a.indices[a.indptr[row] : a.indptr[row + 1]])
+        twice = columns[1:][columns[1:] == columns[:-1]]
+        if twice.size:
+            raise ValueError(f"row {row} has two entries in column {twice[0]}")
+        raise ValueError(f"row {row} is not in column order at column {a.indices[at]}")
     bounds = np.cumsum([0, *map(len, labels)])
     blocks = [
         ConstraintBlock(tag, name_format, rows, a.indices[a.indptr[lo] : a.indptr[hi]])
@@ -414,22 +408,26 @@ def _windowed_rows(
     kernels: list[Kernel],
     source_ok: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entry counts, columns and coefficients of one row per cell.
+    """Entry counts, columns and coefficients of one row per cell, in column
+    order.
 
-    Row c is `lead[c]` with coefficient 1 (no lead entry when `lead` is None),
-    then, for each NBS type in order, `scale[c] * value` on the x column of
-    every kernel offset whose source cell lies inside the grid and passes
-    `source_ok`. Rows with zero scale keep only the lead entry.
+    Row c holds, for each NBS type in order, `scale[c] * value` on the x
+    column of every kernel offset whose source cell lies inside the grid and
+    passes `source_ok`, then `lead[c]`, a column after every x column, with
+    coefficient 1 (no lead entry when `lead` is None). Rows with zero scale
+    keep only the lead entry.
     """
     n = layout.n_cells
     cols, coefs, keep = [], [], []
-    if lead is not None:
-        cols, coefs, keep = [lead[:, None]], [np.ones((n, 1))], [np.ones((n, 1), dtype=bool)]
     for ti, (kernel, ok) in enumerate(zip(kernels, source_ok)):
         src, inside, _, _, vals = _window(layout.width, layout.height, kernel)
         cols.append(layout.x_base + ti * n + src)
         coefs.append(scale[:, None] * vals)
         keep.append(inside & ok[src] & (scale != 0.0)[:, None])
+    if lead is not None:
+        cols.append(lead[:, None])
+        coefs.append(np.ones((n, 1)))
+        keep.append(np.ones((n, 1), dtype=bool))
     mask = np.hstack(keep)
     return mask.sum(axis=1), np.hstack(cols)[mask], np.hstack(coefs)[mask]
 
@@ -496,7 +494,8 @@ def _unit_labels(layout: VariableLayout) -> np.ndarray:
 
 def _conv_rows(inst: Instance, layout: VariableLayout, lead_base: int, sense) -> _Family:
     """Impact rows: per (measure, cell), the lead column (z in the paper model,
-    zbar in the compact one) minus the windowed sums of new installations."""
+    zbar in the compact one) minus the windowed sums of new installations,
+    the lead entry last."""
     n = layout.n_cells
     not_pre = [~inst.pre_mask(t).ravel() for t in layout.nbs_ids]
     conv = [
@@ -519,7 +518,7 @@ def _peak_rows(inst: Instance, layout: VariableLayout) -> _Family:
     zmax, zbar = layout.zmax_base + unit_cells // n, layout.zbar_base + unit_cells
     return _rows(
         "peak", "peak_u{}_i{}_j{}", _unit_labels(layout), 2,
-        np.column_stack((zmax, zbar)).ravel(), np.ones(2 * n_u * n), SENSE_GE,
+        np.column_stack((zbar, zmax)).ravel(), np.ones(2 * n_u * n), SENSE_GE,
         np.concatenate([inst.measure_by_id(u).field.ravel() for u in layout.measure_ids]),
     )
 
@@ -531,8 +530,8 @@ def _avg_rows(inst: Instance, layout: VariableLayout, zavg: bool) -> _Family:
     cols = layout.zbar_base + np.arange(n_u * n).reshape(n_u, n)
     coefs = np.full((n_u, n), 1.0 / n)
     if zavg:
-        cols = np.column_stack((layout.zavg_base + np.arange(n_u), cols))
-        coefs = np.column_stack((np.ones(n_u), coefs))
+        cols = np.column_stack((cols, layout.zavg_base + np.arange(n_u)))
+        coefs = np.column_stack((coefs, np.ones(n_u)))
     return _rows(
         "avg", "avg_u{}", np.arange(n_u)[:, None], cols.shape[1], cols.ravel(), coefs.ravel(),
         SENSE_EQ if zavg else SENSE_LE,
@@ -585,7 +584,8 @@ def build_model(inst: Instance, norms: Normalizers | None = None) -> MilpModel:
     families.append(_conv_rows(inst, layout, layout.z_base, SENSE_EQ))
 
     # Big-M linearization of zbar = min(z, delta); y = 1 marks z <= delta.
-    # Six rows per (u, cell), interleaved: bigm1 .. bigm6.
+    # Six rows per (u, cell), interleaved: bigm1 .. bigm6, each in (y, z, zbar)
+    # column order.
     unit_cells = np.arange(n_u * n)  # (u, cell) pairs, measure-major
     z = layout.z_base + unit_cells
     zb = layout.zbar_base + unit_cells
@@ -598,8 +598,8 @@ def build_model(inst: Instance, norms: Normalizers | None = None) -> MilpModel:
         "bigm", "bigm{}_u{}_i{}_j{}",
         np.column_stack((k, np.repeat(_unit_labels(layout), 6, axis=0))),
         np.tile([2, 2, 2, 1, 3, 2], n_u * n),
-        np.column_stack((z, y, z, y, zb, z, zb, zb, z, y, zb, y)).ravel(),
-        np.column_stack((one, m, one, m, one, -one, one, one, -one, -m, one, m)).ravel(),
+        np.column_stack((y, z, y, z, z, zb, zb, y, z, zb, y, zb)).ravel(),
+        np.column_stack((m, one, m, one, -one, one, one, -m, -one, one, m, one)).ravel(),
         np.tile([SENSE_LE, SENSE_GE, SENSE_LE, SENSE_LE, SENSE_GE, SENSE_GE], n_u * n),
         np.column_stack((d + m, d, np.zeros(n_u * n), d, -m, d)).ravel(),
     ))
@@ -688,10 +688,11 @@ def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> Com
         y = layout.y_base + np.arange(len(cells))
         slack = bound[cells] - delta[cells]
         take = np.repeat(binary, conv.counts)  # the guarded cells' conv entries
-        ends = np.cumsum(conv.counts[cells])
+        ends = np.cumsum(conv.counts[cells])  # y goes before each row's zbar, its last entry
         families.append(_rows(
             "guard_conv", "guard_conv_u{}_i{}_j{}", conv.labels[cells], conv.counts[cells] + 1,
-            np.insert(conv.indices[take], ends, y), np.insert(conv.coeffs[take], ends, -slack),
+            np.insert(conv.indices[take], ends - 1, y),
+            np.insert(conv.coeffs[take], ends - 1, -slack),
             SENSE_GE, -slack,
         ))
         families.append(_rows(

@@ -8,7 +8,10 @@ objective row, the convention shared by common solvers. The writer reads the
 model's one constraint matrix (a `model.CsrMatrix`) column by column, through
 one stable sort of its entries by column, and writes each column's objective
 coefficient, when nonzero, before the column's matrix entries; it makes no
-second copy of the matrix. Output is byte-deterministic for a given model.
+second copy of the matrix, and no other array as long as the file's lines:
+each chunk of COLUMNS lines finds its lines' columns, rows and values from
+per-column line counts, the sort and `indptr`. Output is byte-deterministic
+for a given model.
 
 The text is assembled CHUNK_LINES lines at a time, with no Python call per
 line: a chunk's pieces (shared separators, row and column names indexed from
@@ -84,33 +87,11 @@ def _bound_lines(name: str, lower: float, upper: float, binary: bool) -> str:
 
 def iter_mps_text(model: BuiltModel) -> Iterator[str]:
     """Yield the MPS file text for a model, a bounded number of lines at a time."""
-    col_names = np.array(model.layout.column_names(), dtype=object)
-    row_names = np.array(
-        [OBJECTIVE_ROW] + [s for b in model.constraints for s in b.row_names()],
-        dtype=object,
-    )
     a, c, rhs = model.a, model.c, model.rhs
-    # The COLUMNS lines, column by column: the objective's entry, when it is
-    # nonzero, then the matrix's entries, rows ascending. `order` visits the
-    # matrix's entries that way, and `line_row` holds each line's index into
-    # `row_names`, 0 (the objective) for an objective line. `order` takes the
-    # index type of `a.indptr`, 32 bits where the entry count fits.
-    order = np.argsort(a.indices, kind="stable").astype(a.indptr.dtype)
-    in_objective = c != 0.0
-    per_column = np.bincount(a.indices, minlength=model.n_variables) + in_objective
-    if not per_column.all():
-        missing = col_names[int(np.argmin(per_column))]
-        raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
-    line_column = np.repeat(np.arange(model.n_variables, dtype=np.int32), per_column)
-    ends = np.cumsum(per_column)
-    from_matrix = np.ones(len(line_column), dtype=bool)
-    from_matrix[(ends - per_column)[in_objective]] = False
-    line_row = np.zeros(len(line_column), dtype=np.int32)
-    line_row[from_matrix] = a.row_of_entries()[order] + 1
-
     # Every coefficient's and right-hand side's text, " repr\n", once per
     # distinct bit pattern, so -0.0 and 0.0 stay apart. The matrix's patterns
     # are made unique on their own first, so its data is never copied whole.
+    in_objective = c != 0.0
     bits = np.unique(np.concatenate(
         (np.unique(a.data.view(np.int64)), c[in_objective].view(np.int64), rhs.view(np.int64))
     ))
@@ -119,6 +100,24 @@ def iter_mps_text(model: BuiltModel) -> Iterator[str]:
     def values(v: np.ndarray) -> np.ndarray:
         return value_text[np.searchsorted(bits, v.view(np.int64))]
 
+    # The COLUMNS lines, column by column: the objective's entry, when it is
+    # nonzero, then the matrix's entries, rows ascending. Column j's lines
+    # are `firsts[j]` up to `ends[j]`, and `order` visits the matrix's
+    # entries in line order; it takes the index type of `a.indptr`, 32 bits
+    # where the entry count fits.
+    per_column = np.bincount(a.indices, minlength=model.n_variables) + in_objective
+    if not per_column.all():
+        missing = model.layout.column_names()[int(np.argmin(per_column))]
+        raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
+    ends = np.cumsum(per_column)
+    firsts = ends - per_column
+    order = np.argsort(a.indices, kind="stable").astype(a.indptr.dtype)
+
+    col_names = np.array(model.layout.column_names(), dtype=object)
+    row_names = np.array(
+        [OBJECTIVE_ROW] + [s for b in model.constraints for s in b.row_names()],
+        dtype=object,
+    )
     yield f"NAME {MODEL_NAME}\nROWS\n N {OBJECTIVE_ROW}\n"
     senses, sense_of_row = np.unique(model.sense, return_inverse=True)
     codes = np.array([f" {_SENSE_TO_CODE[s]} " for s in senses.tolist()], dtype=object)
@@ -134,14 +133,20 @@ def iter_mps_text(model: BuiltModel) -> Iterator[str]:
             in_integer = not in_integer
             yield f" M{marker} 'MARKER' '{'INTORG' if in_integer else 'INTEND'}'\n"
             marker += 1
-        for lo in range(ends[start] - per_column[start], ends[stop - 1], CHUNK_LINES):
-            hi = min(lo + CHUNK_LINES, ends[stop - 1])
-            cols, matrix = line_column[lo:hi], from_matrix[lo:hi]
+        for lo in range(firsts[start], ends[stop - 1], CHUNK_LINES):
+            lines = np.arange(lo, min(lo + CHUNK_LINES, ends[stop - 1]))
+            cols = np.searchsorted(ends, lines, side="right")
+            matrix = (lines != firsts[cols]) | ~in_objective[cols]
             taken = int(matrix.sum())
-            coef = c[cols]  # the objective's, replaced below on the matrix's lines
-            coef[matrix] = a.data[order[entry : entry + taken]]
+            # a matrix line's index into `row_names` is its entry's row + 1,
+            # and 0, the objective's, on an objective line
+            entries = order[entry : entry + taken]
             entry += taken
-            yield _lines(" ", col_names[cols], " ", row_names[line_row[lo:hi]], values(coef))
+            line_row = np.zeros(len(lines), dtype=a.indptr.dtype)
+            line_row[matrix] = np.searchsorted(a.indptr, entries, side="right")
+            coef = c[cols]  # the objective's, replaced below on the matrix's lines
+            coef[matrix] = a.data[entries]
+            yield _lines(" ", col_names[cols], " ", row_names[line_row], values(coef))
     if in_integer:
         yield f" M{marker} 'MARKER' 'INTEND'\n"
 

@@ -361,10 +361,12 @@ def parse_solution_file(path: Path, model: BuiltModel) -> Answer:
     '# key value' lines give the status, objective, bound and message; a
     missing or malformed objective or bound reads as none reported. Each
     'name value' line sets one column; malformed lines and unknown names
-    warn and are skipped, and columns without a value read 0.
+    warn and are skipped, and columns without a value read 0. A file with no
+    'name value' line states no vector: its `x` is None.
     """
     index = {name: k for k, name in enumerate(model.layout.column_names())}
     x = np.zeros(model.n_variables)
+    has_vector = False
     meta: dict[str, str] = {}
     for raw in path.read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -384,6 +386,7 @@ def parse_solution_file(path: Path, model: BuiltModel) -> Answer:
         except ValueError:
             logger.warning("skipping non-numeric solution line: %s", raw)
             continue
+        has_vector = True
         if tokens[0] in index:
             x[index[tokens[0]]] = value
         else:
@@ -394,7 +397,7 @@ def parse_solution_file(path: Path, model: BuiltModel) -> Answer:
             reported[key] = float(meta[key])
     return Answer(
         meta.get("status", ""),
-        x,
+        x if has_vector else None,
         reported.get("objective"),
         reported.get("bound"),
         meta.get("message", ""),
@@ -418,8 +421,8 @@ def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
     The placement is read from the x columns of `answer.x`, checked against
     every constraint family (`avg_nonneg` included), and its objective
     re-computed directly from the fields with the model's normalizers; a
-    reported objective that differs by more than OBJECTIVE_MATCH_TOL is an
-    error.
+    reported objective that differs by more than OBJECTIVE_MATCH_TOL, or an
+    optimal or feasible-timeout answer with no column vector, is an error.
     """
     status, values, bound = answer.status, answer.x, answer.bound
     if status == STATUS_INFEASIBLE:
@@ -443,6 +446,12 @@ def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
             status=STATUS_ERROR,
             backend="external",
             message=f"solver reported status {status!r}: {answer.message}",
+        )
+    if values is None:
+        return SolveResult(
+            status=STATUS_ERROR,
+            backend="external",
+            message=f"solver reported status {status!r} but no column values",
         )
 
     placement = placement_from_values(inst, model, values)

@@ -142,17 +142,19 @@ class TestCsrMatrix:
             self.stack([1, 3], [2, 2, 0, 2], np.ones(4), 3)
 
     def test_a_column_may_end_one_row_and_start_the_next(self):
-        a = self.stack([2, 0, 2], [0, 2, 2, 1], np.ones(4), 3)
-        assert a.indptr.tolist() == [0, 2, 2, 4]
-        assert a.indices.tolist() == [0, 2, 1, 2]
+        # each row is in column order; across a row start a column may repeat
+        # or fall
+        a = self.stack([2, 0, 2, 1], [1, 2, 2, 3, 0], [2.0, 1.0, 3.0, 4.0, 5.0], 4)
+        assert a.shape == (4, 4)
+        assert a.indptr.tolist() == [0, 2, 2, 4, 5]
+        assert a.indices.tolist() == [1, 2, 2, 3, 0]
+        assert a.data.tolist() == [2.0, 1.0, 3.0, 4.0, 5.0]
+        assert a.nnz == 5
 
-    def test_entries_are_sorted_within_each_row(self):
-        a = self.stack([1, 3, 0], [1, 2, 0, 1], [2.0, 1.0, 3.0, 4.0], 3)
-        assert a.shape == (3, 3)
-        assert a.indptr.tolist() == [0, 1, 4, 4]
-        assert a.indices.tolist() == [1, 0, 1, 2]
-        assert a.data.tolist() == [2.0, 3.0, 4.0, 1.0]
-        assert a.nnz == 4
+    def test_a_row_out_of_column_order_is_an_error(self):
+        # the rows are stacked as given, never sorted
+        with pytest.raises(ValueError, match="row 1 is not in column order at column 0"):
+            self.stack([1, 3, 0], [1, 2, 0, 1], [2.0, 1.0, 3.0, 4.0], 3)
 
 
 class TestNormalizers:

@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
-from nbsopt.model import build_model
+from nbsopt.model import CsrMatrix, build_model, objective_normalizers
 from nbsopt.mps import (
     CHUNK_LINES,
     MpsFormatError,
@@ -86,6 +88,20 @@ class TestWriter:
         assert model.objective_constant != 0.0
         text = "".join(iter_mps_text(model))
         assert f" rhs obj {-model.objective_constant!r}" in text
+
+    def test_a_column_in_no_row_is_named(self, small_model):
+        # f_i1_j1 without its fairness entry and its cost: no line to write
+        _, model = small_model
+        column = model.layout.column_names().index("f_i1_j1")
+        a = model.a
+        keep = a.indices != column
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))[keep]
+        c = model.c.copy()
+        c[column] = 0.0
+        bare = dataclasses.replace(model, c=c, a=CsrMatrix.from_rows(
+            np.bincount(rows, minlength=a.shape[0]), a.indices[keep], a.data[keep], a.shape[1]))
+        with pytest.raises(MpsFormatError, match="variable 'f_i1_j1' appears in no row"):
+            "".join(iter_mps_text(bare))
 
 
 def _reference_text(model) -> str:
@@ -205,6 +221,43 @@ class TestGoldenBytes:
                                   forbidden_fraction=0.55, pre_existing_fraction=0.05)
         inst = with_clusters(inst, partition_instance(inst, ["UP"]))
         assert _file_digest(inst, tmp_path / "m.mps") == GRID30_DIGEST
+
+
+class TestScratchMemory:
+    """Python-traced memory per matrix nonzero at 30x30 (seed 7), where the
+    finished paper model holds about 16 bytes a nonzero. The build peaks near
+    30 bytes a nonzero and the export near 22 over the model; the bounds
+    leave room for noise but not for a whole-matrix int64 sort key or a set
+    of per-line index arrays, each of which adds 8 bytes a nonzero or more."""
+
+    @pytest.fixture(scope="class")
+    def grid30(self):
+        inst = generate_synthetic(7, GridDims(30, 30), nbs_count=4, measure_count=4,
+                                  forbidden_fraction=0.55, pre_existing_fraction=0.05)
+        inst = with_clusters(inst, partition_instance(inst, ["UP"]))
+        return inst, objective_normalizers(inst)
+
+    @staticmethod
+    def traced_peak(step) -> tuple[object, int]:
+        """What `step()` returns, and the peak of the memory traced during it."""
+        tracemalloc.start()
+        try:
+            return step(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_peak(self, grid30):
+        inst, norms = grid30
+        model, peak = self.traced_peak(lambda: build_model(inst, norms))
+        per_nonzero = peak / model.a.nnz
+        assert per_nonzero <= 33.5
+
+    def test_export_peak(self, tmp_path, grid30):
+        inst, norms = grid30
+        model = build_model(inst, norms)
+        _, peak = self.traced_peak(lambda: export_interchange(model, tmp_path / "m.mps"))
+        per_nonzero = peak / model.a.nnz
+        assert per_nonzero <= 27.0
 
 
 def _read(tmp_path, text: str):

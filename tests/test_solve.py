@@ -690,6 +690,13 @@ class TestSolutionParsing:
         expected[1] = 1.0
         np.testing.assert_array_equal(answer.x, expected)
 
+    def test_a_file_without_column_lines_states_no_vector(self, tmp_path, setup):
+        _, model = setup
+        p = tmp_path / "s.sol"
+        p.write_text("# status infeasible\n")
+        answer = parse_solution_file(p, model)
+        assert (answer.status, answer.x, answer.objective) == ("infeasible", None, None)
+
     def test_unknown_variable_names_ignored_with_warning(self, tmp_path, caplog, setup):
         inst, model = setup
         from nbsopt.solve import placement_from_values
@@ -763,6 +770,14 @@ class TestExternalContract:
         result = solve_external(inst, cfg)
         assert result.status == "error"
         assert "forbidden" in result.message
+
+    @pytest.mark.parametrize("status", ["optimal", "feasible-timeout"])
+    def test_a_solution_without_values_is_an_error(self, tmp_path, status):
+        fake = FakeSolverScript(tmp_path, f"# status {status}\n")
+        cfg = SolveConfig(backend="external", time_limit=10, solver_cmd=fake.template())
+        result = solve_external(self.make_inst(), cfg)
+        assert result.status == "error"
+        assert result.message == f"solver reported status {status!r} but no column values"
 
     def test_infinite_time_limit_sets_no_timeout(self, tmp_path):
         inst = self.make_inst()
