@@ -32,7 +32,7 @@ from .kernels import (
     derive_delta,
 )
 from .model import (
-    MilpModel,
+    BuiltModel,
     ObjectiveBreakdown,
     build_model,
     check_placement,
@@ -52,12 +52,12 @@ from .solve import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BuiltModel",
     "GridDims",
     "ImpactSpec",
     "Instance",
     "Kernel",
     "Masks",
-    "MilpModel",
     "NbsType",
     "ObjectiveBreakdown",
     "ObjectiveWeights",

@@ -26,35 +26,30 @@ def label_components(mask: np.ndarray) -> list[list[Cell]]:
     the output independent of any internal labeling order.
 
     The True cells of each row form runs, numbered in row-major order of their
-    first cell. Runs that touch across adjacent rows are joined with a
-    union-find whose root is always the smallest run of its set, so a
-    component's root is the run holding its first cell. One stable sort of
-    the cells by root groups them, each component's in row-major order.
+    first cell. Runs that touch across adjacent rows are joined in vectorised
+    rounds: each round hooks the larger root of every touching pair onto the
+    smaller one, then points every run at its root, until every pair shares
+    its root. A root is always the smallest run of its set, so a component's
+    root is the run holding its first cell. One stable sort of the cells by
+    root groups them, each component's in row-major order.
     """
     mask = np.asarray(mask, dtype=bool)
     starts = mask.copy()
     starts[:, 1:] &= ~mask[:, :-1]  # a run starts where its left neighbour is False
     run = np.cumsum(starts).reshape(mask.shape) - 1  # the run of each True cell
-    parent = list(range(int(starts.sum())))
-    if not parent:
+    n_runs = int(starts.sum())
+    if not n_runs:
         return []
-
-    def root(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
     touching = mask[:-1] & mask[1:]  # cells whose lower neighbour is True
-    n_runs = len(parent)
-    pairs = np.unique(run[:-1][touching] * n_runs + run[1:][touching])
-    for upper, lower in zip(*(p.tolist() for p in np.divmod(pairs, n_runs))):
-        a, b = root(upper), root(lower)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    roots = np.array([root(r) for r in range(len(parent))], dtype=np.int64)
+    upper, lower = np.divmod(np.unique(run[:-1][touching] * n_runs + run[1:][touching]), n_runs)
+    root = np.arange(n_runs)
+    while (root[upper] != root[lower]).any():
+        a, b = root[upper], root[lower]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while (root[root] != root).any():
+            root = root[root]
     ii, jj = np.nonzero(mask)
-    labels = roots[run[ii, jj]]
+    labels = root[run[ii, jj]]
     order = np.argsort(labels, kind="stable")
     cells = list(zip(ii[order].tolist(), jj[order].tolist()))
     bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(cells)]

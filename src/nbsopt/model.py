@@ -28,11 +28,12 @@ cost terms minus the normalized total fairness. Peak and mean terms divide by
 the field maximum, cost by the budget, and fairness is min-max scaled between
 the pre-existing-only total and the best single-type-everywhere total.
 
-Two models share the row builders: the paper model (`build_model`), which
-`nbsopt build` writes as MPS, and the compact model every solve hands its
-solver (`build_compact_model`), built straight from the instance with no
-big-M or fairness rows and no z, zavg or f columns, and y columns only for
-its guard cells. Each model's VariableLayout names its own columns.
+Two models share the row builders and differ only in data, both BuiltModels:
+the paper model (`build_model`), which `nbsopt build` writes as MPS, and the
+compact model every solve hands its solver (`build_compact_model`), with no
+big-M or fairness rows, no z, zavg or f columns, and y columns only for its
+guard cells. Each model's VariableLayout places and names its columns from
+one table of column kinds.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _format_labels(name_format: str, labels: np.ndarray) -> list[str]:
 
 @dataclass(eq=False)
 class ConstraintBlock:
-    """One constraint family: a run of consecutive rows of `MilpModel.a`.
+    """One constraint family: a run of consecutive rows of `BuiltModel.a`.
 
     `indices` is the family's slice of `a.indices`, a view, so its columns and
     coefficients are stored once, in the model's matrix. Row r's name is
@@ -214,13 +215,16 @@ class MipProblem:
 
 @dataclass(eq=False)
 class BuiltModel(MipProblem):
-    """A model built from an instance: `constraints` names the row families
-    of `a` in order, `layout` places its columns, and `norms` are the
-    objective normalizers `c` and `objective_constant` were scaled with."""
+    """A model built from an instance, the paper or the compact one:
+    `constraints` names the row families of `a` in order, `layout` places its
+    columns, `norms` are the objective normalizers `c` and `objective_constant`
+    were scaled with, and `guarded` holds the number of guard binaries of each
+    guarded measure (none in the paper model)."""
 
     constraints: list[ConstraintBlock]
     layout: "VariableLayout"
     norms: "Normalizers"
+    guarded: dict[str, int]
 
     @property
     def n_variables(self) -> int:
@@ -231,24 +235,13 @@ class BuiltModel(MipProblem):
         return self.a.shape[0]
 
 
-@dataclass(eq=False)
-class MilpModel(BuiltModel):
-    """The paper model, as `build_model` assembles it."""
-
-
-@dataclass(eq=False)
-class CompactModel(BuiltModel):
-    """The model every solve hands its solver (`build_compact_model`);
-    `guarded` holds the number of guard binaries of each guarded measure."""
-
-    guarded: dict[str, int]
-
-
 class VariableLayout:
-    """Bijection between (kind, coordinates) and flat column indices: the
-    paper model's, or with `guard_cells` given the compact model's, which has
-    a y column for each guard cell (a (measure, cell) pair, measure-major,
-    as a flat index) and empty z, zavg and f ranges."""
+    """Bijection between (kind, coordinates) and flat column indices, from
+    `kinds`: each kind of column (x, y, z, zbar, zmax, zavg, f, lam) in index
+    order, as its name format and one row of labels per column. With
+    `guard_cells` given (per guard cell, a (measure, cell) pair, measure-major,
+    as a flat index), the compact model's: y only for the guard cells, and no
+    z, zavg or f column."""
 
     def __init__(self, inst: Instance, guard_cells: np.ndarray | None = None):
         self.width, self.height = inst.dims.shape
@@ -258,46 +251,35 @@ class VariableLayout:
         self.cluster_lists: dict[str, list[list[Cell]]] = {
             t: inst.clusters_for(t) for t in self.nbs_ids
         }
-        n, n_t, n_u = self.n_cells, len(self.nbs_ids), len(self.measure_ids)
         self.guard_cells = guard_cells
+        w, h, n_u = self.width, self.height, len(self.measure_ids)
+        units = _grid_labels(n_u, w, h)  # (u, i, j), measure-major
+        measures = _grid_labels(n_u)
         paper = guard_cells is None
-        self.x_base = 0
-        self.y_base = n_t * n
-        self.z_base = self.y_base + (n_u * n if paper else len(guard_cells))
-        self.zbar_base = self.z_base + (n_u * n if paper else 0)
-        self.zmax_base = self.zbar_base + n_u * n
-        self.zavg_base = self.zmax_base + n_u
-        self.f_base = self.zavg_base + (n_u if paper else 0)
-        self.lam_base = self.f_base + (n if paper else 0)
-        self.lam_offsets: dict[str, int] = {}
-        offset = self.lam_base
-        for t in self.nbs_ids:
-            self.lam_offsets[t] = offset
-            offset += len(self.cluster_lists[t])
-        self.n_variables = offset
+        defined = slice(None) if paper else slice(0)  # the z, zavg and f columns
+        lam = [(ti, q) for ti, t in enumerate(self.nbs_ids)
+               for q in range(len(self.cluster_lists[t]))]
+        self.kinds: list[tuple[str, np.ndarray]] = [
+            ("x_t{}_i{}_j{}", _grid_labels(len(self.nbs_ids), w, h)),
+            ("y_u{}_i{}_j{}", units if paper else units[guard_cells]),
+            ("z_u{}_i{}_j{}", units[defined]),
+            ("zbar_u{}_i{}_j{}", units),
+            ("zmax_u{}", measures),
+            ("zavg_u{}", measures[defined]),
+            ("f_i{}_j{}", _grid_labels(w, h)[defined]),
+            ("lam_t{}_q{}", np.array(lam, dtype=np.int64).reshape(-1, 2)),
+        ]
+        (self.x_base, self.y_base, self.z_base, self.zbar_base, self.zmax_base,
+         self.zavg_base, self.f_base, self.lam_base, self.n_variables) = np.cumsum(
+            [0, *(len(labels) for _, labels in self.kinds)]).tolist()
+        clusters = np.cumsum([0, *(len(self.cluster_lists[t]) for t in self.nbs_ids)])
+        self.lam_offsets: dict[str, int] = dict(
+            zip(self.nbs_ids, (self.lam_base + clusters[:-1]).tolist()))
 
     def column_names(self) -> list[str]:
         """Every column's name in index order, formatted on each call by
-        `_format_labels`, one kind of column at a time: the compact model
-        names a y column only for each guard cell, and no z, zavg or f
-        column."""
-        w, h = self.width, self.height
-        paper = self.guard_cells is None
-        units = _grid_labels(len(self.measure_ids), w, h)  # (u, i, j), measure-major
-        measures = _grid_labels(len(self.measure_ids))
-        kinds = [
-            ("x_t{}_i{}_j{}", _grid_labels(len(self.nbs_ids), w, h)),
-            ("y_u{}_i{}_j{}", units if paper else units[self.guard_cells]),
-        ]
-        if paper:
-            kinds.append(("z_u{}_i{}_j{}", units))
-        kinds += [("zbar_u{}_i{}_j{}", units), ("zmax_u{}", measures)]
-        if paper:
-            kinds += [("zavg_u{}", measures), ("f_i{}_j{}", _grid_labels(w, h))]
-        lam = [(ti, q) for ti, t in enumerate(self.nbs_ids)
-               for q in range(len(self.cluster_lists[t]))]
-        kinds.append(("lam_t{}_q{}", np.array(lam, dtype=np.int64).reshape(-1, 2)))
-        return [name for name_format, labels in kinds
+        `_format_labels`, one kind of column at a time."""
+        return [name for name_format, labels in self.kinds
                 for name in _format_labels(name_format, labels)]
 
 
@@ -311,7 +293,6 @@ class Normalizers:
     cost_scale: float
     fairness_scale: float
     fairness_min: float
-    fairness_max: float
     do_nothing_fairness: np.ndarray = field(compare=False, repr=False)
 
 
@@ -344,7 +325,6 @@ def objective_normalizers(inst: Instance) -> Normalizers:
         cost_scale=cost_scale,
         fairness_scale=fairness_scale,
         fairness_min=f_min,
-        fairness_max=f_max,
         do_nothing_fairness=do_nothing,
     )
 
@@ -562,7 +542,7 @@ def _objective(inst: Instance, layout: VariableLayout, norms: Normalizers):
 # --- Paper model -----------------------------------------------------------------
 
 
-def build_model(inst: Instance, norms: Normalizers | None = None) -> MilpModel:
+def build_model(inst: Instance, norms: Normalizers | None = None) -> BuiltModel:
     """Assemble the paper's MILP for a validated instance; `norms` are
     computed from the instance when not given."""
     layout = VariableLayout(inst)
@@ -619,10 +599,10 @@ def build_model(inst: Instance, norms: Normalizers | None = None) -> MilpModel:
     c[layout.f_base : layout.lam_base] = -wf
 
     a, sense, rhs, blocks = _stack(families, n_vars)
-    return MilpModel(
+    return BuiltModel(
         a=a, sense=sense, rhs=rhs, c=c, objective_constant=wf * norms.fairness_min,
         lower=np.zeros(n_vars), upper=upper, is_integer=is_integer, constraints=blocks,
-        layout=layout, norms=norms,
+        layout=layout, norms=norms, guarded={},
     )
 
 
@@ -638,7 +618,7 @@ def expected_variable_count(inst: Instance) -> int:
 # --- Compact solve model ---------------------------------------------------------
 
 
-def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> CompactModel:
+def build_compact_model(inst: Instance) -> BuiltModel:
     """The paper model without its big-M rows and its defined columns, with
     the same optimum, built from the instance.
 
@@ -656,8 +636,7 @@ def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> Com
     (guard_conv) and `zbar >= delta (1 - y)` (guard_delta), the paper's bigm5
     and bigm6 with a per-cell M.
     """
-    if norms is None:
-        norms = objective_normalizers(inst)
+    norms = objective_normalizers(inst)
     mids = inst.measure_ids
     n, n_u = inst.dims.n_cells, len(mids)
     delta = np.repeat([inst.delta(u) for u in mids], n).reshape(n_u, n)
@@ -720,7 +699,7 @@ def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> Com
     is_integer[layout.zbar_base : layout.zavg_base] = False
     binaries = binary.reshape(n_u, n).sum(axis=1)
     a, sense, rhs, blocks = _stack(families, n_vars)
-    return CompactModel(
+    return BuiltModel(
         a=a, sense=sense, rhs=rhs, c=c,
         objective_constant=wf * norms.fairness_min + float(c_def @ rhs_def),
         lower=np.zeros(n_vars), upper=upper, is_integer=is_integer, constraints=blocks,
@@ -736,7 +715,6 @@ def build_compact_model(inst: Instance, norms: Normalizers | None = None) -> Com
 class Violation:
     family: str
     message: str
-    cells: tuple[Cell, ...] = ()
 
 
 class InfeasiblePlacement(ValueError):
@@ -761,39 +739,33 @@ def check_placement(
     placement: engine.Placement,
     reduction: dict[str, np.ndarray] | None = None,
 ) -> list[Violation]:
-    """Independent check of every constraint family against a placement;
-    `reduction` holds the placement's reduction field of each measure when
-    it is known."""
+    """Independent check of every constraint family against a placement, by
+    counts and tests over whole masks; `reduction` holds the placement's
+    reduction field of each measure when it is known."""
     violations: list[Violation] = []
 
-    def at(mask: np.ndarray) -> tuple[Cell, ...]:
-        return tuple((int(i), int(j)) for i, j in np.argwhere(mask))
-
-    crowded = at(sum(placement.masks[t].astype(int) for t in inst.nbs_ids) > 1)
+    crowded = int((sum(placement.masks[t].astype(int) for t in inst.nbs_ids) > 1).sum())
     if crowded:
-        violations.append(Violation(
-            "one_type", f"{len(crowded)} cell(s) host more than one NBS", crowded))
+        violations.append(Violation("one_type", f"{crowded} cell(s) host more than one NBS"))
 
     cost = _new_cost(inst, placement)
     if cost > inst.budget * (1 + FEAS_TOL) + FEAS_TOL:
         violations.append(Violation("budget", f"cost {cost!r} exceeds budget {inst.budget!r}"))
 
     for t in inst.nbs_ids:
-        on_forbidden = at(placement.masks[t] & inst.forbidden_mask(t))
-        if on_forbidden:
+        if (placement.masks[t] & inst.forbidden_mask(t)).any():
+            violations.append(Violation("forbidden", f"NBS {t!r} placed on forbidden cell(s)"))
+        if (inst.pre_mask(t) & ~placement.masks[t]).any():
             violations.append(Violation(
-                "forbidden", f"NBS {t!r} placed on forbidden cell(s)", on_forbidden))
-        switched_off = at(inst.pre_mask(t) & ~placement.masks[t])
-        if switched_off:
-            violations.append(Violation(
-                "pre_existing", f"pre-existing NBS {t!r} cell(s) switched off", switched_off))
+                "pre_existing", f"pre-existing NBS {t!r} cell(s) switched off"))
 
     for t in inst.nbs_ids:
         mask = placement.masks[t]
         for q, group in enumerate(inst.clusters_for(t)):
-            if len({bool(mask[i, j]) for i, j in group}) > 1:
+            used = mask[tuple(np.transpose(group))]
+            if used.any() and not used.all():
                 violations.append(Violation(
-                    "cluster", f"cluster {q} of NBS {t!r} is partially used", tuple(group)))
+                    "cluster", f"cluster {q} of NBS {t!r} is partially used"))
 
     # zavg is a nonnegative variable, so placements driving the mean reduced
     # value below zero are infeasible in the MILP as well.
@@ -847,7 +819,6 @@ def evaluate_solution(
     inst: Instance,
     placement: engine.Placement,
     norms: Normalizers | None = None,
-    check: bool = True,
 ) -> ObjectiveBreakdown:
     """Objective value of a placement, computed directly from the fields.
 
@@ -855,15 +826,15 @@ def evaluate_solution(
     involved, so it doubles as the independent evaluation for the enumeration
     oracle and for verifying solver output. `norms` are computed from the
     instance when not given; callers holding a model pass its `norms`, the
-    ones its objective was built with. Each reduction field is computed once,
-    for the check and the terms, and the breakdown keeps the reduction and
-    fairness fields, so the report does not compute them again.
+    ones its objective was built with. Raises InfeasiblePlacement when
+    `check_placement` finds a violation. Each reduction field is computed
+    once, for the check and the terms, and the breakdown keeps the reduction
+    and fairness fields, so the report does not compute them again.
     """
     reduction = {u: engine.measure_reduction(inst, placement, u) for u in inst.measure_ids}
-    if check:
-        violations = check_placement(inst, placement, reduction)
-        if violations:
-            raise InfeasiblePlacement(violations)
+    violations = check_placement(inst, placement, reduction)
+    if violations:
+        raise InfeasiblePlacement(violations)
     if norms is None:
         norms = objective_normalizers(inst)
 

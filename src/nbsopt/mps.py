@@ -3,23 +3,24 @@
 The emitted dialect is plain free MPS: NAME / ROWS / COLUMNS (with
 INTORG/INTEND integrality markers) / RHS / BOUNDS / ENDATA, one coefficient
 per line, names as written by the model builder. Binary variables carry BV
-bounds. An objective constant is encoded as minus the RHS entry of the
-objective row, the convention shared by common solvers. The writer reads the
-model's one constraint matrix (a `model.CsrMatrix`) column by column, through
-one stable sort of its entries by column, and writes each column's objective
-coefficient, when nonzero, before the column's matrix entries; it makes no
-second copy of the matrix, and no other array as long as the file's lines:
-each chunk of COLUMNS lines finds its lines' columns, rows and values from
-per-column line counts, the sort and `indptr`. Output is byte-deterministic
-for a given model.
+bounds and other finite upper bounds UP bounds; every column's lower bound is
+0, so no LO bound is written. An objective constant is encoded as minus the
+RHS entry of the objective row, the convention shared by common solvers. The
+writer reads the model's one constraint matrix (a `model.CsrMatrix`) column
+by column, through one stable sort of its entries by column, and writes each
+column's objective coefficient, when nonzero, before the column's matrix
+entries; it makes no second copy of the matrix, and no other array as long
+as the file's lines: each chunk of COLUMNS lines finds its lines' columns,
+rows and values from per-column line counts, the sort and `indptr`. Output
+is byte-deterministic for a given model.
 
-The text is assembled CHUNK_LINES lines at a time, with no Python call per
-line: a chunk's pieces (shared separators, row and column names indexed from
-the name arrays, value texts) fill one object array, one line per row, which
-one `str.join` turns into text. Each value's text (a space, its `repr` and a
-newline) is made once per export for each distinct bit pattern among the
-coefficients and right-hand sides, and looked up by bit pattern, so -0.0 and
-0.0 keep their own text.
+Every section's text is assembled CHUNK_LINES lines at a time, with no
+Python call per line: a chunk's pieces (shared separators, row and column
+names indexed from the name arrays, value texts) fill one object array, one
+line per row, which one `str.join` turns into text. Each value's text (a
+space, its `repr` and a newline) is made once per export for each distinct
+bit pattern among the coefficients, right-hand sides and finite upper bounds,
+and looked up by bit pattern, so -0.0 and 0.0 keep their own text.
 
 The reader hands the file to the HiGHS that scipy bundles and turns the model
 HiGHS read into an MpsData, a MipProblem like either model (one CsrMatrix `a`,
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,24 +77,21 @@ def _chunked_lines(*pieces: str | np.ndarray) -> Iterator[str]:
         yield _lines(*(p if isinstance(p, str) else p[lo : lo + CHUNK_LINES] for p in pieces))
 
 
-def _bound_lines(name: str, lower: float, upper: float, binary: bool) -> str:
-    if binary:
-        return f" BV {BOUND_SET} {name}\n"
-    lo = f" LO {BOUND_SET} {name} {lower!r}\n" if lower != 0.0 else ""
-    up = f" UP {BOUND_SET} {name} {upper!r}\n" if math.isfinite(upper) else ""
-    return lo + up
-
-
 def iter_mps_text(model: BuiltModel) -> Iterator[str]:
     """Yield the MPS file text for a model, a bounded number of lines at a time."""
-    a, c, rhs = model.a, model.c, model.rhs
-    # Every coefficient's and right-hand side's text, " repr\n", once per
-    # distinct bit pattern, so -0.0 and 0.0 stay apart. The matrix's patterns
-    # are made unique on their own first, so its data is never copied whole.
+    a, c, rhs, upper = model.a, model.c, model.rhs, model.upper
+    # Every coefficient's, right-hand side's and finite upper bound's text,
+    # " repr\n", once per distinct bit pattern, so -0.0 and 0.0 stay apart.
+    # The matrix's patterns are made unique on their own first, so its data
+    # is never copied whole. Lower bounds are all 0: a binary is an integer
+    # column with upper bound 1.
     in_objective = c != 0.0
-    bits = np.unique(np.concatenate(
-        (np.unique(a.data.view(np.int64)), c[in_objective].view(np.int64), rhs.view(np.int64))
-    ))
+    binary = model.is_integer & (upper == 1.0)
+    capped = ~binary & np.isfinite(upper)
+    bits = np.unique(np.concatenate((
+        np.unique(a.data.view(np.int64)), c[in_objective].view(np.int64), rhs.view(np.int64),
+        upper[capped].view(np.int64),
+    )))
     value_text = np.array([f" {v!r}\n" for v in bits.view(float).tolist()], dtype=object)
 
     def values(v: np.ndarray) -> np.ndarray:
@@ -157,13 +154,12 @@ def iter_mps_text(model: BuiltModel) -> Iterator[str]:
     yield from _chunked_lines(f" {RHS_SET} ", row_names[1:][nonzero], values(rhs[nonzero]))
 
     yield "BOUNDS\n"
-    lower, upper = model.lower, model.upper
-    binary = is_integer & (lower == 0.0) & (upper == 1.0)
-    bounded = np.flatnonzero(binary | (lower != 0.0) | np.isfinite(upper))
-    for lo in range(0, len(bounded), CHUNK_LINES):
-        cols = bounded[lo : lo + CHUNK_LINES]
-        fields = (col_names[cols], lower[cols], upper[cols], binary[cols])
-        yield "".join(map(_bound_lines, *(f.tolist() for f in fields)))
+    bounded = np.flatnonzero(binary | capped)
+    up = capped[bounded]
+    tail = np.full(len(bounded), "\n", dtype=object)
+    tail[up] = values(upper[bounded[up]])
+    yield from _chunked_lines(
+        np.where(up, f" UP {BOUND_SET} ", f" BV {BOUND_SET} "), col_names[bounded], tail)
     yield "ENDATA\n"
 
 

@@ -57,7 +57,6 @@ from . import engine
 from .instance import Cell, Instance
 from .model import (
     BuiltModel,
-    CompactModel,
     InfeasiblePlacement,
     ObjectiveBreakdown,
     build_compact_model,
@@ -483,7 +482,7 @@ def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
     )
 
 
-def _solve_in_process(model: CompactModel, config: SolveConfig) -> Answer:
+def _solve_in_process(model: BuiltModel, config: SolveConfig) -> Answer:
     """The bundled HiGHS's answer on the model. With `config.workdir` set,
     the model and the answer are written there as a solver command leaves
     them."""
@@ -506,7 +505,7 @@ def _solve_in_process(model: CompactModel, config: SolveConfig) -> Answer:
     return answer
 
 
-def _solve_with_command(model: CompactModel, config: SolveConfig, template: str) -> Answer:
+def _solve_with_command(model: BuiltModel, config: SolveConfig, template: str) -> Answer:
     """Export MPS, run the solver command, and read the solution file it
     writes; SolverFailed when the command fails or outruns its grace period."""
     with tempfile.TemporaryDirectory(prefix="nbsopt-solve-") as scratch:

@@ -28,9 +28,7 @@ from nbsopt.model import (
     SENSE_GE,
     SENSE_LE,
     BuiltModel,
-    CompactModel,
     CsrMatrix,
-    MilpModel,
     MipProblem,
     build_model,
     linearization_big_m,
@@ -60,7 +58,7 @@ def solver_cli_template() -> str:
     )
 
 
-def solve_paper_model(inst: Instance, model: MilpModel, config: SolveConfig) -> SolveResult:
+def solve_paper_model(inst: Instance, model: BuiltModel, config: SolveConfig) -> SolveResult:
     """The verified result of the bundled HiGHS on the paper model itself,
     with its six big-M rows per cell: the reference for the compact model
     that the in-process solve hands HiGHS."""
@@ -101,11 +99,11 @@ def spy_on_highs(monkeypatch, run: bool = True) -> list[dict]:
     return calls
 
 
-def record_answers(monkeypatch) -> list[tuple[MilpModel | CompactModel, Answer]]:
+def record_answers(monkeypatch) -> list[tuple[BuiltModel, Answer]]:
     """Record the model and the answer of every solve that reaches
     `nbsopt.solve._verify`, the one check of a solver's answer."""
     solve = importlib.import_module("nbsopt.solve")  # not the package's `solve` function
-    seen: list[tuple[MilpModel | CompactModel, Answer]] = []
+    seen: list[tuple[BuiltModel, Answer]] = []
     real = solve._verify
 
     def verify(inst, model, answer):
@@ -134,7 +132,7 @@ def constraint_residuals(model: MipProblem, values: np.ndarray) -> float:
     return float(max(rows.max(initial=-np.inf), cols.max(initial=-np.inf)))
 
 
-def certify(model: MilpModel, values: np.ndarray, objective: float) -> str:
+def certify(model: BuiltModel, values: np.ndarray, objective: float) -> str:
     """Why the paper-layout vector `values` is not a solution of `model` with
     an objective at most `objective`, or "" when it is.
 
@@ -160,7 +158,7 @@ def family_rows(model: BuiltModel, tag: str) -> slice:
     raise KeyError(tag)
 
 
-def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndarray:
+def lift(model: BuiltModel, compact: BuiltModel, values: np.ndarray) -> np.ndarray:
     """The paper-layout column vector of a compact solution.
 
     x and lam are the compact values rounded. Every other column takes the
@@ -195,7 +193,7 @@ def lift(model: MilpModel, compact: CompactModel, values: np.ndarray) -> np.ndar
     return v
 
 
-def certify_compact_answer(inst: Instance, compact: CompactModel, answer: Answer) -> str:
+def certify_compact_answer(inst: Instance, compact: BuiltModel, answer: Answer) -> str:
     """`certify` on the paper model for a compact answer, lifted into the
     paper model's columns."""
     model = build_model(inst, compact.norms)
@@ -214,7 +212,7 @@ class SlicedModel(MipProblem):
     guarded: dict[str, int]
 
 
-def impact_bounds_from_rows(model: MilpModel) -> np.ndarray:
+def impact_bounds_from_rows(model: BuiltModel) -> np.ndarray:
     """M_c per (u, cell), read from the paper model's conv rows: each source
     cell in the row adds its largest coefficient over the NBS types that may
     be newly installed there, into a (cell, window offset) array."""
@@ -239,7 +237,7 @@ def impact_bounds_from_rows(model: MilpModel) -> np.ndarray:
     return bounds
 
 
-def compact_model(model: MilpModel) -> SlicedModel:
+def compact_model(model: BuiltModel) -> SlicedModel:
     """The compact model sliced from the paper model's matrix: the reference
     for `build_compact_model`, which builds it from the instance.
 
@@ -498,7 +496,7 @@ def read_matrix_csv(path: Path) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in csv.reader(fh)])
 
 
-def variable_vector(inst: Instance, model: MilpModel, placement: Placement) -> np.ndarray:
+def variable_vector(inst: Instance, model: BuiltModel, placement: Placement) -> np.ndarray:
     """Embed a placement into the model's variable space.
 
     Auxiliary variables take their defining values; y takes the clamp

@@ -67,7 +67,7 @@ class TestLabelComponents:
     def test_matches_flood_fill_on_edge_shapes(self, mask):
         assert label_components(mask) == flood_fill_components(mask)
 
-    @pytest.mark.parametrize("side", [5, 8, 21])
+    @pytest.mark.parametrize("side", [5, 8, 21, 101])
     def test_a_spiral_is_one_component(self, side):
         # a path winding clockwise inwards with a gap between its turns, so
         # that its rows join only at the corners

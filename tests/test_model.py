@@ -5,7 +5,7 @@ import pytest
 
 from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
-from nbsopt.engine import Placement
+from nbsopt.engine import Placement, fairness
 from nbsopt.instance import ObjectiveWeights
 from nbsopt.kernels import compute_big_m
 from nbsopt.model import (
@@ -175,18 +175,31 @@ class TestNormalizers:
         breakdown = evaluate_solution(inst, Placement.do_nothing(inst), norms)
         assert breakdown.cost_term == 0.0
 
+    @staticmethod
+    def best_single_type_fairness(inst) -> float:
+        """The best fairness total of a placement installing one NBS type on
+        every cell it is not forbidden on."""
+        totals = []
+        for t in inst.nbs_ids:
+            placement = Placement.empty(inst)
+            placement.masks[t] = ~inst.forbidden_mask(t)
+            totals.append(float(fairness(inst, placement).sum()))
+        return max(totals)
+
     def test_degenerate_fairness_scale(self):
         all_cells = {(i, j) for i in range(2) for j in range(2)}
         inst = make_instance(np.ones((2, 2)), forbidden=all_cells)
         norms = objective_normalizers(inst)
-        assert norms.fairness_min == norms.fairness_max == 0.0
+        assert norms.fairness_min == self.best_single_type_fairness(inst) == 0.0
         assert norms.fairness_scale == 1.0
 
     def test_fairness_bounds_order(self):
         inst = generate_synthetic(5, GridDims(5, 5), nbs_count=2, measure_count=1,
                                   forbidden_fraction=0.3, pre_existing_fraction=0.1)
         norms = objective_normalizers(inst)
-        assert norms.fairness_max >= norms.fairness_min >= 0.0
+        f_max = self.best_single_type_fairness(inst)
+        assert f_max > norms.fairness_min >= 0.0
+        assert norms.fairness_scale == 1 / (f_max - norms.fairness_min)
 
 
 class TestBigM:

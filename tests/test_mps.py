@@ -9,7 +9,7 @@ import pytest
 
 from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
-from nbsopt.model import CsrMatrix, build_model, objective_normalizers
+from nbsopt.model import CsrMatrix, build_compact_model, build_model, objective_normalizers
 from nbsopt.mps import (
     CHUNK_LINES,
     MpsFormatError,
@@ -175,6 +175,21 @@ class TestWriterOracle:
                   for b in range(lo + CHUNK_LINES, hi, CHUNK_LINES)]
         assert set(bounds) - set(starts.tolist())
         assert "".join(iter_mps_text(model)) == _reference_text(model)
+
+    def test_a_guarded_compact_model(self):
+        # the compact file has UP bounds, on zbar, and integer columns (the
+        # guard binaries among them) on both sides of its continuous ones
+        inst = generate_synthetic(12, GridDims(8, 8), nbs_count=2, measure_count=4,
+                                  forbidden_fraction=0.5, pre_existing_fraction=0.05)
+        model = build_compact_model(inst)
+        assert model.guarded
+        lines = "".join(iter_mps_text(model)).splitlines()
+        expected = _reference_text(model).splitlines()
+        assert any(line.startswith(" UP ") for line in expected)
+        # the first differing line, not a diff of the whole text
+        first = next((k for k, (got, want) in enumerate(zip(lines, expected)) if got != want), None)
+        assert first is None, f"line {first + 1}: {lines[first]!r}, expected {expected[first]!r}"
+        assert len(lines) == len(expected)
 
 
 # Byte-identical MPS output is a documented guarantee (docs/formats.md); these

@@ -63,6 +63,26 @@ def test_every_public_definition_is_used_inside_the_package():
     assert unused == [], f"defined but not used in src/nbsopt: {unused}"
 
 
+def test_every_dataclass_field_is_read_inside_the_package():
+    """A dataclass field that no code in src/nbsopt reads, as an attribute
+    of any object, is set for its tests (or for nothing)."""
+    fields: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _references(d) for d in node.decorator_list
+            ):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields[item.target.id] = f"{path.name}:{node.name}.{item.target.id}"
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(where for name, where in fields.items() if name not in read)
+    assert unread == [], f"dataclass fields never read in src/nbsopt: {unread}"
+
+
 HIGHS_BINDING = "scipy.optimize._highspy._core"
 
 
