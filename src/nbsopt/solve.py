@@ -321,8 +321,9 @@ class Answer:
     """A solver's answer as the solution file states it: a status name, the
     column vector, and objective and bound with the objective constant
     included; `x`, `objective` and `bound` are None where the solver has none.
-    The bundled HiGHS also gives its branch-and-bound node count and MIP gap,
-    which the file does not hold.
+    A `no-incumbent` answer has no vector or objective, but may have a bound.
+    The bundled HiGHS also gives its branch-and-bound node count, MIP gap and
+    primal-dual integral, which the file does not hold.
     """
 
     status: str
@@ -332,6 +333,7 @@ class Answer:
     message: str = ""
     mip_node_count: int | None = None
     mip_gap: float | None = None
+    primal_dual_integral: float | None = None
 
 
 class SolverFailed(RuntimeError):
@@ -493,8 +495,10 @@ def _solve_in_process(model: BuiltModel, config: SolveConfig) -> Answer:
     answer = solver_cli.solve_mps(model, config.time_limit, config.gap)
     solved = time.perf_counter() - started
     logger.info(
-        "HiGHS on the compact model: %s in %.4f s, %s nodes, MIP gap %s",
+        "HiGHS on the compact model: %s in %.4f s, %s nodes, MIP gap %s, "
+        "primal-dual integral %s",
         answer.status, solved, answer.mip_node_count, answer.mip_gap,
+        answer.primal_dual_integral,
     )
     if config.workdir is not None:
         workdir = Path(config.workdir)

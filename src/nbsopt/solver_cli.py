@@ -10,6 +10,17 @@ that scipy bundles through its `_Highs` binding as the same arrays (the CSR
 matrix passed as HiGHS's row-wise one, with no copy made here) with the same
 options, so the compact model exported by a solver-command solve is solved
 exactly as the in-process solve solves it.
+One option depends on the problem, and it is read from the arrays alone:
+HiGHS's feasibility-jump heuristic runs only where some `>=` row has an entry
+in an integer column. Elsewhere the integer columns sit only in `<=` and
+`=` rows (in the unguarded compact model: one_type, budget, forbidden,
+pre_existing, cluster and conv, with the peak rows, its only `>=` rows, on
+`zbar` and `zmax` alone), so the pre-existing-only placement is feasible,
+HiGHS finds it without the heuristic, and the heuristic's fixed cost (about
+10 ms even after presolve leaves a handful of columns) buys nothing. The
+guard rows of a guarded compact model and the paper model's big-M rows are
+`>=` rows on binaries, so those models keep the heuristic, whose incumbent
+can be the only one a time limit leaves.
 `mps.highs_binding` loads that binding from its extension file without
 importing `scipy.optimize`, whose package init costs a process more than the
 binding does. HiGHS's stray debug lines on stdout go to stderr.
@@ -101,7 +112,8 @@ def _run_highs(options: dict, *, c, a, row_lower, row_upper, col_lower, col_uppe
     integer column and 0 for a continuous one."""
     highs = _core._Highs()
     for name, value in options.items():
-        highs.setOptionValue(name, value)
+        if highs.setOptionValue(name, value) != _core.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects option {name}={value!r}")
     status = highs.passModel(
         len(c), a.shape[0], a.nnz, _ROWWISE, _MINIMIZE, 0.0, c, col_lower, col_upper,
         row_lower, row_upper, a.indptr, a.indices, a.data, integrality,
@@ -117,10 +129,20 @@ def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0) -> Answer:
 
     Minimizes `c @ x` subject to each row of `a @ x` against `rhs` with the
     row's `sense`, `lower <= x <= upper`, and integrality where `is_integer`.
-    The answer has a vector, objective and bound only where HiGHS has a
-    solution: at an optimum, or at a limit of a problem with integer columns
-    once one was found. Its node count and MIP gap are HiGHS's for such a
-    problem, and None otherwise.
+    The answer has a vector and objective only where HiGHS has a solution: at
+    an optimum, or at a limit of a problem with integer columns once one was
+    found. A problem with integer columns also has HiGHS's dual bound there,
+    and at a limit with no solution (`no-incumbent`) where that bound is
+    finite. Its node count, MIP gap and primal-dual integral are HiGHS's for
+    such a problem, and None otherwise.
+
+    HiGHS's feasibility-jump heuristic runs only where some `>=` row
+    (`sense == SENSE_GE`) has an entry in an integer column; without one, the
+    integer columns sit only in `<=` and `=` rows, a trivial placement is
+    already feasible, and the heuristic adds nothing but its fixed cost (see
+    the module docstring). The choice reads only the arrays, so a model solved
+    in memory and the same model read back from its MPS file get the same
+    options.
 
     When presolve finds the problem unbounded or infeasible without telling
     which (as HiGHS's MIP presolve does for an unbounded MIP), HiGHS runs once
@@ -128,8 +150,11 @@ def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0) -> Answer:
     answer's.
     """
     started = time.perf_counter()
+    ge_entries = np.repeat(data.sense == SENSE_GE, np.diff(data.a.indptr))
+    covering = bool(data.is_integer[data.a.indices[ge_entries]].any())
     options = {"log_to_console": False, "presolve": "on",
-               "time_limit": float(time_limit), "mip_rel_gap": float(gap)}
+               "time_limit": float(time_limit), "mip_rel_gap": float(gap),
+               "mip_heuristic_run_feasibility_jump": covering}
     arrays = dict(
         c=data.c, a=data.a, col_lower=data.lower, col_upper=data.upper,
         row_lower=np.where(data.sense == SENSE_LE, -np.inf, data.rhs),
@@ -151,14 +176,16 @@ def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0) -> Answer:
         detail = (f"model_status is {detail}; primal_status is "
                   f"{highs.solutionStatusToString(info.primal_solution_status)}")
     constant = data.objective_constant
+    bounded = found or (status == STATUS_NO_INCUMBENT and np.isfinite(info.mip_dual_bound))
     return Answer(
         status,
         np.array(highs.getSolution().col_value) if found else None,
         info.objective_function_value + constant if found else None,
-        info.mip_dual_bound + constant if found and is_mip else None,
+        info.mip_dual_bound + constant if bounded and is_mip else None,
         f"{opening}(HiGHS Status {int(model_status)}: {detail})",
         mip_node_count=info.mip_node_count if is_mip else None,
         mip_gap=info.mip_gap if is_mip else None,
+        primal_dual_integral=info.primal_dual_integral if is_mip else None,
     )
 
 

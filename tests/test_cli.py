@@ -209,8 +209,10 @@ class TestSolveAndReport:
         assert run(["solve", str(tiny_instance_path), "--backend", "external",
                     "--timelimit", "7.5", "--gap", "0.25"]) == 0
         [call] = calls
+        # the tiny instance guards no measure, so feasibility jump is off
         assert call["options"] == {"log_to_console": False, "presolve": "on",
-                                   "time_limit": 7.5, "mip_rel_gap": 0.25}
+                                   "time_limit": 7.5, "mip_rel_gap": 0.25,
+                                   "mip_heuristic_run_feasibility_jump": False}
 
 
 class TestBuild:

@@ -294,7 +294,7 @@ BINDING_MEMBERS = {
                 "col_names_", "integrality_", "sense_"],
     "HighsLp.a_matrix_": ["value_", "index_", "start_"],
     "HighsInfo": ["objective_function_value", "mip_dual_bound", "mip_node_count", "mip_gap",
-                  "primal_solution_status"],
+                  "primal_dual_integral", "primal_solution_status"],
     "HighsSolution": ["col_value"],
     "HighsModelStatus": ["kOptimal", "kTimeLimit", "kIterationLimit", "kInfeasible",
                          "kUnbounded", "kUnboundedOrInfeasible"],

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from nbsopt.solve import (
     SolveConfig,
     count_decision_units,
     parse_solution_file,
+    solution_text,
     solve,
     solve_external,
     solve_oracle,
@@ -653,6 +655,50 @@ def test_the_default_solve_builds_no_paper_model(monkeypatch, tmp_path, route, l
     assert solve_external(NO_PAPER_INSTANCES[label], config).status == "optimal"
 
 
+# HiGHS's options on every model but for feasibility jump, at EXTERNAL's
+# time limit and gap
+BASE_OPTIONS = {"log_to_console": False, "presolve": "on", "time_limit": 60.0,
+                "mip_rel_gap": 0.0}
+FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
+
+
+def test_feasibility_jump_runs_only_where_a_ge_row_holds_an_integer_column(monkeypatch):
+    # the desk models' only >= rows are peak rows on continuous columns; the
+    # guard rows and the paper model's big-M rows are >= rows on binaries,
+    # so those models reach HiGHS with its defaults
+    from nbsopt import solver_cli
+
+    calls = spy_on_highs(monkeypatch, run=False)
+    desk = [inst for _, inst in desk_suite(20)]
+    for inst in desk + [_guarded(*case) for case in GUARDED]:
+        with pytest.raises(HighsNotRun):
+            solve_external(inst, EXTERNAL)
+    with pytest.raises(HighsNotRun):
+        solver_cli.solve_mps(build_model(desk[0]), EXTERNAL.time_limit, EXTERNAL.gap)
+    options = [call["options"] for call in calls]
+    assert len(options) == len(desk) + len(GUARDED) + 1
+    assert options[:len(desk)] == [{**BASE_OPTIONS, FEASIBILITY_JUMP: False}] * len(desk)
+    assert options[len(desk):] == [{**BASE_OPTIONS, FEASIBILITY_JUMP: True}] * (len(GUARDED) + 1)
+
+
+@pytest.mark.parametrize("label", NO_PAPER_INSTANCES)
+def test_the_solver_cli_passes_the_in_process_options(monkeypatch, tmp_path, label):
+    # `python -m nbsopt.solver_cli` runs `main` on the exported file: the
+    # same options as the in-process solve of the model
+    from nbsopt import solver_cli
+
+    inst = NO_PAPER_INSTANCES[label]
+    calls = spy_on_highs(monkeypatch, run=False)
+    with pytest.raises(HighsNotRun):
+        solve_external(inst, EXTERNAL)
+    export_interchange(build_compact_model(inst), tmp_path / "model.mps")
+    with pytest.raises(HighsNotRun):
+        solver_cli.main([str(tmp_path / "model.mps"), str(tmp_path / "solution.sol"),
+                         "60.0", "--gap", "0.0"])
+    in_process, through_file = (call["options"] for call in calls)
+    assert in_process == through_file == {**BASE_OPTIONS, FEASIBILITY_JUMP: label == "guarded"}
+
+
 @pytest.mark.parametrize("label, make", BUILT_CASES, ids=[label for label, _ in BUILT_CASES])
 def test_each_model_names_its_own_columns(label, make):
     inst = make()
@@ -812,6 +858,61 @@ class TestExternalContract:
 
 
 class TestSolverCli:
+    @pytest.mark.parametrize("name, value", [("mip_heuristic_run_feasibility_jumpx", True),
+                                             ("presolve", "onn")])
+    def test_an_option_highs_rejects_is_an_error(self, name, value):
+        from nbsopt import solver_cli
+        from nbsopt.model import CsrMatrix
+
+        one = np.ones(1)
+        a = CsrMatrix(np.array([0, 1]), np.array([0], dtype=np.int32), one, (1, 1))
+        with pytest.raises(ValueError, match=f"HiGHS rejects option {name}={value!r}"):
+            solver_cli._run_highs({name: value}, c=one, a=a, row_lower=one, row_upper=one,
+                                  col_lower=0 * one, col_upper=one,
+                                  integrality=np.zeros(1, dtype=np.int32))
+
+    @pytest.mark.parametrize("dual_bound", [-0.25, -np.inf])
+    def test_no_incumbent_keeps_a_finite_dual_bound(self, monkeypatch, caplog, dual_bound):
+        # HiGHS stopped at its limit with no solution, stubbed: a finite dual
+        # bound is kept, with the objective constant, and an infinite one is not
+        from nbsopt import solver_cli
+
+        info = SimpleNamespace(objective_function_value=np.inf, mip_dual_bound=dual_bound,
+                               mip_node_count=3, mip_gap=np.inf, primal_dual_integral=1.5,
+                               primal_solution_status=0)
+        stopped = SimpleNamespace(getModelStatus=lambda: solver_cli._MODEL.kTimeLimit,
+                                  getInfo=lambda: info,
+                                  modelStatusToString=lambda status: "Time limit reached",
+                                  solutionStatusToString=lambda status: "None")
+        monkeypatch.setattr(solver_cli, "_run_highs", lambda options, **arrays: stopped)
+        inst = desk_instance(1)
+        model = build_compact_model(inst)
+        answer = solver_cli.solve_mps(model, 1.0)
+        bound = dual_bound + model.objective_constant if np.isfinite(dual_bound) else None
+        assert (answer.status, answer.x, answer.objective) == ("no-incumbent", None, None)
+        assert answer.bound == bound
+        assert (answer.mip_node_count, answer.primal_dual_integral) == (3, 1.5)
+        text = solution_text(model.layout.column_names(), answer, 1.0)
+        assert (f"# bound {bound!r}" in text.splitlines()) == (bound is not None)
+
+        monkeypatch.delenv("NBSOPT_SOLVER_CMD", raising=False)
+        with caplog.at_level("INFO", logger="nbsopt.solve"):
+            result = solve_external(inst, EXTERNAL)
+        assert (result.status, result.bound) == ("feasible-timeout", bound)
+        assert result.placement.new_cells(inst) == {t: [] for t in inst.nbs_ids}
+        assert "3 nodes, MIP gap inf, primal-dual integral 1.5" in caplog.text
+
+    def test_primal_dual_integral_only_for_a_mip(self):
+        from nbsopt import solver_cli
+
+        model = build_compact_model(desk_instance(1))
+        mip = solver_cli.solve_mps(model, 60.0)
+        relaxed = solver_cli.solve_mps(replace(model, is_integer=np.zeros_like(model.is_integer)),
+                                       60.0)
+        assert (mip.status, relaxed.status) == ("optimal", "optimal")
+        assert isinstance(mip.primal_dual_integral, float) and mip.primal_dual_integral >= 0
+        assert relaxed.primal_dual_integral is None
+
     def test_infeasible_model_reported(self, tmp_path):
         from nbsopt import solver_cli
 
