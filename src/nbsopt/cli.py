@@ -102,7 +102,9 @@ def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
 def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
     """A result file's content; SchemaError unless it is an object whose
     `new_cells` name known NBS ids and integer [i, j] cells inside the grid,
-    and whose `metadata` is an object with a numeric `wall_time`."""
+    whose `objective` and `bound` are numbers or null, whose `status` is a
+    string, and whose `metadata` is an object with a numeric `wall_time`.
+    Booleans are not numbers here."""
     if not isinstance(raw, dict):
         raise SchemaError("result", "expected a JSON object")
     placement = None
@@ -124,16 +126,21 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
     meta = raw.get("metadata") or {}
     if not isinstance(meta, dict):
         raise SchemaError("result.metadata", "expected a JSON object")
-    wall_time = meta.get("wall_time") or 0.0
-    if not isinstance(wall_time, (int, float)):
-        raise SchemaError("result.metadata.wall_time", "expected a number")
+    wall_time = meta.get("wall_time")
+    for where, value in (("objective", raw.get("objective")), ("bound", raw.get("bound")),
+                         ("metadata.wall_time", wall_time)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise SchemaError(f"result.{where}", "expected a number")
+    status = raw.get("status", "error")
+    if not isinstance(status, str):
+        raise SchemaError("result.status", "expected a string")
     return SolveResult(
-        status=raw.get("status", "error"),
+        status=status,
         backend=meta.get("backend", "unknown"),
         placement=placement,
         objective=raw.get("objective"),
         bound=raw.get("bound"),
-        wall_time=float(wall_time),
+        wall_time=float(wall_time or 0.0),
         message=meta.get("message", ""),
     )
 

@@ -6,7 +6,9 @@ a measure (newly installed cells only), the reduction it achieves (that
 impact capped at the measure's `delta`), and the population-weighted fairness
 field. The objective evaluation and the placement check call them; the
 post-solve analysis reads the fields the evaluation kept. The enumeration
-oracle runs `correlate` on each decision unit's cell indicator.
+oracle runs `correlate` on each decision unit's cell indicator, sums those
+increments as it descends, and scores each leaf with the evaluation's formula
+(`model.objective_terms`) and the checker's tolerance.
 
 Boundary cells outside the grid contribute zero. Orientation is
 cross-correlation (no kernel flip); all bundled kernels are symmetric so the

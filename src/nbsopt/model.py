@@ -815,6 +815,37 @@ class ObjectiveBreakdown:
         }
 
 
+def objective_terms(inst: Instance, norms: Normalizers, reduced: dict[str, np.ndarray],
+                    cost_value: float, fairness_value: float) -> dict:
+    """The objective's raw values, weighted normalized terms and total, keyed
+    as `ObjectiveBreakdown` names them, from each measure's reduced field (in
+    any shape), the new cells' cost and the fairness total. The evaluation and
+    the enumeration oracle both score with it; `avg_value` holds the means
+    the `zavg >= 0` domain tests."""
+    peak_value: dict[str, float] = {}
+    avg_value: dict[str, float] = {}
+    peak_term: dict[str, float] = {}
+    avg_term: dict[str, float] = {}
+    total = 0.0
+    for u in inst.measure_ids:
+        # zmax/zavg live in R+, so the solver can never report below zero.
+        peak_value[u] = max(0.0, float(reduced[u].max()))
+        avg_value[u] = float(reduced[u].mean())
+        peak_term[u] = inst.weights.peak[u] * norms.peak_scale[u] * peak_value[u]
+        avg_term[u] = inst.weights.avg[u] * norms.peak_scale[u] * avg_value[u]
+        total += peak_term[u] + avg_term[u]
+
+    cost_term = inst.weights.cost * norms.cost_scale * cost_value
+    total += cost_term
+    fairness_term = (
+        -inst.weights.fairness * norms.fairness_scale * (fairness_value - norms.fairness_min)
+    )
+    total += fairness_term
+    return dict(peak_value=peak_value, avg_value=avg_value, cost_value=cost_value,
+                fairness_value=fairness_value, peak_term=peak_term, avg_term=avg_term,
+                cost_term=cost_term, fairness_term=fairness_term, total=total)
+
+
 def evaluate_solution(
     inst: Instance,
     placement: engine.Placement,
@@ -823,13 +854,16 @@ def evaluate_solution(
     """Objective value of a placement, computed directly from the fields.
 
     Uses the same normalizers and term structure as build_model, with no MILP
-    involved, so it doubles as the independent evaluation for the enumeration
-    oracle and for verifying solver output. `norms` are computed from the
-    instance when not given; callers holding a model pass its `norms`, the
-    ones its objective was built with. Raises InfeasiblePlacement when
-    `check_placement` finds a violation. Each reduction field is computed
-    once, for the check and the terms, and the breakdown keeps the reduction
-    and fairness fields, so the report does not compute them again.
+    involved, so it doubles as the independent evaluation for verifying
+    solver output. The terms come from `objective_terms`, which the
+    enumeration oracle also scores its leaves with, holding them to
+    `check_placement`'s `zavg >= 0` tolerance, FEAS_TOL. `norms` are computed
+    from the instance when not given; callers holding a model pass its
+    `norms`, the ones its objective was built with. Raises
+    InfeasiblePlacement when `check_placement` finds a violation. Each
+    reduction field is computed once, for the check and the terms, and the
+    breakdown keeps the reduction and fairness fields, so the report does not
+    compute them again.
     """
     reduction = {u: engine.measure_reduction(inst, placement, u) for u in inst.measure_ids}
     violations = check_placement(inst, placement, reduction)
@@ -837,43 +871,9 @@ def evaluate_solution(
         raise InfeasiblePlacement(violations)
     if norms is None:
         norms = objective_normalizers(inst)
-
-    peak_value: dict[str, float] = {}
-    avg_value: dict[str, float] = {}
-    peak_term: dict[str, float] = {}
-    avg_term: dict[str, float] = {}
-    total = 0.0
-    for u in inst.measures:
-        reduced = u.field - reduction[u.id]
-        # zmax/zavg live in R+, so the solver can never report below zero.
-        peak_value[u.id] = max(0.0, float(reduced.max()))
-        avg_value[u.id] = float(reduced.mean())
-        peak_term[u.id] = inst.weights.peak[u.id] * norms.peak_scale[u.id] * peak_value[u.id]
-        avg_term[u.id] = inst.weights.avg[u.id] * norms.peak_scale[u.id] * avg_value[u.id]
-        total += peak_term[u.id] + avg_term[u.id]
-
-    cost_value = _new_cost(inst, placement)
-    cost_term = inst.weights.cost * norms.cost_scale * cost_value
-    total += cost_term
-
+    reduced = {u.id: u.field - reduction[u.id] for u in inst.measures}
     fairness_field = engine.fairness(inst, placement)
-    fairness_value = float(fairness_field.sum())
-    fairness_term = (
-        -inst.weights.fairness * norms.fairness_scale * (fairness_value - norms.fairness_min)
-    )
-    total += fairness_term
-
-    return ObjectiveBreakdown(
-        peak_value=peak_value,
-        avg_value=avg_value,
-        cost_value=cost_value,
-        fairness_value=fairness_value,
-        peak_term=peak_term,
-        avg_term=avg_term,
-        cost_term=cost_term,
-        fairness_term=fairness_term,
-        total=total,
-        reduction=reduction,
-        fairness_field=fairness_field,
-        norms=norms,
-    )
+    terms = objective_terms(inst, norms, reduced, _new_cost(inst, placement),
+                            float(fairness_field.sum()))
+    return ObjectiveBreakdown(**terms, reduction=reduction, fairness_field=fairness_field,
+                              norms=norms)

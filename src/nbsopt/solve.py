@@ -1,12 +1,15 @@
 """Solving: exhaustive enumeration oracle and MILP solver bridge.
 
 The oracle enumerates every feasible placement of the free decision units
-(clusters, plus per-cell type choices). Each unit's impact and fairness
-increments come from `engine.correlate` over the unit's cell indicator, the
-windowed sum the direct objective evaluation also uses, and the optimum is
-re-evaluated directly before it is returned; the oracle never touches the
-MILP or its big-M linearization, which makes it an independent check of the
-MILP. It is exact but exponential, so it is capped by a decision-unit budget.
+(clusters, plus per-cell type choices). Each unit is a set of arrays: its
+cover, its cost, and its impact and fairness increments from
+`engine.correlate` over its cell indicator, as the direct evaluation
+computes them. The descent keeps running sums of them and scores each leaf
+with the evaluation's formula, `model.objective_terms`, under the checker's
+`zavg >= 0` tolerance, FEAS_TOL; the optimum is re-evaluated directly before
+it is returned. The oracle never touches the MILP or its big-M
+linearization, which makes it an independent check of the MILP. It is exact
+but exponential, so it is capped by a decision-unit budget.
 
 The external backend solves the MILP with a MILP solver. Every solve builds
 one model, the compact model that `model.build_compact_model` builds from the
@@ -56,12 +59,14 @@ import numpy as np
 from . import engine
 from .instance import Cell, Instance
 from .model import (
+    FEAS_TOL,
     BuiltModel,
     InfeasiblePlacement,
     ObjectiveBreakdown,
     build_compact_model,
     evaluate_solution,
     objective_normalizers,
+    objective_terms,
     values_close,
 )
 from .mps import export_interchange
@@ -125,46 +130,6 @@ class SolveResult:
 # --- Exhaustive oracle -------------------------------------------------------
 
 
-@dataclass
-class _Unit:
-    """One selectable decision: a whole cluster or one (cell, type) option."""
-
-    nbs_id: str
-    cells: list[Cell]
-    cost: float
-    dz: dict[str, np.ndarray]  # per measure, flattened impact increment
-    df_sum: float  # total fairness increment
-    cover: np.ndarray  # flat cell indices newly occupied
-
-
-@dataclass
-class _Slot:
-    """A point of choice in the enumeration: binary cluster or cell options."""
-
-    options: list[_Unit]  # state k > 0 picks options[k - 1]; state 0 picks none
-    label: tuple
-
-
-def _unit_for_cells(inst: Instance, nbs_id: str, cells: list[Cell]) -> _Unit:
-    """The unit's cost and its impact and fairness increments, each the
-    windowed sum of the unit's cell indicator, as the evaluation computes them."""
-    indicator = np.zeros(inst.dims.shape)
-    indicator[tuple(np.array(cells).T)] = 1.0
-    dz = {
-        u: engine.correlate(indicator, inst.kernel(u, nbs_id)).ravel()
-        for u in inst.measure_ids
-    }
-    access = engine.correlate(indicator, inst.fairness_kernels[nbs_id])
-    return _Unit(
-        nbs_id=nbs_id,
-        cells=cells,
-        cost=inst.nbs_by_id(nbs_id).cost * len(cells),
-        dz=dz,
-        df_sum=float((inst.population * access).sum()),
-        cover=np.flatnonzero(indicator),
-    )
-
-
 def _free_units(inst: Instance) -> list[tuple[tuple, str, list[Cell]]]:
     """Free decision units as (slot label, NBS id, cells), in canonical order.
 
@@ -173,31 +138,31 @@ def _free_units(inst: Instance) -> list[tuple[tuple, str, list[Cell]]]:
     of one cell share its slot.
     """
     units: list[tuple[tuple, str, list[Cell]]] = []
-    clustered: dict[str, set[Cell]] = {t: set() for t in inst.nbs_ids}
+    free = []
     for t in inst.nbs_ids:
+        free.append(inst.eligible_mask(t).copy())
         for q, group in enumerate(inst.clusters_for(t)):
-            clustered[t].update(group)
             units.append((("cluster", t, q), t, list(group)))
-    eligible = {t: inst.eligible_mask(t) for t in inst.nbs_ids}
-    w, h = inst.dims.shape
-    for i in range(w):
-        for j in range(h):
-            for t in inst.nbs_ids:
-                if eligible[t][i, j] and (i, j) not in clustered[t]:
-                    units.append((("cell", i, j), t, [(i, j)]))
+            free[-1][tuple(np.transpose(group))] = False
+    for i, j, k in zip(*(a.tolist() for a in np.nonzero(np.stack(free, axis=-1)))):
+        units.append((("cell", i, j), inst.nbs_ids[k], [(i, j)]))
     return units
 
 
-def _build_slots(inst: Instance) -> list[_Slot]:
-    """Canonical decision slots, one per cluster and one per cell with options."""
-    slots: list[_Slot] = []
-    for label, t, cells in _free_units(inst):
-        unit = _unit_for_cells(inst, t, cells)
-        if slots and slots[-1].label == label:
-            slots[-1].options.append(unit)
-        else:
-            slots.append(_Slot(options=[unit], label=label))
-    return slots
+def _unit_arrays(inst: Instance, units: list[tuple[tuple, str, list[Cell]]]):
+    """Per unit, as arrays over the units: its cover mask over the flattened
+    grid, its impact increments stacked per measure, its fairness increment
+    and its cost. Each increment is a windowed sum of the unit's cell
+    indicator, as the evaluation computes it."""
+    cover = np.zeros((len(units), *inst.dims.shape), dtype=bool)
+    dz = np.zeros((len(units), len(inst.measure_ids), inst.dims.n_cells))
+    df, cost = np.zeros(len(units)), np.zeros(len(units))
+    for k, (_, t, cells) in enumerate(units):
+        cover[k][tuple(np.transpose(cells))] = True
+        dz[k] = [engine.correlate(cover[k], inst.kernel(u, t)).ravel() for u in inst.measure_ids]
+        df[k] = (inst.population * engine.correlate(cover[k], inst.fairness_kernels[t])).sum()
+        cost[k] = inst.nbs_by_id(t).cost * len(cells)
+    return cover.reshape(len(units), inst.dims.n_cells), dz, df.tolist(), cost.tolist()
 
 
 def count_decision_units(inst: Instance) -> int:
@@ -208,78 +173,57 @@ def count_decision_units(inst: Instance) -> int:
 def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResult:
     """Enumerate all feasible placements and return a true optimum.
 
-    Ties on the objective are broken by the lexicographically smallest state
-    vector over the canonical slot order (clusters first, then cells in
-    row-major order, types in catalog order).
+    Each leaf is scored by `objective_terms`, the evaluation's own formula,
+    from running sums of the units' arrays, and kept only if every measure's
+    mean reduced value passes `check_placement`'s `zavg >= 0` test, to within
+    FEAS_TOL. Ties on the objective are broken by the lexicographically
+    smallest state vector over the canonical slot order (clusters first, then
+    cells in row-major order, types in catalog order).
     """
     t0 = time.perf_counter()
-    n_units = count_decision_units(inst)
-    if n_units > unit_cap:
+    units = _free_units(inst)
+    if len(units) > unit_cap:
         raise OracleCapExceeded(
-            f"instance has {n_units} decision units, oracle cap is {unit_cap}"
+            f"instance has {len(units)} decision units, oracle cap is {unit_cap}"
         )
-    slots = _build_slots(inst)
+    cover, dz, df, cost = _unit_arrays(inst, units)
+    # a slot is a run of units sharing a label: its units exclude each other
+    starts = [k for k, unit in enumerate(units) if k == 0 or unit[0] != units[k - 1][0]]
+    starts.append(len(units))
 
     norms = objective_normalizers(inst)
-    base = engine.Placement.do_nothing(inst)
-    fields = {u.id: u.field.ravel() for u in inst.measures}
-    deltas = {u: inst.delta(u) for u in inst.measure_ids}
-    weights = inst.weights
-    n_cells = inst.dims.n_cells
+    fields = np.array([u.field.ravel() for u in inst.measures])
+    deltas = np.array([[inst.delta(u)] for u in inst.measure_ids])
+    budget = inst.budget * (1 + FEAS_TOL) + FEAS_TOL
+    z = np.zeros((len(inst.measure_ids), inst.dims.n_cells))
+    occupied = np.zeros(inst.dims.n_cells, dtype=bool)
+    picked: list[int] = []
+    best_obj, best_units = np.inf, None
 
-    z_acc = {u: np.zeros(n_cells) for u in inst.measure_ids}
-    f_total = norms.fairness_min  # the fairness total of `base`
-    occupancy = np.zeros(n_cells, dtype=np.int8)
-
-    best_obj = np.inf
-    best_states: list[int] | None = None
-    state = [0] * len(slots)
-
-    fair_coeff = weights.fairness * norms.fairness_scale
-    cost_coeff = weights.cost * norms.cost_scale
-
-    def leaf_objective(cost: float, f_sum: float) -> float | None:
-        total = cost_coeff * cost - fair_coeff * (f_sum - norms.fairness_min)
-        for u in inst.measure_ids:
-            reduced = fields[u] - np.minimum(z_acc[u], deltas[u])
-            avg = float(reduced.mean())
-            if avg < -1e-12:
-                return None  # zavg is a nonnegative variable in the MILP
-            peak = max(0.0, float(reduced.max()))
-            scale = norms.peak_scale[u]
-            total += weights.peak[u] * scale * peak + weights.avg[u] * scale * avg
-        return total
-
-    def descend(k: int, cost: float, f_sum: float) -> None:
-        nonlocal best_obj, best_states
-        if k == len(slots):
-            obj = leaf_objective(cost, f_sum)
-            if obj is not None and obj < best_obj:
-                best_obj = obj
-                best_states = state.copy()
+    def descend(k: int, cost_sum: float, f_sum: float) -> None:
+        nonlocal best_obj, best_units, z, occupied
+        if k == len(starts) - 1:
+            reduced = dict(zip(inst.measure_ids, fields - np.minimum(z, deltas)))
+            terms = objective_terms(inst, norms, reduced, cost_sum, f_sum)
+            in_domain = min(terms["avg_value"].values()) >= -FEAS_TOL
+            if in_domain and terms["total"] < best_obj:
+                best_obj, best_units = terms["total"], picked.copy()
             return
-        slot = slots[k]
-        # state 0: leave the slot unused
-        state[k] = 0
-        descend(k + 1, cost, f_sum)
-        for s, unit in enumerate(slot.options, start=1):
-            if cost + unit.cost > inst.budget * (1 + 1e-9) + 1e-9:
+        descend(k + 1, cost_sum, f_sum)  # leave the slot unused
+        for n in range(starts[k], starts[k + 1]):
+            if cost_sum + cost[n] > budget or (occupied & cover[n]).any():
                 continue
-            if occupancy[unit.cover].any():
-                continue
-            state[k] = s
-            occupancy[unit.cover] += 1
-            for u in inst.measure_ids:
-                z_acc[u] += unit.dz[u]
-            descend(k + 1, cost + unit.cost, f_sum + unit.df_sum)
-            for u in inst.measure_ids:
-                z_acc[u] -= unit.dz[u]
-            occupancy[unit.cover] -= 1
-        state[k] = 0
+            picked.append(n)
+            occupied ^= cover[n]  # disjoint from `occupied`, so ^= adds it and takes it away
+            z += dz[n]
+            descend(k + 1, cost_sum + cost[n], f_sum + df[n])
+            z -= dz[n]
+            occupied ^= cover[n]
+            picked.pop()
 
-    descend(0, 0.0, f_total)
+    descend(0, 0.0, norms.fairness_min)  # the fairness total of do-nothing
 
-    if best_states is None:
+    if best_units is None:
         # The do-nothing leaf always exists, so this cannot happen unless the
         # instance itself is infeasible via the zavg domain.
         return SolveResult(
@@ -289,13 +233,9 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
             message="no placement satisfies the nonnegative-average domain",
         )
 
-    placement = base.copy()
-    for k, s in enumerate(best_states):
-        if s > 0:
-            unit = slots[k].options[s - 1]
-            mask = placement.masks[unit.nbs_id]
-            for i, j in unit.cells:
-                mask[i, j] = True
+    placement = engine.Placement.do_nothing(inst)
+    for n in best_units:
+        placement.masks[units[n][1]] |= cover[n].reshape(inst.dims.shape)
 
     breakdown = evaluate_solution(inst, placement, norms=norms)
     if not values_close(breakdown.total, best_obj, rel=1e-9):

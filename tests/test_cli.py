@@ -101,6 +101,10 @@ class TestSolveAndReport:
         ("negative_index", "result.schema"),
         ("not_an_integer", "result.schema"),
         ("wall_time_not_a_number", "result.schema"),
+        ("wall_time_a_bool", "result.schema"),
+        ("objective_a_string", "result.schema"),
+        ("bound_a_list", "result.schema"),
+        ("status_a_number", "result.schema"),
         ("forbidden_cell", "placement.infeasible"),
     ])
     def test_bad_result_file_exits_2(self, case, code, tiny_instance_path, tmp_path, capsys):
@@ -111,6 +115,10 @@ class TestSolveAndReport:
             "negative_index": {"new_cells": {"GW": [[-1, 0]]}},
             "not_an_integer": {"new_cells": {"GW": [[1.5, 0]]}},
             "wall_time_not_a_number": {"new_cells": {"GW": []}, "metadata": {"wall_time": "1s"}},
+            "wall_time_a_bool": {"new_cells": {"GW": []}, "metadata": {"wall_time": True}},
+            "objective_a_string": {"new_cells": {"GW": []}, "objective": "abc"},
+            "bound_a_list": {"new_cells": {"GW": []}, "bound": [1]},
+            "status_a_number": {"new_cells": {"GW": []}, "status": 7},
             "forbidden_cell": {"new_cells": {"GW": [forbidden]}},
         }
         raw = {"status": "optimal", **fields[case]} if case in fields else []

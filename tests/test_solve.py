@@ -19,7 +19,9 @@ from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement, measure_reduction
 from nbsopt.instance import ObjectiveWeights
+from nbsopt.kernels import Kernel
 from nbsopt.model import (
+    FEAS_TOL,
     OBJECTIVE_MATCH_TOL,
     VariableLayout,
     build_compact_model,
@@ -27,11 +29,14 @@ from nbsopt.model import (
     check_placement,
     evaluate_solution,
     objective_normalizers,
+    objective_terms,
 )
 from nbsopt.solve import (
     DEFAULT_UNIT_CAP,
     OracleCapExceeded,
     SolveConfig,
+    _free_units,
+    _unit_arrays,
     count_decision_units,
     parse_solution_file,
     solution_text,
@@ -214,12 +219,15 @@ class TestAvgDomain:
         placement.masks["GW"][:] = True
         assert [v.family for v in check_placement(inst, placement)] == ["avg_nonneg"]
 
-    def test_the_best_placement_ignoring_the_domain_is_rejected(self, inst):
-        placements = []
+    @staticmethod
+    def every_placement(inst):
         for bits in itertools.product([False, True], repeat=inst.dims.n_cells):
             placement = Placement.empty(inst)
             placement.masks["GW"] = np.array(bits).reshape(inst.dims.shape)
-            placements.append(placement)
+            yield placement
+
+    def test_the_best_placement_ignoring_the_domain_is_rejected(self, inst):
+        placements = list(self.every_placement(inst))
         # the objective's peak and mean terms, unchecked; cost and fairness weigh 0
         scale, (u,) = objective_normalizers(inst).peak_scale["M"], inst.measures
         reduced = [u.field - measure_reduction(inst, p, "M") for p in placements]
@@ -233,11 +241,20 @@ class TestAvgDomain:
             assert [v.family for v in check_placement(inst, p)] == ["avg_nonneg"]
 
     def test_oracle_and_highs_keep_the_domain(self, inst):
-        for result in (solve_oracle(inst), solve_external(inst, EXTERNAL)):
-            assert result.status == "optimal"
-            assert result.objective == pytest.approx(19 / 72, abs=1e-9)
-            assert result.placement.new_cells(inst) == {"GW": [(0, 0), (1, 0)]}
-            assert check_placement(inst, result.placement) == []
+        # installing the one cell takes the mean reduced value to -5e-10, which
+        # FEAS_TOL, the one tolerance of the domain, accepts
+        edge = make_instance(np.array([[1.0]]), kernel=Kernel(np.array([[2.0]])),
+                             delta=1.0 + 5e-10)
+        for case, optimum, cells in ((inst, 19 / 72, [(0, 0), (1, 0)]),
+                                     (edge, -0.249999975125, [(0, 0)])):
+            brute_force = min(evaluate_solution(case, p).total for p in self.every_placement(case)
+                              if not check_placement(case, p))
+            assert brute_force == pytest.approx(optimum, abs=1e-12)
+            for result in (solve_oracle(case), solve_external(case, EXTERNAL)):
+                assert result.status == "optimal"
+                assert result.objective == pytest.approx(optimum, abs=1e-12)
+                assert result.placement.new_cells(case) == {"GW": cells}
+                assert check_placement(case, result.placement) == []
 
     def test_the_compact_optimum_fails_the_certificate(self, inst):
         # without its guard rows and columns, the compact model's optimum
@@ -305,6 +322,42 @@ def test_guarded_instances_match_the_paper_model(monkeypatch, seed, side, nbs, m
     assert values_close(result.objective, paper.objective)
     if count_decision_units(inst) <= DEFAULT_UNIT_CAP:
         assert values_close(result.objective, solve_oracle(inst).objective)
+
+
+def test_unit_running_sums_score_as_the_evaluation():
+    """Sums of the oracle's unit arrays over random non-overlapping, in-budget
+    sets of units, scored by `objective_terms`, give `evaluate_solution`'s
+    total and `check_placement`'s verdict on the `zavg >= 0` domain."""
+    rng = np.random.default_rng(16)
+    verdicts = set()
+    for inst in [inst for _, inst in desk_suite(20)] + [_guarded(*case) for case in GUARDED]:
+        units = _free_units(inst)
+        cover, dz, df, cost = _unit_arrays(inst, units)
+        norms = objective_normalizers(inst)
+        fields = np.array([u.field.ravel() for u in inst.measures])
+        deltas = np.array([[inst.delta(u)] for u in inst.measure_ids])
+        for _ in range(8):
+            picked, occupied, spent = [], np.zeros(inst.dims.n_cells, dtype=bool), 0.0
+            for n in rng.permutation(len(units))[: rng.integers(len(units) + 1)]:
+                if not (occupied & cover[n]).any() and spent + cost[n] <= inst.budget:
+                    picked.append(n)
+                    occupied |= cover[n]
+                    spent += cost[n]
+            reduced = fields - np.minimum(dz[picked].sum(axis=0), deltas)
+            terms = objective_terms(inst, norms, dict(zip(inst.measure_ids, reduced)),
+                                    spent, norms.fairness_min + sum(df[n] for n in picked))
+            placement = Placement.do_nothing(inst)
+            for n in picked:
+                placement.masks[units[n][1]] |= cover[n].reshape(inst.dims.shape)
+            families = {v.family for v in check_placement(inst, placement)}
+            assert families <= {"avg_nonneg"}
+            in_domain = all(avg >= -FEAS_TOL for avg in terms["avg_value"].values())
+            assert in_domain == (not families)
+            verdicts.add(in_domain)
+            if in_domain:
+                total = evaluate_solution(inst, placement, norms=norms).total
+                assert values_close(terms["total"], total, rel=1e-12)
+    assert verdicts == {True, False}
 
 
 @pytest.fixture(scope="module")
