@@ -9,6 +9,11 @@ that dip below zero are counted rather than clamped, since whether a measure
 may physically go negative depends on its unit. Equity is summarized by the
 Gini coefficient over per-cell fairness values, before (pre-existing only)
 and after the solved placement.
+
+`build_report` builds the report in the shape report.json stores it: a dict
+per measure and per NBS type, with the file's keys in the file's order, so
+`report_to_dict` only turns arrays into lists; `batch_stats` and
+`export_heatmaps` read the same keys.
 """
 
 from __future__ import annotations
@@ -63,30 +68,14 @@ def gini(values: Sequence[float] | np.ndarray) -> float:
 
 
 @dataclass
-class MeasureReport:
-    measure_id: str
-    initial_peak: float
-    final_peak: float
-    initial_avg: float
-    final_avg: float
-    reduction: np.ndarray
-    negative_cells: int
-
-
-@dataclass
-class NbsReport:
-    nbs_id: str
-    new_cells: int
-    spend: float
-    budget_fraction: float
-
-
-@dataclass
 class Report:
-    measures: list[MeasureReport]
-    nbs: list[NbsReport]
-    gini_initial: float
-    gini_final: float
+    """A solve's indicators in the shape report.json stores them: one dict
+    per measure and per NBS type, and the Gini before and after. A measure's
+    `reduction` is an array here and a nested list in the file."""
+
+    measures: list[dict]
+    nbs: list[dict]
+    gini: dict[str, float]
     objective: ObjectiveBreakdown
     placement_categories: dict[str, np.ndarray]
     metadata: dict
@@ -99,37 +88,33 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
     placement = result.placement
     breakdown = result.breakdown or evaluate_solution(inst, placement)
 
-    measures: list[MeasureReport] = []
+    measures = []
     for u in inst.measures:
         zbar = breakdown.reduction[u.id]
         reduced = u.field - zbar
-        measures.append(
-            MeasureReport(
-                measure_id=u.id,
-                initial_peak=float(u.field.max()),
-                final_peak=float(reduced.max()),
-                initial_avg=float(u.field.mean()),
-                final_avg=float(reduced.mean()),
-                reduction=zbar,
-                negative_cells=int((reduced < 0).sum()),
-            )
-        )
+        measures.append({
+            "id": u.id,
+            "initial_peak": float(u.field.max()),
+            "final_peak": float(reduced.max()),
+            "initial_avg": float(u.field.mean()),
+            "final_avg": float(reduced.mean()),
+            "negative_cells": int((reduced < 0).sum()),
+            "reduction": zbar,
+        })
 
-    nbs_reports: list[NbsReport] = []
+    nbs = []
     for t in inst.nbs_ids:
         count = int(placement.new_mask(inst, t).sum())
         spend = count * inst.nbs_by_id(t).cost
-        nbs_reports.append(
-            NbsReport(
-                nbs_id=t,
-                new_cells=count,
-                spend=spend,
-                budget_fraction=spend / inst.budget if inst.budget > 0 else 0.0,
-            )
-        )
+        nbs.append({
+            "id": t,
+            "new_cells": count,
+            "spend": spend,
+            "budget_fraction": spend / inst.budget if inst.budget > 0 else 0.0,
+        })
 
-    gini_initial = gini(breakdown.norms.do_nothing_fairness)
-    gini_final = gini(breakdown.fairness_field)
+    equity = {"initial": gini(breakdown.norms.do_nothing_fairness),
+              "final": gini(breakdown.fairness_field)}
 
     categories: dict[str, np.ndarray] = {}
     for t in inst.nbs_ids:
@@ -141,9 +126,8 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
 
     return Report(
         measures=measures,
-        nbs=nbs_reports,
-        gini_initial=gini_initial,
-        gini_final=gini_final,
+        nbs=nbs,
+        gini=equity,
         objective=breakdown,
         placement_categories=categories,
         metadata={
@@ -158,28 +142,9 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
 
 def report_to_dict(report: Report) -> dict:
     return {
-        "measures": [
-            {
-                "id": m.measure_id,
-                "initial_peak": m.initial_peak,
-                "final_peak": m.final_peak,
-                "initial_avg": m.initial_avg,
-                "final_avg": m.final_avg,
-                "negative_cells": m.negative_cells,
-                "reduction": m.reduction.tolist(),
-            }
-            for m in report.measures
-        ],
-        "nbs": [
-            {
-                "id": t.nbs_id,
-                "new_cells": t.new_cells,
-                "spend": t.spend,
-                "budget_fraction": t.budget_fraction,
-            }
-            for t in report.nbs
-        ],
-        "gini": {"initial": report.gini_initial, "final": report.gini_final},
+        "measures": [{**m, "reduction": m["reduction"].tolist()} for m in report.measures],
+        "nbs": report.nbs,
+        "gini": report.gini,
         "objective": report.objective.to_dict(),
         "placement_categories": {
             t: cat.tolist() for t, cat in sorted(report.placement_categories.items())
@@ -220,7 +185,7 @@ def write_pgm(levels: np.ndarray, path: Path, comment: str = "") -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def export_heatmaps(report: Report, directory: str | Path) -> list[Path]:
+def export_heatmaps(report: Report, directory: str | Path) -> None:
     """Write per-measure reduction CSVs and grayscale maps plus placement maps.
 
     Images are min-max scaled per measure; the scales used are recorded in
@@ -229,50 +194,33 @@ def export_heatmaps(report: Report, directory: str | Path) -> list[Path]:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     scales: dict[str, dict[str, float]] = {}
 
     for m in report.measures:
-        base = _safe_name(m.measure_id)
-        csv_path = directory / f"reduction_{base}.csv"
-        write_matrix_csv(m.reduction, csv_path)
-        written.append(csv_path)
+        base, reduction = _safe_name(m["id"]), m["reduction"]
+        write_matrix_csv(reduction, directory / f"reduction_{base}.csv")
 
-        lo = float(m.reduction.min())
-        hi = float(m.reduction.max())
-        scales[m.measure_id] = {"min": lo, "max": hi}
+        lo, hi = float(reduction.min()), float(reduction.max())
+        scales[m["id"]] = {"min": lo, "max": hi}
         if hi > lo:
-            levels = np.rint((m.reduction - lo) / (hi - lo) * 255).astype(int)
+            levels = np.rint((reduction - lo) / (hi - lo) * 255).astype(int)
         else:
-            levels = np.zeros_like(m.reduction, dtype=int)
-        pgm_path = directory / f"reduction_{base}.pgm"
-        write_pgm(levels, pgm_path, comment=f"scale min={lo!r} max={hi!r}")
-        written.append(pgm_path)
+            levels = np.zeros_like(reduction, dtype=int)
+        write_pgm(levels, directory / f"reduction_{base}.pgm",
+                  comment=f"scale min={lo!r} max={hi!r}")
 
-    scales_path = directory / "heatmap_scales.json"
-    scales_path.write_text(json.dumps(scales, indent=2) + "\n", encoding="utf-8")
-    written.append(scales_path)
+    (directory / "heatmap_scales.json").write_text(
+        json.dumps(scales, indent=2) + "\n", encoding="utf-8")
 
     gray = np.vectorize(CATEGORY_GRAY.get, otypes=[int])
     for t, cat in sorted(report.placement_categories.items()):
-        pgm_path = directory / f"placement_{_safe_name(t)}.pgm"
-        write_pgm(gray(cat), pgm_path, comment=f"placement categories for {t}")
-        written.append(pgm_path)
+        write_pgm(gray(cat), directory / f"placement_{_safe_name(t)}.pgm",
+                  comment=f"placement categories for {t}")
 
-    legend_path = directory / "placement_legend.json"
-    legend_path.write_text(
-        json.dumps(
-            {
-                str(code): {"label": CATEGORY_LABELS[code], "gray": CATEGORY_GRAY[code]}
-                for code in sorted(CATEGORY_LABELS)
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    written.append(legend_path)
-    return written
+    legend = {str(code): {"label": CATEGORY_LABELS[code], "gray": CATEGORY_GRAY[code]}
+              for code in sorted(CATEGORY_LABELS)}
+    (directory / "placement_legend.json").write_text(
+        json.dumps(legend, indent=2) + "\n", encoding="utf-8")
 
 
 def batch_stats(reports: list[Report]) -> dict:
@@ -283,8 +231,8 @@ def batch_stats(reports: list[Report]) -> dict:
     statuses = [r.metadata.get("status") for r in reports]
     wall_times = [float(r.metadata.get("wall_time") or 0.0) for r in reports]
 
-    measure_ids = sorted({m.measure_id for r in reports for m in r.measures})
-    nbs_ids = sorted({t.nbs_id for r in reports for t in r.nbs})
+    measure_ids = sorted({m["id"] for r in reports for m in r.measures})
+    nbs_ids = sorted({t["id"] for r in reports for t in r.nbs})
 
     def mean(values: list[float]) -> float:
         return float(np.mean(values)) if values else 0.0
@@ -294,9 +242,9 @@ def batch_stats(reports: list[Report]) -> dict:
         peaks, avgs = [], []
         for r in reports:
             for m in r.measures:
-                if m.measure_id == u:
-                    peaks.append(m.initial_peak - m.final_peak)
-                    avgs.append(m.initial_avg - m.final_avg)
+                if m["id"] == u:
+                    peaks.append(m["initial_peak"] - m["final_peak"])
+                    avgs.append(m["initial_avg"] - m["final_avg"])
         measures[u] = {
             "mean_peak_reduction": mean(peaks),
             "mean_avg_reduction": mean(avgs),
@@ -305,7 +253,7 @@ def batch_stats(reports: list[Report]) -> dict:
     nbs = {}
     for t in nbs_ids:
         fractions = [
-            entry.budget_fraction for r in reports for entry in r.nbs if entry.nbs_id == t
+            entry["budget_fraction"] for r in reports for entry in r.nbs if entry["id"] == t
         ]
         nbs[t] = {"mean_budget_fraction": mean(fractions)}
 
@@ -316,7 +264,7 @@ def batch_stats(reports: list[Report]) -> dict:
         "measures": measures,
         "nbs": nbs,
         "gini": {
-            "mean_initial": mean([r.gini_initial for r in reports]),
-            "mean_final": mean([r.gini_final for r in reports]),
+            "mean_initial": mean([r.gini["initial"] for r in reports]),
+            "mean_final": mean([r.gini["final"] for r in reports]),
         },
     }

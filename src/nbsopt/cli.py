@@ -103,8 +103,8 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
     """A result file's content; SchemaError unless it is an object whose
     `new_cells` name known NBS ids and integer [i, j] cells inside the grid,
     whose `objective` and `bound` are numbers or null, whose `status` is a
-    string, and whose `metadata` is an object with a numeric `wall_time`.
-    Booleans are not numbers here."""
+    string, and whose `metadata` is an object with a numeric `wall_time` and
+    a string `backend` and `message`. Booleans are not numbers here."""
     if not isinstance(raw, dict):
         raise SchemaError("result", "expected a JSON object")
     placement = None
@@ -123,7 +123,7 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
                 if not (0 <= i < w and 0 <= j < h):
                     raise SchemaError(where, f"cell [{i}, {j}] outside the {w}x{h} grid")
         placement = Placement.from_new_cells(inst, by_type)
-    meta = raw.get("metadata") or {}
+    meta = raw.get("metadata", {})
     if not isinstance(meta, dict):
         raise SchemaError("result.metadata", "expected a JSON object")
     wall_time = meta.get("wall_time")
@@ -132,16 +132,19 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
         if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise SchemaError(f"result.{where}", "expected a number")
     status = raw.get("status", "error")
-    if not isinstance(status, str):
-        raise SchemaError("result.status", "expected a string")
+    backend, message = meta.get("backend", "unknown"), meta.get("message", "")
+    for where, value in (("status", status), ("metadata.backend", backend),
+                         ("metadata.message", message)):
+        if not isinstance(value, str):
+            raise SchemaError(f"result.{where}", "expected a string")
     return SolveResult(
         status=status,
-        backend=meta.get("backend", "unknown"),
+        backend=backend,
         placement=placement,
         objective=raw.get("objective"),
         bound=raw.get("bound"),
         wall_time=float(wall_time or 0.0),
-        message=meta.get("message", ""),
+        message=message,
     )
 
 

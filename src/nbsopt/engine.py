@@ -64,9 +64,6 @@ class Placement:
             out[t] = sorted(zip(ii.tolist(), jj.tolist()))
         return out
 
-    def copy(self) -> "Placement":
-        return Placement({t: m.copy() for t, m in self.masks.items()})
-
 
 def correlate(field: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Centered windowed sum with zero padding outside the grid.

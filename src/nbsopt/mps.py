@@ -172,10 +172,9 @@ def export_interchange(model: BuiltModel, path: str | Path) -> None:
 
 @dataclass(eq=False)
 class MpsData(MipProblem):
-    """An MPS file as HiGHS read it: a problem, plus the file's row and column
-    names. The objective row is not a row of `a`."""
+    """An MPS file as HiGHS read it: a problem, plus the file's column names.
+    The objective row is not a row of `a`."""
 
-    row_names: list[str]
     column_names: list[str]
 
 
@@ -267,6 +266,5 @@ def read_mps(path: str | Path) -> MpsData:
         lower=np.array(lp.col_lower_),
         upper=np.array(lp.col_upper_),
         is_integer=np.array([k == integer for k in kinds], dtype=bool),
-        row_names=list(lp.row_names_),
         column_names=list(lp.col_names_),
     )

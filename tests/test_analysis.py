@@ -18,6 +18,7 @@ from nbsopt.analysis import (
     report_to_dict,
     write_report,
 )
+from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement
 from nbsopt.instance import save_instance
 from nbsopt.solve import SolveConfig, SolveResult, solve, solve_oracle
@@ -86,26 +87,26 @@ class TestBuildReport:
         result = solve_oracle(inst)
         report = build_report(inst, result)
         for m in report.measures:
-            assert m.initial_peak == m.final_peak
-            assert m.initial_avg == m.final_avg
-            assert m.reduction.sum() == 0.0
-        assert report.gini_initial == report.gini_final
+            assert m["initial_peak"] == m["final_peak"]
+            assert m["initial_avg"] == m["final_avg"]
+            assert m["reduction"].sum() == 0.0
+        assert report.gini["initial"] == report.gini["final"]
         for t in report.nbs:
-            assert t.new_cells == 0 and t.spend == 0.0
+            assert t["new_cells"] == 0 and t["spend"] == 0.0
 
     def test_urban_park_cell_costs_3780_per_year(self):
         inst = cluster_demo_instance()
         result = solve_oracle(inst)
         report = build_report(inst, result)
-        up = next(t for t in report.nbs if t.nbs_id == "UP")
-        assert up.new_cells > 0
-        assert up.spend == pytest.approx(up.new_cells * 37.8 * 100, abs=1e-9)
+        up = next(t for t in report.nbs if t["id"] == "UP")
+        assert up["new_cells"] > 0
+        assert up["spend"] == pytest.approx(up["new_cells"] * 37.8 * 100, abs=1e-9)
 
     def test_budget_fractions_sum_to_spend_share(self, solved_small):
         inst, result = solved_small
         report = build_report(inst, result)
-        total_fraction = sum(t.budget_fraction for t in report.nbs)
-        total_spend = sum(t.spend for t in report.nbs)
+        total_fraction = sum(t["budget_fraction"] for t in report.nbs)
+        total_spend = sum(t["spend"] for t in report.nbs)
         assert total_fraction == pytest.approx(total_spend / inst.budget, abs=1e-12)
         assert total_fraction <= 1.0 + 1e-9
 
@@ -113,7 +114,7 @@ class TestBuildReport:
         inst, result = solved_small
         report = build_report(inst, result)
         for m in report.measures:
-            assert m.final_peak <= m.initial_peak + 1e-12
+            assert m["final_peak"] <= m["initial_peak"] + 1e-12
 
     def test_categories_partition_grid(self, solved_small):
         inst, result = solved_small
@@ -133,12 +134,12 @@ class TestBuildReport:
         inst, result = solved_small
         report = build_report(inst, result)
         expected = gini_fn(engine.fairness(inst, result.placement))
-        assert report.gini_final == expected
+        assert report.gini["final"] == expected
 
     @pytest.mark.parametrize("backend", ["oracle", "external"])
     def test_no_kernel_pass_on_a_solved_result(self, backend, monkeypatch):
         """The placement's fields come from the result's evaluation, and the
-        do-nothing fairness field for `gini_initial` from its normalizers."""
+        do-nothing fairness field for the initial Gini from its normalizers."""
         from nbsopt import engine
 
         calls = []
@@ -181,8 +182,8 @@ class TestExports:
         report = build_report(inst, result)
         export_heatmaps(report, tmp_path)
         for m in report.measures:
-            parsed = read_matrix_csv(tmp_path / f"reduction_{m.measure_id.replace('/', '_')}.csv")
-            np.testing.assert_array_equal(parsed, m.reduction)
+            parsed = read_matrix_csv(tmp_path / f"reduction_{m['id'].replace('/', '_')}.csv")
+            np.testing.assert_array_equal(parsed, m["reduction"])
 
     def test_all_zero_reduction_gives_uniform_image(self, tmp_path):
         inst = generate_synthetic(3, GridDims(3, 3), nbs_count=1, measure_count=1,
@@ -230,14 +231,29 @@ class TestExports:
         for t in inst.nbs_ids:
             assert (tmp_path / f"placement_{t}.pgm").exists()
 
-    def test_report_json_round_trip(self, tmp_path, solved_small):
-        inst, result = solved_small
-        report = build_report(inst, result)
+    def test_report_json_round_trip(self, tmp_path):
+        """report.json holds the report's values under keys in a fixed order,
+        here for two types, one of them clustered, and two measures."""
+        inst = generate_synthetic(7, GridDims(4, 4), nbs_count=2, measure_count=2,
+                                  forbidden_fraction=0.55, pre_existing_fraction=0.1)
+        inst = with_clusters(inst, partition_instance(inst, ["GW"], min_size=2, max_size=4))
+        assert inst.clusters["GW"] and inst.nbs_ids == ["GW", "GR"]
+        report = build_report(inst, solve_oracle(inst))
         write_report(report, tmp_path / "report.json")
         raw = json.loads((tmp_path / "report.json").read_text())
-        assert raw["gini"]["initial"] == report.gini_initial
+        assert raw["gini"]["initial"] == report.gini["initial"]
         assert raw["objective"]["total"] == report.objective.total
         assert len(raw["measures"]) == len(inst.measures)
+        assert list(raw) == ["measures", "nbs", "gini", "objective", "placement_categories",
+                             "metadata"]
+        for entry, u in zip(raw["measures"], inst.measure_ids, strict=True):
+            assert list(entry) == ["id", "initial_peak", "final_peak", "initial_avg",
+                                   "final_avg", "negative_cells", "reduction"]
+            assert entry["id"] == u
+        for entry, t in zip(raw["nbs"], inst.nbs_ids, strict=True):
+            assert list(entry) == ["id", "new_cells", "spend", "budget_fraction"]
+            assert entry["id"] == t
+        assert list(raw["gini"]) == ["initial", "final"]
 
 
 class TestBatchStats:

@@ -105,6 +105,9 @@ class TestSolveAndReport:
         ("objective_a_string", "result.schema"),
         ("bound_a_list", "result.schema"),
         ("status_a_number", "result.schema"),
+        ("backend_a_list", "result.schema"),
+        ("message_an_object", "result.schema"),
+        ("metadata_an_empty_list", "result.schema"),
         ("forbidden_cell", "placement.infeasible"),
     ])
     def test_bad_result_file_exits_2(self, case, code, tiny_instance_path, tmp_path, capsys):
@@ -119,6 +122,9 @@ class TestSolveAndReport:
             "objective_a_string": {"new_cells": {"GW": []}, "objective": "abc"},
             "bound_a_list": {"new_cells": {"GW": []}, "bound": [1]},
             "status_a_number": {"new_cells": {"GW": []}, "status": 7},
+            "backend_a_list": {"new_cells": {"GW": []}, "metadata": {"backend": ["x"]}},
+            "message_an_object": {"new_cells": {"GW": []}, "metadata": {"message": {"a": 1}}},
+            "metadata_an_empty_list": {"new_cells": {"GW": []}, "metadata": []},
             "forbidden_cell": {"new_cells": {"GW": [forbidden]}},
         }
         raw = {"status": "optimal", **fields[case]} if case in fields else []
