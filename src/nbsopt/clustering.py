@@ -41,7 +41,12 @@ def label_components(mask: np.ndarray) -> list[list[Cell]]:
     if not n_runs:
         return []
     touching = mask[:-1] & mask[1:]  # cells whose lower neighbour is True
-    upper, lower = np.divmod(np.unique(run[:-1][touching] * n_runs + run[1:][touching]), n_runs)
+    # each touching pair of runs, once: the pairs come in row-major order of
+    # their cells, so their keys are sorted, and each is kept where it
+    # differs from its left neighbour
+    pair = run[:-1][touching] * n_runs + run[1:][touching]
+    pair = np.concatenate((pair[:1], pair[1:][pair[1:] != pair[:-1]]))
+    upper, lower = np.divmod(pair, n_runs)
     root = np.arange(n_runs)
     while (root[upper] != root[lower]).any():
         a, b = root[upper], root[lower]

@@ -9,18 +9,22 @@ RHS entry of the objective row, the convention shared by common solvers. The
 writer reads the model's one constraint matrix (a `model.CsrMatrix`) column
 by column, through one stable sort of its entries by column, and writes each
 column's objective coefficient, when nonzero, before the column's matrix
-entries; it makes no second copy of the matrix, and no other array as long
-as the file's lines: each chunk of COLUMNS lines finds its lines' columns,
-rows and values from per-column line counts, the sort and `indptr`. Output
-is byte-deterministic for a given model.
+entries. Once per export it makes, in the matrix's own order, each entry's
+row and each entry's value code (its index into the value texts, in the
+narrowest unsigned type that holds them). COLUMNS is cut into chunks of
+whole columns, about CHUNK_LINES lines each: a chunk repeats each column's
+name over the column's line count and gathers its matrix lines' rows and
+codes through the sort, so no binary search runs per line, and no array is
+as long as the file's lines. Output is byte-deterministic for a given model.
 
-Every section's text is assembled CHUNK_LINES lines at a time, with no
-Python call per line: a chunk's pieces (shared separators, row and column
-names indexed from the name arrays, value texts) fill one object array, one
-line per row, which one `str.join` turns into text. Each value's text (a
-space, its `repr` and a newline) is made once per export for each distinct
-bit pattern among the coefficients, right-hand sides and finite upper bounds,
-and looked up by bit pattern, so -0.0 and 0.0 keep their own text.
+Every section's text is assembled about CHUNK_LINES lines at a time, with no
+Python call per line: a chunk's pieces (row and column names, each with its
+leading space, indexed from the name arrays; value texts; shared section
+texts) fill one object array, one line per row, which one `str.join` turns
+into text. Each value's text (a space, its `repr` and a newline) is made once
+per export for each distinct bit pattern among the coefficients, right-hand
+sides and finite upper bounds, found by sorting the patterns and keeping each
+that differs from its left neighbour, so -0.0 and 0.0 keep their own text.
 
 The reader hands the file to the HiGHS that scipy bundles and turns the model
 HiGHS read into an MpsData, a MipProblem like either model (one CsrMatrix `a`,
@@ -80,47 +84,53 @@ def _chunked_lines(*pieces: str | np.ndarray) -> Iterator[str]:
 def iter_mps_text(model: BuiltModel) -> Iterator[str]:
     """Yield the MPS file text for a model, a bounded number of lines at a time."""
     a, c, rhs, upper = model.a, model.c, model.rhs, model.upper
-    # Every coefficient's, right-hand side's and finite upper bound's text,
-    # " repr\n", once per distinct bit pattern, so -0.0 and 0.0 stay apart.
-    # The matrix's patterns are made unique on their own first, so its data
-    # is never copied whole. Lower bounds are all 0: a binary is an integer
+    # Every coefficient's, cost's, right-hand side's and finite upper bound's
+    # text, " repr\n", once per distinct bit pattern, so -0.0 and 0.0 stay
+    # apart: the patterns are sorted and each is kept where it differs from
+    # its left neighbour. Lower bounds are all 0: a binary is an integer
     # column with upper bound 1.
-    in_objective = c != 0.0
     binary = model.is_integer & (upper == 1.0)
     capped = ~binary & np.isfinite(upper)
-    bits = np.unique(np.concatenate((
-        np.unique(a.data.view(np.int64)), c[in_objective].view(np.int64), rhs.view(np.int64),
-        upper[capped].view(np.int64),
-    )))
+    bits = np.concatenate((a.data.view(np.int64), c.view(np.int64), rhs.view(np.int64),
+                           upper[capped].view(np.int64)))
+    bits.sort()
+    bits = np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
     value_text = np.array([f" {v!r}\n" for v in bits.view(float).tolist()], dtype=object)
 
-    def values(v: np.ndarray) -> np.ndarray:
-        return value_text[np.searchsorted(bits, v.view(np.int64))]
+    def code_of(v: np.ndarray) -> np.ndarray:  # indices into value_text, as narrow as fits
+        return np.searchsorted(bits, v.view(np.int64)).astype(np.min_scalar_type(len(bits)))
 
-    # The COLUMNS lines, column by column: the objective's entry, when it is
-    # nonzero, then the matrix's entries, rows ascending. Column j's lines
-    # are `firsts[j]` up to `ends[j]`, and `order` visits the matrix's
-    # entries in line order; it takes the index type of `a.indptr`, 32 bits
-    # where the entry count fits.
-    per_column = np.bincount(a.indices, minlength=model.n_variables) + in_objective
-    if not per_column.all():
-        missing = model.layout.column_names()[int(np.argmin(per_column))]
-        raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
-    ends = np.cumsum(per_column)
-    firsts = ends - per_column
-    order = np.argsort(a.indices, kind="stable").astype(a.indptr.dtype)
-
-    col_names = np.array(model.layout.column_names(), dtype=object)
+    # Names carry their leading space, so every line joins three pieces. A
+    # matrix entry's index into `row_names` is its row + 1; 0 is the objective.
+    col_names = np.array([f" {s}" for s in model.layout.column_names()], dtype=object)
     row_names = np.array(
-        [OBJECTIVE_ROW] + [s for b in model.constraints for s in b.row_names()],
+        [f" {OBJECTIVE_ROW}"] + [f" {s}" for b in model.constraints for s in b.row_names()],
         dtype=object,
     )
     yield f"NAME {MODEL_NAME}\nROWS\n N {OBJECTIVE_ROW}\n"
     senses, sense_of_row = np.unique(model.sense, return_inverse=True)
-    codes = np.array([f" {_SENSE_TO_CODE[s]} " for s in senses.tolist()], dtype=object)
+    codes = np.array([f" {_SENSE_TO_CODE[s]}" for s in senses.tolist()], dtype=object)
     yield from _chunked_lines(codes[sense_of_row], row_names[1:], "\n")
 
-    # Columns in index order, each run of equal integrality between markers.
+    # The COLUMNS lines, column by column: the objective's entry, when it is
+    # nonzero, then the matrix's entries, rows ascending. Column j's lines
+    # are `firsts[j]` up to `ends[j]`. `order` visits the matrix's entries in
+    # line order; it and each entry's row, made once in the matrix's own
+    # order, take the index type of `a.indptr`, 32 bits where the entry count
+    # fits.
+    in_objective = c != 0.0
+    per_column = np.bincount(a.indices, minlength=model.n_variables) + in_objective
+    if not per_column.all():
+        missing = col_names[int(np.argmin(per_column))][1:]
+        raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
+    ends = np.cumsum(per_column)
+    firsts = ends - per_column
+    order = np.argsort(a.indices, kind="stable").astype(a.indptr.dtype)
+    entry_code, objective_code = code_of(a.data), code_of(c)
+    entry_row = np.repeat(np.arange(1, a.shape[0] + 1, dtype=a.indptr.dtype), np.diff(a.indptr))
+
+    # Columns in index order, each run of equal integrality between markers,
+    # in chunks of whole columns: as many as fit in CHUNK_LINES lines, or one.
     yield "COLUMNS\n"
     is_integer = model.is_integer
     edges = np.flatnonzero(is_integer[1:] != is_integer[:-1]) + 1
@@ -130,20 +140,22 @@ def iter_mps_text(model: BuiltModel) -> Iterator[str]:
             in_integer = not in_integer
             yield f" M{marker} 'MARKER' '{'INTORG' if in_integer else 'INTEND'}'\n"
             marker += 1
-        for lo in range(firsts[start], ends[stop - 1], CHUNK_LINES):
-            lines = np.arange(lo, min(lo + CHUNK_LINES, ends[stop - 1]))
-            cols = np.searchsorted(ends, lines, side="right")
-            matrix = (lines != firsts[cols]) | ~in_objective[cols]
-            taken = int(matrix.sum())
-            # a matrix line's index into `row_names` is its entry's row + 1,
-            # and 0, the objective's, on an objective line
-            entries = order[entry : entry + taken]
-            entry += taken
-            line_row = np.zeros(len(lines), dtype=a.indptr.dtype)
-            line_row[matrix] = np.searchsorted(a.indptr, entries, side="right")
-            coef = c[cols]  # the objective's, replaced below on the matrix's lines
-            coef[matrix] = a.data[entries]
-            yield _lines(" ", col_names[cols], " ", row_names[line_row], values(coef))
+        c0 = start
+        while c0 < stop:
+            c1 = int(np.clip(np.searchsorted(ends, firsts[c0] + CHUNK_LINES, side="right"),
+                             c0 + 1, stop))
+            counts = per_column[c0:c1]
+            matrix = np.ones(ends[c1 - 1] - firsts[c0], dtype=bool)
+            matrix[firsts[c0:c1][in_objective[c0:c1]] - firsts[c0]] = False
+            entries = order[entry : entry + int(matrix.sum())]
+            entry += len(entries)
+            line_row = np.zeros(len(matrix), dtype=entry_row.dtype)
+            line_row[matrix] = entry_row[entries]
+            line_code = np.repeat(objective_code[c0:c1], counts)  # the matrix's replaced below
+            line_code[matrix] = entry_code[entries]
+            yield _lines(np.repeat(col_names[c0:c1], counts), row_names[line_row],
+                         value_text[line_code])
+            c0 = c1
     if in_integer:
         yield f" M{marker} 'MARKER' 'INTEND'\n"
 
@@ -151,15 +163,16 @@ def iter_mps_text(model: BuiltModel) -> Iterator[str]:
     if model.objective_constant != 0.0:
         yield f" {RHS_SET} {OBJECTIVE_ROW} {float(-model.objective_constant)!r}\n"
     nonzero = np.flatnonzero(rhs != 0.0)
-    yield from _chunked_lines(f" {RHS_SET} ", row_names[1:][nonzero], values(rhs[nonzero]))
+    yield from _chunked_lines(
+        f" {RHS_SET}", row_names[1:][nonzero], value_text[code_of(rhs[nonzero])])
 
     yield "BOUNDS\n"
     bounded = np.flatnonzero(binary | capped)
     up = capped[bounded]
     tail = np.full(len(bounded), "\n", dtype=object)
-    tail[up] = values(upper[bounded[up]])
+    tail[up] = value_text[code_of(upper[bounded[up]])]
     yield from _chunked_lines(
-        np.where(up, f" UP {BOUND_SET} ", f" BV {BOUND_SET} "), col_names[bounded], tail)
+        np.where(up, f" UP {BOUND_SET}", f" BV {BOUND_SET}"), col_names[bounded], tail)
     yield "ENDATA\n"
 
 

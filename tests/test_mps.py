@@ -7,11 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nbsopt import GridDims, generate_synthetic
+from nbsopt import GridDims, generate_synthetic, mps
 from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.model import CsrMatrix, build_compact_model, build_model, objective_normalizers
 from nbsopt.mps import (
-    CHUNK_LINES,
     MpsFormatError,
     export_interchange,
     highs_binding,
@@ -151,6 +150,16 @@ def _reference_text(model) -> str:
     return "".join(lines)
 
 
+def _assert_same_lines(text: str, expected: str) -> None:
+    """`text == expected`, reported by the first differing line rather than
+    by a diff of the whole text."""
+    lines, want = text.splitlines(), expected.splitlines()
+    first = next((k for k, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first + 1}: {lines[first]!r}, expected {want[first]!r}"
+    assert len(lines) == len(want)
+    assert text == expected
+
+
 # Values whose text a writer can get wrong: a signed zero, a stored zero, a
 # large and a subnormal value, and ones repr writes with many or few digits.
 AWKWARD_VALUES = [-0.0, 0.0, 1e16, 5e-324, 1 / 3, -2.5]
@@ -170,18 +179,41 @@ class TestWriterOracle:
         for value in AWKWARD_VALUES:
             assert f" {value!r}\n" in text
 
-    def test_chunk_boundary_inside_a_column(self):
-        inst = generate_synthetic(3, GridDims(12, 12), nbs_count=3, measure_count=2,
-                                  forbidden_fraction=0.3, pre_existing_fraction=0.05)
+    def test_small_chunks_cut_at_columns(self, monkeypatch):
+        # With 7-line chunks, each COLUMNS chunk (one yielded piece) holds
+        # whole columns, and every case of the cut rule occurs: a column
+        # longer than a chunk, a chunk of several columns, a chunk that
+        # opens on an objective line, and markers between chunks.
+        monkeypatch.setattr(mps, "CHUNK_LINES", 7)
+        paper = build_model(generate_synthetic(3, GridDims(12, 12), nbs_count=3, measure_count=2,
+                                               forbidden_fraction=0.3, pre_existing_fraction=0.05))
+        compact = build_compact_model(generate_synthetic(
+            12, GridDims(8, 8), nbs_count=2, measure_count=4, forbidden_fraction=0.5,
+            pre_existing_fraction=0.05))
+        assert compact.guarded
+        for model in (paper, compact):
+            pieces = list(iter_mps_text(model))
+            chunks = pieces[pieces.index("COLUMNS\n") + 1 : pieces.index("RHS\n")]
+            lines = [chunk.splitlines() for chunk in chunks if "'MARKER'" not in chunk]
+            columns = [[line.split()[0] for line in chunk] for chunk in lines]
+            assert len(lines) < len(chunks)
+            assert any(len(chunk) > 7 and len(set(names)) == 1
+                       for chunk, names in zip(lines, columns))
+            assert any(len(set(names)) > 1 for names in columns)
+            assert sum(chunk[0].split()[1] == "obj" for chunk in lines) > 1
+            assert all(len(chunk) <= 7 or len(set(names)) == 1
+                       for chunk, names in zip(lines, columns))
+            assert all(a[-1] != b[0] for a, b in zip(columns, columns[1:]))
+            _assert_same_lines("".join(pieces), _reference_text(model))
+
+    def test_more_distinct_values_than_sixteen_bits_hold(self):
+        # value codes wider than 16 bits: every coefficient its own value
+        inst = generate_synthetic(7, GridDims(30, 30), nbs_count=4, measure_count=4,
+                                  forbidden_fraction=0.55, pre_existing_fraction=0.05)
         model = build_model(inst)
-        # the writer's chunks restart at each integrality run of the matrix
-        # with the objective on top; one of them must split a column
-        starts = np.r_[0, np.cumsum(np.diff(to_scipy(model.a).tocsc().indptr) + (model.c != 0))]
-        runs = np.flatnonzero(np.diff(model.is_integer.astype(int))) + 1
-        bounds = [b for lo, hi in zip(starts[np.r_[0, runs]], starts[np.r_[runs, -1]])
-                  for b in range(lo + CHUNK_LINES, hi, CHUNK_LINES)]
-        assert set(bounds) - set(starts.tolist())
-        assert "".join(iter_mps_text(model)) == _reference_text(model)
+        model.a.data[:] = np.random.default_rng(0).uniform(-1.0, 1.0, model.a.nnz)
+        assert len(np.unique(model.a.data)) > 1 << 16
+        _assert_same_lines("".join(iter_mps_text(model)), _reference_text(model))
 
     def test_a_guarded_compact_model(self):
         # the compact file has UP bounds, on zbar, and integer columns (the
@@ -190,13 +222,9 @@ class TestWriterOracle:
                                   forbidden_fraction=0.5, pre_existing_fraction=0.05)
         model = build_compact_model(inst)
         assert model.guarded
-        lines = "".join(iter_mps_text(model)).splitlines()
-        expected = _reference_text(model).splitlines()
-        assert any(line.startswith(" UP ") for line in expected)
-        # the first differing line, not a diff of the whole text
-        first = next((k for k, (got, want) in enumerate(zip(lines, expected)) if got != want), None)
-        assert first is None, f"line {first + 1}: {lines[first]!r}, expected {expected[first]!r}"
-        assert len(lines) == len(expected)
+        expected = _reference_text(model)
+        assert "\n UP " in expected
+        _assert_same_lines("".join(iter_mps_text(model)), expected)
 
 
 # Byte-identical MPS output is a documented guarantee (docs/formats.md); these

@@ -183,9 +183,11 @@ def test_a_solve_loads_the_binding_but_not_scipy_optimize(tmp_path):
 
 def test_no_workload_loads_scipy_sparse_or_ndimage(tmp_path):
     """Neither importing the package, nor a solve, nor `nbsopt build`, nor
-    the solver program on an MPS file loads `scipy.sparse` or
-    `scipy.ndimage`."""
-    unloaded = "print('scipy.sparse' in sys.modules, 'scipy.ndimage' in sys.modules)\n"
+    the solver program on an MPS file loads `scipy.sparse`, `scipy.ndimage`
+    or `numpy.ma` (which `np.unique` imports when asked for the values
+    alone)."""
+    unloaded = ("print('scipy.sparse' in sys.modules, 'scipy.ndimage' in sys.modules,"
+                " 'numpy.ma' in sys.modules)\n")
     mps, sol = tmp_path / "m.mps", tmp_path / "m.sol"
     code = (
         f"import sys\nimport nbsopt\n{unloaded}{DESK_SOLVE}{unloaded}"
@@ -199,8 +201,8 @@ def test_no_workload_loads_scipy_sparse_or_ndimage(tmp_path):
         f"print(solver_cli.main([{str(mps)!r}, {str(sol)!r}, '10']))\n"
         f"{unloaded}"
     )
-    assert _run_python(code) == ["False", "False", "optimal", "False", "False",
-                                 "0", "False", "False", "0", "False", "False"]
+    assert _run_python(code) == ["False", "False", "False", "optimal", "False", "False", "False",
+                                 "0", "False", "False", "False", "0", "False", "False", "False"]
     assert "# status optimal" in sol.read_text().splitlines()
 
 
