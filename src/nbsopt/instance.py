@@ -218,8 +218,8 @@ def validate_instance(inst: Instance) -> None:
     if len(set(nbs_ids)) != len(nbs_ids):
         problems.append(f"duplicate NBS ids: {nbs_ids}")
     for t in inst.nbs:
-        if not t.cost > 0:
-            problems.append(f"NBS {t.id!r}: cost must be positive, got {t.cost}")
+        if not (np.isfinite(t.cost) and t.cost > 0):
+            problems.append(f"NBS {t.id!r}: cost must be finite and positive, got {t.cost}")
 
     if not inst.measures:
         problems.append("instance needs at least one measure")
@@ -390,8 +390,9 @@ def _parse_kernel(raw: Any, where: str) -> Kernel:
         raise SchemaError(where, "expected an object with keys size, rows")
     size = _expect(raw, "size", list, where)
     rows = _expect(raw, "rows", list, where)
-    if len(size) != 2:
-        raise SchemaError(f"{where}.size", "expected [width, height]")
+    # JSON true and false load as bool, a subclass of int, yet are no count
+    if len(size) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in size):
+        raise SchemaError(f"{where}.size", "expected [width, height] integers")
     arr = _parse_matrix(rows, tuple(size), f"{where}.rows")
     try:
         return Kernel(arr)

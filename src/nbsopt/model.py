@@ -30,10 +30,12 @@ the pre-existing-only total and the best single-type-everywhere total.
 
 Two models share the row builders and differ only in data, both BuiltModels:
 the paper model (`build_model`), which `nbsopt build` writes as MPS, and the
-compact model every solve hands its solver (`build_compact_model`), with no
+compact model every solve hands its solver (`build_compact_model`), with x
+columns only for the eligible (type, cell) pairs, no forbidden, pre-existing,
 big-M or fairness rows, no z, zavg or f columns, and y columns only for its
 guard cells. Each model's VariableLayout places and names its columns from
-one table of column kinds.
+one table of column kinds, and its x columns from a table of (type, cell)
+pairs.
 """
 
 from __future__ import annotations
@@ -240,8 +242,13 @@ class VariableLayout:
     `kinds`: each kind of column (x, y, z, zbar, zmax, zavg, f, lam) in index
     order, as its name format and one row of labels per column. With
     `guard_cells` given (per guard cell, a (measure, cell) pair, measure-major,
-    as a flat index), the compact model's: y only for the guard cells, and no
-    z, zavg or f column."""
+    as a flat index), the compact model's: x only for the eligible (type,
+    cell) pairs, y only for the guard cells, and no z, zavg or f column.
+
+    `x_pairs` holds the (type, cell) pair of each x column, as the flat index
+    `type * n_cells + cell`, and `x_column` the x column of each pair, per
+    type and cell, -1 for a pair with none; the paper model has every pair.
+    """
 
     def __init__(self, inst: Instance, guard_cells: np.ndarray | None = None):
         self.width, self.height = inst.dims.shape
@@ -252,15 +259,20 @@ class VariableLayout:
             t: inst.clusters_for(t) for t in self.nbs_ids
         }
         self.guard_cells = guard_cells
-        w, h, n_u = self.width, self.height, len(self.measure_ids)
+        w, h, n_u, n_t = self.width, self.height, len(self.measure_ids), len(self.nbs_ids)
         units = _grid_labels(n_u, w, h)  # (u, i, j), measure-major
         measures = _grid_labels(n_u)
         paper = guard_cells is None
         defined = slice(None) if paper else slice(0)  # the z, zavg and f columns
+        pairs = _grid_labels(n_t, w, h)  # (t, i, j), type-major
+        # a forbidden or pre-existing pair's x is fixed, so the compact model
+        # leaves it out
+        self.x_pairs = np.arange(len(pairs)) if paper else np.flatnonzero(
+            np.stack([inst.eligible_mask(t).ravel() for t in self.nbs_ids]))
         lam = [(ti, q) for ti, t in enumerate(self.nbs_ids)
                for q in range(len(self.cluster_lists[t]))]
         self.kinds: list[tuple[str, np.ndarray]] = [
-            ("x_t{}_i{}_j{}", _grid_labels(len(self.nbs_ids), w, h)),
+            ("x_t{}_i{}_j{}", pairs if paper else pairs[self.x_pairs]),
             ("y_u{}_i{}_j{}", units if paper else units[guard_cells]),
             ("z_u{}_i{}_j{}", units[defined]),
             ("zbar_u{}_i{}_j{}", units),
@@ -272,6 +284,9 @@ class VariableLayout:
         (self.x_base, self.y_base, self.z_base, self.zbar_base, self.zmax_base,
          self.zavg_base, self.f_base, self.lam_base, self.n_variables) = np.cumsum(
             [0, *(len(labels) for _, labels in self.kinds)]).tolist()
+        self.x_column = np.full(len(pairs), -1, dtype=np.int64)
+        self.x_column[self.x_pairs] = self.x_base + np.arange(len(self.x_pairs))
+        self.x_column = self.x_column.reshape(n_t, self.n_cells)
         clusters = np.cumsum([0, *(len(self.cluster_lists[t]) for t in self.nbs_ids)])
         self.lam_offsets: dict[str, int] = dict(
             zip(self.nbs_ids, (self.lam_base + clusters[:-1]).tolist()))
@@ -383,6 +398,7 @@ def impact_bounds(inst: Instance, measure_ids: list[str]) -> np.ndarray:
 
 def _windowed_rows(
     layout: VariableLayout,
+    x_column: np.ndarray,
     lead: np.ndarray | None,
     scale: np.ndarray,
     kernels: list[Kernel],
@@ -391,17 +407,18 @@ def _windowed_rows(
     """Entry counts, columns and coefficients of one row per cell, in column
     order.
 
-    Row c holds, for each NBS type in order, `scale[c] * value` on the x
-    column of every kernel offset whose source cell lies inside the grid and
-    passes `source_ok`, then `lead[c]`, a column after every x column, with
-    coefficient 1 (no lead entry when `lead` is None). Rows with zero scale
-    keep only the lead entry.
+    Row c holds, for each NBS type in order, `scale[c] * value` on the
+    column `x_column` gives the (type, source cell) pair of every kernel
+    offset whose source cell lies inside the grid and passes `source_ok`,
+    then `lead[c]`, a column after every such column, with coefficient 1 (no
+    lead entry when `lead` is None). Rows with zero scale keep only the lead
+    entry.
     """
     n = layout.n_cells
     cols, coefs, keep = [], [], []
     for ti, (kernel, ok) in enumerate(zip(kernels, source_ok)):
         src, inside, _, _, vals = _window(layout.width, layout.height, kernel)
-        cols.append(layout.x_base + ti * n + src)
+        cols.append(x_column[ti][src])
         coefs.append(scale[:, None] * vals)
         keep.append(inside & ok[src] & (scale != 0.0)[:, None])
     if lead is not None:
@@ -415,40 +432,48 @@ def _windowed_rows(
 # --- Row families ----------------------------------------------------------------
 
 
+def _not_pre(inst: Instance, layout: VariableLayout) -> np.ndarray:
+    """Per (type, cell) pair, whether the pair has an x column and its cell
+    is not pre-existing: the x columns that carry cost and impact."""
+    return (layout.x_column >= 0) & ~np.stack([inst.pre_mask(t).ravel() for t in layout.nbs_ids])
+
+
 def _shared_rows(inst: Instance, layout: VariableLayout) -> list[_Family]:
-    """The one_type, budget, forbidden, pre_existing and cluster rows."""
-    ids, n = layout.nbs_ids, layout.n_cells
-    n_t = len(ids)
+    """The one_type, budget, forbidden, pre_existing and cluster rows. The
+    compact model has no x column for a fixed pair, so it has no forbidden or
+    pre_existing rows, and no one_type or budget row that would hold no entry."""
+    ids, x = layout.nbs_ids, layout.x_column
+    paper = layout.guard_cells is None
     cells = _grid_labels(layout.width, layout.height)  # (i, j) per cell
-    # x columns of cells that are not pre-existing: they carry cost
-    new_cols = [layout.x_base + ti * n + np.flatnonzero(~inst.pre_mask(t).ravel())
-                for ti, t in enumerate(ids)]
-    costs = [inst.nbs_by_id(t).cost for t in ids]
     families: list[_Family] = []
 
     # One NBS type per cell.
+    has = x.T >= 0  # per cell, the types with an x column there
+    counts = has.sum(axis=1)
+    rows = slice(None) if paper else counts > 0
     families.append(_rows(
-        "one_type", "one_type_i{}_j{}", cells, n_t,
-        (np.arange(n)[:, None] + layout.x_base + n * np.arange(n_t)).ravel(),
-        np.ones(n * n_t), SENSE_LE, 1.0,
+        "one_type", "one_type_i{}_j{}", cells[rows], counts[rows], x.T[has],
+        np.ones(int(counts.sum())), SENSE_LE, 1.0,
     ))
 
     # Budget over newly installed cells; pre-existing ones are cost-free.
-    families.append(_rows(
-        "budget", "budget", np.zeros((1, 0), dtype=np.int64), sum(map(len, new_cols)),
-        np.concatenate(new_cols), np.repeat(costs, list(map(len, new_cols))),
-        SENSE_LE, inst.budget,
-    ))
+    new = _not_pre(inst, layout)
+    if paper or new.any():
+        costs = np.array([inst.nbs_by_id(t).cost for t in ids])
+        families.append(_rows(
+            "budget", "budget", np.zeros((1, 0), dtype=np.int64), int(new.sum()), x[new],
+            np.repeat(costs, new.sum(axis=1)), SENSE_LE, inst.budget,
+        ))
 
-    # Fix forbidden cells off and pre-existing cells on.
+    # The paper model fixes forbidden cells off and pre-existing cells on.
     for tag, prefix, mask_of, value in (
         ("forbidden", "forbid", inst.forbidden_mask, 0.0),
         ("pre_existing", "pre", inst.pre_mask, 1.0),
-    ):
+    ) if paper else ():
         ti, cell = np.nonzero(np.stack([mask_of(t).ravel() for t in ids]))
         families.append(_rows(
             tag, prefix + "_t{}_i{}_j{}", np.column_stack((ti, cells[cell])), 1,
-            layout.x_base + ti * n + cell, np.ones(len(cell)), SENSE_EQ, value,
+            x[ti, cell], np.ones(len(cell)), SENSE_EQ, value,
         ))
 
     # Cluster linking: every cell of a cluster equals its lambda.
@@ -458,7 +483,7 @@ def _shared_rows(inst: Instance, layout: VariableLayout) -> list[_Family]:
         for q, group in enumerate(layout.cluster_lists[t])
     ])  # (ti, q, i, j) per linked cell
     lam_base = np.array([layout.lam_offsets[t] for t in ids], dtype=np.int64)
-    link_x = layout.x_base + link[:, 0] * n + link[:, 2] * layout.height + link[:, 3]
+    link_x = x[link[:, 0], link[:, 2] * layout.height + link[:, 3]]
     families.append(_rows(
         "cluster", "link_t{}_q{}_i{}_j{}", link, 2,
         np.column_stack((link_x, lam_base[link[:, 0]] + link[:, 1])).ravel(),
@@ -477,11 +502,11 @@ def _conv_rows(inst: Instance, layout: VariableLayout, lead_base: int, sense) ->
     zbar in the compact one) minus the windowed sums of new installations,
     the lead entry last."""
     n = layout.n_cells
-    not_pre = [~inst.pre_mask(t).ravel() for t in layout.nbs_ids]
+    new = _not_pre(inst, layout)
     conv = [
         _windowed_rows(
-            layout, lead_base + ui * n + np.arange(n), np.full(n, -1.0),
-            [inst.kernel(u, t) for t in layout.nbs_ids], not_pre,
+            layout, layout.x_column, lead_base + ui * n + np.arange(n), np.full(n, -1.0),
+            [inst.kernel(u, t) for t in layout.nbs_ids], new,
         )
         for ui, u in enumerate(layout.measure_ids)
     ]
@@ -519,11 +544,13 @@ def _avg_rows(inst: Instance, layout: VariableLayout, zavg: bool) -> _Family:
     )
 
 
-def _fairness_entries(inst: Instance, layout: VariableLayout, lead: np.ndarray | None):
-    """Per cell, the f column `lead` minus the population-weighted accessibility."""
+def _fairness_entries(inst: Instance, layout: VariableLayout, x_column: np.ndarray,
+                      source_ok: np.ndarray, lead: np.ndarray | None):
+    """Per cell, the f column `lead` minus the population-weighted
+    accessibility, on the columns `x_column` gives the (type, cell) pairs
+    that pass `source_ok`."""
     kernels = [inst.fairness_kernels[t] for t in layout.nbs_ids]
-    ok = [np.ones(layout.n_cells, dtype=bool)] * len(kernels)
-    return _windowed_rows(layout, lead, -inst.population.ravel(), kernels, ok)
+    return _windowed_rows(layout, x_column, lead, -inst.population.ravel(), kernels, source_ok)
 
 
 def _objective(inst: Instance, layout: VariableLayout, norms: Normalizers):
@@ -533,8 +560,8 @@ def _objective(inst: Instance, layout: VariableLayout, norms: Normalizers):
     c[layout.zmax_base : layout.zavg_base] = [w.peak[u] * norms.peak_scale[u] for u in mids]
     weighted = [w.cost * inst.nbs_by_id(t).cost * norms.cost_scale for t in layout.nbs_ids]
     # pre-existing cells are cost-free
-    not_pre = np.concatenate([~inst.pre_mask(t).ravel() for t in layout.nbs_ids])
-    c[layout.x_base : layout.y_base] = np.where(not_pre, np.repeat(weighted, layout.n_cells), 0.0)
+    pair_cost = np.where(_not_pre(inst, layout), np.array(weighted)[:, None], 0.0)
+    c[layout.x_base : layout.y_base] = pair_cost.ravel()[layout.x_pairs]
     czavg = np.array([w.avg[u] * norms.peak_scale[u] for u in mids])
     return c, czavg, w.fairness * norms.fairness_scale
 
@@ -590,7 +617,8 @@ def build_model(inst: Instance, norms: Normalizers | None = None) -> BuiltModel:
     # Fairness rows: f equals the population-weighted accessibility sum.
     families.append(_rows(
         "fairness", "fair_i{}_j{}", _grid_labels(layout.width, layout.height),
-        *_fairness_entries(inst, layout, layout.f_base + np.arange(n)), SENSE_EQ, 0.0,
+        *_fairness_entries(inst, layout, layout.x_column, np.ones(layout.x_column.shape, bool),
+                           layout.f_base + np.arange(n)), SENSE_EQ, 0.0,
     ))
 
     # Objective: weighted normalized peak + mean + cost - fairness.
@@ -619,14 +647,18 @@ def expected_variable_count(inst: Instance) -> int:
 
 
 def build_compact_model(inst: Instance) -> BuiltModel:
-    """The paper model without its big-M rows and its defined columns, with
-    the same optimum, built from the instance.
+    """The paper model without its big-M rows, its defined columns and its
+    fixed columns, with the same optimum, built from the instance.
 
-    There are no bigm or fairness rows and no z, zavg or f columns: the conv
-    rows read `zbar - Kx <= 0`, the avg rows `mean(zbar) <= mean(a)`, zbar is
-    capped at `delta`, and the costs of zavg and f move onto x, zbar and the
-    constant through the rows that define them, so a paper solution keeps its
-    objective.
+    x has a column only for an eligible (type, cell) pair (`eligible_mask`):
+    a forbidden pair's x is 0 and a pre-existing cell's x is 1 (or 0 for the
+    other types there), so there are no forbidden or pre_existing rows, and
+    no one_type or budget row left with no entry. There are no bigm or
+    fairness rows and no z, zavg or f columns: the conv rows read
+    `zbar - Kx <= 0`, the avg rows `mean(zbar) <= mean(a)`, zbar is capped at
+    `delta`, and the costs of zavg and f move onto x, zbar and the constant
+    through the rows that define them; a pre-existing cell's share of them
+    goes into the constant, so a paper solution keeps its objective.
 
     To keep an avg row, zbar could stay below min(Kx, delta). No placement
     needs to for a measure with sum_c min(M_c, delta) <= sum_c a_c (M_c from
@@ -660,8 +692,6 @@ def build_compact_model(inst: Instance) -> BuiltModel:
     )
     avg = _avg_rows(inst, layout, zavg=False)
     families += [conv, _peak_rows(inst, layout), avg]
-    # in the paper model, the avg rows follow the six bigm rows per (u, cell)
-    paper_avg = sum(len(f.labels) for f in families[:-1]) + 6 * n_u * n
 
     if cells.size:
         y = layout.y_base + np.arange(len(cells))
@@ -682,15 +712,19 @@ def build_compact_model(inst: Instance) -> BuiltModel:
         ))
 
     # c - c_def @ A_def and const + c_def @ rhs_def, with c_def the costs of
-    # the defined columns on their rows, summed as over the paper model's rows
+    # the defined columns on their rows: czavg on the avg rows, and -wf on
+    # the fairness rows, whose rhs is 0. Per (type, cell) pair, `fair` is
+    # its x's share of c_def @ A_def; a pre-existing pair's x is 1, so its
+    # share goes into the constant.
     c, czavg, wf = _objective(inst, layout, norms)
-    _, fair_cols, fair_coefs = _fairness_entries(inst, layout, None)
-    c[: layout.y_base] -= np.bincount(fair_cols, fair_coefs * -wf, minlength=layout.y_base)
+    pre = np.stack([inst.pre_mask(t).ravel() for t in inst.nbs_ids])
+    pairs = np.arange(pre.size).reshape(pre.shape)
+    _, fair_pairs, fair_coefs = _fairness_entries(
+        inst, layout, pairs, (layout.x_column >= 0) | pre, None)
+    fair = np.bincount(fair_pairs, fair_coefs * -wf, minlength=pre.size)
+    c[layout.x_base : layout.y_base] -= fair[layout.x_pairs]
     c[zbar] -= np.repeat(czavg, n) * (1.0 / n)
-    c_def, rhs_def = np.zeros(paper_avg + n_u + n), np.zeros(paper_avg + n_u + n)
-    c_def[paper_avg : paper_avg + n_u] = czavg
-    c_def[paper_avg + n_u :] = -wf
-    rhs_def[paper_avg : paper_avg + n_u] = avg.rhs
+    constant = wf * norms.fairness_min + float(czavg @ avg.rhs) - float(fair[pre.ravel()].sum())
 
     upper = np.ones(n_vars)
     upper[zbar] = delta
@@ -701,7 +735,7 @@ def build_compact_model(inst: Instance) -> BuiltModel:
     a, sense, rhs, blocks = _stack(families, n_vars)
     return BuiltModel(
         a=a, sense=sense, rhs=rhs, c=c,
-        objective_constant=wf * norms.fairness_min + float(c_def @ rhs_def),
+        objective_constant=constant,
         lower=np.zeros(n_vars), upper=upper, is_integer=is_integer, constraints=blocks,
         layout=layout, norms=norms,
         guarded={u: int(b) for u, g, b in zip(mids, guarded, binaries) if g},

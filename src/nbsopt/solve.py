@@ -13,9 +13,12 @@ but exponential, so it is capped by a decision-unit budget.
 
 The external backend solves the MILP with a MILP solver. Every solve builds
 one model, the compact model that `model.build_compact_model` builds from the
-instance: no big-M rows, no z, zavg or f columns, and y columns only for the
-guard rows of the measures whose `zavg >= 0` domain can bind. The paper
-model is not built. The compact model has the paper model's optimum, so its
+instance: x columns only for the eligible (type, cell) pairs, the oracle's
+cell units and the cluster cells, no big-M rows, no z, zavg or f columns, and
+y columns only for the guard rows of the measures whose `zavg >= 0` domain
+can bind. A forbidden or pre-existing pair's x is fixed, so it has no column,
+and `placement_from_values` reads a placement as the pre-existing cells plus
+the pairs whose x is set. The paper model is not built. The compact model has the paper model's optimum, so its
 status and bound are the paper model's. The route decides only how the model
 reaches a solver. By default the bundled HiGHS solves it in-process, through
 `solver_cli.solve_mps`, which `python -m nbsopt.solver_cli` also runs on the
@@ -348,11 +351,13 @@ def parse_solution_file(path: Path, model: BuiltModel) -> Answer:
 def placement_from_values(
     inst: Instance, model: BuiltModel, values: np.ndarray
 ) -> engine.Placement:
-    """Rebuild a placement from the solved x columns of a column vector."""
+    """Rebuild a placement from a column vector: the pre-existing cells, and
+    the (type, cell) pair of every x column above 0.5."""
     layout = model.layout
-    x = values[layout.x_base : layout.y_base] > 0.5
-    masks = x.reshape(len(inst.nbs_ids), *inst.dims.shape)
-    return engine.Placement(dict(zip(inst.nbs_ids, masks)))
+    placed = np.zeros(layout.x_column.size, dtype=bool)
+    placed[layout.x_pairs[values[layout.x_base : layout.y_base] > 0.5]] = True
+    masks = placed.reshape(len(inst.nbs_ids), *inst.dims.shape)
+    return engine.Placement({t: mask | inst.pre_mask(t) for t, mask in zip(inst.nbs_ids, masks)})
 
 
 def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
@@ -496,9 +501,11 @@ def solve_external(inst: Instance, config: SolveConfig | None = None) -> SolveRe
     model = build_compact_model(inst)
     logger.info(
         "compact model: %d rows, %d columns, %d nonzeros (rows/nonzeros per family: %s), "
-        "guard binaries per guarded measure %s, built in %.4f s", *model.a.shape, model.a.nnz,
+        "%d fixed (cell, type) pairs left out, guard binaries per guarded measure %s, "
+        "built in %.4f s", *model.a.shape, model.a.nnz,
         ", ".join(f"{b.tag} {len(b.labels)}/{len(b.indices)}" for b in model.constraints),
-        model.guarded, time.perf_counter() - t0,
+        model.layout.x_column.size - len(model.layout.x_pairs), model.guarded,
+        time.perf_counter() - t0,
     )
     try:
         if template is None:

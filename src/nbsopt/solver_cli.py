@@ -13,9 +13,8 @@ exactly as the in-process solve solves it.
 One option depends on the problem, and it is read from the arrays alone:
 HiGHS's feasibility-jump heuristic runs only where some `>=` row has an entry
 in an integer column. Elsewhere the integer columns sit only in `<=` and
-`=` rows (in the unguarded compact model: one_type, budget, forbidden,
-pre_existing, cluster and conv, with the peak rows, its only `>=` rows, on
-`zbar` and `zmax` alone), so the pre-existing-only placement is feasible,
+`=` rows (in the unguarded compact model: one_type, budget, cluster and
+conv, with the peak rows, its only `>=` rows, on `zbar` and `zmax` alone), so the pre-existing-only placement is feasible,
 HiGHS finds it without the heuristic, and the heuristic's fixed cost (about
 10 ms even after presolve leaves a handful of columns) buys nothing. The
 guard rows of a guarded compact model and the paper model's big-M rows are

@@ -161,19 +161,21 @@ def family_rows(model: BuiltModel, tag: str) -> slice:
 def lift(model: BuiltModel, compact: BuiltModel, values: np.ndarray) -> np.ndarray:
     """The paper-layout column vector of a compact solution.
 
-    x and lam are the compact values rounded. Every other column takes the
-    value its rows define: z from the conv rows, `zbar = min(z, delta)`,
-    `y = [z <= delta]`, zmax the largest reduced value (at least 0), zavg
-    from the avg rows and f from the fairness rows, each row solved for its
-    lead column, which is 0 in the vector it is read from.
+    x and lam are the compact values rounded, found by name, and the x of a
+    pre-existing cell, which has no compact column, is 1. Every other column
+    takes the value its rows define: z from the conv rows,
+    `zbar = min(z, delta)`, `y = [z <= delta]`, zmax the largest reduced
+    value (at least 0), zavg from the avg rows and f from the fairness rows,
+    each row solved for its lead column, which is 0 in the vector it is read
+    from.
     """
     layout = model.layout
-    # the paper column of each compact column: x, the guard y, zbar, zmax, lam
-    columns = np.r_[: layout.y_base, layout.y_base + compact.layout.guard_cells,
-                    layout.zbar_base : layout.zavg_base, layout.lam_base : layout.n_variables]
+    index = {name: k for k, name in enumerate(layout.column_names())}
+    columns = [index[name] for name in compact.layout.column_names()]
     v = np.zeros(model.n_variables)
     v[columns] = np.round(values)
     v[layout.y_base : layout.lam_base] = 0.0
+    v[next(b for b in model.constraints if b.tag == "pre_existing").indices] = 1.0
     a = to_scipy(model.a)
 
     def defined(tag: str, lhs: np.ndarray) -> np.ndarray:
@@ -245,7 +247,10 @@ def compact_model(model: BuiltModel) -> SlicedModel:
     z column is mapped onto its zbar column, the conv rows become `<=` rows
     (`=` for the unguarded cells of a guarded measure), the avg rows `<=`
     rows, and zbar is capped at delta. zavg and f leave the objective through
-    the rows that define them. The guard rows come last.
+    the rows that define them. The x columns that the forbidden, pre_existing
+    and one_type rows fix go with the forbidden and pre_existing rows: the
+    fixed values move into the right-hand sides and the constant, and a row
+    left with no entry goes. The guard rows come last.
     """
     from scipy import sparse
 
@@ -253,14 +258,28 @@ def compact_model(model: BuiltModel) -> SlicedModel:
     a, n_rows, n_vars = to_scipy(model.a), model.n_constraints, model.n_variables
     avg, fair, conv = (family_rows(model, tag) for tag in ("avg", "fairness", "conv"))
     n_u, n = len(layout.measure_ids), layout.n_cells
+    blocks = {b.tag: b for b in model.constraints}
 
     # c' = c - c_def @ A_def and const' = const + c_def @ rhs_def; each defined
-    # column leads its row with coefficient 1, so its own cost cancels
+    # column leads its row with coefficient 1, so its own cost cancels, and
+    # the fairness rows' rhs is 0
     c_def = np.zeros(n_rows)
     c_def[avg] = model.c[layout.zavg_base : layout.f_base]
     c_def[fair] = model.c[layout.f_base : layout.lam_base]
     c = model.c - a.T @ c_def
-    constant = model.objective_constant + float(c_def @ model.rhs)
+    constant = model.objective_constant + float(c_def[avg] @ model.rhs[avg])
+
+    # x is 1 on a pre-existing cell's column, and 0 on a forbidden one and on
+    # every other type's column at a pre-existing cell, which its one_type
+    # row pins
+    on = blocks["pre_existing"].indices
+    fixed = np.zeros(n_vars, dtype=bool)
+    fixed[blocks["forbidden"].indices] = True
+    fixed[: layout.y_base].reshape(-1, n)[:, on % n] = True
+    one = np.zeros(n_vars)
+    one[on] = 1.0
+    shifted = model.rhs - a @ one
+    constant += float(c[on].sum())
 
     # bigm4, the fourth row of each (u, cell) group, reads zbar <= delta
     delta = model.rhs[family_rows(model, "bigm")][3::6]
@@ -271,7 +290,7 @@ def compact_model(model: BuiltModel) -> SlicedModel:
     binary = guarded_cell & (bound > delta)
     binaries = binary.reshape(n_u, n).sum(axis=1)
 
-    keep_col = np.ones(n_vars, dtype=bool)
+    keep_col = ~fixed
     keep_col[layout.y_base : layout.z_base] = binary
     keep_col[layout.z_base : layout.zbar_base] = False  # z
     keep_col[layout.zavg_base : layout.lam_base] = False  # zavg and f
@@ -281,14 +300,14 @@ def compact_model(model: BuiltModel) -> SlicedModel:
     # z sits after every x and y column and zbar after every z, so rows stay sorted
     new_col[layout.z_base : layout.zbar_base] = new_col[layout.zbar_base : layout.zmax_base]
 
-    keep_row = np.ones(n_rows, dtype=bool)
-    keep_row[family_rows(model, "bigm")] = False
-    keep_row[fair] = False
+    col = new_col[a.indices]
+    keep_row = np.diff(np.concatenate(([0], np.cumsum(col >= 0)))[a.indptr]) > 0
+    for tag in ("bigm", "fairness", "forbidden", "pre_existing"):
+        keep_row[family_rows(model, tag)] = False
     sense = model.sense.copy()
     sense[conv] = np.where(guarded_cell & ~binary, SENSE_EQ, SENSE_LE)
     sense[avg] = SENSE_LE
 
-    col = new_col[a.indices]
     keep = np.repeat(keep_row, np.diff(a.indptr)) & (col >= 0)
     starts = a.indptr[np.append(np.flatnonzero(keep_row), n_rows)]
     indptr = np.concatenate(([0], np.cumsum(keep)))[starts]
@@ -296,7 +315,7 @@ def compact_model(model: BuiltModel) -> SlicedModel:
     upper[new_col[layout.zbar_base : layout.zmax_base]] = delta
     shape = (len(starts) - 1, len(columns))
     compact = sparse.csr_matrix((a.data[keep], col[keep], indptr), shape=shape)
-    sense, rhs = sense[keep_row], model.rhs[keep_row]
+    sense, rhs = sense[keep_row], shifted[keep_row]
 
     cells = np.flatnonzero(binary)
     if cells.size:

@@ -65,6 +65,17 @@ class TestValidate:
     def test_missing_file_exits_4(self, tmp_path):
         assert run(["validate", str(tmp_path / "nope.json")]) == 4
 
+    def test_infinite_nbs_cost_exits_2_naming_the_nbs(self, tiny_instance_path, tmp_path,
+                                                      capsys):
+        raw = json.loads(tiny_instance_path.read_text())
+        raw["nbs"][0]["cost"] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))  # Python's json writes Infinity
+        assert run(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error code=instance.validation" in err
+        assert f"NBS {raw['nbs'][0]['id']!r}: cost must be finite and positive" in err
+
 
 class TestKernelsCommand:
     def test_lists_all_default_kernels(self, capsys):

@@ -78,9 +78,11 @@ class TestSchema:
         (("population",), [[True]], "population"),
         (("kernels", "M", "GW", "rows"), [[False]], "kernels.M.GW.rows"),
         (("fairness_kernels", "GW", "rows"), [["1.0"]], "fairness_kernels.GW.rows"),
+        (("kernels", "M", "GW", "size"), [True, True], "kernels.M.GW.size"),
+        (("fairness_kernels", "GW", "size"), [1, False], "fairness_kernels.GW.size"),
     ], ids=["peak_text", "avg_null", "peak_bool", "kernel_ragged", "fairness_ragged",
             "width_bool", "delta_bool", "field_bool", "population_bool", "kernel_bool",
-            "fairness_text"])
+            "fairness_text", "kernel_size_bool", "fairness_size_bool"])
     def test_malformed_value_names_field(self, path, value, field):
         raw = minimal_dict()
         parent = raw
@@ -141,7 +143,8 @@ class TestValidation:
         (("weights", "avg", "M"), "weights.avg.M"),
         (("weights", "cost"), "weights.cost"),
         (("weights", "fairness"), "weights.fairness"),
-    ], ids=["delta", "peak", "avg", "cost", "fairness"])
+        (("nbs", 0, "cost"), "NBS 'GW': cost"),
+    ], ids=["delta", "peak", "avg", "cost", "fairness", "nbs_cost"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_number_names_field(self, path, field, value, tmp_path):
         raw = minimal_dict()

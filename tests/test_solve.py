@@ -501,13 +501,14 @@ class TestCompactSolve:
             [(compact, answer)] = answers
             answers.clear()
 
-            # row mask: every family but the big-M and fairness rows
-            tags = np.concatenate([[b.tag] * len(b.labels) for b in model.constraints])
-            rows = ~np.isin(tags, ["bigm", "fairness"])
-            # column map: y, zavg and f dropped, each z onto its zbar
+            # column map: y, zavg and f dropped, and the x of every (type,
+            # cell) pair that is not eligible, each z onto its zbar
             layout = model.layout
             kind = np.array([name.split("_")[0] for name in layout.column_names()])
-            kept = np.flatnonzero(~np.isin(kind, ["y", "z", "zavg", "f"]))
+            fixed = np.zeros(model.n_variables, dtype=bool)
+            fixed[: layout.y_base] = ~np.concatenate(
+                [inst.eligible_mask(t).ravel() for t in inst.nbs_ids])
+            kept = np.flatnonzero(~np.isin(kind, ["y", "z", "zavg", "f"]) & ~fixed)
             target = np.full(model.n_variables, -1)
             target[kept] = np.arange(len(kept))
             z = np.flatnonzero(kind == "z")
@@ -517,7 +518,16 @@ class TestCompactSolve:
                 (np.ones(len(mapped)), (mapped, target[mapped])),
                 shape=(model.n_variables, len(kept)),
             )
-            expected = sparse.csr_matrix(to_scipy(model.a)[rows] @ column_map)
+            # row mask: every family but the big-M, fairness, forbidden and
+            # pre_existing rows, and no row the column map leaves empty
+            tags = np.concatenate([[b.tag] * len(b.labels) for b in model.constraints])
+            mapped_a = to_scipy(model.a) @ column_map
+            rows = ~np.isin(tags, ["bigm", "fairness", "forbidden", "pre_existing"])
+            rows &= mapped_a.getnnz(axis=1) > 0
+            # the x of a pre-existing cell is 1
+            pre = np.concatenate([inst.pre_mask(t).ravel() for t in inst.nbs_ids])
+            rhs = model.rhs - to_scipy(model.a)[:, : layout.y_base] @ pre
+            expected = sparse.csr_matrix(mapped_a[rows])
             expected.sort_indices()
             seen = call["a"]
             assert to_scipy(seen).has_sorted_indices
@@ -532,8 +542,8 @@ class TestCompactSolve:
             lb, ub = call["row_lower"], call["row_upper"]
             np.testing.assert_array_equal(np.isneginf(lb), relaxed | (sense == "<="))
             np.testing.assert_array_equal(np.isposinf(ub), sense == ">=")
-            np.testing.assert_array_equal(lb[np.isfinite(lb)], model.rhs[rows][np.isfinite(lb)])
-            np.testing.assert_array_equal(ub[np.isfinite(ub)], model.rhs[rows][np.isfinite(ub)])
+            np.testing.assert_array_equal(lb[np.isfinite(lb)], rhs[rows][np.isfinite(lb)])
+            np.testing.assert_array_equal(ub[np.isfinite(ub)], rhs[rows][np.isfinite(ub)])
 
             # zbar is capped at delta; every other bound and integrality is kept
             deltas = np.repeat([inst.delta(u) for u in inst.measure_ids], layout.n_cells)
@@ -759,10 +769,12 @@ def test_each_model_names_its_own_columns(label, make):
     for built in (paper, compact):
         names = built.layout.column_names()
         assert len(names) == len(set(names)) == built.n_variables
-    # a compact column has the name of its paper column: x, the guard
-    # cells' y, zbar, zmax and lam
+    # a compact column has the name of its paper column: the eligible (type,
+    # cell) pairs' x, the guard cells' y, zbar, zmax and lam
     p, c = paper.layout, compact.layout
-    columns = np.r_[: p.y_base, p.y_base + c.guard_cells, p.zbar_base : p.zavg_base,
+    eligible = np.flatnonzero(np.concatenate([inst.eligible_mask(t).ravel()
+                                              for t in inst.nbs_ids]))
+    columns = np.r_[p.x_base + eligible, p.y_base + c.guard_cells, p.zbar_base : p.zavg_base,
                     p.lam_base : p.n_variables]
     paper_names = np.array(paper.layout.column_names())
     assert compact.layout.column_names() == paper_names[columns].tolist()
@@ -771,6 +783,57 @@ def test_each_model_names_its_own_columns(label, make):
     guard_names = [f"y_u{a}_i{b // h}_j{b % h}" for a, b in zip(u.tolist(), cell.tolist())]
     assert [name for name in compact.layout.column_names() if name.startswith("y_")] == guard_names
     assert len(guard_names) == sum(compact.guarded.values())
+
+
+def _free_pairs(inst) -> list[tuple[int, int, int]]:
+    """(type index, i, j) of every (type, cell) pair whose x is not fixed:
+    the cell is neither forbidden for the type nor pre-existing for any."""
+    taken = set().union(*inst.masks.pre_existing.values())
+    return [(ti, i, j) for ti, t in enumerate(inst.nbs_ids)
+            for i in range(inst.dims.width) for j in range(inst.dims.height)
+            if (i, j) not in inst.masks.forbidden[t] | taken]
+
+
+# The desk suite, the mid-size benchmark's sizes and one guarded case.
+STRUCTURE_CASES = [case for case in BUILT_CASES if case[0].startswith(("desk-", "mid-"))]
+STRUCTURE_CASES.append(("guarded-204", lambda: _guarded(*GUARDED[0])))
+
+
+@pytest.mark.parametrize("label, make", STRUCTURE_CASES,
+                         ids=[label for label, _ in STRUCTURE_CASES])
+def test_the_compact_model_solves_over_the_free_pairs(monkeypatch, label, make):
+    inst = make()
+    compact, paper = build_compact_model(inst), build_model(inst)
+    # one x column per free (type, cell) pair, named as the paper model names it
+    free = _free_pairs(inst)
+    names = [name for name in compact.layout.column_names() if name.startswith("x_")]
+    assert names == [f"x_t{t}_i{i}_j{j}" for t, i, j in free]
+    assert len(free) < len(inst.nbs_ids) * inst.dims.n_cells
+    assert set(names) <= set(paper.layout.column_names())
+    # no row fixes a column, and every row has an entry
+    assert {b.tag for b in compact.constraints}.isdisjoint({"forbidden", "pre_existing"})
+    rows = [name for block in compact.constraints for name in block.row_names()]
+    assert not any(name.startswith(("forbid_", "pre_")) for name in rows)
+    assert np.diff(compact.a.indptr).min() > 0
+    # the answer, lifted into the paper model, is a solution at its objective
+    answers = record_answers(monkeypatch)
+    result = solve_external(inst, EXTERNAL)
+    assert result.status == "optimal"
+    [(solved, answer)] = answers
+    lifted = lift(paper, solved, answer.x)
+    assert certify(paper, lifted, answer.objective) == ""
+    assert values_close(float(lifted @ paper.c) + paper.objective_constant, result.objective,
+                        OBJECTIVE_MATCH_TOL)
+
+
+def test_the_verbose_line_counts_the_fixed_pairs(monkeypatch, caplog):
+    inst = desk_instance(1)
+    fixed = len(inst.nbs_ids) * inst.dims.n_cells - len(_free_pairs(inst))
+    assert fixed > 0
+    monkeypatch.delenv("NBSOPT_SOLVER_CMD", raising=False)
+    with caplog.at_level("INFO", logger="nbsopt.solve"):
+        assert solve_external(inst, EXTERNAL).status == "optimal"
+    assert f"{fixed} fixed (cell, type) pairs left out" in caplog.text
 
 
 class TestSolutionParsing:
@@ -863,17 +926,17 @@ class TestExternalContract:
         assert result.placement.new_cells(inst) == {"GW": []}
 
     def test_violating_solution_is_an_error(self, tmp_path):
+        # the model has a column for every eligible cell; together they cost
+        # more than the budget
         inst = self.make_inst()
-        forbidden = sorted(inst.masks.forbidden["GW"])
-        assert forbidden, "seed must produce at least one forbidden cell"
-        i, j = forbidden[0]
-        fake = FakeSolverScript(
-            tmp_path, f"# status optimal\n# objective 0.0\nx_t0_i{i}_j{j} 1.0\n"
-        )
+        cells = np.argwhere(inst.eligible_mask("GW")).tolist()
+        assert len(cells) * inst.nbs_by_id("GW").cost > inst.budget
+        values = "".join(f"x_t0_i{i}_j{j} 1.0\n" for i, j in cells)
+        fake = FakeSolverScript(tmp_path, f"# status optimal\n# objective 0.0\n{values}")
         cfg = SolveConfig(backend="external", time_limit=10, solver_cmd=fake.template())
         result = solve_external(inst, cfg)
         assert result.status == "error"
-        assert "forbidden" in result.message
+        assert "budget" in result.message
 
     @pytest.mark.parametrize("status", ["optimal", "feasible-timeout"])
     def test_a_solution_without_values_is_an_error(self, tmp_path, status):
