@@ -14,6 +14,7 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -32,7 +33,7 @@ from .instance import (
     read_json,
     save_instance,
 )
-from .model import InfeasiblePlacement, build_model, expected_variable_count
+from .model import InfeasiblePlacement, build_model, expected_variable_count, values_close
 from .mps import export_interchange
 from .solve import (
     DEFAULT_TIME_LIMIT,
@@ -70,13 +71,23 @@ def _load_config(path: str | None) -> dict[str, Any]:
 
 
 def _pick(args: argparse.Namespace, config: dict, key: str, default: Any) -> Any:
-    """Flag value if given, else config value, else the built-in default."""
+    """Flag value if given, else config value, else the built-in default.
+
+    A config value has its flag's type, which the default's type gives: an
+    integer for a count, a number for any other numeric key, and text for a
+    key with a text or no default. A boolean is not a number; a value of any
+    other type raises SchemaError naming the key."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    kind = {int: (int, "an integer"), float: ((int, float), "a number")}.get(
+        type(default), (str, "a string"))
+    if isinstance(value, bool) or not isinstance(value, kind[0]):
+        raise SchemaError(f"config.{key}", f"expected {kind[1]}, got {value!r}")
+    return value
 
 
 def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
@@ -102,9 +113,10 @@ def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
 def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
     """A result file's content; SchemaError unless it is an object whose
     `new_cells` name known NBS ids and integer [i, j] cells inside the grid,
-    whose `objective` and `bound` are numbers or null, whose `status` is a
-    string, and whose `metadata` is an object with a numeric `wall_time` and
-    a string `backend` and `message`. Booleans are not numbers here."""
+    whose `objective` and `bound` are finite numbers or null, whose `status`
+    is a string, and whose `metadata` is an object with a finite numeric
+    `wall_time` and a string `backend` and `message`. Booleans are not
+    numbers here."""
     if not isinstance(raw, dict):
         raise SchemaError("result", "expected a JSON object")
     placement = None
@@ -129,8 +141,9 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
     wall_time = meta.get("wall_time")
     for where, value in (("objective", raw.get("objective")), ("bound", raw.get("bound")),
                          ("metadata.wall_time", wall_time)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise SchemaError(f"result.{where}", "expected a number")
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                                  or not math.isfinite(value)):
+            raise SchemaError(f"result.{where}", "expected a finite number")
     status = raw.get("status", "error")
     backend, message = meta.get("backend", "unknown"), meta.get("message", "")
     for where, value in (("status", status), ("metadata.backend", backend),
@@ -162,8 +175,8 @@ def cmd_gen(args: argparse.Namespace, config: dict) -> int:
     inst = generate_synthetic(
         seed=args.seed,
         dims=GridDims(side, side, float(_pick(args, config, "resolution", 10.0))),
-        nbs_count=int(_pick(args, config, "nbs", 4)),
-        measure_count=int(_pick(args, config, "measures", 4)),
+        nbs_count=_pick(args, config, "nbs", 4),
+        measure_count=_pick(args, config, "measures", 4),
         forbidden_fraction=float(_pick(args, config, "forbidden_frac", 0.3)),
         pre_existing_fraction=float(_pick(args, config, "pre_frac", 0.07)),
     )
@@ -201,8 +214,8 @@ def cmd_cluster(args: argparse.Namespace, config: dict) -> int:
     clusters = clustering.partition_instance(
         inst,
         nbs_ids=nbs_ids,
-        min_size=int(_pick(args, config, "min", clustering.DEFAULT_MIN_SIZE)),
-        max_size=int(_pick(args, config, "max", clustering.DEFAULT_MAX_SIZE)),
+        min_size=_pick(args, config, "min", clustering.DEFAULT_MIN_SIZE),
+        max_size=_pick(args, config, "max", clustering.DEFAULT_MAX_SIZE),
     )
     save_instance(clustering.with_clusters(inst, clusters), args.out)
     total = sum(map(len, clusters.values()))
@@ -225,11 +238,11 @@ def cmd_build(args: argparse.Namespace, config: dict) -> int:
 
 def _solve_config(args: argparse.Namespace, config: dict) -> SolveConfig:
     return SolveConfig(
-        backend=str(_pick(args, config, "backend", "external")),
+        backend=_pick(args, config, "backend", "external"),
         time_limit=float(_pick(args, config, "timelimit", DEFAULT_TIME_LIMIT)),
         gap=float(_pick(args, config, "gap", 0.0)),
         solver_cmd=_pick(args, config, "solver_cmd", None),
-        unit_cap=int(_pick(args, config, "cap", DEFAULT_UNIT_CAP)),
+        unit_cap=_pick(args, config, "cap", DEFAULT_UNIT_CAP),
         workdir=Path(args.workdir) if getattr(args, "workdir", None) else None,
     )
 
@@ -254,6 +267,10 @@ def cmd_report(args: argparse.Namespace, config: dict) -> int:
     if result.placement is None:
         return _fail("report.no-placement", f"result status {result.status!r}", EXIT_SOLVE)
     report = analysis.build_report(inst, result)
+    claimed, total = result.objective, report.objective.total
+    if claimed is not None and not values_close(total, claimed):
+        message = f"the result claims objective {claimed!r}, re-evaluated {total!r}"
+        return _fail("result.mismatch", message, EXIT_VALIDATION)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis.write_report(report, out_dir / "report.json")
@@ -281,16 +298,16 @@ def _bench_one(
 
 
 def cmd_bench(args: argparse.Namespace, config: dict) -> int:
-    count = int(_pick(args, config, "seeds", 10))
+    count = _pick(args, config, "seeds", 10)
     if count < 1:
         raise ValueError(f"seeds must be >= 1, got {count}")
-    start = int(_pick(args, config, "start_seed", 0))
+    start = _pick(args, config, "start_seed", 0)
     cfg = SolveConfig(
-        backend=str(_pick(args, config, "backend", "external")),
+        backend=_pick(args, config, "backend", "external"),
         time_limit=float(_pick(args, config, "timelimit", DEFAULT_TIME_LIMIT)),
-        unit_cap=int(_pick(args, config, "cap", DEFAULT_UNIT_CAP)),
+        unit_cap=_pick(args, config, "cap", DEFAULT_UNIT_CAP),
     )
-    jobs = int(_pick(args, config, "jobs", 1))
+    jobs = _pick(args, config, "jobs", 1)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     out_dir = args.out_dir

@@ -441,7 +441,9 @@ def _not_pre(inst: Instance, layout: VariableLayout) -> np.ndarray:
 def _shared_rows(inst: Instance, layout: VariableLayout) -> list[_Family]:
     """The one_type, budget, forbidden, pre_existing and cluster rows. The
     compact model has no x column for a fixed pair, so it has no forbidden or
-    pre_existing rows, and no one_type or budget row that would hold no entry."""
+    pre_existing rows, no budget row that would hold no entry, and a one_type
+    row only where two or more types have an x column: a row over one column
+    restates that column's bound."""
     ids, x = layout.nbs_ids, layout.x_column
     paper = layout.guard_cells is None
     cells = _grid_labels(layout.width, layout.height)  # (i, j) per cell
@@ -449,10 +451,10 @@ def _shared_rows(inst: Instance, layout: VariableLayout) -> list[_Family]:
 
     # One NBS type per cell.
     has = x.T >= 0  # per cell, the types with an x column there
-    counts = has.sum(axis=1)
-    rows = slice(None) if paper else counts > 0
+    rows = slice(None) if paper else has.sum(axis=1) > 1
+    counts = has[rows].sum(axis=1)
     families.append(_rows(
-        "one_type", "one_type_i{}_j{}", cells[rows], counts[rows], x.T[has],
+        "one_type", "one_type_i{}_j{}", cells[rows], counts, x.T[rows][has[rows]],
         np.ones(int(counts.sum())), SENSE_LE, 1.0,
     ))
 
@@ -569,12 +571,10 @@ def _objective(inst: Instance, layout: VariableLayout, norms: Normalizers):
 # --- Paper model -----------------------------------------------------------------
 
 
-def build_model(inst: Instance, norms: Normalizers | None = None) -> BuiltModel:
-    """Assemble the paper's MILP for a validated instance; `norms` are
-    computed from the instance when not given."""
+def build_model(inst: Instance) -> BuiltModel:
+    """Assemble the paper's MILP for a validated instance."""
     layout = VariableLayout(inst)
-    if norms is None:
-        norms = objective_normalizers(inst)
+    norms = objective_normalizers(inst)
     big_m = linearization_big_m(inst)
     mids = layout.measure_ids
     n, n_u = layout.n_cells, len(mids)
@@ -652,8 +652,9 @@ def build_compact_model(inst: Instance) -> BuiltModel:
 
     x has a column only for an eligible (type, cell) pair (`eligible_mask`):
     a forbidden pair's x is 0 and a pre-existing cell's x is 1 (or 0 for the
-    other types there), so there are no forbidden or pre_existing rows, and
-    no one_type or budget row left with no entry. There are no bigm or
+    other types there), so there are no forbidden or pre_existing rows, no
+    budget row left with no entry, and no one_type row over fewer than two
+    x columns, which the columns' bounds already state. There are no bigm or
     fairness rows and no z, zavg or f columns: the conv rows read
     `zbar - Kx <= 0`, the avg rows `mean(zbar) <= mean(a)`, zbar is capped at
     `delta`, and the costs of zavg and f move onto x, zbar and the constant

@@ -6,10 +6,10 @@ cover, its cost, and its impact and fairness increments from
 `engine.correlate` over its cell indicator, as the direct evaluation
 computes them. The descent keeps running sums of them and scores each leaf
 with the evaluation's formula, `model.objective_terms`, under the checker's
-`zavg >= 0` tolerance, FEAS_TOL; the optimum is re-evaluated directly before
-it is returned. The oracle never touches the MILP or its big-M
-linearization, which makes it an independent check of the MILP. It is exact
-but exponential, so it is capped by a decision-unit budget.
+`zavg >= 0` tolerance, FEAS_TOL; its optimum goes to the check the
+external backend's answers go to. The oracle never touches the MILP or its
+big-M linearization, which makes it an independent check of the MILP. It is
+exact but exponential, so it is capped by a decision-unit budget.
 
 The external backend solves the MILP with a MILP solver. Every solve builds
 one model, the compact model that `model.build_compact_model` builds from the
@@ -37,11 +37,11 @@ and one 'name value' line per column. This module owns that format:
 `solution_text` writes it (for `solver_cli` and for the in-process solve's
 --workdir copy) and `parse_solution_file` reads it. Each route returns an
 `Answer` over the model's columns, the objective constant included, and
-`solve_external` hands it with the model to the one verification step,
-`_verify`, which checks the placement against every constraint family and
-re-computes the objective before trusting it. A command that fails or
-outruns its grace period raises SolverFailed, and `solve_external` turns it
-into an error result.
+`_verify` reads its placement for the one check of both backends,
+`_check_claim`, which checks the placement against every constraint family
+and re-computes the objective before trusting it; a claim that fails is an
+error result. A command that fails or outruns its grace period raises
+SolverFailed, and `solve_external` turns it into an error result.
 """
 
 from __future__ import annotations
@@ -63,8 +63,10 @@ from . import engine
 from .instance import Cell, Instance
 from .model import (
     FEAS_TOL,
+    OBJECTIVE_MATCH_TOL,
     BuiltModel,
     InfeasiblePlacement,
+    Normalizers,
     ObjectiveBreakdown,
     build_compact_model,
     evaluate_solution,
@@ -181,7 +183,8 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
     mean reduced value passes `check_placement`'s `zavg >= 0` test, to within
     FEAS_TOL. Ties on the objective are broken by the lexicographically
     smallest state vector over the canonical slot order (clusters first, then
-    cells in row-major order, types in catalog order).
+    cells in row-major order, types in catalog order). The optimum, or the
+    infeasible outcome, goes to `_check_claim` at a tolerance of 1e-9.
     """
     t0 = time.perf_counter()
     units = _free_units(inst)
@@ -227,33 +230,17 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
     descend(0, 0.0, norms.fairness_min)  # the fairness total of do-nothing
 
     if best_units is None:
-        # The do-nothing leaf always exists, so this cannot happen unless the
-        # instance itself is infeasible via the zavg domain.
-        return SolveResult(
-            status=STATUS_INFEASIBLE,
-            backend="oracle",
-            wall_time=time.perf_counter() - t0,
-            message="no placement satisfies the nonnegative-average domain",
-        )
-
-    placement = engine.Placement.do_nothing(inst)
-    for n in best_units:
-        placement.masks[units[n][1]] |= cover[n].reshape(inst.dims.shape)
-
-    breakdown = evaluate_solution(inst, placement, norms=norms)
-    if not values_close(breakdown.total, best_obj, rel=1e-9):
-        raise RuntimeError(
-            f"oracle bookkeeping mismatch: {breakdown.total!r} vs {best_obj!r}"
-        )
-    return SolveResult(
-        status=STATUS_OPTIMAL,
-        backend="oracle",
-        placement=placement,
-        objective=breakdown.total,
-        bound=breakdown.total,
-        wall_time=time.perf_counter() - t0,
-        breakdown=breakdown,
-    )
+        # the do-nothing leaf always exists, so this happens only when the
+        # instance itself is infeasible via the zavg domain
+        status, placement = STATUS_INFEASIBLE, None
+        message = "no placement satisfies the nonnegative-average domain"
+    else:
+        status, placement, message = STATUS_OPTIMAL, engine.Placement.do_nothing(inst), ""
+        for n in best_units:
+            placement.masks[units[n][1]] |= cover[n].reshape(inst.dims.shape)
+    result = _check_claim(inst, norms, "oracle", status, placement, best_obj, None, message, 1e-9)
+    result.wall_time = time.perf_counter() - t0
+    return result
 
 
 # --- External solver bridge --------------------------------------------------
@@ -360,73 +347,54 @@ def placement_from_values(
     return engine.Placement({t: mask | inst.pre_mask(t) for t, mask in zip(inst.nbs_ids, masks)})
 
 
-def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
-    """Turn a solver's answer on `model` into a result, trusting none of it
-    unchecked: the one check of every answer.
+def _check_claim(inst: Instance, norms: Normalizers, backend: str, status: str,
+                 placement: engine.Placement | None, objective: float | None,
+                 bound: float | None, message: str, rel: float) -> SolveResult:
+    """Turn a backend's claim into a result, trusting none of it unchecked:
+    the one check that both backends end in.
 
-    The placement is read from the x columns of `answer.x`, checked against
-    every constraint family (`avg_nonneg` included), and its objective
-    re-computed directly from the fields with the model's normalizers; a
-    reported objective that differs by more than OBJECTIVE_MATCH_TOL, or an
-    optimal or feasible-timeout answer with no column vector, is an error.
+    An infeasible claim passes through with its message, and a no-incumbent
+    one becomes the always-feasible do-nothing placement. Any other status
+    but optimal and feasible-timeout is an error, and so is such a claim
+    with no placement. The placement is checked against every constraint
+    family (`avg_nonneg` included), and its objective re-computed directly
+    from the fields with `norms`; a claimed objective that differs from it by
+    more than `rel` is an error.
     """
-    status, values, bound = answer.status, answer.x, answer.bound
     if status == STATUS_INFEASIBLE:
-        return SolveResult(status=status, backend="external", bound=bound)
+        return SolveResult(status, backend, bound=bound, message=message)
     if status == STATUS_NO_INCUMBENT:
-        # Nothing found within the limit; the pre-existing-only placement
-        # is always feasible, so report it rather than failing.
         placement = engine.Placement.do_nothing(inst)
-        breakdown = evaluate_solution(inst, placement, norms=model.norms)
-        return SolveResult(
-            status=STATUS_TIMEOUT,
-            backend="external",
-            placement=placement,
-            objective=breakdown.total,
-            bound=bound,
-            breakdown=breakdown,
-            message="no incumbent within the time limit; reporting do-nothing",
-        )
+        breakdown = evaluate_solution(inst, placement, norms=norms)
+        return SolveResult(STATUS_TIMEOUT, backend, placement, breakdown.total, bound,
+                           breakdown=breakdown,
+                           message="no incumbent within the time limit; reporting do-nothing")
     if status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
-        return SolveResult(
-            status=STATUS_ERROR,
-            backend="external",
-            message=f"solver reported status {status!r}: {answer.message}",
-        )
-    if values is None:
-        return SolveResult(
-            status=STATUS_ERROR,
-            backend="external",
-            message=f"solver reported status {status!r} but no column values",
-        )
-
-    placement = placement_from_values(inst, model, values)
+        return SolveResult(STATUS_ERROR, backend,
+                           message=f"solver reported status {status!r}: {message}")
+    if placement is None:
+        return SolveResult(STATUS_ERROR, backend,
+                           message=f"solver reported status {status!r} but no column values")
     try:
-        breakdown = evaluate_solution(inst, placement, norms=model.norms)
+        breakdown = evaluate_solution(inst, placement, norms=norms)
     except InfeasiblePlacement as exc:
-        families = sorted({v.family for v in exc.violations})
-        return SolveResult(
-            status=STATUS_ERROR,
-            backend="external",
-            message=f"solver placement violates: {', '.join(families)}",
-        )
-    if answer.objective is not None and not values_close(breakdown.total, answer.objective):
-        return SolveResult(
-            status=STATUS_ERROR,
-            backend="external",
-            message=(
-                f"objective mismatch: solver {answer.objective!r}, "
-                f"re-evaluated {breakdown.total!r}"
-            ),
-        )
-    return SolveResult(
-        status=status,
-        backend="external",
-        placement=placement,
-        objective=breakdown.total,
-        bound=bound if bound is not None else breakdown.total,
-        breakdown=breakdown,
-    )
+        families = ", ".join(sorted({v.family for v in exc.violations}))
+        return SolveResult(STATUS_ERROR, backend,
+                           message=f"solver placement violates: {families}")
+    if objective is not None and not values_close(breakdown.total, objective, rel):
+        return SolveResult(STATUS_ERROR, backend, message=(
+            f"objective mismatch: solver {objective!r}, re-evaluated {breakdown.total!r}"))
+    return SolveResult(status, backend, placement, breakdown.total,
+                       bound if bound is not None else breakdown.total, breakdown=breakdown)
+
+
+def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
+    """The one check of a solver's answer on `model`: the placement is read
+    from the x columns of `answer.x`, if it has one, and checked with the
+    model's normalizers."""
+    placement = None if answer.x is None else placement_from_values(inst, model, answer.x)
+    return _check_claim(inst, model.norms, "external", answer.status, placement,
+                        answer.objective, answer.bound, answer.message, OBJECTIVE_MATCH_TOL)
 
 
 def _solve_in_process(model: BuiltModel, config: SolveConfig) -> Answer:

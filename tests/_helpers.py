@@ -13,6 +13,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -101,7 +102,7 @@ def spy_on_highs(monkeypatch, run: bool = True) -> list[dict]:
 
 def record_answers(monkeypatch) -> list[tuple[BuiltModel, Answer]]:
     """Record the model and the answer of every solve that reaches
-    `nbsopt.solve._verify`, the one check of a solver's answer."""
+    `nbsopt.solve._verify`, where a solver's answer enters the one check."""
     solve = importlib.import_module("nbsopt.solve")  # not the package's `solve` function
     seen: list[tuple[BuiltModel, Answer]] = []
     real = solve._verify
@@ -197,8 +198,13 @@ def lift(model: BuiltModel, compact: BuiltModel, values: np.ndarray) -> np.ndarr
 
 def certify_compact_answer(inst: Instance, compact: BuiltModel, answer: Answer) -> str:
     """`certify` on the paper model for a compact answer, lifted into the
-    paper model's columns."""
-    model = build_model(inst, compact.norms)
+    paper model's columns. The paper model is built with the compact model's
+    normalizers rather than computing its own, so that a solve still computes
+    them once."""
+    from nbsopt import model as model_module
+
+    with mock.patch.object(model_module, "objective_normalizers", lambda inst: compact.norms):
+        model = build_model(inst)
     return certify(model, lift(model, compact, answer.x), answer.objective)
 
 
@@ -250,7 +256,8 @@ def compact_model(model: BuiltModel) -> SlicedModel:
     the rows that define them. The x columns that the forbidden, pre_existing
     and one_type rows fix go with the forbidden and pre_existing rows: the
     fixed values move into the right-hand sides and the constant, and a row
-    left with no entry goes. The guard rows come last.
+    left with no entry goes, as does a one_type row left with one. The guard
+    rows come last.
     """
     from scipy import sparse
 
@@ -301,7 +308,10 @@ def compact_model(model: BuiltModel) -> SlicedModel:
     new_col[layout.z_base : layout.zbar_base] = new_col[layout.zbar_base : layout.zmax_base]
 
     col = new_col[a.indices]
-    keep_row = np.diff(np.concatenate(([0], np.cumsum(col >= 0)))[a.indptr]) > 0
+    entries = np.diff(np.concatenate(([0], np.cumsum(col >= 0)))[a.indptr])
+    keep_row = entries > 0
+    one_type = family_rows(model, "one_type")
+    keep_row[one_type] = entries[one_type] > 1
     for tag in ("bigm", "fairness", "forbidden", "pre_existing"):
         keep_row[family_rows(model, tag)] = False
     sense = model.sense.copy()

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from nbsopt.cli import main
+from nbsopt.suite import desk_suite
 
 from _helpers import spy_on_highs
 
@@ -119,6 +120,10 @@ class TestSolveAndReport:
         ("backend_a_list", "result.schema"),
         ("message_an_object", "result.schema"),
         ("metadata_an_empty_list", "result.schema"),
+        ("objective_nan", "result.schema"),
+        ("bound_infinite", "result.schema"),
+        ("wall_time_infinite", "result.schema"),
+        ("objective_not_the_placements", "result.mismatch"),
         ("forbidden_cell", "placement.infeasible"),
     ])
     def test_bad_result_file_exits_2(self, case, code, tiny_instance_path, tmp_path, capsys):
@@ -136,6 +141,12 @@ class TestSolveAndReport:
             "backend_a_list": {"new_cells": {"GW": []}, "metadata": {"backend": ["x"]}},
             "message_an_object": {"new_cells": {"GW": []}, "metadata": {"message": {"a": 1}}},
             "metadata_an_empty_list": {"new_cells": {"GW": []}, "metadata": []},
+            "objective_nan": {"new_cells": {"GW": []}, "objective": float("nan")},
+            "bound_infinite": {"new_cells": {"GW": []}, "bound": float("inf")},
+            "wall_time_infinite": {"new_cells": {"GW": []},
+                                   "metadata": {"wall_time": float("inf")}},
+            # do-nothing's objective is below 1
+            "objective_not_the_placements": {"new_cells": {"GW": []}, "objective": 5.0},
             "forbidden_cell": {"new_cells": {"GW": [forbidden]}},
         }
         raw = {"status": "optimal", **fields[case]} if case in fields else []
@@ -212,6 +223,21 @@ class TestSolveAndReport:
         assert result["status"] == "error"
         assert "objective mismatch" in result["metadata"]["message"]
         assert "solve.error" in capsys.readouterr().err
+
+    def test_an_oracle_optimum_the_checker_rejects_exits_3(self, tiny_instance_path, tmp_path,
+                                                          monkeypatch, capsys):
+        # a defect of the solve, not of the user's input: the error result is
+        # written, and the exit is `solve.error`, not `placement.infeasible`
+        from nbsopt import model
+
+        monkeypatch.setattr(model, "check_placement",
+                            lambda *args: [model.Violation("budget", "planted")])
+        out = tmp_path / "r.json"
+        assert run(["solve", str(tiny_instance_path), "--backend", "oracle",
+                    "--out", str(out)]) == 3
+        result = json.loads(out.read_text())
+        assert (result["status"], result["metadata"]["backend"]) == ("error", "oracle")
+        assert "error code=solve.error" in capsys.readouterr().err
 
     def test_gap_reaches_the_solver(self, tiny_instance_path, tmp_path):
         argv_file = tmp_path / "argv.json"
@@ -291,6 +317,25 @@ class TestBench:
         assert s == p
 
 
+    def test_an_oracle_seed_that_fails_its_check_is_recorded(self, tmp_path, monkeypatch):
+        # the first seed's optimum is planted to fail the checker
+        from nbsopt import model
+
+        real, calls = model.check_placement, []
+
+        def fail_first(*args):
+            calls.append(args)
+            return [model.Violation("budget", "planted")] if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(model, "check_placement", fail_first)
+        out_dir = tmp_path / "bench"
+        assert run(["bench", "--seeds", "3", "--backend", "oracle",
+                    "--out-dir", str(out_dir)]) == 3
+        stats = json.loads((out_dir / "stats.json").read_text())
+        assert stats["count"] == 2 and stats["pct_optimal"] == 100.0
+        assert stats["failed"] == [{"seed": desk_suite(1)[0][0], "status": "error",
+                                    "message": "solver placement violates: budget"}]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_seeds_are_recorded(self, tmp_path, monkeypatch, capsys, jobs):
         monkeypatch.setenv("NBSOPT_SOLVER_CMD", "false {model} {solution} {timelimit}")
@@ -364,6 +409,41 @@ class TestConfigFile:
         cfg.write_text("not json")
         assert run(["kernels", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error code=config.schema message=")
+
+
+class TestConfigValueTypes:
+    """A config value has its flag's type: a boolean is not a number, a count
+    is an integer and a text option is a string. Any other value exits 2 as
+    `config.schema`, naming the key, before any solve."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["solve", "{inst}"], {"timelimit": True}),
+        (["solve", "{inst}"], {"gap": "0"}),
+        (["solve", "{inst}"], {"solver_cmd": 5}),
+        (["solve", "{inst}", "--backend", "oracle"], {"cap": 16.9}),
+        (["bench"], {"seeds": 1.9}),
+        (["bench", "--seeds", "1"], {"jobs": True}),
+        (["bench", "--seeds", "1"], {"backend": ["oracle"]}),
+        (["gen", "--seed", "1", "--size", "xs", "--out", "{out}"], {"nbs": "2"}),
+    ], ids=["timelimit-bool", "gap-text", "solver-cmd-number", "cap-fraction",
+            "seeds-fraction", "jobs-bool", "backend-list", "nbs-text"])
+    def test_exits_2(self, argv, config, tiny_instance_path, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        paths = {"inst": tiny_instance_path, "out": tmp_path / "out.json"}
+        calls = spy_on_highs(monkeypatch)
+        code = run([arg.format(**paths) for arg in argv] + ["--config", str(cfg)])
+        [key] = config
+        assert (code, calls) == (2, [])
+        assert not paths["out"].exists()
+        assert capsys.readouterr().err.startswith(f"error code=config.schema message=\"config.{key}: ")
+
+    def test_an_integer_is_a_number(self, tiny_instance_path, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"timelimit": 7, "gap": 0}))
+        calls = spy_on_highs(monkeypatch)
+        assert run(["solve", str(tiny_instance_path), "--config", str(cfg)]) == 0
+        assert (calls[0]["options"]["time_limit"], calls[0]["options"]["mip_rel_gap"]) == (7.0, 0.0)
 
 
 GEN = ["gen", "--seed", "1", "--size", "xs", "--out", "{out}"]

@@ -9,7 +9,7 @@ import pytest
 
 from nbsopt import GridDims, generate_synthetic, mps
 from nbsopt.clustering import partition_instance, with_clusters
-from nbsopt.model import CsrMatrix, build_compact_model, build_model, objective_normalizers
+from nbsopt.model import CsrMatrix, build_compact_model, build_model
 from nbsopt.mps import (
     MpsFormatError,
     export_interchange,
@@ -275,8 +275,9 @@ class TestGoldenBytes:
 
 class TestScratchMemory:
     """Python-traced memory per matrix nonzero at 30x30 (seed 7), where the
-    finished paper model holds about 16 bytes a nonzero. The build peaks near
-    30 bytes a nonzero and the export near 22 over the model; the bounds
+    finished paper model holds about 16 bytes a nonzero. The build, its
+    normalizers included, peaks near 30 bytes a nonzero and the export near 22
+    over the model; the bounds
     leave room for noise but not for a whole-matrix int64 sort key or a set
     of per-line index arrays, each of which adds 8 bytes a nonzero or more."""
 
@@ -284,8 +285,7 @@ class TestScratchMemory:
     def grid30(self):
         inst = generate_synthetic(7, GridDims(30, 30), nbs_count=4, measure_count=4,
                                   forbidden_fraction=0.55, pre_existing_fraction=0.05)
-        inst = with_clusters(inst, partition_instance(inst, ["UP"]))
-        return inst, objective_normalizers(inst)
+        return with_clusters(inst, partition_instance(inst, ["UP"]))
 
     @staticmethod
     def traced_peak(step) -> tuple[object, int]:
@@ -297,14 +297,12 @@ class TestScratchMemory:
             tracemalloc.stop()
 
     def test_build_peak(self, grid30):
-        inst, norms = grid30
-        model, peak = self.traced_peak(lambda: build_model(inst, norms))
+        model, peak = self.traced_peak(lambda: build_model(grid30))
         per_nonzero = peak / model.a.nnz
         assert per_nonzero <= 33.5
 
     def test_export_peak(self, tmp_path, grid30):
-        inst, norms = grid30
-        model = build_model(inst, norms)
+        model = build_model(grid30)
         _, peak = self.traced_peak(lambda: export_interchange(model, tmp_path / "m.mps"))
         per_nonzero = peak / model.a.nnz
         assert per_nonzero <= 27.0

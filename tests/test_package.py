@@ -86,6 +86,55 @@ def test_every_dataclass_field_is_read_inside_the_package():
     assert unread == [], f"dataclass fields never read in src/nbsopt: {unread}"
 
 
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call calls: `f` in `f(...)` and in `obj.f(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_optional_parameter_is_passed_inside_the_package():
+    """A parameter with a default that no call in src/nbsopt passes, by
+    position or by keyword, is there for its tests (or for nothing). A call
+    of a class passes its `__init__`'s parameters, and a call that unpacks
+    `*args` or `**kwargs` may pass any of them. The `argv` of the entry points
+    is exempt: only their command lines pass it."""
+    optional: list[tuple[str, str, str, int | None]] = []  # where, called as, name, position
+    calls: list[ast.Call] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            owner = methods.get(id(node))
+            called_as = owner if node.name == "__init__" else node.name
+            params = node.args.posonlyargs + node.args.args
+            first = len(params) - len(node.args.defaults)
+            static = any("staticmethod" in _references(d) for d in node.decorator_list)
+            shift = 1 if owner and not static else 0  # `self` or `cls`
+            where = f"{path.name}:{node.name}"
+            optional += [(where, called_as, arg.arg, k - shift)
+                         for k, arg in enumerate(params[first:], first)]
+            optional += [(where, called_as, arg.arg, None)
+                         for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                         if default is not None]
+
+    def passes(call: ast.Call, position: int | None, name: str) -> bool:
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, name) for k in call.keywords)
+                or (position is not None and len(call.args) > position))
+
+    unpassed = {
+        f"{where}({name})" for where, called_as, name, position in optional
+        if not any(_called_name(c) == called_as and passes(c, position, name) for c in calls)
+    }
+    unpassed = sorted(unpassed - {"cli.py:main(argv)", "solver_cli.py:main(argv)"})
+    assert unpassed == [], f"optional parameters no call in src/nbsopt passes: {unpassed}"
+
+
 HIGHS_BINDING = "scipy.optimize._highspy._core"
 
 

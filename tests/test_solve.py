@@ -24,6 +24,7 @@ from nbsopt.model import (
     FEAS_TOL,
     OBJECTIVE_MATCH_TOL,
     VariableLayout,
+    Violation,
     build_compact_model,
     build_model,
     check_placement,
@@ -138,6 +139,28 @@ class TestOracle:
                                       forbidden_fraction=0.6, pre_existing_fraction=0.1)
             result = solve_oracle(inst, unit_cap=20)
             assert check_placement(inst, result.placement) == []
+
+    def test_a_bookkeeping_offset_is_an_error(self, monkeypatch):
+        # the leaves scored 1e-3 too high: the optimum's direct evaluation
+        # disagrees, and the one check of every claim makes that an error
+        solve_module = importlib.import_module("nbsopt.solve")
+        real = solve_module.objective_terms
+
+        def planted(*args):
+            terms = real(*args)
+            return {**terms, "total": terms["total"] + 1e-3}
+
+        monkeypatch.setattr(solve_module, "objective_terms", planted)
+        result = solve_oracle(desk_suite(1)[0][1])
+        assert (result.status, result.backend, result.placement) == ("error", "oracle", None)
+        assert result.message.startswith("objective mismatch: solver ")
+
+    def test_an_optimum_the_checker_rejects_is_an_error(self, monkeypatch):
+        model_module = importlib.import_module("nbsopt.model")
+        monkeypatch.setattr(model_module, "check_placement",
+                            lambda *args: [Violation("budget", "planted")])
+        result = solve_oracle(desk_suite(1)[0][1])
+        assert (result.status, result.message) == ("error", "solver placement violates: budget")
 
     def test_oracle_optimum_satisfies_milp_rows(self):
         # the oracle never touches the linearization, so embedding its answer
@@ -519,11 +542,12 @@ class TestCompactSolve:
                 shape=(model.n_variables, len(kept)),
             )
             # row mask: every family but the big-M, fairness, forbidden and
-            # pre_existing rows, and no row the column map leaves empty
+            # pre_existing rows, no row the column map leaves empty, and no
+            # one_type row it leaves with one entry
             tags = np.concatenate([[b.tag] * len(b.labels) for b in model.constraints])
             mapped_a = to_scipy(model.a) @ column_map
             rows = ~np.isin(tags, ["bigm", "fairness", "forbidden", "pre_existing"])
-            rows &= mapped_a.getnnz(axis=1) > 0
+            rows &= mapped_a.getnnz(axis=1) > np.where(tags == "one_type", 1, 0)
             # the x of a pre-existing cell is 1
             pre = np.concatenate([inst.pre_mask(t).ravel() for t in inst.nbs_ids])
             rhs = model.rhs - to_scipy(model.a)[:, : layout.y_base] @ pre
