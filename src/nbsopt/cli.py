@@ -116,7 +116,8 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
     whose `objective` and `bound` are finite numbers or null, whose `status`
     is a string, and whose `metadata` is an object with a finite numeric
     `wall_time` and a string `backend` and `message`. Booleans are not
-    numbers here."""
+    numbers here. Only an optimal or feasible-timeout result, the ones the
+    program writes with a placement, may hold `new_cells`."""
     if not isinstance(raw, dict):
         raise SchemaError("result", "expected a JSON object")
     placement = None
@@ -150,7 +151,7 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
                          ("metadata.message", message)):
         if not isinstance(value, str):
             raise SchemaError(f"result.{where}", "expected a string")
-    return SolveResult(
+    result = SolveResult(
         status=status,
         backend=backend,
         placement=placement,
@@ -159,6 +160,9 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
         wall_time=float(wall_time or 0.0),
         message=message,
     )
+    if placement is not None and not result.ok:
+        raise SchemaError("result.new_cells", f"a {status!r} result holds no placement")
+    return result
 
 
 def _write_json(obj: Any, path: Path) -> None:
@@ -267,9 +271,13 @@ def cmd_report(args: argparse.Namespace, config: dict) -> int:
     if result.placement is None:
         return _fail("report.no-placement", f"result status {result.status!r}", EXIT_SOLVE)
     report = analysis.build_report(inst, result)
-    claimed, total = result.objective, report.objective.total
+    claimed, bound, total = result.objective, result.bound, report.objective.total
     if claimed is not None and not values_close(total, claimed):
         message = f"the result claims objective {claimed!r}, re-evaluated {total!r}"
+        return _fail("result.mismatch", message, EXIT_VALIDATION)
+    # a lower bound above the placement's own objective contradicts it
+    if bound is not None and bound > total and not values_close(total, bound):
+        message = f"the result claims bound {bound!r} above the re-evaluated objective {total!r}"
         return _fail("result.mismatch", message, EXIT_VALIDATION)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -310,6 +310,22 @@ def validate_instance(inst: Instance) -> None:
     if abs(w.total() - 1.0) > WEIGHT_SUM_TOL:
         problems.append(f"objective weights must sum to 1, got {w.total()!r}")
 
+    # HiGHS refuses a coefficient of magnitude 1e15 or more (its
+    # `large_matrix_value`; its infinite bound is 1e20), and the oracle would
+    # solve what HiGHS refuses, so every number that reaches the model stays
+    # below it. Non-finite numbers are named above.
+    sized = [(f"NBS {t.id!r}: cost", t.cost) for t in inst.nbs]
+    sized += [(f"measure {u.id!r}: field", u.field) for u in inst.measures]
+    sized += [(f"measure {u.id!r}: delta", u.delta) for u in inst.measures if u.delta is not None]
+    sized += [(f"kernels.{u}.{t}", k.entries) for (u, t), k in inst.kernels.items()]
+    sized += [(f"fairness_kernels.{t}", k.entries) for t, k in inst.fairness_kernels.items()]
+    sized.append(("budget", inst.budget))
+    for name, values in sized:
+        size = np.abs(values)
+        largest = float(size.max(initial=0.0, where=np.isfinite(size)))
+        if largest >= 1e15:
+            problems.append(f"{name} must be below 1e15 in magnitude, got {largest!r}")
+
     if inst.clusters is not None:
         for t, groups in inst.clusters.items():
             if t not in nbs_ids:

@@ -67,16 +67,18 @@ def _grid_labels(*shape: int) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
-def _format_labels(name_format: str, labels: np.ndarray) -> list[str]:
-    """`name_format.format(*row)` for every row of the integer array `labels`.
+def _format_labels(name_format: str, labels: np.ndarray, prefix: str = "") -> list[str]:
+    """`prefix + name_format.format(*row)` for every row of the integer array
+    `labels`.
 
     The format's `{}` placeholders take a row's labels in order. Each
-    placeholder gets a table of its preceding literal text followed by the
-    digits of every label value in range; the table entries of all rows, and
-    the text after the last placeholder, are laid out one name per row of one
-    array and joined once.
+    placeholder gets a table of its preceding literal text (the first with
+    `prefix` before it) followed by the digits of every label value in range;
+    the table entries of all rows, and the text after the last placeholder,
+    are laid out one name per row of one array and joined once. The MPS
+    writer passes a space as `prefix`, so its names need no second copy.
     """
-    literals = name_format.split("{}")
+    literals = (prefix + name_format).split("{}")
     parts = np.empty((len(labels), len(literals)), dtype=object)
     parts[:, -1] = literals[-1] + "\n"
     if labels.size:
@@ -101,8 +103,8 @@ class ConstraintBlock:
     labels: np.ndarray
     indices: np.ndarray
 
-    def row_names(self) -> list[str]:
-        return _format_labels(self.name_format, self.labels)
+    def row_names(self, prefix: str = "") -> list[str]:
+        return _format_labels(self.name_format, self.labels, prefix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,30 +166,43 @@ def _rows(
 
 def _stack(families: list[_Family], n_cols: int):
     """Every family's rows, in order, as one CsrMatrix, with the per-row
-    sense and right-hand side and one ConstraintBlock per family. Empties
-    `families`, so each family's arrays are freed once stacked.
+    sense and right-hand side and one ConstraintBlock per family.
 
-    The row builders emit each row's entries in increasing column order, so
-    the rows are only concatenated. The first row whose columns do not
-    strictly increase raises ValueError: naming a column it holds twice, if
-    any, or else the first column out of order.
+    The matrix's columns and coefficients are allocated once, and each
+    family's are copied in and dropped from `families` in turn, so no family
+    outlives its copy and no second copy of the whole matrix is made. The
+    row builders emit each row's entries in increasing column order, so the
+    rows are only stacked. The first row whose columns do not strictly
+    increase raises ValueError: naming a column it holds twice, if any, or
+    else the first column out of order.
     """
-    tags, formats, labels, counts, indices, coeffs, sense, rhs = zip(*families)
+    n_entries = sum(len(f.indices) for f in families)
+    indices, coeffs = np.empty(n_entries, dtype=np.int32), np.empty(n_entries)
+    start = 0
+    for k in range(len(families)):
+        end = start + len(families[k].indices)
+        indices[start:end], coeffs[start:end] = families[k].indices, families[k].coeffs
+        families[k] = families[k]._replace(indices=indices[start:end], coeffs=coeffs[start:end])
+        start = end
+    tags, formats, labels, counts, _, _, sense, rhs = zip(*families)
     families.clear()
-    counts, indices, coeffs = map(np.concatenate, (counts, indices, coeffs))
-    a = CsrMatrix.from_rows(counts, indices, coeffs, n_cols)
-    unordered = a.indices[1:] <= a.indices[:-1]
-    starts = a.indptr[1:-1]
-    unordered[starts[(starts > 0) & (starts < a.nnz)] - 1] = False  # across a row start
-    if unordered.any():
-        at = int(np.argmax(unordered)) + 1
-        row = int(np.searchsorted(a.indptr, at, side="right")) - 1
-        columns = np.sort(a.indices[a.indptr[row] : a.indptr[row + 1]])
-        twice = columns[1:][columns[1:] == columns[:-1]]
-        if twice.size:
-            raise ValueError(f"row {row} has two entries in column {twice[0]}")
-        raise ValueError(f"row {row} is not in column order at column {a.indices[at]}")
+    a = CsrMatrix.from_rows(np.concatenate(counts), indices, coeffs, n_cols)
     bounds = np.cumsum([0, *map(len, labels)])
+    for lo, hi in zip(bounds, bounds[1:]):  # one family's rows at a time
+        first, last = a.indptr[lo], a.indptr[hi]
+        if last - first < 2:
+            continue
+        unordered = a.indices[first + 1 : last] <= a.indices[first : last - 1]
+        starts = a.indptr[lo + 1 : hi] - first
+        unordered[starts[(starts > 0) & (starts < last - first)] - 1] = False  # across a row start
+        if unordered.any():
+            at = first + int(np.argmax(unordered)) + 1
+            row = int(np.searchsorted(a.indptr, at, side="right")) - 1
+            columns = np.sort(a.indices[a.indptr[row] : a.indptr[row + 1]])
+            twice = columns[1:][columns[1:] == columns[:-1]]
+            if twice.size:
+                raise ValueError(f"row {row} has two entries in column {twice[0]}")
+            raise ValueError(f"row {row} is not in column order at column {a.indices[at]}")
     blocks = [
         ConstraintBlock(tag, name_format, rows, a.indices[a.indptr[lo] : a.indptr[hi]])
         for tag, name_format, rows, lo, hi in zip(tags, formats, labels, bounds, bounds[1:])
@@ -291,11 +306,11 @@ class VariableLayout:
         self.lam_offsets: dict[str, int] = dict(
             zip(self.nbs_ids, (self.lam_base + clusters[:-1]).tolist()))
 
-    def column_names(self) -> list[str]:
-        """Every column's name in index order, formatted on each call by
-        `_format_labels`, one kind of column at a time."""
+    def column_names(self, prefix: str = "") -> list[str]:
+        """Every column's name in index order, each after `prefix`, formatted
+        on each call by `_format_labels`, one kind of column at a time."""
         return [name for name_format, labels in self.kinds
-                for name in _format_labels(name_format, labels)]
+                for name in _format_labels(name_format, labels, prefix)]
 
 
 @dataclass(frozen=True)
@@ -358,16 +373,19 @@ def linearization_big_m(inst: Instance) -> dict[str, float]:
     }
 
 
-def _window(w: int, h: int, kernel: Kernel):
+def _window(w: int, h: int, kernel: Kernel, ok: np.ndarray):
     """A kernel's windows on a w x h grid: per cell (row) and nonzero kernel
-    entry (column, row-major), the source cell (0 outside the grid) and
-    whether it lies inside the grid, with the entries' offsets and values."""
+    entry (column, row-major), whether the entry's source cell lies inside
+    the grid and passes `ok` (one flag per cell), with the entries' offsets
+    and values. The flags are read through a sliding window over `ok`
+    padded with False, so the mask is the only (cell, entry) array made."""
     a, b = np.nonzero(kernel.entries)
-    di, dj = a - kernel.width // 2, b - kernel.height // 2
-    si, sj = np.divmod(np.arange(w * h)[:, None], h)
-    si, sj = si + di, sj + dj
-    inside = (si >= 0) & (si < w) & (sj >= 0) & (sj < h)
-    return np.where(inside, si * h + sj, 0), inside, di, dj, kernel.entries[a, b]
+    kw, kh = kernel.entries.shape
+    padded = np.zeros((w + kw - 1, h + kh - 1), dtype=bool)
+    padded[kw // 2 : kw // 2 + w, kh // 2 : kh // 2 + h] = ok.reshape(w, h)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kw, kh))
+    return (windows[:, :, a, b].reshape(w * h, len(a)), a - kw // 2, b - kh // 2,
+            kernel.entries[a, b])
 
 
 def impact_bounds(inst: Instance, measure_ids: list[str]) -> np.ndarray:
@@ -385,8 +403,8 @@ def impact_bounds(inst: Instance, measure_ids: list[str]) -> np.ndarray:
     for u, bound in zip(measure_ids, bounds):
         entries = []  # (cell, di, dj, value) of every installable source
         for t, ok in zip(inst.nbs_ids, eligible):
-            src, inside, di, dj, vals = _window(w, h, inst.kernel(u, t))
-            cell, k = np.nonzero(inside & ok[src])
+            inside, di, dj, vals = _window(w, h, inst.kernel(u, t), ok)
+            cell, k = np.nonzero(inside)
             entries.append((cell, di[k], dj[k], vals[k]))
         cell, di, dj, vals = map(np.concatenate, zip(*entries))
         r = max(np.abs(di).max(initial=0), np.abs(dj).max(initial=0))
@@ -413,20 +431,34 @@ def _windowed_rows(
     then `lead[c]`, a column after every such column, with coefficient 1 (no
     lead entry when `lead` is None). Rows with zero scale keep only the lead
     entry.
+
+    One boolean mask over (cell, kernel entry of every type, then the lead)
+    is the only array that size; the columns and coefficients are computed
+    for its kept entries alone, in row-major order: the entry k kept in row
+    c reads `x_column` at the flat (type, cell) index `c + shift[k]`, with
+    `shift = type * n_cells + di * height + dj`.
     """
-    n = layout.n_cells
-    cols, coefs, keep = [], [], []
+    n, h = layout.n_cells, layout.height
+    nonzero = (scale != 0.0)[:, None]
+    keep, shift, value = [], [], []
     for ti, (kernel, ok) in enumerate(zip(kernels, source_ok)):
-        src, inside, _, _, vals = _window(layout.width, layout.height, kernel)
-        cols.append(x_column[ti][src])
-        coefs.append(scale[:, None] * vals)
-        keep.append(inside & ok[src] & (scale != 0.0)[:, None])
-    if lead is not None:
-        cols.append(lead[:, None])
-        coefs.append(np.ones((n, 1)))
+        inside, di, dj, vals = _window(layout.width, h, kernel, ok)
+        keep.append(inside & nonzero)
+        shift.append(ti * n + di * h + dj)
+        value.append(vals)
+    if lead is not None:  # shift 0 reads a valid column, replaced below
         keep.append(np.ones((n, 1), dtype=bool))
-    mask = np.hstack(keep)
-    return mask.sum(axis=1), np.hstack(cols)[mask], np.hstack(coefs)[mask]
+        shift.append(np.zeros(1, dtype=np.int64))
+        value.append(np.ones(1))
+    keep = np.hstack(keep)
+    row, k = np.nonzero(keep)
+    columns = x_column.astype(np.int32).ravel()[row + np.concatenate(shift)[k]]
+    coefs = scale[row] * np.concatenate(value)[k]
+    counts = keep.sum(axis=1)
+    if lead is not None:
+        last = np.cumsum(counts) - 1
+        columns[last], coefs[last] = lead, 1.0
+    return counts, columns, coefs
 
 
 # --- Row families ----------------------------------------------------------------

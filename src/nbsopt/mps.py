@@ -7,15 +7,18 @@ bounds and other finite upper bounds UP bounds; every column's lower bound is
 0, so no LO bound is written. An objective constant is encoded as minus the
 RHS entry of the objective row, the convention shared by common solvers. The
 writer reads the model's one constraint matrix (a `model.CsrMatrix`) column
-by column, through one stable sort of its entries by column, and writes each
-column's objective coefficient, when nonzero, before the column's matrix
-entries. Once per export it makes, in the matrix's own order, each entry's
-row and each entry's value code (its index into the value texts, in the
-narrowest unsigned type that holds them). COLUMNS is cut into chunks of
-whole columns, about CHUNK_LINES lines each: a chunk repeats each column's
-name over the column's line count and gathers its matrix lines' rows and
-codes through the sort, so no binary search runs per line, and no array is
-as long as the file's lines. Output is byte-deterministic for a given model.
+by column and writes each column's objective coefficient, when nonzero,
+before the column's matrix entries. Once per export it makes two arrays
+indexed by COLUMNS line: each line's row and each line's value code (its
+index into the value texts, in the narrowest unsigned type that holds them).
+One pass over the matrix, in chunks of whole rows, fills them: a stable sort
+of a chunk's columns ranks each entry among the chunk's entries in its
+column, and the entry's row and code (a binary search in the value table)
+go to its column's next unfilled line plus that rank. COLUMNS is then cut
+into chunks of whole columns, about CHUNK_LINES lines each: a chunk repeats
+each column's name over the column's line count and reads its lines' rows
+and codes as contiguous slices. Every other working array holds a chunk, or
+one entry per row or column. Output is byte-deterministic for a given model.
 
 Every section's text is assembled about CHUNK_LINES lines at a time, with no
 Python call per line: a chunk's pieces (row and column names, each with its
@@ -24,7 +27,8 @@ texts) fill one object array, one line per row, which one `str.join` turns
 into text. Each value's text (a space, its `repr` and a newline) is made once
 per export for each distinct bit pattern among the coefficients, right-hand
 sides and finite upper bounds, found by sorting the patterns and keeping each
-that differs from its left neighbour, so -0.0 and 0.0 keep their own text.
+that differs from its left neighbour, a chunk of coefficients at a time, so
+-0.0 and 0.0 keep their own text.
 
 The reader hands the file to the HiGHS that scipy bundles and turns the model
 HiGHS read into an MpsData, a MipProblem like either model (one CsrMatrix `a`,
@@ -81,32 +85,51 @@ def _chunked_lines(*pieces: str | np.ndarray) -> Iterator[str]:
         yield _lines(*(p if isinstance(p, str) else p[lo : lo + CHUNK_LINES] for p in pieces))
 
 
+def _chunks(bounds: np.ndarray, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Runs of whole items, from item `start` up to `stop`, item k holding
+    the lines `bounds[k]` up to `bounds[k + 1]`: as many items as fit in
+    CHUNK_LINES lines, or one."""
+    while start < stop:
+        end = np.searchsorted(bounds, bounds[start] + CHUNK_LINES, side="right") - 1
+        end = int(np.clip(end, start + 1, stop))
+        yield start, end
+        start = end
+
+
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The distinct values of `bits`, ascending: each is kept where it
+    differs from its left neighbour in a sorted copy."""
+    bits = np.sort(bits)
+    return np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
+
+
 def iter_mps_text(model: BuiltModel) -> Iterator[str]:
     """Yield the MPS file text for a model, a bounded number of lines at a time."""
     a, c, rhs, upper = model.a, model.c, model.rhs, model.upper
+    n_rows, n_cols = a.shape
+    entry_chunks = range(0, a.nnz, CHUNK_LINES)
     # Every coefficient's, cost's, right-hand side's and finite upper bound's
     # text, " repr\n", once per distinct bit pattern, so -0.0 and 0.0 stay
-    # apart: the patterns are sorted and each is kept where it differs from
-    # its left neighbour. Lower bounds are all 0: a binary is an integer
-    # column with upper bound 1.
+    # apart; the coefficients' patterns are de-duplicated a chunk at a time.
+    # Lower bounds are all 0: a binary is an integer column with upper bound 1.
     binary = model.is_integer & (upper == 1.0)
     capped = ~binary & np.isfinite(upper)
-    bits = np.concatenate((a.data.view(np.int64), c.view(np.int64), rhs.view(np.int64),
-                           upper[capped].view(np.int64)))
-    bits.sort()
-    bits = np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
+    bits = _distinct(np.concatenate(
+        [_distinct(a.data[lo : lo + CHUNK_LINES].view(np.int64)) for lo in entry_chunks]
+        + [c.view(np.int64), rhs.view(np.int64), upper[capped].view(np.int64)]))
     value_text = np.array([f" {v!r}\n" for v in bits.view(float).tolist()], dtype=object)
+    code_type = np.min_scalar_type(len(bits))
 
     def code_of(v: np.ndarray) -> np.ndarray:  # indices into value_text, as narrow as fits
-        return np.searchsorted(bits, v.view(np.int64)).astype(np.min_scalar_type(len(bits)))
+        return np.searchsorted(bits, v.view(np.int64)).astype(code_type)
 
     # Names carry their leading space, so every line joins three pieces. A
     # matrix entry's index into `row_names` is its row + 1; 0 is the objective.
-    col_names = np.array([f" {s}" for s in model.layout.column_names()], dtype=object)
-    row_names = np.array(
-        [f" {OBJECTIVE_ROW}"] + [f" {s}" for b in model.constraints for s in b.row_names()],
-        dtype=object,
-    )
+    col_names = np.array(model.layout.column_names(" "), dtype=object)
+    row_names = [f" {OBJECTIVE_ROW}"]
+    for block in model.constraints:
+        row_names += block.row_names(" ")
+    row_names = np.array(row_names, dtype=object)
     yield f"NAME {MODEL_NAME}\nROWS\n N {OBJECTIVE_ROW}\n"
     senses, sense_of_row = np.unique(model.sense, return_inverse=True)
     codes = np.array([f" {_SENSE_TO_CODE[s]}" for s in senses.tolist()], dtype=object)
@@ -114,48 +137,55 @@ def iter_mps_text(model: BuiltModel) -> Iterator[str]:
 
     # The COLUMNS lines, column by column: the objective's entry, when it is
     # nonzero, then the matrix's entries, rows ascending. Column j's lines
-    # are `firsts[j]` up to `ends[j]`. `order` visits the matrix's entries in
-    # line order; it and each entry's row, made once in the matrix's own
-    # order, take the index type of `a.indptr`, 32 bits where the entry count
-    # fits.
+    # are `bounds[j]` up to `bounds[j + 1]`, its counts summed a chunk of
+    # entries at a time.
     in_objective = c != 0.0
-    per_column = np.bincount(a.indices, minlength=model.n_variables) + in_objective
+    per_column = in_objective.astype(np.int64)
+    for lo in entry_chunks:
+        per_column += np.bincount(a.indices[lo : lo + CHUNK_LINES], minlength=n_cols)
     if not per_column.all():
         missing = col_names[int(np.argmin(per_column))][1:]
         raise MpsFormatError(f"variable {missing!r} appears in no row; cannot export")
-    ends = np.cumsum(per_column)
-    firsts = ends - per_column
-    order = np.argsort(a.indices, kind="stable").astype(a.indptr.dtype)
-    entry_code, objective_code = code_of(a.data), code_of(c)
-    entry_row = np.repeat(np.arange(1, a.shape[0] + 1, dtype=a.indptr.dtype), np.diff(a.indptr))
+    bounds = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(per_column, out=bounds[1:])
+
+    # Each line's index into `row_names` (in the type of `a.indptr`) and
+    # value code, filled a chunk of whole rows at a time: an entry goes as
+    # many lines past its column's next unfilled one as the chunk has
+    # entries before it in that column. The chunks and the stable sort keep
+    # row order, so rows ascend within each column.
+    line_row = np.zeros(bounds[-1], dtype=a.indptr.dtype)  # the objective's stays 0
+    line_code = np.empty(bounds[-1], dtype=code_type)
+    line_code[bounds[:-1][in_objective]] = code_of(c[in_objective])
+    next_line = bounds[:-1] + in_objective
+    for r0, r1 in _chunks(a.indptr, 0, n_rows):
+        lo, hi = a.indptr[r0], a.indptr[r1]
+        order = np.argsort(a.indices[lo:hi], kind="stable")
+        column = a.indices[lo:hi][order]
+        starts = np.flatnonzero(np.diff(column, prepend=-1))  # each column's first entry
+        sizes = np.diff(starts, append=len(column))
+        columns = column[starts]
+        line = np.repeat(next_line[columns] - starts, sizes) + np.arange(len(column))
+        rows = np.arange(r0 + 1, r1 + 1, dtype=a.indptr.dtype)
+        line_row[line] = np.repeat(rows, np.diff(a.indptr[r0 : r1 + 1]))[order]
+        line_code[line] = code_of(a.data[lo:hi])[order]  # searched faster in matrix order
+        next_line[columns] += sizes
 
     # Columns in index order, each run of equal integrality between markers,
-    # in chunks of whole columns: as many as fit in CHUNK_LINES lines, or one.
+    # in chunks of whole columns, each a contiguous run of lines.
     yield "COLUMNS\n"
     is_integer = model.is_integer
     edges = np.flatnonzero(is_integer[1:] != is_integer[:-1]) + 1
-    in_integer, marker, entry = False, 0, 0
-    for start, stop in zip([0, *edges.tolist()], [*edges.tolist(), model.n_variables]):
+    in_integer, marker = False, 0
+    for start, stop in zip([0, *edges.tolist()], [*edges.tolist(), n_cols]):
         if is_integer[start] != in_integer:
             in_integer = not in_integer
             yield f" M{marker} 'MARKER' '{'INTORG' if in_integer else 'INTEND'}'\n"
             marker += 1
-        c0 = start
-        while c0 < stop:
-            c1 = int(np.clip(np.searchsorted(ends, firsts[c0] + CHUNK_LINES, side="right"),
-                             c0 + 1, stop))
-            counts = per_column[c0:c1]
-            matrix = np.ones(ends[c1 - 1] - firsts[c0], dtype=bool)
-            matrix[firsts[c0:c1][in_objective[c0:c1]] - firsts[c0]] = False
-            entries = order[entry : entry + int(matrix.sum())]
-            entry += len(entries)
-            line_row = np.zeros(len(matrix), dtype=entry_row.dtype)
-            line_row[matrix] = entry_row[entries]
-            line_code = np.repeat(objective_code[c0:c1], counts)  # the matrix's replaced below
-            line_code[matrix] = entry_code[entries]
-            yield _lines(np.repeat(col_names[c0:c1], counts), row_names[line_row],
-                         value_text[line_code])
-            c0 = c1
+        for c0, c1 in _chunks(bounds, start, stop):
+            lines = slice(bounds[c0], bounds[c1])
+            yield _lines(np.repeat(col_names[c0:c1], per_column[c0:c1]),
+                         row_names[line_row[lines]], value_text[line_code[lines]])
     if in_integer:
         yield f" M{marker} 'MARKER' 'INTEND'\n"
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from nbsopt.cli import main
+from nbsopt.instance import save_instance
 from nbsopt.suite import desk_suite
 
 from _helpers import spy_on_highs
@@ -66,6 +67,31 @@ class TestValidate:
     def test_missing_file_exits_4(self, tmp_path):
         assert run(["validate", str(tmp_path / "nope.json")]) == 4
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("cost", 1e16, 2), ("cost", 1e308, 2), ("field", 1e308, 2), ("cost", 9.9e14, 0),
+    ])
+    def test_a_number_highs_refuses_exits_2_naming_the_key(self, key, value, code, tmp_path,
+                                                          capsys):
+        # HiGHS refuses a model with these numbers, which the oracle would
+        # solve; with a cost of 9.9e14 both backends answer alike
+        seed, inst = desk_suite(1, start_seed=1)[0]
+        assert seed == 1
+        path = tmp_path / "desk.json"
+        save_instance(inst, path)
+        raw = json.loads(path.read_text())
+        if key == "cost":
+            raw["nbs"][0]["cost"] = value
+            named = f"NBS {raw['nbs'][0]['id']!r}: cost"
+        else:
+            raw["measures"][0]["field"][0][0] = value
+            named = f"measure {raw['measures'][0]['id']!r}: field"
+        path.write_text(json.dumps(raw))
+        assert run(["validate", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "error code=instance.validation" in err
+            assert f"{named} must be below 1e15 in magnitude, got {value!r}" in err
+
     def test_infinite_nbs_cost_exits_2_naming_the_nbs(self, tiny_instance_path, tmp_path,
                                                       capsys):
         raw = json.loads(tiny_instance_path.read_text())
@@ -124,6 +150,9 @@ class TestSolveAndReport:
         ("bound_infinite", "result.schema"),
         ("wall_time_infinite", "result.schema"),
         ("objective_not_the_placements", "result.mismatch"),
+        ("bound_above_the_placements", "result.mismatch"),
+        ("infeasible_with_cells", "result.schema"),
+        ("error_with_cells", "result.schema"),
         ("forbidden_cell", "placement.infeasible"),
     ])
     def test_bad_result_file_exits_2(self, case, code, tiny_instance_path, tmp_path, capsys):
@@ -147,6 +176,11 @@ class TestSolveAndReport:
                                    "metadata": {"wall_time": float("inf")}},
             # do-nothing's objective is below 1
             "objective_not_the_placements": {"new_cells": {"GW": []}, "objective": 5.0},
+            # a lower bound above the objective the placement re-evaluates to
+            "bound_above_the_placements": {"new_cells": {"GW": []}, "bound": 5.0},
+            # only optimal and feasible-timeout results are written with cells
+            "infeasible_with_cells": {"new_cells": {"GW": []}, "status": "infeasible"},
+            "error_with_cells": {"new_cells": {"GW": []}, "status": "error"},
             "forbidden_cell": {"new_cells": {"GW": [forbidden]}},
         }
         raw = {"status": "optimal", **fields[case]} if case in fields else []
