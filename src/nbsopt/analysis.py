@@ -1,9 +1,9 @@
 """Post-solve analysis: reduction statistics, budget breakdown, equity, exports.
 
 The report reads the reduction and fairness fields of the placement, and the
-pre-existing-only fairness field of its normalizers, from the result's
-objective evaluation (`evaluate_solution`), which a result loaded from a file
-gets anew; it applies no kernel itself.
+pre-existing-only fairness field of its normalizers, from the evaluation that
+`solve.check_claim` made of the result, in a solve or as `report` reads a
+result file back; it applies no kernel itself.
 Reduced fields are reported raw (observed minus achieved reduction); cells
 that dip below zero are counted rather than clamped, since whether a measure
 may physically go negative depends on its unit. Equity is summarized by the
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .instance import Instance
-from .model import ObjectiveBreakdown, evaluate_solution
+from .model import ObjectiveBreakdown
 from .solve import SolveResult
 
 # Placement map categories (one map per NBS type; the four codes partition
@@ -82,11 +82,10 @@ class Report:
 
 
 def build_report(inst: Instance, result: SolveResult) -> Report:
-    """Summarize a feasible solve result against the instance's initial state."""
-    if result.placement is None:
-        raise ValueError(f"result has no placement (status {result.status!r})")
-    placement = result.placement
-    breakdown = result.breakdown or evaluate_solution(inst, placement)
+    """Summarize a checked, feasible solve result against the initial state."""
+    placement, breakdown = result.placement, result.breakdown
+    if breakdown is None:
+        raise ValueError(f"result has no checked placement (status {result.status!r})")
 
     measures = []
     for u in inst.measures:

@@ -28,19 +28,28 @@ from .instance import (
     InstanceError,
     SchemaError,
     ValidationError,
+    _is_number,
     _parse_cells,
     load_instance,
     read_json,
     save_instance,
 )
-from .model import InfeasiblePlacement, build_model, expected_variable_count, values_close
+from .model import (
+    OBJECTIVE_MATCH_TOL,
+    InfeasiblePlacement,
+    build_model,
+    expected_variable_count,
+    objective_normalizers,
+)
 from .mps import export_interchange
 from .solve import (
     DEFAULT_TIME_LIMIT,
     DEFAULT_UNIT_CAP,
+    ClaimRejected,
     OracleCapExceeded,
     SolveConfig,
     SolveResult,
+    check_claim,
     solve,
 )
 from .suite import desk_suite
@@ -82,20 +91,17 @@ def _pick(args: argparse.Namespace, config: dict, key: str, default: Any) -> Any
         return value
     if key not in config:
         return default
-    value = config[key]
-    kind = {int: (int, "an integer"), float: ((int, float), "a number")}.get(
-        type(default), (str, "a string"))
-    if isinstance(value, bool) or not isinstance(value, kind[0]):
-        raise SchemaError(f"config.{key}", f"expected {kind[1]}, got {value!r}")
+    value, kind = config[key], type(default)
+    if not (_is_number(value, kind is int) if kind in (int, float) else isinstance(value, str)):
+        expected = {int: "an integer", float: "a number"}.get(kind, "a string")
+        raise SchemaError(f"config.{key}", f"expected {expected}, got {value!r}")
     return value
 
 
 def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
-    new_cells = (
-        {t: [list(c) for c in cells] for t, cells in result.placement.new_cells(inst).items()}
-        if result.placement is not None
-        else None
-    )
+    placement = result.placement
+    new_cells = None if placement is None else {
+        t: [list(c) for c in cells] for t, cells in placement.new_cells(inst).items()}
     return {
         "status": result.status,
         "objective": result.objective,
@@ -142,8 +148,7 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
     wall_time = meta.get("wall_time")
     for where, value in (("objective", raw.get("objective")), ("bound", raw.get("bound")),
                          ("metadata.wall_time", wall_time)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
-                                  or not math.isfinite(value)):
+        if value is not None and not (_is_number(value) and math.isfinite(value)):
             raise SchemaError(f"result.{where}", "expected a finite number")
     status = raw.get("status", "error")
     backend, message = meta.get("backend", "unknown"), meta.get("message", "")
@@ -151,15 +156,8 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
                          ("metadata.message", message)):
         if not isinstance(value, str):
             raise SchemaError(f"result.{where}", "expected a string")
-    result = SolveResult(
-        status=status,
-        backend=backend,
-        placement=placement,
-        objective=raw.get("objective"),
-        bound=raw.get("bound"),
-        wall_time=float(wall_time or 0.0),
-        message=message,
-    )
+    result = SolveResult(status, backend, placement, raw.get("objective"), raw.get("bound"),
+                         float(wall_time or 0.0), message=message)
     if placement is not None and not result.ok:
         raise SchemaError("result.new_cells", f"a {status!r} result holds no placement")
     return result
@@ -267,18 +265,11 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_report(args: argparse.Namespace, config: dict) -> int:
     inst = load_instance(args.instance)
-    result = _result_from_dict(read_json(args.result, "result"), inst)
-    if result.placement is None:
-        return _fail("report.no-placement", f"result status {result.status!r}", EXIT_SOLVE)
+    claim = _result_from_dict(read_json(args.result, "result"), inst)
+    if claim.placement is None:
+        return _fail("report.no-placement", f"result status {claim.status!r}", EXIT_SOLVE)
+    result = check_claim(inst, objective_normalizers(inst), claim, OBJECTIVE_MATCH_TOL)
     report = analysis.build_report(inst, result)
-    claimed, bound, total = result.objective, result.bound, report.objective.total
-    if claimed is not None and not values_close(total, claimed):
-        message = f"the result claims objective {claimed!r}, re-evaluated {total!r}"
-        return _fail("result.mismatch", message, EXIT_VALIDATION)
-    # a lower bound above the placement's own objective contradicts it
-    if bound is not None and bound > total and not values_close(total, bound):
-        message = f"the result claims bound {bound!r} above the re-evaluated objective {total!r}"
-        return _fail("result.mismatch", message, EXIT_VALIDATION)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis.write_report(report, out_dir / "report.json")
@@ -450,6 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("instance.error", str(exc), EXIT_VALIDATION)
     except InfeasiblePlacement as exc:
         return _fail("placement.infeasible", str(exc), EXIT_VALIDATION)
+    except ClaimRejected as exc:
+        return _fail("result.mismatch", str(exc), EXIT_VALIDATION)
     except OracleCapExceeded as exc:
         return _fail("solve.cap", str(exc), EXIT_SOLVE)
     except FileNotFoundError as exc:

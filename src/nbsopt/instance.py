@@ -358,19 +358,20 @@ def validate_instance(inst: Instance) -> None:
 # --- JSON schema -----------------------------------------------------------
 
 
+def _is_number(value: Any, integer: bool = False) -> bool:
+    """Whether a JSON value is a number, or an integer where `integer` is set.
+    JSON true and false load as bool, a subclass of int, yet are no number."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 def _expect(obj: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
+    name = f"{where}.{key}" if where else key
     if key not in obj:
-        raise SchemaError(f"{where}.{key}" if where else key, "missing required key")
+        raise SchemaError(name, "missing required key")
     value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    # JSON true and false load as bool, a subclass of int, yet are no count
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SchemaError(
-            f"{where}.{key}" if where else key,
-            f"expected {kind.__name__}, got {type(value).__name__}",
-        )
-    return value
+    if not (_is_number(value, kind is int) if kind in (int, float) else isinstance(value, kind)):
+        raise SchemaError(name, f"expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
 
 
 def _parse_matrix(raw: Any, shape: tuple[int, int], where: str) -> np.ndarray:
@@ -381,7 +382,7 @@ def _parse_matrix(raw: Any, shape: tuple[int, int], where: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape != shape:
         raise SchemaError(where, f"expected shape {shape}, got {getattr(arr, 'shape', None)}")
     # numpy would read JSON true and false as 1.0 and 0.0, and text as numbers
-    if not all(type(v) in (int, float) for row in raw for v in row):
+    if not all(_is_number(v) for row in raw for v in row):
         raise SchemaError(where, "expected a rectangular array of numbers")
     return arr
 
@@ -391,11 +392,8 @@ def _parse_cells(raw: Any, where: str) -> set[Cell]:
         raise SchemaError(where, "expected a list of [i, j] pairs")
     cells: set[Cell] = set()
     for k, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-        ):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(_is_number(v, integer=True) for v in pair)):
             raise SchemaError(f"{where}[{k}]", "expected an [i, j] integer pair")
         cells.add((pair[0], pair[1]))
     return cells
@@ -406,8 +404,7 @@ def _parse_kernel(raw: Any, where: str) -> Kernel:
         raise SchemaError(where, "expected an object with keys size, rows")
     size = _expect(raw, "size", list, where)
     rows = _expect(raw, "rows", list, where)
-    # JSON true and false load as bool, a subclass of int, yet are no count
-    if len(size) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in size):
+    if len(size) != 2 or not all(_is_number(v, integer=True) for v in size):
         raise SchemaError(f"{where}.size", "expected [width, height] integers")
     arr = _parse_matrix(rows, tuple(size), f"{where}.rows")
     try:
@@ -448,9 +445,7 @@ def instance_from_dict(raw: Mapping[str, Any]) -> Instance:
         where = f"measures[{k}]"
         if not isinstance(entry, dict):
             raise SchemaError(where, "expected an object")
-        delta = entry.get("delta")
-        if delta is not None:
-            delta = _expect(entry, "delta", float, where)
+        delta = None if entry.get("delta") is None else _expect(entry, "delta", float, where)
         measures.append(
             UcMeasure(
                 id=_expect(entry, "id", str, where),

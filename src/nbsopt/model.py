@@ -913,31 +913,24 @@ def objective_terms(inst: Instance, norms: Normalizers, reduced: dict[str, np.nd
                 cost_term=cost_term, fairness_term=fairness_term, total=total)
 
 
-def evaluate_solution(
-    inst: Instance,
-    placement: engine.Placement,
-    norms: Normalizers | None = None,
-) -> ObjectiveBreakdown:
+def evaluate_solution(inst: Instance, placement: engine.Placement,
+                      norms: Normalizers) -> ObjectiveBreakdown:
     """Objective value of a placement, computed directly from the fields.
 
-    Uses the same normalizers and term structure as build_model, with no MILP
-    involved, so it doubles as the independent evaluation for verifying
-    solver output. The terms come from `objective_terms`, which the
-    enumeration oracle also scores its leaves with, holding them to
-    `check_placement`'s `zavg >= 0` tolerance, FEAS_TOL. `norms` are computed
-    from the instance when not given; callers holding a model pass its
-    `norms`, the ones its objective was built with. Raises
-    InfeasiblePlacement when `check_placement` finds a violation. Each
-    reduction field is computed once, for the check and the terms, and the
-    breakdown keeps the reduction and fairness fields, so the report does not
-    compute them again.
+    Uses the same term structure as build_model, with no MILP involved, so it
+    doubles as the independent evaluation for verifying solver output. The
+    terms come from `objective_terms`, which the enumeration oracle also
+    scores its leaves with, holding them to `check_placement`'s `zavg >= 0`
+    tolerance, FEAS_TOL. `norms` are the normalizers the objective is built
+    with. Raises InfeasiblePlacement when `check_placement` finds a
+    violation. Each reduction field is computed once, for the check and the
+    terms, and the breakdown keeps the reduction and fairness fields, so the
+    report does not compute them again.
     """
     reduction = {u: engine.measure_reduction(inst, placement, u) for u in inst.measure_ids}
     violations = check_placement(inst, placement, reduction)
     if violations:
         raise InfeasiblePlacement(violations)
-    if norms is None:
-        norms = objective_normalizers(inst)
     reduced = {u.id: u.field - reduction[u.id] for u in inst.measures}
     fairness_field = engine.fairness(inst, placement)
     terms = objective_terms(inst, norms, reduced, _new_cost(inst, placement),

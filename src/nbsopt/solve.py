@@ -18,14 +18,15 @@ cell units and the cluster cells, no big-M rows, no z, zavg or f columns, and
 y columns only for the guard rows of the measures whose `zavg >= 0` domain
 can bind. A forbidden or pre-existing pair's x is fixed, so it has no column,
 and `placement_from_values` reads a placement as the pre-existing cells plus
-the pairs whose x is set. The paper model is not built. The compact model has the paper model's optimum, so its
-status and bound are the paper model's. The route decides only how the model
-reaches a solver. By default the bundled HiGHS solves it in-process, through
-`solver_cli.solve_mps`, which `python -m nbsopt.solver_cli` also runs on the
-MPS file it reads; no name is formatted and no file is written unless
-`workdir` is set, and then the model and the answer are written there as a
-solver command would leave them. The relative gap applies to the solver's
-own objective, which leaves out the model's constant.
+the pairs whose x is set. The paper model is not built. The compact model
+has the paper model's optimum, so its status and bound are the paper
+model's. The route decides only how the model reaches a solver. By default
+the bundled HiGHS solves it in-process, through `solver_cli.solve_mps`,
+which `python -m nbsopt.solver_cli` also runs on the MPS file it reads; no
+name is formatted and no file is written unless `workdir` is set, and then
+the model and the answer are written there as a solver command would leave
+them. The relative gap applies to the solver's own objective, which leaves
+out the model's constant.
 
 A command template (the solver_cmd setting or the NBSOPT_SOLVER_CMD
 environment variable) with {model}, {solution}, {timelimit} and {gap}
@@ -36,12 +37,12 @@ value' metadata lines (solver, status, objective, bound, walltime, message)
 and one 'name value' line per column. This module owns that format:
 `solution_text` writes it (for `solver_cli` and for the in-process solve's
 --workdir copy) and `parse_solution_file` reads it. Each route returns an
-`Answer` over the model's columns, the objective constant included, and
-`_verify` reads its placement for the one check of both backends,
-`_check_claim`, which checks the placement against every constraint family
-and re-computes the objective before trusting it; a claim that fails is an
-error result. A command that fails or outruns its grace period raises
-SolverFailed, and `solve_external` turns it into an error result.
+`Answer` over the model's columns, the objective constant included.
+`check_claim` is the one gate from a claim to a trusted result, for the
+oracle's optimum, for the placement `_verify` reads from an answer, and for
+the result file that `nbsopt report` reads back; in a solve, a claim that
+fails is an error result. A command that fails or outruns its grace period
+raises SolverFailed, and `solve_external` turns it into an error result.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
     FEAS_TOL. Ties on the objective are broken by the lexicographically
     smallest state vector over the canonical slot order (clusters first, then
     cells in row-major order, types in catalog order). The optimum, or the
-    infeasible outcome, goes to `_check_claim` at a tolerance of 1e-9.
+    infeasible outcome, goes to `check_claim` at a tolerance of 1e-9.
     """
     t0 = time.perf_counter()
     units = _free_units(inst)
@@ -232,13 +233,13 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
     if best_units is None:
         # the do-nothing leaf always exists, so this happens only when the
         # instance itself is infeasible via the zavg domain
-        status, placement = STATUS_INFEASIBLE, None
-        message = "no placement satisfies the nonnegative-average domain"
+        claim = SolveResult(STATUS_INFEASIBLE, "oracle",
+                            message="no placement satisfies the nonnegative-average domain")
     else:
-        status, placement, message = STATUS_OPTIMAL, engine.Placement.do_nothing(inst), ""
+        claim = SolveResult(STATUS_OPTIMAL, "oracle", engine.Placement.do_nothing(inst), best_obj)
         for n in best_units:
-            placement.masks[units[n][1]] |= cover[n].reshape(inst.dims.shape)
-    result = _check_claim(inst, norms, "oracle", status, placement, best_obj, None, message, 1e-9)
+            claim.placement.masks[units[n][1]] |= cover[n].reshape(inst.dims.shape)
+    result = _trusted(inst, norms, claim, 1e-9)
     result.wall_time = time.perf_counter() - t0
     return result
 
@@ -347,54 +348,72 @@ def placement_from_values(
     return engine.Placement({t: mask | inst.pre_mask(t) for t, mask in zip(inst.nbs_ids, masks)})
 
 
-def _check_claim(inst: Instance, norms: Normalizers, backend: str, status: str,
-                 placement: engine.Placement | None, objective: float | None,
-                 bound: float | None, message: str, rel: float) -> SolveResult:
-    """Turn a backend's claim into a result, trusting none of it unchecked:
-    the one check that both backends end in.
+class ClaimRejected(ValueError):
+    """A claim that contradicts itself or its placement's re-evaluation."""
 
-    An infeasible claim passes through with its message, and a no-incumbent
-    one becomes the always-feasible do-nothing placement. Any other status
-    but optimal and feasible-timeout is an error, and so is such a claim
-    with no placement. The placement is checked against every constraint
-    family (`avg_nonneg` included), and its objective re-computed directly
-    from the fields with `norms`; a claimed objective that differs from it by
-    more than `rel` is an error.
+
+def check_claim(inst: Instance, norms: Normalizers, claim: SolveResult, rel: float) -> SolveResult:
+    """The one gate from a claim to a trusted result: a backend's answer, or
+    a result file that `report` reads back.
+
+    An infeasible claim passes through, and a no-incumbent one becomes the
+    do-nothing placement. Any other status but optimal and feasible-timeout
+    is rejected, and so is such a claim with no placement. The placement is
+    checked against every constraint family and its objective re-computed
+    with `norms`. A claimed objective or bound must be finite; the objective
+    must lie within `rel` of the re-computed one, and the bound not above it
+    by more than `rel`. Only an optimal claim without a bound takes the
+    objective as its bound. Raises InfeasiblePlacement for a broken
+    constraint family and ClaimRejected for any other contradiction.
     """
+    status, objective, bound = claim.status, claim.objective, claim.bound
+    for name, value in (("objective", objective), ("bound", bound)):
+        if value is not None and not math.isfinite(value):
+            raise ClaimRejected(f"solver reported a non-finite {name} {value!r}")
     if status == STATUS_INFEASIBLE:
-        return SolveResult(status, backend, bound=bound, message=message)
+        return SolveResult(status, claim.backend, bound=bound, wall_time=claim.wall_time,
+                           message=claim.message)
+    placement, message = claim.placement, ""
     if status == STATUS_NO_INCUMBENT:
-        placement = engine.Placement.do_nothing(inst)
-        breakdown = evaluate_solution(inst, placement, norms=norms)
-        return SolveResult(STATUS_TIMEOUT, backend, placement, breakdown.total, bound,
-                           breakdown=breakdown,
-                           message="no incumbent within the time limit; reporting do-nothing")
-    if status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
-        return SolveResult(STATUS_ERROR, backend,
-                           message=f"solver reported status {status!r}: {message}")
-    if placement is None:
-        return SolveResult(STATUS_ERROR, backend,
-                           message=f"solver reported status {status!r} but no column values")
+        status, placement = STATUS_TIMEOUT, engine.Placement.do_nothing(inst)
+        message = "no incumbent within the time limit; reporting do-nothing"
+    elif status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
+        raise ClaimRejected(f"solver reported status {status!r}: {claim.message}")
+    elif placement is None:
+        raise ClaimRejected(f"solver reported status {status!r} but no column values")
+    breakdown = evaluate_solution(inst, placement, norms=norms)
+    total = breakdown.total
+    if objective is not None and not values_close(total, objective, rel):
+        raise ClaimRejected(f"objective mismatch: solver {objective!r}, re-evaluated {total!r}")
+    # a lower bound above the placement's own objective contradicts it
+    if bound is not None and bound > total and not values_close(total, bound, rel):
+        raise ClaimRejected(f"bound mismatch: solver {bound!r} exceeds the re-evaluated {total!r}")
+    if bound is None and status == STATUS_OPTIMAL:
+        bound = total
+    return SolveResult(status, claim.backend, placement, total, bound, claim.wall_time,
+                       breakdown, message)
+
+
+def _trusted(inst: Instance, norms: Normalizers, claim: SolveResult, rel: float) -> SolveResult:
+    """`check_claim`'s result, or the error result that says why the claim failed."""
     try:
-        breakdown = evaluate_solution(inst, placement, norms=norms)
+        return check_claim(inst, norms, claim, rel)
     except InfeasiblePlacement as exc:
         families = ", ".join(sorted({v.family for v in exc.violations}))
-        return SolveResult(STATUS_ERROR, backend,
-                           message=f"solver placement violates: {families}")
-    if objective is not None and not values_close(breakdown.total, objective, rel):
-        return SolveResult(STATUS_ERROR, backend, message=(
-            f"objective mismatch: solver {objective!r}, re-evaluated {breakdown.total!r}"))
-    return SolveResult(status, backend, placement, breakdown.total,
-                       bound if bound is not None else breakdown.total, breakdown=breakdown)
+        message = f"solver placement violates: {families}"
+    except ClaimRejected as exc:
+        message = str(exc)
+    return SolveResult(STATUS_ERROR, claim.backend, message=message)
 
 
 def _verify(inst: Instance, model: BuiltModel, answer: Answer) -> SolveResult:
     """The one check of a solver's answer on `model`: the placement is read
-    from the x columns of `answer.x`, if it has one, and checked with the
-    model's normalizers."""
+    from the x columns of `answer.x`, if it has one, and the claim checked
+    with the model's normalizers."""
     placement = None if answer.x is None else placement_from_values(inst, model, answer.x)
-    return _check_claim(inst, model.norms, "external", answer.status, placement,
-                        answer.objective, answer.bound, answer.message, OBJECTIVE_MATCH_TOL)
+    claim = SolveResult(answer.status, "external", placement, answer.objective, answer.bound,
+                        message=answer.message)
+    return _trusted(inst, model.norms, claim, OBJECTIVE_MATCH_TOL)
 
 
 def _solve_in_process(model: BuiltModel, config: SolveConfig) -> Answer:

@@ -131,7 +131,7 @@ def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0) -> Answer:
     The answer has a vector and objective only where HiGHS has a solution: at
     an optimum, or at a limit of a problem with integer columns once one was
     found. A problem with integer columns also has HiGHS's dual bound there,
-    and at a limit with no solution (`no-incumbent`) where that bound is
+    and at a limit with no solution (`no-incumbent`), wherever that bound is
     finite. Its node count, MIP gap and primal-dual integral are HiGHS's for
     such a problem, and None otherwise.
 
@@ -175,7 +175,7 @@ def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0) -> Answer:
         detail = (f"model_status is {detail}; primal_status is "
                   f"{highs.solutionStatusToString(info.primal_solution_status)}")
     constant = data.objective_constant
-    bounded = found or (status == STATUS_NO_INCUMBENT and np.isfinite(info.mip_dual_bound))
+    bounded = (found or status == STATUS_NO_INCUMBENT) and np.isfinite(info.mip_dual_bound)
     return Answer(
         status,
         np.array(highs.getSolution().col_value) if found else None,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import importlib
+import json
 import shlex
 import sys
 from collections import deque
@@ -25,6 +26,7 @@ from nbsopt.instance import validate_instance
 from nbsopt.kernels import TEMP_MAX, Kernel, default_kernel_set
 from nbsopt.model import (
     FEAS_TOL,
+    OBJECTIVE_MATCH_TOL,
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
@@ -33,9 +35,10 @@ from nbsopt.model import (
     MipProblem,
     build_model,
     linearization_big_m,
+    objective_normalizers,
     values_close,
 )
-from nbsopt.solve import Answer, SolveConfig, SolveResult
+from nbsopt.solve import Answer, SolveConfig, SolveResult, check_claim
 
 # The directory holding the package under test, for child processes to import
 # it from whether or not PYTHONPATH names it.
@@ -67,6 +70,24 @@ def solve_paper_model(inst: Instance, model: BuiltModel, config: SolveConfig) ->
     from nbsopt.solve import _verify
 
     return _verify(inst, model, solver_cli.solve_mps(model, config.time_limit, config.gap))
+
+
+def strict_json(text: str):
+    """`text` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(constant: str):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def checked_round_trip(inst: Instance, result: SolveResult) -> SolveResult:
+    """`result` written as `solve --out` writes it, read back as strict JSON
+    as `report` reads it, and checked as `report` checks it."""
+    from nbsopt import cli
+
+    claim = cli._result_from_dict(strict_json(json.dumps(cli._result_to_dict(result, inst))), inst)
+    return check_claim(inst, objective_normalizers(inst), claim, OBJECTIVE_MATCH_TOL)
 
 
 class HighsNotRun(Exception):

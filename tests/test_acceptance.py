@@ -204,7 +204,8 @@ def test_c06_peak_reduction_semantics():
 def test_c07_do_nothing_dominance(suite_results):
     results, _ = suite_results
     for seed, inst, _, oracle, external in results:
-        baseline = evaluate_solution(inst, Placement.do_nothing(inst)).total
+        baseline = evaluate_solution(inst, Placement.do_nothing(inst),
+                                     objective_normalizers(inst)).total
         assert oracle.objective <= baseline + 1e-9, f"seed {seed} (oracle)"
         assert external.objective <= baseline + 1e-9, f"seed {seed} (external)"
     print("\nACCEPTANCE C07 do-nothing-dominance: PASS")

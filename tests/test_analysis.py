@@ -21,10 +21,11 @@ from nbsopt.analysis import (
 from nbsopt.clustering import partition_instance, with_clusters
 from nbsopt.engine import Placement
 from nbsopt.instance import save_instance
-from nbsopt.solve import SolveConfig, SolveResult, solve, solve_oracle
+from nbsopt.model import objective_normalizers
+from nbsopt.solve import SolveConfig, SolveResult, check_claim, solve, solve_oracle
 from nbsopt.suite import desk_suite
 
-from _helpers import cluster_demo_instance, make_instance, read_matrix_csv
+from _helpers import checked_round_trip, cluster_demo_instance, make_instance, read_matrix_csv
 
 
 class TestGini:
@@ -168,6 +169,9 @@ class TestBuildReport:
             for report in (from_file, in_memory):
                 report["metadata"].pop("wall_time")
             assert from_file == in_memory, f"seed {seed}"
+            back = checked_round_trip(inst, result)
+            assert (back.status, back.objective, back.bound) == (
+                result.status, result.objective, result.bound), f"seed {seed}"
 
     def test_result_without_placement_rejected(self, solved_small):
         inst, _ = solved_small
@@ -210,9 +214,8 @@ class TestExports:
 
         inst.kernels[("M", "GW")] = Kernel(np.array([[2.0]]))
         placement = Placement.from_new_cells(inst, {"GW": [(1, 1)]})
-        result = SolveResult(status="optimal", backend="oracle", placement=placement,
-                             objective=0.0, bound=0.0)
-        report = build_report(inst, result)
+        claim = SolveResult(status="optimal", backend="oracle", placement=placement)
+        report = build_report(inst, check_claim(inst, objective_normalizers(inst), claim, 1e-9))
         export_heatmaps(report, tmp_path)
         parsed = read_matrix_csv(tmp_path / "reduction_M.csv")
         assert int((parsed != 0).sum()) == 1

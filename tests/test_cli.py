@@ -10,11 +10,31 @@ from nbsopt.cli import main
 from nbsopt.instance import save_instance
 from nbsopt.suite import desk_suite
 
-from _helpers import spy_on_highs
+from _helpers import SRC, spy_on_highs, strict_json
 
 
 def run(argv):
     return main(argv)
+
+
+def rewriting_solver(tmp_path, edits):
+    """A solver command template that runs the bundled solver, and then sets
+    each `# key value` line of its solution file named in `edits` to the
+    value given, or drops the line where the value is None."""
+    script = tmp_path / "rewriting_solver.py"
+    script.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from nbsopt import solver_cli\n"
+        "solver_cli.main(sys.argv[1:])\n"
+        f"edits = {edits!r}\n"
+        "lines = [line for line in open(sys.argv[2]).read().splitlines()\n"
+        "         if line.split()[:2] not in [['#', key] for key in edits]]\n"
+        "lines[1:1] = [f'# {key} {value}' for key, value in edits.items() if value]\n"
+        "open(sys.argv[2], 'w').write('\\n'.join(lines) + '\\n')\n"
+    )
+    return (f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+            " {model} {solution} {timelimit} --gap {gap}")
 
 
 @pytest.fixture
@@ -272,6 +292,37 @@ class TestSolveAndReport:
         result = json.loads(out.read_text())
         assert (result["status"], result["metadata"]["backend"]) == ("error", "oracle")
         assert "error code=solve.error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound, message", [
+        ("5.0", "bound mismatch: solver 5.0 exceeds the re-evaluated "),
+        ("nan", "solver reported a non-finite bound nan"),
+    ])
+    def test_a_claim_report_refuses_fails_the_solve(self, bound, message, tiny_instance_path,
+                                                    tmp_path, capsys):
+        # a lower bound above the placement's objective, or one that is no
+        # number, would make a result file that `report` refuses
+        out = tmp_path / "r.json"
+        template = rewriting_solver(tmp_path, {"bound": bound})
+        assert run(["solve", str(tiny_instance_path), "--solver-cmd", template,
+                    "--out", str(out)]) == 3
+        assert "error code=solve.error" in capsys.readouterr().err
+        result = strict_json(out.read_text())
+        assert (result["status"], result["bound"]) == ("error", None)
+        assert result["metadata"]["message"].startswith(message)
+
+    def test_a_timeout_without_a_bound_claims_no_gap(self, tiny_instance_path, tmp_path):
+        out = tmp_path / "r.json"
+        template = rewriting_solver(tmp_path, {"status": "feasible-timeout", "bound": None})
+        assert run(["solve", str(tiny_instance_path), "--solver-cmd", template,
+                    "--out", str(out)]) == 0
+        result = strict_json(out.read_text())
+        assert (result["status"], result["bound"]) == ("feasible-timeout", None)
+        assert result["objective"] == result["objective_terms"]["total"]
+        out_dir = tmp_path / "rep"
+        assert run(["report", str(tiny_instance_path), str(out),
+                    "--out-dir", str(out_dir)]) == 0
+        metadata = strict_json((out_dir / "report.json").read_text())["metadata"]
+        assert (metadata["status"], metadata["bound"]) == ("feasible-timeout", None)
 
     def test_gap_reaches_the_solver(self, tiny_instance_path, tmp_path):
         argv_file = tmp_path / "argv.json"

@@ -273,7 +273,7 @@ class TestEvaluateSolution:
         violations = check_placement(inst, placement)
         assert [v.family for v in violations] == ["budget"]
         with pytest.raises(InfeasiblePlacement) as exc:
-            evaluate_solution(inst, placement)
+            evaluate_solution(inst, placement, objective_normalizers(inst))
         assert "budget" in str(exc.value)
 
     def test_one_type_violation(self):
@@ -330,7 +330,8 @@ class TestAllForbidden:
                                   forbidden_fraction=1.0, pre_existing_fraction=0.0)
         result = solve_oracle(inst)
         assert result.status == "optimal"
-        do_nothing = evaluate_solution(inst, Placement.do_nothing(inst))
+        norms = objective_normalizers(inst)
+        do_nothing = evaluate_solution(inst, Placement.do_nothing(inst), norms)
         assert result.objective == pytest.approx(do_nothing.total, abs=1e-12)
         for t in inst.nbs_ids:
             assert result.placement.new_mask(inst, t).sum() == 0

@@ -63,6 +63,22 @@ def test_every_public_definition_is_used_inside_the_package():
     assert unused == [], f"defined but not used in src/nbsopt: {unused}"
 
 
+def test_only_the_model_and_the_check_evaluate_a_placement():
+    """`values_close` and `evaluate_solution` are called only in model.py and
+    in solve.py, which holds `check_claim`, the one gate from a claim to a
+    result: no command grows its own copy of that check."""
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("model.py", "solve.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _references(node.func) & {
+                "values_close", "evaluate_solution"
+            }:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == [], f"a placement is evaluated outside the check: {outside}"
+
+
 def test_every_dataclass_field_is_read_inside_the_package():
     """A dataclass field that no code in src/nbsopt reads, as an attribute
     of any object, is set for its tests (or for nothing). An attribute that is

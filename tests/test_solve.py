@@ -53,6 +53,7 @@ from _helpers import (
     SRC,
     HighsNotRun,
     certify,
+    checked_round_trip,
     cluster_demo_instance,
     compact_model,
     constraint_residuals,
@@ -93,7 +94,8 @@ class TestOracle:
         result = solve_oracle(inst)
         assert result.status == "optimal"
         assert result.placement.new_cells(inst) == {"GW": []}
-        do_nothing = evaluate_solution(inst, Placement.do_nothing(inst))
+        norms = objective_normalizers(inst)
+        do_nothing = evaluate_solution(inst, Placement.do_nothing(inst), norms)
         assert result.objective == pytest.approx(do_nothing.total, abs=1e-12)
 
     def test_two_free_cells_matches_explicit_enumeration(self):
@@ -103,14 +105,14 @@ class TestOracle:
         inst = make_instance(field, forbidden=all_cells - set(free), cost=10.0,
                              budget=15.0)
         # brute force over the four subsets, skipping budget-infeasible ones
-        best = None
+        best, norms = None, objective_normalizers(inst)
         for chosen in itertools.chain.from_iterable(
             itertools.combinations(free, k) for k in range(3)
         ):
             if len(chosen) * 10.0 > 15.0:
                 continue
             value = evaluate_solution(
-                inst, Placement.from_new_cells(inst, {"GW": list(chosen)})
+                inst, Placement.from_new_cells(inst, {"GW": list(chosen)}), norms
             ).total
             if best is None or value < best[0]:
                 best = (value, set(chosen))
@@ -270,7 +272,9 @@ class TestAvgDomain:
                              delta=1.0 + 5e-10)
         for case, optimum, cells in ((inst, 19 / 72, [(0, 0), (1, 0)]),
                                      (edge, -0.249999975125, [(0, 0)])):
-            brute_force = min(evaluate_solution(case, p).total for p in self.every_placement(case)
+            norms = objective_normalizers(case)
+            brute_force = min(evaluate_solution(case, p, norms).total
+                              for p in self.every_placement(case)
                               if not check_placement(case, p))
             assert brute_force == pytest.approx(optimum, abs=1e-12)
             for result in (solve_oracle(case), solve_external(case, EXTERNAL)):
@@ -345,6 +349,11 @@ def test_guarded_instances_match_the_paper_model(monkeypatch, seed, side, nbs, m
     assert values_close(result.objective, paper.objective)
     if count_decision_units(inst) <= DEFAULT_UNIT_CAP:
         assert values_close(result.objective, solve_oracle(inst).objective)
+    # both results pass `report` as `solve --out` writes them
+    for solved in (result, paper):
+        back = checked_round_trip(inst, solved)
+        assert (back.status, back.objective, back.bound) == (
+            solved.status, solved.objective, solved.bound)
 
 
 def test_unit_running_sums_score_as_the_evaluation():
@@ -1041,6 +1050,24 @@ class TestSolverCli:
         assert (result.status, result.bound) == ("feasible-timeout", bound)
         assert result.placement.new_cells(inst) == {t: [] for t in inst.nbs_ids}
         assert "3 nodes, MIP gap inf, primal-dual integral 1.5" in caplog.text
+
+    def test_an_incumbent_without_a_finite_dual_bound_claims_no_bound(self, monkeypatch):
+        # HiGHS stopped at its limit with a solution but no finite dual bound,
+        # stubbed: the answer states no bound, so the result claims no gap
+        from nbsopt import solver_cli
+
+        model = build_compact_model(desk_instance(1))
+        info = SimpleNamespace(objective_function_value=0.5, mip_dual_bound=-np.inf,
+                               mip_node_count=0, mip_gap=np.inf, primal_dual_integral=0.0)
+        stopped = SimpleNamespace(getModelStatus=lambda: solver_cli._MODEL.kTimeLimit,
+                                  getInfo=lambda: info,
+                                  modelStatusToString=lambda status: "Time limit reached",
+                                  getSolution=lambda: SimpleNamespace(
+                                      col_value=[0.0] * model.n_variables))
+        monkeypatch.setattr(solver_cli, "_run_highs", lambda options, **arrays: stopped)
+        answer = solver_cli.solve_mps(model, 1.0)
+        assert (answer.status, answer.objective, answer.bound) == (
+            "feasible-timeout", 0.5 + model.objective_constant, None)
 
     def test_primal_dual_integral_only_for_a_mip(self):
         from nbsopt import solver_cli
