@@ -19,16 +19,15 @@ per measure and per NBS type, with the file's keys in the file's order, so
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, write_json
 from .model import ObjectiveBreakdown
-from .solve import SolveResult
+from .solve import STATUS_OPTIMAL, SolveResult
 
 # Placement map categories (one map per NBS type; the four codes partition
 # the grid) and the gray levels used for the exported images.
@@ -153,10 +152,7 @@ def report_to_dict(report: Report) -> dict:
 
 
 def write_report(report: Report, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+    write_json(report_to_dict(report), path)
 
 
 def _safe_name(name: str) -> str:
@@ -208,8 +204,7 @@ def export_heatmaps(report: Report, directory: str | Path) -> None:
         write_pgm(levels, directory / f"reduction_{base}.pgm",
                   comment=f"scale min={lo!r} max={hi!r}")
 
-    (directory / "heatmap_scales.json").write_text(
-        json.dumps(scales, indent=2) + "\n", encoding="utf-8")
+    write_json(scales, directory / "heatmap_scales.json")
 
     gray = np.vectorize(CATEGORY_GRAY.get, otypes=[int])
     for t, cat in sorted(report.placement_categories.items()):
@@ -218,8 +213,7 @@ def export_heatmaps(report: Report, directory: str | Path) -> None:
 
     legend = {str(code): {"label": CATEGORY_LABELS[code], "gray": CATEGORY_GRAY[code]}
               for code in sorted(CATEGORY_LABELS)}
-    (directory / "placement_legend.json").write_text(
-        json.dumps(legend, indent=2) + "\n", encoding="utf-8")
+    write_json(legend, directory / "placement_legend.json")
 
 
 def batch_stats(reports: list[Report]) -> dict:
@@ -259,7 +253,7 @@ def batch_stats(reports: list[Report]) -> dict:
     return {
         "count": n,
         "mean_wall_time": mean(wall_times),
-        "pct_optimal": 100.0 * sum(s == "optimal" for s in statuses) / n,
+        "pct_optimal": 100.0 * sum(s == STATUS_OPTIMAL for s in statuses) / n,
         "measures": measures,
         "nbs": nbs,
         "gini": {

@@ -33,6 +33,7 @@ from .instance import (
     load_instance,
     read_json,
     save_instance,
+    write_json,
 )
 from .model import (
     OBJECTIVE_MATCH_TOL,
@@ -45,6 +46,7 @@ from .mps import export_interchange
 from .solve import (
     DEFAULT_TIME_LIMIT,
     DEFAULT_UNIT_CAP,
+    STATUS_ERROR,
     ClaimRejected,
     OracleCapExceeded,
     SolveConfig,
@@ -83,9 +85,9 @@ def _pick(args: argparse.Namespace, config: dict, key: str, default: Any) -> Any
     """Flag value if given, else config value, else the built-in default.
 
     A config value has its flag's type, which the default's type gives: an
-    integer for a count, a number for any other numeric key, and text for a
-    key with a text or no default. A boolean is not a number; a value of any
-    other type raises SchemaError naming the key."""
+    integer for a count, a number (returned as a float) for any other numeric
+    key, and text for a key with a text or no default. A boolean is not a
+    number; a value of any other type raises SchemaError naming the key."""
     value = getattr(args, key, None)
     if value is not None:
         return value
@@ -95,7 +97,7 @@ def _pick(args: argparse.Namespace, config: dict, key: str, default: Any) -> Any
     if not (_is_number(value, kind is int) if kind in (int, float) else isinstance(value, str)):
         expected = {int: "an integer", float: "a number"}.get(kind, "a string")
         raise SchemaError(f"config.{key}", f"expected {expected}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
 def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
@@ -150,7 +152,7 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
                          ("metadata.wall_time", wall_time)):
         if value is not None and not (_is_number(value) and math.isfinite(value)):
             raise SchemaError(f"result.{where}", "expected a finite number")
-    status = raw.get("status", "error")
+    status = raw.get("status", STATUS_ERROR)
     backend, message = meta.get("backend", "unknown"), meta.get("message", "")
     for where, value in (("status", status), ("metadata.backend", backend),
                          ("metadata.message", message)):
@@ -163,12 +165,6 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
     return result
 
 
-def _write_json(obj: Any, path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 # --- Commands ----------------------------------------------------------------
 
 
@@ -176,11 +172,11 @@ def cmd_gen(args: argparse.Namespace, config: dict) -> int:
     side = SIZE_TABLE[args.size]
     inst = generate_synthetic(
         seed=args.seed,
-        dims=GridDims(side, side, float(_pick(args, config, "resolution", 10.0))),
+        dims=GridDims(side, side, _pick(args, config, "resolution", 10.0)),
         nbs_count=_pick(args, config, "nbs", 4),
         measure_count=_pick(args, config, "measures", 4),
-        forbidden_fraction=float(_pick(args, config, "forbidden_frac", 0.3)),
-        pre_existing_fraction=float(_pick(args, config, "pre_frac", 0.07)),
+        forbidden_fraction=_pick(args, config, "forbidden_frac", 0.3),
+        pre_existing_fraction=_pick(args, config, "pre_frac", 0.07),
     )
     save_instance(inst, args.out)
     print(f"wrote {args.out} ({inst.dims.width}x{inst.dims.height})")
@@ -241,8 +237,8 @@ def cmd_build(args: argparse.Namespace, config: dict) -> int:
 def _solve_config(args: argparse.Namespace, config: dict) -> SolveConfig:
     return SolveConfig(
         backend=_pick(args, config, "backend", "external"),
-        time_limit=float(_pick(args, config, "timelimit", DEFAULT_TIME_LIMIT)),
-        gap=float(_pick(args, config, "gap", 0.0)),
+        time_limit=_pick(args, config, "timelimit", DEFAULT_TIME_LIMIT),
+        gap=_pick(args, config, "gap", 0.0),
         solver_cmd=_pick(args, config, "solver_cmd", None),
         unit_cap=_pick(args, config, "cap", DEFAULT_UNIT_CAP),
         workdir=Path(args.workdir) if getattr(args, "workdir", None) else None,
@@ -257,8 +253,8 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> int:
         f"wall_time={result.wall_time:.3f}s"
     )
     if args.out:
-        _write_json(_result_to_dict(result, inst), Path(args.out))
-    if result.status == "error":
+        write_json(_result_to_dict(result, inst), args.out)
+    if result.status == STATUS_ERROR:
         return _fail("solve.error", result.message or "solver failed", EXIT_SOLVE)
     return EXIT_OK
 
@@ -290,7 +286,7 @@ def _bench_one(
         inst_dir = Path(out_dir) / f"seed_{seed}"
         inst_dir.mkdir(parents=True, exist_ok=True)
         save_instance(inst, inst_dir / "instance.json")
-        _write_json(_result_to_dict(result, inst), inst_dir / "result.json")
+        write_json(_result_to_dict(result, inst), inst_dir / "result.json")
         analysis.write_report(report, inst_dir / "report.json")
         analysis.export_heatmaps(report, inst_dir)
     return report
@@ -301,11 +297,7 @@ def cmd_bench(args: argparse.Namespace, config: dict) -> int:
     if count < 1:
         raise ValueError(f"seeds must be >= 1, got {count}")
     start = _pick(args, config, "start_seed", 0)
-    cfg = SolveConfig(
-        backend=_pick(args, config, "backend", "external"),
-        time_limit=float(_pick(args, config, "timelimit", DEFAULT_TIME_LIMIT)),
-        unit_cap=_pick(args, config, "cap", DEFAULT_UNIT_CAP),
-    )
+    cfg = _solve_config(args, config)
     jobs = _pick(args, config, "jobs", 1)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -328,7 +320,7 @@ def cmd_bench(args: argparse.Namespace, config: dict) -> int:
     print(json.dumps(stats, indent=2))
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        _write_json(stats, Path(out_dir) / "stats.json")
+        write_json(stats, Path(out_dir) / "stats.json")
     if failed:
         message = f"{len(failed)} of {len(outcomes)} seed(s) failed"
         return _fail("bench.failed", message, EXIT_SOLVE)

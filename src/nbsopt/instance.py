@@ -11,6 +11,7 @@ safe to share across concurrent solves.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -360,8 +361,11 @@ def validate_instance(inst: Instance) -> None:
 
 def _is_number(value: Any, integer: bool = False) -> bool:
     """Whether a JSON value is a number, or an integer where `integer` is set.
-    JSON true and false load as bool, a subclass of int, yet are no number."""
-    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    JSON true and false load as bool, a subclass of int, yet are no number;
+    where a float is wanted, an integer must lie within a float's range."""
+    if isinstance(value, float):
+        return not integer
+    return type(value) is int and (integer or abs(value) <= sys.float_info.max)
 
 
 def _expect(obj: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
@@ -377,7 +381,7 @@ def _expect(obj: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
 def _parse_matrix(raw: Any, shape: tuple[int, int], where: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(where, "expected a rectangular array of numbers")
     if arr.ndim != 2 or arr.shape != shape:
         raise SchemaError(where, f"expected shape {shape}, got {getattr(arr, 'shape', None)}")
@@ -481,7 +485,7 @@ def instance_from_dict(raw: Mapping[str, Any]) -> Instance:
     total = population.sum()
     if total <= 0:
         raise SchemaError("population", "must contain positive mass")
-    if abs(total - 1.0) > POPULATION_SUM_TOL:
+    if np.isfinite(total) and abs(total - 1.0) > POPULATION_SUM_TOL:
         population = population / total
 
     budget = _expect(raw, "budget", float, "")
@@ -590,9 +594,13 @@ def load_instance(path: str | Path) -> Instance:
     return inst
 
 
+def write_json(obj: Any, path: str | Path) -> None:
+    """Write `obj` as JSON indented by 2 with a final newline: the one JSON writer."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def save_instance(inst: Instance, path: str | Path) -> None:
     """Write the canonical JSON form; numbers keep full round-trip precision."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
+    write_json(instance_to_dict(inst), path)

@@ -40,6 +40,7 @@ pairs.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -59,7 +60,8 @@ OBJECTIVE_MATCH_TOL = 1e-6
 
 
 def values_close(a: float, b: float, rel: float = OBJECTIVE_MATCH_TOL) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+    """Whether `a` and `b` are finite and within `rel` * max(1, |a|, |b|) of each other."""
+    return math.isfinite(a - b) and abs(a - b) <= rel * max(1.0, abs(a), abs(b))
 
 
 def _grid_labels(*shape: int) -> np.ndarray:

@@ -88,6 +88,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "feasible-timeout"
 STATUS_NO_INCUMBENT = "no-incumbent"
 STATUS_INFEASIBLE = "infeasible"
+STATUS_UNBOUNDED = "unbounded"
 STATUS_ERROR = "error"
 
 

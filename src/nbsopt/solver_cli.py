@@ -46,10 +46,12 @@ import numpy as np
 from .model import SENSE_GE, SENSE_LE, MipProblem
 from .mps import MpsData, highs_binding, read_mps
 from .solve import (
+    STATUS_ERROR,
     STATUS_INFEASIBLE,
     STATUS_NO_INCUMBENT,
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
+    STATUS_UNBOUNDED,
     Answer,
     solution_text,
 )
@@ -64,8 +66,8 @@ _STATUSES = {
     _MODEL.kTimeLimit: (STATUS_TIMEOUT, "Time limit reached. "),
     _MODEL.kIterationLimit: (STATUS_TIMEOUT, "Iteration limit reached. "),
     _MODEL.kInfeasible: (STATUS_INFEASIBLE, "The problem is infeasible. "),
-    _MODEL.kUnbounded: ("unbounded", "The problem is unbounded. "),
-    _MODEL.kUnboundedOrInfeasible: ("error", "The problem is unbounded or infeasible. "),
+    _MODEL.kUnbounded: (STATUS_UNBOUNDED, "The problem is unbounded. "),
+    _MODEL.kUnboundedOrInfeasible: (STATUS_ERROR, "The problem is unbounded or infeasible. "),
 }
 _ROWWISE, _MINIMIZE = int(_core.MatrixFormat.kRowwise), int(_core.ObjSense.kMinimize)
 
@@ -165,7 +167,7 @@ def solve_mps(data: MipProblem, time_limit: float, gap: float = 0.0) -> Answer:
         left = max(0.0, float(time_limit) - (time.perf_counter() - started))
         highs = _run_highs({**options, "presolve": "off", "time_limit": left}, **arrays)
     model_status, info = highs.getModelStatus(), highs.getInfo()
-    status, opening = _STATUSES.get(model_status, ("error", ""))
+    status, opening = _STATUSES.get(model_status, (STATUS_ERROR, ""))
     is_mip = bool(data.is_integer.any())
     if status == STATUS_TIMEOUT and not (is_mip and info.objective_function_value < np.inf):
         status = STATUS_NO_INCUMBENT

@@ -174,6 +174,7 @@ class TestSolveAndReport:
         ("infeasible_with_cells", "result.schema"),
         ("error_with_cells", "result.schema"),
         ("forbidden_cell", "placement.infeasible"),
+        ("bound_past_a_float", "result.schema"),
     ])
     def test_bad_result_file_exits_2(self, case, code, tiny_instance_path, tmp_path, capsys):
         forbidden = json.loads(tiny_instance_path.read_text())["forbidden"]["GW"][0]
@@ -202,6 +203,7 @@ class TestSolveAndReport:
             "infeasible_with_cells": {"new_cells": {"GW": []}, "status": "infeasible"},
             "error_with_cells": {"new_cells": {"GW": []}, "status": "error"},
             "forbidden_cell": {"new_cells": {"GW": [forbidden]}},
+            "bound_past_a_float": {"new_cells": {"GW": []}, "bound": 10**400},
         }
         raw = {"status": "optimal", **fields[case]} if case in fields else []
         result_path = tmp_path / "result.json"
@@ -437,6 +439,33 @@ class TestBench:
         assert all("exited with 1" in f["message"] for f in stats["failed"])
 
 
+    def test_the_config_solver_cmd_is_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("NBSOPT_SOLVER_CMD", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver_cmd": "false {model} {solution} {timelimit}",
+                                   "gap": 0.5}))
+        assert run(["bench", "--seeds", "1", "--backend", "external",
+                    "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error code=bench.failed message=")
+        [failed] = json.loads(captured.out)["failed"]
+        assert (failed["seed"], failed["status"]) == (desk_suite(1)[0][0], "error")
+        assert "exited with 1" in failed["message"]
+
+    def test_a_config_gives_highs_the_options_solve_gives(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backend": "external", "timelimit": 7.5, "gap": 0.25}))
+        seed, inst = desk_suite(1)[0]
+        path = tmp_path / f"seed_{seed}.json"
+        save_instance(inst, path)
+        calls = spy_on_highs(monkeypatch)
+        assert run(["solve", str(path), "--config", str(cfg)]) == 0
+        assert run(["bench", "--seeds", "1", "--config", str(cfg)]) == 0
+        solve_call, bench_call = calls
+        for call in (solve_call, bench_call):
+            assert (call["options"]["time_limit"], call["options"]["mip_rel_gap"]) == (7.5, 0.25)
+        assert bench_call["options"] == solve_call["options"]
+
     def test_stats_cover_the_seeds_that_succeeded(self, tmp_path, monkeypatch):
         import nbsopt
 
@@ -510,8 +539,11 @@ class TestConfigValueTypes:
         (["bench", "--seeds", "1"], {"jobs": True}),
         (["bench", "--seeds", "1"], {"backend": ["oracle"]}),
         (["gen", "--seed", "1", "--size", "xs", "--out", "{out}"], {"nbs": "2"}),
+        (["solve", "{inst}"], {"timelimit": 10**400}),
+        (["gen", "--seed", "1", "--size", "xs", "--out", "{out}"], {"resolution": 10**400}),
     ], ids=["timelimit-bool", "gap-text", "solver-cmd-number", "cap-fraction",
-            "seeds-fraction", "jobs-bool", "backend-list", "nbs-text"])
+            "seeds-fraction", "jobs-bool", "backend-list", "nbs-text",
+            "timelimit-past-a-float", "resolution-past-a-float"])
     def test_exits_2(self, argv, config, tiny_instance_path, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

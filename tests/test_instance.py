@@ -80,9 +80,14 @@ class TestSchema:
         (("fairness_kernels", "GW", "rows"), [["1.0"]], "fairness_kernels.GW.rows"),
         (("kernels", "M", "GW", "size"), [True, True], "kernels.M.GW.size"),
         (("fairness_kernels", "GW", "size"), [1, False], "fairness_kernels.GW.size"),
+        # JSON integers past a float's range, where a float is wanted
+        (("budget",), 10**400, "budget"),
+        (("nbs", 0, "cost"), -10**400, "nbs[0].cost"),
+        (("measures", 0, "field"), [[10**400]], "measures[0].field"),
     ], ids=["peak_text", "avg_null", "peak_bool", "kernel_ragged", "fairness_ragged",
             "width_bool", "delta_bool", "field_bool", "population_bool", "kernel_bool",
-            "fairness_text", "kernel_size_bool", "fairness_size_bool"])
+            "fairness_text", "kernel_size_bool", "fairness_size_bool", "budget_overflow",
+            "cost_overflow", "field_overflow"])
     def test_malformed_value_names_field(self, path, value, field):
         raw = minimal_dict()
         parent = raw
@@ -144,8 +149,10 @@ class TestValidation:
         (("weights", "cost"), "weights.cost"),
         (("weights", "fairness"), "weights.fairness"),
         (("nbs", 0, "cost"), "NBS 'GW': cost"),
-    ], ids=["delta", "peak", "avg", "cost", "fairness", "nbs_cost"])
+        (("population", 0, 0), "population"),
+    ], ids=["delta", "peak", "avg", "cost", "fairness", "nbs_cost", "population"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.filterwarnings("error")  # no arithmetic on the non-finite number
     def test_non_finite_number_names_field(self, path, field, value, tmp_path):
         raw = minimal_dict()
         parent = raw

@@ -20,6 +20,7 @@ from nbsopt.model import (
     impact_bounds,
     linearization_big_m,
     objective_normalizers,
+    values_close,
 )
 from nbsopt.solve import solve_oracle
 from nbsopt.suite import desk_suite
@@ -350,3 +351,10 @@ class TestPureFairnessWeights:
         result = solve_oracle(inst, unit_cap=20)
         norms = objective_normalizers(inst)
         assert result.breakdown.fairness_value >= norms.fairness_min - 1e-9
+
+
+@pytest.mark.parametrize("other", [float("inf"), float("-inf"), float("nan")])
+def test_values_close_is_false_for_a_value_that_is_not_finite(other):
+    assert values_close(0.1, other) is False and values_close(other, 0.1) is False
+    assert values_close(other, other) is False
+    assert values_close(0.1, 0.1 + 1e-8) is True
