@@ -101,11 +101,11 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
         })
 
     nbs = []
-    for t in inst.nbs_ids:
-        count = int(placement.new_mask(inst, t).sum())
-        spend = count * inst.nbs_by_id(t).cost
+    new = placement.new_masks(inst)
+    for t, count in zip(inst.nbs, new.sum(axis=(1, 2)).tolist()):
+        spend = count * t.cost
         nbs.append({
-            "id": t,
+            "id": t.id,
             "new_cells": count,
             "spend": spend,
             "budget_fraction": spend / inst.budget if inst.budget > 0 else 0.0,
@@ -114,20 +114,17 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
     equity = {"initial": gini(breakdown.norms.do_nothing_fairness),
               "final": gini(breakdown.fairness_field)}
 
-    categories: dict[str, np.ndarray] = {}
-    for t in inst.nbs_ids:
-        cat = np.full(inst.dims.shape, CAT_UNUSED, dtype=np.uint8)
-        cat[inst.forbidden_mask(t)] = CAT_FORBIDDEN
-        cat[placement.new_mask(inst, t)] = CAT_NEW
-        cat[inst.pre_mask(t)] = CAT_PRE_EXISTING
-        categories[t] = cat
+    categories = np.full(new.shape, CAT_UNUSED, dtype=np.uint8)
+    categories[inst.forbidden] = CAT_FORBIDDEN
+    categories[new] = CAT_NEW
+    categories[inst.pre_existing] = CAT_PRE_EXISTING
 
     return Report(
         measures=measures,
         nbs=nbs,
         gini=equity,
         objective=breakdown,
-        placement_categories=categories,
+        placement_categories=dict(zip(inst.nbs_ids, categories)),
         metadata={
             "backend": result.backend,
             "status": result.status,

@@ -23,11 +23,13 @@ from . import analysis, clustering, kernels as kf
 from .engine import Placement
 from .generator import generate_synthetic
 from .instance import (
+    HUGE_INTEGER,
     GridDims,
     Instance,
     InstanceError,
     SchemaError,
     ValidationError,
+    _huge,
     _is_number,
     _parse_cells,
     load_instance,
@@ -96,7 +98,8 @@ def _pick(args: argparse.Namespace, config: dict, key: str, default: Any) -> Any
     value, kind = config[key], type(default)
     if not (_is_number(value, kind is int) if kind in (int, float) else isinstance(value, str)):
         expected = {int: "an integer", float: "a number"}.get(kind, "a string")
-        raise SchemaError(f"config.{key}", f"expected {expected}, got {value!r}")
+        got = HUGE_INTEGER if _huge(value) else repr(value)
+        raise SchemaError(f"config.{key}", f"expected {expected}, got {got}")
     return float(value) if kind is float else value
 
 

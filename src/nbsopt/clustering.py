@@ -78,7 +78,7 @@ def build_partition(
         raise ValueError(f"min_size {min_size} > max_size {max_size}")
     return [
         component
-        for component in label_components(inst.eligible_mask(nbs_id))
+        for component in label_components(inst.eligible[inst.nbs_ids.index(nbs_id)])
         if min_size <= len(component) <= max_size
     ]
 

@@ -42,7 +42,7 @@ class Placement:
     @classmethod
     def do_nothing(cls, inst: Instance) -> "Placement":
         """Only the pre-existing installations, nothing new."""
-        return cls({t: inst.pre_mask(t).copy() for t in inst.nbs_ids})
+        return cls(dict(zip(inst.nbs_ids, inst.pre_existing.copy())))
 
     @classmethod
     def from_new_cells(cls, inst: Instance, new_cells: Mapping[str, Iterable[Cell]]) -> "Placement":
@@ -54,13 +54,14 @@ class Placement:
                 mask[i, j] = True
         return placement
 
-    def new_mask(self, inst: Instance, nbs_id: str) -> np.ndarray:
-        return self.masks[nbs_id] & ~inst.pre_mask(nbs_id)
+    def new_masks(self, inst: Instance) -> np.ndarray:
+        """The newly installed cells, (types, width, height) in catalog order."""
+        return np.stack([self.masks[t] for t in inst.nbs_ids]) & ~inst.pre_existing
 
     def new_cells(self, inst: Instance) -> dict[str, list[Cell]]:
         out: dict[str, list[Cell]] = {}
-        for t in inst.nbs_ids:
-            ii, jj = np.nonzero(self.new_mask(inst, t))
+        for t, new in zip(inst.nbs_ids, self.new_masks(inst)):
+            ii, jj = np.nonzero(new)
             out[t] = sorted(zip(ii.tolist(), jj.tolist()))
         return out
 
@@ -90,10 +91,9 @@ def measure_impact(inst: Instance, placement: Placement, measure_id: str) -> np.
     """Summed kernel impact of the newly installed cells on one measure;
     pre-existing cells contribute nothing."""
     impact = np.zeros(inst.dims.shape)
-    for t in inst.nbs_ids:
-        new = placement.new_mask(inst, t)
+    for t, new in zip(inst.nbs_ids, placement.new_masks(inst)):
         if new.any():  # an empty mask adds an all-zero field
-            impact += correlate(new, inst.kernel(measure_id, t))
+            impact += correlate(new, inst.kernels[(measure_id, t)])
     return impact
 
 

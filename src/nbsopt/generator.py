@@ -61,15 +61,12 @@ def bumpy_field(
     return np.clip(field, 0.0, None)
 
 
-def _sample_cells(
-    rng: np.random.Generator, eligible_flat: np.ndarray, count: int, shape: tuple[int, int]
-) -> set[tuple[int, int]]:
+def _sample_cells(rng: np.random.Generator, eligible_flat: np.ndarray, count: int) -> np.ndarray:
+    """Up to `count` distinct flat cell indices drawn from `eligible_flat`."""
     count = min(count, eligible_flat.size)
     if count == 0:
-        return set()
-    chosen = rng.choice(eligible_flat, size=count, replace=False)
-    w, h = shape
-    return {(int(k) // h, int(k) % h) for k in chosen}
+        return eligible_flat[:0]
+    return rng.choice(eligible_flat, size=count, replace=False)
 
 
 def generate_synthetic(
@@ -116,24 +113,22 @@ def generate_synthetic(
         nbs_ids=[t.id for t in nbs], measure_ids=measure_ids
     )
 
-    all_flat = np.arange(n_cells)
-    forbidden: dict[str, set[tuple[int, int]]] = {}
-    for t in nbs:
-        n_forbidden = int(round(forbidden_fraction * n_cells))
-        forbidden[t.id] = _sample_cells(rng, all_flat, n_forbidden, shape)
+    def cells(flat: np.ndarray) -> set[tuple[int, int]]:
+        return {(int(k) // dims.height, int(k) % dims.height) for k in flat}
+
+    n_forbidden = int(round(forbidden_fraction * n_cells))
+    n_pre = int(round(pre_existing_fraction * n_cells))
+    forbidden_flat = [_sample_cells(rng, np.arange(n_cells), n_forbidden) for _ in nbs]
 
     pre_existing: dict[str, set[tuple[int, int]]] = {}
-    occupied: set[tuple[int, int]] = set()
-    for t in nbs:
-        blocked = forbidden[t.id] | occupied
-        free = np.array(
-            [k for k in all_flat if (k // dims.height, k % dims.height) not in blocked],
-            dtype=int,
-        )
-        n_pre = int(round(pre_existing_fraction * n_cells))
-        cells = _sample_cells(rng, free, n_pre, shape)
-        pre_existing[t.id] = cells
-        occupied |= cells
+    occupied = np.zeros(n_cells, dtype=bool)
+    for t, banned in zip(nbs, forbidden_flat):
+        blocked = occupied.copy()
+        blocked[banned] = True
+        chosen = _sample_cells(rng, np.flatnonzero(~blocked), n_pre)
+        pre_existing[t.id] = cells(chosen)
+        occupied[chosen] = True
+    forbidden = {t.id: cells(banned) for t, banned in zip(nbs, forbidden_flat)}
 
     population = bumpy_field(rng, shape, 1.0) + 1e-6
     population = population / population.sum()

@@ -5,14 +5,17 @@ the NBS catalog with per-cell costs, observed measure fields, impact and
 fairness kernels, forbidden/pre-existing masks, the population distribution,
 the budget, objective weights, and (optionally) all-or-nothing cluster
 assignments. Instances are treated as immutable after construction and are
-safe to share across concurrent solves.
+safe to share across concurrent solves: the per-type cell grids each compute
+once, on first read, from data that does not change, so two solves that race
+to the first read only compute them twice.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -125,9 +128,6 @@ class Instance:
     budget: float
     weights: ObjectiveWeights
     clusters: dict[str, list[list[Cell]]] | None = None
-    _mask_cache: dict[str, np.ndarray] = dataclass_field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         self.population = np.asarray(self.population, dtype=float)
@@ -140,62 +140,33 @@ class Instance:
     def measure_ids(self) -> list[str]:
         return [u.id for u in self.measures]
 
-    def nbs_by_id(self, nbs_id: str) -> NbsType:
-        for t in self.nbs:
-            if t.id == nbs_id:
-                return t
-        raise KeyError(f"unknown NBS id {nbs_id!r}")
-
-    def measure_by_id(self, measure_id: str) -> UcMeasure:
-        for u in self.measures:
-            if u.id == measure_id:
-                return u
-        raise KeyError(f"unknown measure id {measure_id!r}")
-
-    def kernel(self, measure_id: str, nbs_id: str) -> Kernel:
-        return self.kernels[(measure_id, nbs_id)]
-
     def delta(self, measure_id: str) -> float:
-        return self.measure_by_id(measure_id).effective_delta()
+        return self.measures[self.measure_ids.index(measure_id)].effective_delta()
 
-    def _cells_to_mask(self, cells: Iterable[Cell]) -> np.ndarray:
-        mask = np.zeros(self.dims.shape, dtype=bool)
-        for i, j in cells:
-            mask[i, j] = True
-        return mask
+    def _grids(self, cells: Mapping[str, set[Cell]]) -> np.ndarray:
+        """Per NBS type in catalog order, a grid True at the type's `cells`."""
+        grids = np.zeros((len(self.nbs), *self.dims.shape), dtype=bool)
+        for grid, t in zip(grids, self.nbs_ids):
+            for i, j in cells[t]:
+                grid[i, j] = True
+        return grids
 
-    def forbidden_mask(self, nbs_id: str) -> np.ndarray:
-        key = f"F:{nbs_id}"
-        if key not in self._mask_cache:
-            self._mask_cache[key] = self._cells_to_mask(self.masks.forbidden[nbs_id])
-        return self._mask_cache[key]
+    @cached_property
+    def forbidden(self) -> np.ndarray:
+        """Forbidden cells, (types, width, height) in catalog order."""
+        return self._grids(self.masks.forbidden)
 
-    def pre_mask(self, nbs_id: str) -> np.ndarray:
-        key = f"E:{nbs_id}"
-        if key not in self._mask_cache:
-            self._mask_cache[key] = self._cells_to_mask(self.masks.pre_existing[nbs_id])
-        return self._mask_cache[key]
+    @cached_property
+    def pre_existing(self) -> np.ndarray:
+        """Pre-existing cells, (types, width, height) in catalog order."""
+        return self._grids(self.masks.pre_existing)
 
-    def any_pre_mask(self) -> np.ndarray:
-        key = "E:*"
-        if key not in self._mask_cache:
-            mask = np.zeros(self.dims.shape, dtype=bool)
-            for t in self.nbs_ids:
-                mask |= self.pre_mask(t)
-            self._mask_cache[key] = mask
-        return self._mask_cache[key]
-
-    def eligible_mask(self, nbs_id: str) -> np.ndarray:
-        """Cells where a new installation of `nbs_id` may go.
-
-        Excludes the type's forbidden cells and every pre-existing cell of any
-        type: occupied cells can host nothing else, and re-installing over a
-        pre-existing cell is meaningless.
-        """
-        key = f"elig:{nbs_id}"
-        if key not in self._mask_cache:
-            self._mask_cache[key] = ~self.forbidden_mask(nbs_id) & ~self.any_pre_mask()
-        return self._mask_cache[key]
+    @cached_property
+    def eligible(self) -> np.ndarray:
+        """Cells where a new installation of each type may go, (types, width,
+        height) in catalog order: neither the type's forbidden cells nor any
+        type's pre-existing cells, which host nothing new."""
+        return ~self.forbidden & ~self.pre_existing.any(axis=0)
 
     def clusters_for(self, nbs_id: str) -> list[list[Cell]]:
         if self.clusters is None:
@@ -359,13 +330,22 @@ def validate_instance(inst: Instance) -> None:
 # --- JSON schema -----------------------------------------------------------
 
 
+# what an error message says of an integer that `_huge` holds, in place of its digits
+HUGE_INTEGER = f"an integer beyond a float's range (above {sys.float_info.max:.4g} in magnitude)"
+
+
+def _huge(value: Any) -> bool:
+    """Whether a JSON value is an integer beyond a float's range."""
+    return type(value) is int and abs(value) > sys.float_info.max
+
+
 def _is_number(value: Any, integer: bool = False) -> bool:
     """Whether a JSON value is a number, or an integer where `integer` is set.
     JSON true and false load as bool, a subclass of int, yet are no number;
     where a float is wanted, an integer must lie within a float's range."""
     if isinstance(value, float):
         return not integer
-    return type(value) is int and (integer or abs(value) <= sys.float_info.max)
+    return type(value) is int and (integer or not _huge(value))
 
 
 def _expect(obj: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
@@ -374,7 +354,8 @@ def _expect(obj: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
         raise SchemaError(name, "missing required key")
     value = obj[key]
     if not (_is_number(value, kind is int) if kind in (int, float) else isinstance(value, kind)):
-        raise SchemaError(name, f"expected {kind.__name__}, got {type(value).__name__}")
+        got = HUGE_INTEGER if _huge(value) else type(value).__name__
+        raise SchemaError(name, f"expected {kind.__name__}, got {got}")
     return float(value) if kind is float else value
 
 
@@ -580,10 +561,12 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
 
 def read_json(path: str | Path, field: str) -> Any:
     """The parsed content of a JSON file; SchemaError naming `field` (the
-    file's role) when the file is not JSON text."""
+    file's role) when the file is not JSON text, is not UTF-8, or holds an
+    integer longer than Python converts (4,300 digits by default): all
+    three raise ValueError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise SchemaError(field, f"not valid JSON: {exc}")
 
 

@@ -284,8 +284,7 @@ class VariableLayout:
         pairs = _grid_labels(n_t, w, h)  # (t, i, j), type-major
         # a forbidden or pre-existing pair's x is fixed, so the compact model
         # leaves it out
-        self.x_pairs = np.arange(len(pairs)) if paper else np.flatnonzero(
-            np.stack([inst.eligible_mask(t).ravel() for t in self.nbs_ids]))
+        self.x_pairs = np.arange(len(pairs)) if paper else np.flatnonzero(inst.eligible)
         lam = [(ti, q) for ti, t in enumerate(self.nbs_ids)
                for q in range(len(self.cluster_lists[t]))]
         self.kinds: list[tuple[str, np.ndarray]] = [
@@ -346,9 +345,9 @@ def objective_normalizers(inst: Instance) -> Normalizers:
     do_nothing = engine.fairness(inst, engine.Placement.do_nothing(inst))
     f_min = float(do_nothing.sum())
     f_max = f_min
-    for t in inst.nbs_ids:
+    for t, forbidden in zip(inst.nbs_ids, inst.forbidden):
         placement = engine.Placement.empty(inst)
-        placement.masks[t] = ~inst.forbidden_mask(t)
+        placement.masks[t] = ~forbidden
         f_max = max(f_max, float(engine.fairness(inst, placement).sum()))
     spread = f_max - f_min
     fairness_scale = 1.0 / spread if spread > DEGENERATE_SCALE_TOL else 1.0
@@ -370,7 +369,7 @@ def linearization_big_m(inst: Instance) -> dict[str, float]:
     needs M >= delta. Take the max of both.
     """
     return {
-        u: max(compute_big_m([inst.kernel(u, t) for t in inst.nbs_ids]), inst.delta(u))
+        u: max(compute_big_m([inst.kernels[(u, t)] for t in inst.nbs_ids]), inst.delta(u))
         for u in inst.measure_ids
     }
 
@@ -395,17 +394,16 @@ def impact_bounds(inst: Instance, measure_ids: list[str]) -> np.ndarray:
     for the measures of `measure_ids`.
 
     Each source cell in the cell's window adds its largest kernel entry over
-    the NBS types that may be newly installed there (`eligible_mask`). One
+    the NBS types that may be newly installed there (`Instance.eligible`). One
     measure at a time, the entries go into a (cell, window offset) array as
     wide as the farthest such offset, summed per cell.
     """
     n, (w, h) = inst.dims.n_cells, inst.dims.shape
-    eligible = [inst.eligible_mask(t).ravel() for t in inst.nbs_ids]
     bounds = np.zeros((len(measure_ids), n))
     for u, bound in zip(measure_ids, bounds):
         entries = []  # (cell, di, dj, value) of every installable source
-        for t, ok in zip(inst.nbs_ids, eligible):
-            inside, di, dj, vals = _window(w, h, inst.kernel(u, t), ok)
+        for t, ok in zip(inst.nbs_ids, inst.eligible):
+            inside, di, dj, vals = _window(w, h, inst.kernels[(u, t)], ok)
             cell, k = np.nonzero(inside)
             entries.append((cell, di[k], dj[k], vals[k]))
         cell, di, dj, vals = map(np.concatenate, zip(*entries))
@@ -469,7 +467,7 @@ def _windowed_rows(
 def _not_pre(inst: Instance, layout: VariableLayout) -> np.ndarray:
     """Per (type, cell) pair, whether the pair has an x column and its cell
     is not pre-existing: the x columns that carry cost and impact."""
-    return (layout.x_column >= 0) & ~np.stack([inst.pre_mask(t).ravel() for t in layout.nbs_ids])
+    return (layout.x_column >= 0) & ~inst.pre_existing.reshape(layout.x_column.shape)
 
 
 def _shared_rows(inst: Instance, layout: VariableLayout) -> list[_Family]:
@@ -495,18 +493,18 @@ def _shared_rows(inst: Instance, layout: VariableLayout) -> list[_Family]:
     # Budget over newly installed cells; pre-existing ones are cost-free.
     new = _not_pre(inst, layout)
     if paper or new.any():
-        costs = np.array([inst.nbs_by_id(t).cost for t in ids])
+        costs = np.array([t.cost for t in inst.nbs])
         families.append(_rows(
             "budget", "budget", np.zeros((1, 0), dtype=np.int64), int(new.sum()), x[new],
             np.repeat(costs, new.sum(axis=1)), SENSE_LE, inst.budget,
         ))
 
     # The paper model fixes forbidden cells off and pre-existing cells on.
-    for tag, prefix, mask_of, value in (
-        ("forbidden", "forbid", inst.forbidden_mask, 0.0),
-        ("pre_existing", "pre", inst.pre_mask, 1.0),
+    for tag, prefix, grids, value in (
+        ("forbidden", "forbid", inst.forbidden, 0.0),
+        ("pre_existing", "pre", inst.pre_existing, 1.0),
     ) if paper else ():
-        ti, cell = np.nonzero(np.stack([mask_of(t).ravel() for t in ids]))
+        ti, cell = np.nonzero(grids.reshape(x.shape))
         families.append(_rows(
             tag, prefix + "_t{}_i{}_j{}", np.column_stack((ti, cells[cell])), 1,
             x[ti, cell], np.ones(len(cell)), SENSE_EQ, value,
@@ -542,7 +540,7 @@ def _conv_rows(inst: Instance, layout: VariableLayout, lead_base: int, sense) ->
     conv = [
         _windowed_rows(
             layout, layout.x_column, lead_base + ui * n + np.arange(n), np.full(n, -1.0),
-            [inst.kernel(u, t) for t in layout.nbs_ids], new,
+            [inst.kernels[(u, t)] for t in layout.nbs_ids], new,
         )
         for ui, u in enumerate(layout.measure_ids)
     ]
@@ -560,7 +558,7 @@ def _peak_rows(inst: Instance, layout: VariableLayout) -> _Family:
     return _rows(
         "peak", "peak_u{}_i{}_j{}", _unit_labels(layout), 2,
         np.column_stack((zbar, zmax)).ravel(), np.ones(2 * n_u * n), SENSE_GE,
-        np.concatenate([inst.measure_by_id(u).field.ravel() for u in layout.measure_ids]),
+        np.concatenate([u.field.ravel() for u in inst.measures]),
     )
 
 
@@ -576,7 +574,7 @@ def _avg_rows(inst: Instance, layout: VariableLayout, zavg: bool) -> _Family:
     return _rows(
         "avg", "avg_u{}", np.arange(n_u)[:, None], cols.shape[1], cols.ravel(), coefs.ravel(),
         SENSE_EQ if zavg else SENSE_LE,
-        [float(inst.measure_by_id(u).field.mean()) for u in layout.measure_ids],
+        [float(u.field.mean()) for u in inst.measures],
     )
 
 
@@ -594,7 +592,7 @@ def _objective(inst: Instance, layout: VariableLayout, norms: Normalizers):
     columns and the fairness weight `wf`, each f column's cost being `-wf`."""
     c, w, mids = np.zeros(layout.n_variables), inst.weights, layout.measure_ids
     c[layout.zmax_base : layout.zavg_base] = [w.peak[u] * norms.peak_scale[u] for u in mids]
-    weighted = [w.cost * inst.nbs_by_id(t).cost * norms.cost_scale for t in layout.nbs_ids]
+    weighted = [w.cost * t.cost * norms.cost_scale for t in inst.nbs]
     # pre-existing cells are cost-free
     pair_cost = np.where(_not_pre(inst, layout), np.array(weighted)[:, None], 0.0)
     c[layout.x_base : layout.y_base] = pair_cost.ravel()[layout.x_pairs]
@@ -684,7 +682,7 @@ def build_compact_model(inst: Instance) -> BuiltModel:
     """The paper model without its big-M rows, its defined columns and its
     fixed columns, with the same optimum, built from the instance.
 
-    x has a column only for an eligible (type, cell) pair (`eligible_mask`):
+    x has a column only for an eligible (type, cell) pair (`Instance.eligible`):
     a forbidden pair's x is 0 and a pre-existing cell's x is 1 (or 0 for the
     other types there), so there are no forbidden or pre_existing rows, no
     budget row left with no entry, and no one_type row over fewer than two
@@ -707,7 +705,7 @@ def build_compact_model(inst: Instance) -> BuiltModel:
     mids = inst.measure_ids
     n, n_u = inst.dims.n_cells, len(mids)
     delta = np.repeat([inst.delta(u) for u in mids], n).reshape(n_u, n)
-    totals = np.stack([inst.measure_by_id(u).field.ravel() for u in mids]).sum(axis=1)
+    totals = np.stack([u.field.ravel() for u in inst.measures]).sum(axis=1)
     # min(M_c, delta) <= delta, so the sum over cells is at most delta's
     maybe = delta.sum(axis=1) > totals
     bound = np.zeros((n_u, n))
@@ -752,7 +750,7 @@ def build_compact_model(inst: Instance) -> BuiltModel:
     # its x's share of c_def @ A_def; a pre-existing pair's x is 1, so its
     # share goes into the constant.
     c, czavg, wf = _objective(inst, layout, norms)
-    pre = np.stack([inst.pre_mask(t).ravel() for t in inst.nbs_ids])
+    pre = inst.pre_existing.reshape(len(inst.nbs), n)
     pairs = np.arange(pre.size).reshape(pre.shape)
     _, fair_pairs, fair_coefs = _fairness_entries(
         inst, layout, pairs, (layout.x_column >= 0) | pre, None)
@@ -797,10 +795,7 @@ class InfeasiblePlacement(ValueError):
 
 def _new_cost(inst: Instance, placement: engine.Placement) -> float:
     """The cost of a placement's newly installed cells."""
-    cost = 0.0
-    for t in inst.nbs_ids:
-        cost += inst.nbs_by_id(t).cost * int(placement.new_mask(inst, t).sum())
-    return cost
+    return sum(t.cost * int(new.sum()) for t, new in zip(inst.nbs, placement.new_masks(inst)))
 
 
 def check_placement(
@@ -821,10 +816,10 @@ def check_placement(
     if cost > inst.budget * (1 + FEAS_TOL) + FEAS_TOL:
         violations.append(Violation("budget", f"cost {cost!r} exceeds budget {inst.budget!r}"))
 
-    for t in inst.nbs_ids:
-        if (placement.masks[t] & inst.forbidden_mask(t)).any():
+    for t, forbidden, pre in zip(inst.nbs_ids, inst.forbidden, inst.pre_existing):
+        if (placement.masks[t] & forbidden).any():
             violations.append(Violation("forbidden", f"NBS {t!r} placed on forbidden cell(s)"))
-        if (inst.pre_mask(t) & ~placement.masks[t]).any():
+        if (pre & ~placement.masks[t]).any():
             violations.append(Violation(
                 "pre_existing", f"pre-existing NBS {t!r} cell(s) switched off"))
 

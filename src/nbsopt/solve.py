@@ -145,13 +145,12 @@ def _free_units(inst: Instance) -> list[tuple[tuple, str, list[Cell]]]:
     of one cell share its slot.
     """
     units: list[tuple[tuple, str, list[Cell]]] = []
-    free = []
-    for t in inst.nbs_ids:
-        free.append(inst.eligible_mask(t).copy())
+    free = inst.eligible.copy()
+    for t, free_t in zip(inst.nbs_ids, free):
         for q, group in enumerate(inst.clusters_for(t)):
             units.append((("cluster", t, q), t, list(group)))
-            free[-1][tuple(np.transpose(group))] = False
-    for i, j, k in zip(*(a.tolist() for a in np.nonzero(np.stack(free, axis=-1)))):
+            free_t[tuple(np.transpose(group))] = False
+    for i, j, k in zip(*(a.tolist() for a in np.nonzero(np.moveaxis(free, 0, -1)))):
         units.append((("cell", i, j), inst.nbs_ids[k], [(i, j)]))
     return units
 
@@ -164,11 +163,13 @@ def _unit_arrays(inst: Instance, units: list[tuple[tuple, str, list[Cell]]]):
     cover = np.zeros((len(units), *inst.dims.shape), dtype=bool)
     dz = np.zeros((len(units), len(inst.measure_ids), inst.dims.n_cells))
     df, cost = np.zeros(len(units)), np.zeros(len(units))
+    unit_cost = {t.id: t.cost for t in inst.nbs}
     for k, (_, t, cells) in enumerate(units):
         cover[k][tuple(np.transpose(cells))] = True
-        dz[k] = [engine.correlate(cover[k], inst.kernel(u, t)).ravel() for u in inst.measure_ids]
+        dz[k] = [engine.correlate(cover[k], inst.kernels[(u, t)]).ravel()
+                 for u in inst.measure_ids]
         df[k] = (inst.population * engine.correlate(cover[k], inst.fairness_kernels[t])).sum()
-        cost[k] = inst.nbs_by_id(t).cost * len(cells)
+        cost[k] = unit_cost[t] * len(cells)
     return cover.reshape(len(units), inst.dims.n_cells), dz, df.tolist(), cost.tolist()
 
 
@@ -343,10 +344,9 @@ def placement_from_values(
     """Rebuild a placement from a column vector: the pre-existing cells, and
     the (type, cell) pair of every x column above 0.5."""
     layout = model.layout
-    placed = np.zeros(layout.x_column.size, dtype=bool)
-    placed[layout.x_pairs[values[layout.x_base : layout.y_base] > 0.5]] = True
-    masks = placed.reshape(len(inst.nbs_ids), *inst.dims.shape)
-    return engine.Placement({t: mask | inst.pre_mask(t) for t, mask in zip(inst.nbs_ids, masks)})
+    placed = np.zeros(inst.pre_existing.shape, dtype=bool)
+    placed.flat[layout.x_pairs[values[layout.x_base : layout.y_base] > 0.5]] = True
+    return engine.Placement(dict(zip(inst.nbs_ids, placed | inst.pre_existing)))
 
 
 class ClaimRejected(ValueError):

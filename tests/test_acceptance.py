@@ -133,7 +133,7 @@ def test_c02_linearization_property(suite_results, monkeypatch):
                 zbar = vals[layout.zbar_base + ui * n : layout.zbar_base + (ui + 1) * n]
                 err = np.abs(zbar - np.minimum(z, delta)).max()
                 assert err <= 1e-6, f"seed {seed}, {u}: |zbar - min(z, delta)| = {err}"
-                a = inst.measure_by_id(u).field.ravel()
+                a = inst.measures[ui].field.ravel()
                 zmax = vals[layout.zmax_base + ui]
                 assert abs(zmax - (a - zbar).max()) <= 1e-6, (
                     f"seed {seed}, {u}: zmax {zmax} vs {(a - zbar).max()}"

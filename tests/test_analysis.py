@@ -120,13 +120,13 @@ class TestBuildReport:
     def test_categories_partition_grid(self, solved_small):
         inst, result = solved_small
         report = build_report(inst, result)
-        for t, cat in report.placement_categories.items():
+        new = result.placement.new_masks(inst)
+        for k, cat in enumerate(report.placement_categories.values()):
             assert cat.shape == inst.dims.shape
             assert set(np.unique(cat)) <= {CAT_FORBIDDEN, CAT_UNUSED,
                                            CAT_PRE_EXISTING, CAT_NEW}
-            np.testing.assert_array_equal(cat == CAT_NEW,
-                                          result.placement.new_mask(inst, t))
-            np.testing.assert_array_equal(cat == CAT_PRE_EXISTING, inst.pre_mask(t))
+            np.testing.assert_array_equal(cat == CAT_NEW, new[k])
+            np.testing.assert_array_equal(cat == CAT_PRE_EXISTING, inst.pre_existing[k])
 
     def test_gini_recomputed_from_fairness_field(self, solved_small):
         from nbsopt import engine

@@ -87,6 +87,18 @@ class TestValidate:
     def test_missing_file_exits_4(self, tmp_path):
         assert run(["validate", str(tmp_path / "nope.json")]) == 4
 
+    def test_an_integer_past_the_digit_limit_is_a_schema_error(self, tiny_instance_path,
+                                                               tmp_path, capsys):
+        # Python converts no integer longer than 4,300 digits from text
+        text = tiny_instance_path.read_text()
+        budget = json.dumps(json.loads(text)["budget"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(f'"budget": {budget}', '"budget": 1' + "0" * 5000))
+        assert run(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith('error code=instance.schema message=": not valid JSON: ')
+        assert len(err) < 400
+
     @pytest.mark.parametrize("key, value, code", [
         ("cost", 1e16, 2), ("cost", 1e308, 2), ("field", 1e308, 2), ("cost", 9.9e14, 0),
     ])
@@ -553,7 +565,12 @@ class TestConfigValueTypes:
         [key] = config
         assert (code, calls) == (2, [])
         assert not paths["out"].exists()
-        assert capsys.readouterr().err.startswith(f"error code=config.schema message=\"config.{key}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error code=config.schema message=\"config.{key}: ")
+        if config[key] == 10**400:  # names the range, not the digits
+            assert f"config.{key}: expected a number, got an integer beyond a float's range " \
+                   "(above 1.798e+308 in magnitude)" in err
+            assert len(err) < 200
 
     def test_an_integer_is_a_number(self, tiny_instance_path, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -121,7 +121,7 @@ class TestImpactField:
     def test_bounded_by_big_m(self):
         rng = np.random.default_rng(17)
         inst = generate_synthetic(0, GridDims(8, 8), pre_existing_fraction=0.0)
-        m = compute_big_m([inst.kernel(PM10, t) for t in inst.nbs_ids])
+        m = compute_big_m([inst.kernels[(PM10, t)] for t in inst.nbs_ids])
         for _ in range(10):
             shape = (8, 8)
             taken = np.zeros(shape, dtype=bool)

@@ -2,8 +2,9 @@
 
 Each case sets one key path, the root included, to one of `ODD_VALUES`; a
 list is entered at its first entry only. The instance reader either loads
-the file or raises `InstanceError`, and `nbsopt report` exits 0, 2 or 3 and
-never raises.
+the file or raises `InstanceError`; an instance that loads gets the same
+status and objective from the oracle and from the external backend; and
+`nbsopt report` exits 0, 2 or 3 and never raises.
 """
 
 import copy
@@ -14,6 +15,8 @@ import pytest
 from nbsopt import GridDims, generate_synthetic
 from nbsopt.cli import main
 from nbsopt.instance import InstanceError, load_instance, save_instance
+from nbsopt.model import OBJECTIVE_MATCH_TOL, values_close
+from nbsopt.solve import OracleCapExceeded, SolveConfig, solve_external, solve_oracle
 
 ODD_VALUES = [None, True, "x", [], {}, float("nan"), float("inf"), -1, 0, 1e308, 10**400]
 
@@ -75,6 +78,35 @@ def test_the_instance_reader_loads_or_refuses(solved):
         except Exception as exc:  # name the case that raised
             pytest.fail(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
     assert loaded  # a name "x" or a budget 0 is a valid instance
+
+
+def test_both_backends_agree_on_every_instance_that_loads(solved):
+    """Only an instance with more decision units than the oracle's cap is
+    left out."""
+    work, instance_path, _ = solved
+    raw = json.loads(instance_path.read_text())
+    target, compared = work / "solved_instance.json", 0
+    config = SolveConfig(backend="external", time_limit=60.0)
+    for path, value, text in cases(raw):
+        target.write_text(text)
+        try:
+            inst = load_instance(target)
+        except InstanceError:
+            continue
+        try:
+            oracle = solve_oracle(inst)
+        except OracleCapExceeded:
+            continue
+        external = solve_external(inst, config)
+        case = f"{path} = {value!r}: oracle {oracle.status} {oracle.objective!r}, " \
+               f"external {external.status} {external.objective!r}"
+        assert external.status == oracle.status, case
+        if oracle.objective is None:
+            assert external.objective is None, case
+        else:
+            assert values_close(external.objective, oracle.objective, OBJECTIVE_MATCH_TOL), case
+        compared += 1
+    assert compared >= 20
 
 
 def test_report_exits_0_2_or_3(solved, capsys):

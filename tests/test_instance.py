@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nbsopt import GridDims, generate_synthetic
+from nbsopt.clustering import with_clusters
 from nbsopt.instance import (
     SchemaError,
     ValidationError,
@@ -97,6 +98,11 @@ class TestSchema:
         with pytest.raises(SchemaError) as exc:
             instance_from_dict(raw)
         assert exc.value.field == field
+        if type(value) is int and abs(value) > 1e308:  # names the range, not the digits
+            message = str(exc.value)
+            assert message == (f"{field}: expected float, got an integer beyond a float's "
+                               "range (above 1.798e+308 in magnitude)")
+            assert len(message) < 200
 
     def test_population_normalized_on_load(self):
         raw = minimal_dict()
@@ -290,6 +296,36 @@ class TestGenerator:
             inst = generate_synthetic(seed, GridDims(5, 7), nbs_count=2, measure_count=3,
                                       forbidden_fraction=0.4, pre_existing_fraction=0.2)
             validate_instance(inst)  # raises on failure
+
+
+class TestGrids:
+    @pytest.mark.parametrize("make", [
+        lambda: generate_synthetic(5, GridDims(7, 5), nbs_count=3, measure_count=1,
+                                   forbidden_fraction=0.3, pre_existing_fraction=0.1),
+        cluster_demo_instance,
+    ], ids=["generated", "cluster_demo"])
+    def test_grids_hold_the_mask_cells_in_catalog_order(self, make):
+        inst = make()
+        shape = (len(inst.nbs), *inst.dims.shape)
+        for grids in (inst.forbidden, inst.pre_existing, inst.eligible):
+            assert grids.shape == shape and grids.dtype == bool
+        assert inst.pre_existing.any()
+        for k, t in enumerate(inst.nbs_ids):
+            assert set(map(tuple, np.argwhere(inst.forbidden[k]).tolist())) \
+                == inst.masks.forbidden[t]
+            assert set(map(tuple, np.argwhere(inst.pre_existing[k]).tolist())) \
+                == inst.masks.pre_existing[t]
+        assert not inst.eligible[:, inst.pre_existing.any(axis=0)].any()
+        np.testing.assert_array_equal(
+            inst.eligible, ~inst.forbidden & ~inst.pre_existing.any(axis=0))
+
+    def test_a_copy_with_clusters_builds_its_own_grids(self):
+        inst = cluster_demo_instance()
+        copy = with_clusters(inst, {})
+        for name in ("forbidden", "pre_existing", "eligible"):
+            grids, copied = getattr(inst, name), getattr(copy, name)
+            assert copied is not grids
+            np.testing.assert_array_equal(copied, grids)
 
 
 def test_json_numbers_survive_python_json(tmp_path):

@@ -181,9 +181,9 @@ class TestNormalizers:
         """The best fairness total of a placement installing one NBS type on
         every cell it is not forbidden on."""
         totals = []
-        for t in inst.nbs_ids:
+        for t, forbidden in zip(inst.nbs_ids, inst.forbidden):
             placement = Placement.empty(inst)
-            placement.masks[t] = ~inst.forbidden_mask(t)
+            placement.masks[t] = ~forbidden
             totals.append(float(fairness(inst, placement).sum()))
         return max(totals)
 
@@ -207,7 +207,7 @@ class TestBigM:
     def test_linearization_big_m_covers_delta(self):
         # tiny kernels with a large field: delta exceeds the impact bound
         inst = make_instance(np.full((3, 3), 100.0))
-        assert compute_big_m([inst.kernel("M", t) for t in inst.nbs_ids]) == 10.0
+        assert compute_big_m([inst.kernels[("M", t)] for t in inst.nbs_ids]) == 10.0
         assert linearization_big_m(inst)["M"] == 20.0  # delta = 0.2 * 100
 
     def test_clamp_witness_residuals(self):
@@ -222,17 +222,15 @@ def naive_impact_bounds(inst) -> np.ndarray:
     """Per (measure, cell), the sum over source cells of the largest kernel
     entry of any type that may be newly installed there, as plain loops."""
     w, h = inst.dims.shape
-    occupied = np.zeros((w, h), dtype=bool)
-    for t in inst.nbs_ids:
-        occupied |= inst.pre_mask(t)
+    occupied = inst.pre_existing.any(axis=0)
     out = np.zeros((len(inst.measure_ids), w, h))
     for ui, u in enumerate(inst.measure_ids):
         for i, j, si, sj in np.ndindex(w, h, w, h):
             best = 0.0
-            for t in inst.nbs_ids:
-                k = inst.kernel(u, t)
+            for t, forbidden in zip(inst.nbs_ids, inst.forbidden):
+                k = inst.kernels[(u, t)]
                 a, b = si - i + k.width // 2, sj - j + k.height // 2
-                if (inst.forbidden_mask(t)[si, sj] or occupied[si, sj]
+                if (forbidden[si, sj] or occupied[si, sj]
                         or not (0 <= a < k.width and 0 <= b < k.height)):
                     continue
                 best = max(best, k.entries[a, b])
@@ -310,13 +308,12 @@ class TestEvaluateSolution:
         for _ in range(10):
             placement = Placement.do_nothing(inst)
             cost = 0.0
-            for t in inst.nbs_ids:
-                eligible = np.argwhere(inst.eligible_mask(t))
-                for i, j in eligible:
+            for t, eligible in zip(inst.nbs, inst.eligible):
+                unit_cost = t.cost
+                for i, j in np.argwhere(eligible):
                     occupied = any(placement.masks[s][i, j] for s in inst.nbs_ids)
-                    unit_cost = inst.nbs_by_id(t).cost
                     if not occupied and rng.random() < 0.3 and cost + unit_cost <= inst.budget:
-                        placement.masks[t][i, j] = True
+                        placement.masks[t.id][i, j] = True
                         cost += unit_cost
             vals = variable_vector(inst, model, placement)
             assert constraint_residuals(model, vals) <= 1e-9
@@ -334,8 +331,7 @@ class TestAllForbidden:
         norms = objective_normalizers(inst)
         do_nothing = evaluate_solution(inst, Placement.do_nothing(inst), norms)
         assert result.objective == pytest.approx(do_nothing.total, abs=1e-12)
-        for t in inst.nbs_ids:
-            assert result.placement.new_mask(inst, t).sum() == 0
+        assert result.placement.new_masks(inst).sum() == 0
 
 
 class TestPureFairnessWeights:

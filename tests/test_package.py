@@ -44,14 +44,19 @@ def _references(node: ast.AST) -> set[str]:
 
 
 def test_every_public_definition_is_used_inside_the_package():
-    """A public top-level function or class that no other code in src/nbsopt
-    reads serves only its tests (or nothing)."""
+    """A public top-level function or class, or a public method or property
+    of a class, that no other code in src/nbsopt reads serves only its tests
+    (or nothing). A method or property is read as an attribute, outside its
+    own body."""
     defined: dict[str, str] = {}
     used: set[str] = set()
+    methods: list[tuple[str, str, ast.FunctionDef]] = []  # (module, class, method)
+    reads: list[tuple[str, int, str]] = []  # (module, line, name) per attribute read
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
                     defined[node.name] = path.name
@@ -59,7 +64,16 @@ def test_every_public_definition_is_used_inside_the_package():
                 used |= _references(node) - {node.name}
             else:
                 used |= _references(node)
+        methods += [(path.name, cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+        reads += [(path.name, sub.lineno, sub.attr) for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)]
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    unused += sorted(
+        f"{module}:{cls}.{fn.name}" for module, cls, fn in methods
+        if not any(name == fn.name and not (where == module and fn.lineno <= line <= fn.end_lineno)
+                   for where, line, name in reads))
     assert unused == [], f"defined but not used in src/nbsopt: {unused}"
 
 

@@ -538,8 +538,7 @@ class TestCompactSolve:
             layout = model.layout
             kind = np.array([name.split("_")[0] for name in layout.column_names()])
             fixed = np.zeros(model.n_variables, dtype=bool)
-            fixed[: layout.y_base] = ~np.concatenate(
-                [inst.eligible_mask(t).ravel() for t in inst.nbs_ids])
+            fixed[: layout.y_base] = ~inst.eligible.ravel()
             kept = np.flatnonzero(~np.isin(kind, ["y", "z", "zavg", "f"]) & ~fixed)
             target = np.full(model.n_variables, -1)
             target[kept] = np.arange(len(kept))
@@ -558,7 +557,7 @@ class TestCompactSolve:
             rows = ~np.isin(tags, ["bigm", "fairness", "forbidden", "pre_existing"])
             rows &= mapped_a.getnnz(axis=1) > np.where(tags == "one_type", 1, 0)
             # the x of a pre-existing cell is 1
-            pre = np.concatenate([inst.pre_mask(t).ravel() for t in inst.nbs_ids])
+            pre = inst.pre_existing.ravel()
             rhs = model.rhs - to_scipy(model.a)[:, : layout.y_base] @ pre
             expected = sparse.csr_matrix(mapped_a[rows])
             expected.sort_indices()
@@ -805,8 +804,7 @@ def test_each_model_names_its_own_columns(label, make):
     # a compact column has the name of its paper column: the eligible (type,
     # cell) pairs' x, the guard cells' y, zbar, zmax and lam
     p, c = paper.layout, compact.layout
-    eligible = np.flatnonzero(np.concatenate([inst.eligible_mask(t).ravel()
-                                              for t in inst.nbs_ids]))
+    eligible = np.flatnonzero(inst.eligible)
     columns = np.r_[p.x_base + eligible, p.y_base + c.guard_cells, p.zbar_base : p.zavg_base,
                     p.lam_base : p.n_variables]
     paper_names = np.array(paper.layout.column_names())
@@ -962,8 +960,8 @@ class TestExternalContract:
         # the model has a column for every eligible cell; together they cost
         # more than the budget
         inst = self.make_inst()
-        cells = np.argwhere(inst.eligible_mask("GW")).tolist()
-        assert len(cells) * inst.nbs_by_id("GW").cost > inst.budget
+        cells = np.argwhere(inst.eligible[inst.nbs_ids.index("GW")]).tolist()
+        assert len(cells) * inst.nbs[inst.nbs_ids.index("GW")].cost > inst.budget
         values = "".join(f"x_t0_i{i}_j{j} 1.0\n" for i, j in cells)
         fake = FakeSolverScript(tmp_path, f"# status optimal\n# objective 0.0\n{values}")
         cfg = SolveConfig(backend="external", time_limit=10, solver_cmd=fake.template())
