@@ -87,8 +87,7 @@ def build_report(inst: Instance, result: SolveResult) -> Report:
         raise ValueError(f"result has no checked placement (status {result.status!r})")
 
     measures = []
-    for u in inst.measures:
-        zbar = breakdown.reduction[u.id]
+    for u, zbar in zip(inst.measures, breakdown.reduction):
         reduced = u.field - zbar
         measures.append({
             "id": u.id,
@@ -140,7 +139,7 @@ def report_to_dict(report: Report) -> dict:
         "measures": [{**m, "reduction": m["reduction"].tolist()} for m in report.measures],
         "nbs": report.nbs,
         "gini": report.gini,
-        "objective": report.objective.to_dict(),
+        "objective": report.objective.terms,
         "placement_categories": {
             t: cat.tolist() for t, cat in sorted(report.placement_categories.items())
         },

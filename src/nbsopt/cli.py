@@ -23,15 +23,14 @@ from . import analysis, clustering, kernels as kf
 from .engine import Placement
 from .generator import generate_synthetic
 from .instance import (
-    HUGE_INTEGER,
     GridDims,
     Instance,
     InstanceError,
     SchemaError,
     ValidationError,
-    _huge,
     _is_number,
     _parse_cells,
+    _shown,
     load_instance,
     read_json,
     save_instance,
@@ -98,8 +97,7 @@ def _pick(args: argparse.Namespace, config: dict, key: str, default: Any) -> Any
     value, kind = config[key], type(default)
     if not (_is_number(value, kind is int) if kind in (int, float) else isinstance(value, str)):
         expected = {int: "an integer", float: "a number"}.get(kind, "a string")
-        got = HUGE_INTEGER if _huge(value) else repr(value)
-        raise SchemaError(f"config.{key}", f"expected {expected}, got {got}")
+        raise SchemaError(f"config.{key}", f"expected {expected}, got {_shown(value)}")
     return float(value) if kind is float else value
 
 
@@ -112,7 +110,7 @@ def _result_to_dict(result: SolveResult, inst: Instance) -> dict[str, Any]:
         "objective": result.objective,
         "bound": result.bound,
         "new_cells": new_cells,
-        "objective_terms": result.breakdown.to_dict() if result.breakdown else None,
+        "objective_terms": result.breakdown.terms if result.breakdown else None,
         "metadata": {
             "backend": result.backend,
             "wall_time": result.wall_time,
@@ -145,7 +143,8 @@ def _result_from_dict(raw: Any, inst: Instance) -> SolveResult:
             by_type[t] = _parse_cells(raw_cells, where)
             for i, j in sorted(by_type[t]):
                 if not (0 <= i < w and 0 <= j < h):
-                    raise SchemaError(where, f"cell [{i}, {j}] outside the {w}x{h} grid")
+                    raise SchemaError(
+                        where, f"cell [{_shown(i)}, {_shown(j)}] outside the {w}x{h} grid")
         placement = Placement.from_new_cells(inst, by_type)
     meta = raw.get("metadata", {})
     if not isinstance(meta, dict):

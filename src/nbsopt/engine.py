@@ -2,13 +2,14 @@
 
 One windowed-sum routine, `correlate`, applies every kernel. Three field
 functions apply an instance's kernels to a whole placement: the raw impact on
-a measure (newly installed cells only), the reduction it achieves (that
-impact capped at the measure's `delta`), and the population-weighted fairness
-field. The objective evaluation and the placement check call them; the
-post-solve analysis reads the fields the evaluation kept. The enumeration
-oracle runs `correlate` on each decision unit's cell indicator, sums those
-increments as it descends, and scores each leaf with the evaluation's formula
-(`model.objective_terms`) and the checker's tolerance.
+every measure (newly installed cells only), the reduction it achieves (that
+impact capped at each measure's `delta`), both (measures, width, height) in
+measure order, and the population-weighted fairness field. The objective
+evaluation and the placement check call them; the post-solve analysis reads
+the fields the evaluation kept. The enumeration oracle runs `correlate` on
+each decision unit's cell indicator, sums those increments as it descends,
+and scores each leaf with the evaluation's formula (`model.objective_terms`)
+and the checker's tolerance.
 
 Boundary cells outside the grid contribute zero. Orientation is
 cross-correlation (no kernel flip); all bundled kernels are symmetric so the
@@ -87,22 +88,23 @@ def correlate(field: np.ndarray, kernel: Kernel) -> np.ndarray:
     return out
 
 
-def measure_impact(inst: Instance, placement: Placement, measure_id: str) -> np.ndarray:
-    """Summed kernel impact of the newly installed cells on one measure;
-    pre-existing cells contribute nothing."""
-    impact = np.zeros(inst.dims.shape)
+def impact(inst: Instance, placement: Placement) -> np.ndarray:
+    """Summed kernel impact of the newly installed cells on each measure,
+    (measures, width, height) in measure order; pre-existing cells contribute
+    nothing."""
+    out = np.zeros((len(inst.measures), *inst.dims.shape))
     for t, new in zip(inst.nbs_ids, placement.new_masks(inst)):
         if new.any():  # an empty mask adds an all-zero field
-            impact += correlate(new, inst.kernels[(measure_id, t)])
-    return impact
+            out += [correlate(new, inst.kernels[(u, t)]) for u in inst.measure_ids]
+    return out
 
 
-def measure_reduction(inst: Instance, placement: Placement, measure_id: str) -> np.ndarray:
-    """Achieved reduction of one measure: its impact capped at `delta`."""
-    delta = inst.delta(measure_id)
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    return np.minimum(measure_impact(inst, placement, measure_id), delta)
+def reduction(inst: Instance, placement: Placement) -> np.ndarray:
+    """Achieved reduction of each measure: its impact capped at its `delta`,
+    (measures, width, height) in measure order."""
+    if (inst.deltas < 0).any():
+        raise ValueError(f"delta must be >= 0, got {float(inst.deltas.min())}")
+    return np.minimum(impact(inst, placement), inst.deltas[:, None, None])
 
 
 def fairness(inst: Instance, placement: Placement) -> np.ndarray:

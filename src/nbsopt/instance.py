@@ -5,9 +5,10 @@ the NBS catalog with per-cell costs, observed measure fields, impact and
 fairness kernels, forbidden/pre-existing masks, the population distribution,
 the budget, objective weights, and (optionally) all-or-nothing cluster
 assignments. Instances are treated as immutable after construction and are
-safe to share across concurrent solves: the per-type cell grids each compute
-once, on first read, from data that does not change, so two solves that race
-to the first read only compute them twice.
+safe to share across concurrent solves: the per-type cell grids and the
+per-measure fields and deltas each compute once, on first read, from data
+that does not change, so two solves that race to the first read only compute
+them twice.
 """
 
 from __future__ import annotations
@@ -140,8 +141,15 @@ class Instance:
     def measure_ids(self) -> list[str]:
         return [u.id for u in self.measures]
 
-    def delta(self, measure_id: str) -> float:
-        return self.measures[self.measure_ids.index(measure_id)].effective_delta()
+    @cached_property
+    def fields(self) -> np.ndarray:
+        """Observed fields, (measures, width, height) in measure order."""
+        return np.array([u.field for u in self.measures])
+
+    @cached_property
+    def deltas(self) -> np.ndarray:
+        """Each measure's reduction cap, `UcMeasure.effective_delta`, in measure order."""
+        return np.array([u.effective_delta() for u in self.measures])
 
     def _grids(self, cells: Mapping[str, set[Cell]]) -> np.ndarray:
         """Per NBS type in catalog order, a grid True at the type's `cells`."""
@@ -224,7 +232,7 @@ def validate_instance(inst: Instance) -> None:
     def check_cells(cells: Iterable[Cell], label: str) -> None:
         for i, j in cells:
             if not (0 <= i < dims.width and 0 <= j < dims.height):
-                problems.append(f"{label}: cell ({i}, {j}) outside the grid")
+                problems.append(f"{label}: cell ({_shown(i)}, {_shown(j)}) outside the grid")
 
     for t in nbs_ids:
         if t not in inst.masks.forbidden:
@@ -337,6 +345,12 @@ HUGE_INTEGER = f"an integer beyond a float's range (above {sys.float_info.max:.4
 def _huge(value: Any) -> bool:
     """Whether a JSON value is an integer beyond a float's range."""
     return type(value) is int and abs(value) > sys.float_info.max
+
+
+def _shown(value: Any) -> str:
+    """A JSON value as an error message names it: `HUGE_INTEGER` where
+    `_huge` holds, its repr otherwise."""
+    return HUGE_INTEGER if _huge(value) else repr(value)
 
 
 def _is_number(value: Any, integer: bool = False) -> bool:

@@ -27,6 +27,10 @@ The minimized objective is the weighted sum of normalized peak, mean, and
 cost terms minus the normalized total fairness. Peak and mean terms divide by
 the field maximum, cost by the budget, and fairness is min-max scaled between
 the pre-existing-only total and the best single-type-everywhere total.
+The rows, normalizers and big-M constants read the measures' fields and
+deltas from the instance's arrays (`Instance.fields`, `Instance.deltas`), in
+measure order, and the check and the evaluation take `engine.reduction`'s
+array; measure ids key only the kernels, the weights and the files.
 
 Two models share the row builders and differ only in data, both BuiltModels:
 the paper model (`build_model`), which `nbsopt build` writes as MPS, and the
@@ -320,7 +324,7 @@ class Normalizers:
     with the fairness field of the pre-existing-only placement, whose total is
     `fairness_min`."""
 
-    peak_scale: dict[str, float]
+    peak_scale: tuple[float, ...]
     cost_scale: float
     fairness_scale: float
     fairness_min: float
@@ -336,10 +340,8 @@ def objective_normalizers(inst: Instance) -> Normalizers:
     type on every cell it is not forbidden on. Degenerate scales fall back to
     one.
     """
-    peak_scale: dict[str, float] = {}
-    for u in inst.measures:
-        m = float(np.max(u.field))
-        peak_scale[u.id] = 1.0 / m if m > DEGENERATE_SCALE_TOL else 1.0
+    peak_scale = tuple(1.0 / m if m > DEGENERATE_SCALE_TOL else 1.0
+                       for m in inst.fields.max(axis=(1, 2)).tolist())
     cost_scale = 1.0 / inst.budget if inst.budget > 0 else 1.0
 
     do_nothing = engine.fairness(inst, engine.Placement.do_nothing(inst))
@@ -360,18 +362,17 @@ def objective_normalizers(inst: Instance) -> Normalizers:
     )
 
 
-def linearization_big_m(inst: Instance) -> dict[str, float]:
-    """Big-M constants used in the clamp rows, per measure.
+def linearization_big_m(inst: Instance) -> np.ndarray:
+    """Big-M constants used in the clamp rows, per measure in measure order.
 
     The upper bound on the raw impact z (`compute_big_m`, the largest kernel
     sum) alone is not enough: the rows z >= delta - M*y and
     zbar >= delta - M*y must stay satisfiable at z = 0 with y = 1, which
     needs M >= delta. Take the max of both.
     """
-    return {
-        u: max(compute_big_m([inst.kernels[(u, t)] for t in inst.nbs_ids]), inst.delta(u))
-        for u in inst.measure_ids
-    }
+    kernel_sums = [compute_big_m([inst.kernels[(u, t)] for t in inst.nbs_ids])
+                   for u in inst.measure_ids]
+    return np.maximum(kernel_sums, inst.deltas)
 
 
 def _window(w: int, h: int, kernel: Kernel, ok: np.ndarray):
@@ -389,9 +390,10 @@ def _window(w: int, h: int, kernel: Kernel, ok: np.ndarray):
             kernel.entries[a, b])
 
 
-def impact_bounds(inst: Instance, measure_ids: list[str]) -> np.ndarray:
-    """M_c, the largest impact Kx can reach at each cell, per (measure, cell),
-    for the measures of `measure_ids`.
+def impact_bounds(inst: Instance, measures: np.ndarray) -> np.ndarray:
+    """M_c, the largest impact Kx can reach at each cell, per (measure, cell)
+    in measure order, for the measures where the mask `measures` is set, and
+    0 for the others.
 
     Each source cell in the cell's window adds its largest kernel entry over
     the NBS types that may be newly installed there (`Instance.eligible`). One
@@ -399,18 +401,19 @@ def impact_bounds(inst: Instance, measure_ids: list[str]) -> np.ndarray:
     wide as the farthest such offset, summed per cell.
     """
     n, (w, h) = inst.dims.n_cells, inst.dims.shape
-    bounds = np.zeros((len(measure_ids), n))
-    for u, bound in zip(measure_ids, bounds):
+    ids = inst.measure_ids
+    bounds = np.zeros((len(ids), n))
+    for ui in np.flatnonzero(measures):
         entries = []  # (cell, di, dj, value) of every installable source
         for t, ok in zip(inst.nbs_ids, inst.eligible):
-            inside, di, dj, vals = _window(w, h, inst.kernels[(u, t)], ok)
+            inside, di, dj, vals = _window(w, h, inst.kernels[(ids[ui], t)], ok)
             cell, k = np.nonzero(inside)
             entries.append((cell, di[k], dj[k], vals[k]))
         cell, di, dj, vals = map(np.concatenate, zip(*entries))
         r = max(np.abs(di).max(initial=0), np.abs(dj).max(initial=0))
         largest = np.zeros((n, 2 * r + 1, 2 * r + 1))
         np.maximum.at(largest, (cell, di + r, dj + r), vals)
-        bound[:] = largest.sum(axis=(1, 2))
+        bounds[ui] = largest.sum(axis=(1, 2))
     return bounds
 
 
@@ -558,7 +561,7 @@ def _peak_rows(inst: Instance, layout: VariableLayout) -> _Family:
     return _rows(
         "peak", "peak_u{}_i{}_j{}", _unit_labels(layout), 2,
         np.column_stack((zbar, zmax)).ravel(), np.ones(2 * n_u * n), SENSE_GE,
-        np.concatenate([u.field.ravel() for u in inst.measures]),
+        inst.fields.ravel(),
     )
 
 
@@ -573,8 +576,7 @@ def _avg_rows(inst: Instance, layout: VariableLayout, zavg: bool) -> _Family:
         coefs = np.column_stack((coefs, np.ones(n_u)))
     return _rows(
         "avg", "avg_u{}", np.arange(n_u)[:, None], cols.shape[1], cols.ravel(), coefs.ravel(),
-        SENSE_EQ if zavg else SENSE_LE,
-        [float(u.field.mean()) for u in inst.measures],
+        SENSE_EQ if zavg else SENSE_LE, inst.fields.mean(axis=(1, 2)),
     )
 
 
@@ -591,12 +593,13 @@ def _objective(inst: Instance, layout: VariableLayout, norms: Normalizers):
     """The objective on the x and zmax columns, with the costs of the zavg
     columns and the fairness weight `wf`, each f column's cost being `-wf`."""
     c, w, mids = np.zeros(layout.n_variables), inst.weights, layout.measure_ids
-    c[layout.zmax_base : layout.zavg_base] = [w.peak[u] * norms.peak_scale[u] for u in mids]
+    c[layout.zmax_base : layout.zavg_base] = [
+        w.peak[u] * scale for u, scale in zip(mids, norms.peak_scale)]
     weighted = [w.cost * t.cost * norms.cost_scale for t in inst.nbs]
     # pre-existing cells are cost-free
     pair_cost = np.where(_not_pre(inst, layout), np.array(weighted)[:, None], 0.0)
     c[layout.x_base : layout.y_base] = pair_cost.ravel()[layout.x_pairs]
-    czavg = np.array([w.avg[u] * norms.peak_scale[u] for u in mids])
+    czavg = np.array([w.avg[u] * scale for u, scale in zip(mids, norms.peak_scale)])
     return c, czavg, w.fairness * norms.fairness_scale
 
 
@@ -607,9 +610,7 @@ def build_model(inst: Instance) -> BuiltModel:
     """Assemble the paper's MILP for a validated instance."""
     layout = VariableLayout(inst)
     norms = objective_normalizers(inst)
-    big_m = linearization_big_m(inst)
-    mids = layout.measure_ids
-    n, n_u = layout.n_cells, len(mids)
+    n, n_u = layout.n_cells, len(layout.measure_ids)
     n_vars = layout.n_variables
 
     upper = np.full(n_vars, np.inf)
@@ -629,8 +630,8 @@ def build_model(inst: Instance) -> BuiltModel:
     z = layout.z_base + unit_cells
     zb = layout.zbar_base + unit_cells
     y = layout.y_base + unit_cells
-    d = np.repeat([inst.delta(u) for u in mids], n)
-    m = np.repeat([big_m[u] for u in mids], n)
+    d = np.repeat(inst.deltas, n)
+    m = np.repeat(linearization_big_m(inst), n)
     one = np.ones(n_u * n)
     k = np.tile(np.arange(1, 7), n_u * n)
     families.append(_rows(
@@ -702,14 +703,12 @@ def build_compact_model(inst: Instance) -> BuiltModel:
     and bigm6 with a per-cell M.
     """
     norms = objective_normalizers(inst)
-    mids = inst.measure_ids
-    n, n_u = inst.dims.n_cells, len(mids)
-    delta = np.repeat([inst.delta(u) for u in mids], n).reshape(n_u, n)
-    totals = np.stack([u.field.ravel() for u in inst.measures]).sum(axis=1)
+    n, n_u = inst.dims.n_cells, len(inst.measures)
+    delta = np.repeat(inst.deltas, n).reshape(n_u, n)
+    totals = inst.fields.reshape(n_u, n).sum(axis=1)
     # min(M_c, delta) <= delta, so the sum over cells is at most delta's
     maybe = delta.sum(axis=1) > totals
-    bound = np.zeros((n_u, n))
-    bound[maybe] = impact_bounds(inst, [u for u, m in zip(mids, maybe) if m])
+    bound = impact_bounds(inst, maybe)
     guarded = maybe & (np.minimum(bound, delta).sum(axis=1) > totals)
     bound, delta = bound.ravel(), delta.ravel()
     guarded_cell = np.repeat(guarded, n)  # per (u, cell), as the conv rows
@@ -771,7 +770,7 @@ def build_compact_model(inst: Instance) -> BuiltModel:
         objective_constant=constant,
         lower=np.zeros(n_vars), upper=upper, is_integer=is_integer, constraints=blocks,
         layout=layout, norms=norms,
-        guarded={u: int(b) for u, g, b in zip(mids, guarded, binaries) if g},
+        guarded={u: int(b) for u, g, b in zip(inst.measure_ids, guarded, binaries) if g},
     )
 
 
@@ -801,11 +800,11 @@ def _new_cost(inst: Instance, placement: engine.Placement) -> float:
 def check_placement(
     inst: Instance,
     placement: engine.Placement,
-    reduction: dict[str, np.ndarray] | None = None,
+    reduction: np.ndarray | None = None,
 ) -> list[Violation]:
     """Independent check of every constraint family against a placement, by
     counts and tests over whole masks; `reduction` holds the placement's
-    reduction field of each measure when it is known."""
+    `engine.reduction` when it is known."""
     violations: list[Violation] = []
 
     crowded = int((sum(placement.masks[t].astype(int) for t in inst.nbs_ids) > 1).sum())
@@ -834,11 +833,11 @@ def check_placement(
     # zavg is a nonnegative variable, so placements driving the mean reduced
     # value below zero are infeasible in the MILP as well.
     if reduction is None:
-        reduction = {u: engine.measure_reduction(inst, placement, u) for u in inst.measure_ids}
-    for u in inst.measures:
-        if float((u.field - reduction[u.id]).mean()) < -FEAS_TOL:
+        reduction = engine.reduction(inst, placement)
+    for u, reduced in zip(inst.measure_ids, inst.fields - reduction):
+        if float(reduced.mean()) < -FEAS_TOL:
             violations.append(Violation(
-                "avg_nonneg", f"mean reduced value of measure {u.id!r} is negative"))
+                "avg_nonneg", f"mean reduced value of measure {u!r} is negative"))
 
     return violations
 
@@ -847,56 +846,40 @@ def check_placement(
 class ObjectiveBreakdown:
     """Raw quantities and weighted normalized terms of the objective.
 
-    `reduction` (the achieved reduction field of each measure) and
+    `terms` is `objective_terms`' dict, keyed and ordered as a result file's
+    `objective_terms`. `reduction` (`engine.reduction` of the placement) and
     `fairness_field` are the fields the quantities were computed from, and
-    `norms` the normalizers of the terms; they are not part of `to_dict`.
+    `norms` the normalizers of the terms.
     """
 
-    peak_value: dict[str, float]
-    avg_value: dict[str, float]
-    cost_value: float
-    fairness_value: float
-    peak_term: dict[str, float]
-    avg_term: dict[str, float]
-    cost_term: float
-    fairness_term: float
-    total: float
-    reduction: dict[str, np.ndarray] = field(compare=False, repr=False)
+    terms: dict
+    reduction: np.ndarray = field(compare=False, repr=False)
     fairness_field: np.ndarray = field(compare=False, repr=False)
     norms: Normalizers = field(compare=False, repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "peak_value": dict(self.peak_value),
-            "avg_value": dict(self.avg_value),
-            "cost_value": self.cost_value,
-            "fairness_value": self.fairness_value,
-            "peak_term": dict(self.peak_term),
-            "avg_term": dict(self.avg_term),
-            "cost_term": self.cost_term,
-            "fairness_term": self.fairness_term,
-        }
+    @property
+    def total(self) -> float:
+        return self.terms["total"]
 
 
-def objective_terms(inst: Instance, norms: Normalizers, reduced: dict[str, np.ndarray],
+def objective_terms(inst: Instance, norms: Normalizers, reduced: np.ndarray,
                     cost_value: float, fairness_value: float) -> dict:
-    """The objective's raw values, weighted normalized terms and total, keyed
-    as `ObjectiveBreakdown` names them, from each measure's reduced field (in
-    any shape), the new cells' cost and the fairness total. The evaluation and
-    the enumeration oracle both score with it; `avg_value` holds the means
-    the `zavg >= 0` domain tests."""
+    """The objective's total, raw values and weighted normalized terms, keyed
+    and ordered as a result file's `objective_terms`, from the reduced fields
+    (per measure in measure order, each in any shape), the new cells' cost
+    and the fairness total. The evaluation and the enumeration oracle both
+    score with it; `avg_value` holds the means the `zavg >= 0` domain tests."""
     peak_value: dict[str, float] = {}
     avg_value: dict[str, float] = {}
     peak_term: dict[str, float] = {}
     avg_term: dict[str, float] = {}
     total = 0.0
-    for u in inst.measure_ids:
+    for u, scale, values in zip(inst.measure_ids, norms.peak_scale, reduced):
         # zmax/zavg live in R+, so the solver can never report below zero.
-        peak_value[u] = max(0.0, float(reduced[u].max()))
-        avg_value[u] = float(reduced[u].mean())
-        peak_term[u] = inst.weights.peak[u] * norms.peak_scale[u] * peak_value[u]
-        avg_term[u] = inst.weights.avg[u] * norms.peak_scale[u] * avg_value[u]
+        peak_value[u] = max(0.0, float(values.max()))
+        avg_value[u] = float(values.mean())
+        peak_term[u] = inst.weights.peak[u] * scale * peak_value[u]
+        avg_term[u] = inst.weights.avg[u] * scale * avg_value[u]
         total += peak_term[u] + avg_term[u]
 
     cost_term = inst.weights.cost * norms.cost_scale * cost_value
@@ -905,9 +888,9 @@ def objective_terms(inst: Instance, norms: Normalizers, reduced: dict[str, np.nd
         -inst.weights.fairness * norms.fairness_scale * (fairness_value - norms.fairness_min)
     )
     total += fairness_term
-    return dict(peak_value=peak_value, avg_value=avg_value, cost_value=cost_value,
+    return dict(total=total, peak_value=peak_value, avg_value=avg_value, cost_value=cost_value,
                 fairness_value=fairness_value, peak_term=peak_term, avg_term=avg_term,
-                cost_term=cost_term, fairness_term=fairness_term, total=total)
+                cost_term=cost_term, fairness_term=fairness_term)
 
 
 def evaluate_solution(inst: Instance, placement: engine.Placement,
@@ -924,13 +907,11 @@ def evaluate_solution(inst: Instance, placement: engine.Placement,
     terms, and the breakdown keeps the reduction and fairness fields, so the
     report does not compute them again.
     """
-    reduction = {u: engine.measure_reduction(inst, placement, u) for u in inst.measure_ids}
+    reduction = engine.reduction(inst, placement)
     violations = check_placement(inst, placement, reduction)
     if violations:
         raise InfeasiblePlacement(violations)
-    reduced = {u.id: u.field - reduction[u.id] for u in inst.measures}
     fairness_field = engine.fairness(inst, placement)
-    terms = objective_terms(inst, norms, reduced, _new_cost(inst, placement),
+    terms = objective_terms(inst, norms, inst.fields - reduction, _new_cost(inst, placement),
                             float(fairness_field.sum()))
-    return ObjectiveBreakdown(**terms, reduction=reduction, fairness_field=fairness_field,
-                              norms=norms)
+    return ObjectiveBreakdown(terms, reduction, fairness_field, norms)

@@ -161,7 +161,7 @@ def _unit_arrays(inst: Instance, units: list[tuple[tuple, str, list[Cell]]]):
     and its cost. Each increment is a windowed sum of the unit's cell
     indicator, as the evaluation computes it."""
     cover = np.zeros((len(units), *inst.dims.shape), dtype=bool)
-    dz = np.zeros((len(units), len(inst.measure_ids), inst.dims.n_cells))
+    dz = np.zeros((len(units), len(inst.measures), inst.dims.n_cells))
     df, cost = np.zeros(len(units)), np.zeros(len(units))
     unit_cost = {t.id: t.cost for t in inst.nbs}
     for k, (_, t, cells) in enumerate(units):
@@ -201,10 +201,10 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
     starts.append(len(units))
 
     norms = objective_normalizers(inst)
-    fields = np.array([u.field.ravel() for u in inst.measures])
-    deltas = np.array([[inst.delta(u)] for u in inst.measure_ids])
+    fields = inst.fields.reshape(len(inst.measures), -1)
+    deltas = inst.deltas[:, None]
     budget = inst.budget * (1 + FEAS_TOL) + FEAS_TOL
-    z = np.zeros((len(inst.measure_ids), inst.dims.n_cells))
+    z = np.zeros(fields.shape)
     occupied = np.zeros(inst.dims.n_cells, dtype=bool)
     picked: list[int] = []
     best_obj, best_units = np.inf, None
@@ -212,8 +212,7 @@ def solve_oracle(inst: Instance, unit_cap: int = DEFAULT_UNIT_CAP) -> SolveResul
     def descend(k: int, cost_sum: float, f_sum: float) -> None:
         nonlocal best_obj, best_units, z, occupied
         if k == len(starts) - 1:
-            reduced = dict(zip(inst.measure_ids, fields - np.minimum(z, deltas)))
-            terms = objective_terms(inst, norms, reduced, cost_sum, f_sum)
+            terms = objective_terms(inst, norms, fields - np.minimum(z, deltas), cost_sum, f_sum)
             in_domain = min(terms["avg_value"].values()) >= -FEAS_TOL
             if in_domain and terms["total"] < best_obj:
                 best_obj, best_units = terms["total"], picked.copy()

@@ -566,13 +566,12 @@ def variable_vector(inst: Instance, model: BuiltModel, placement: Placement) -> 
                     vals[layout.x_base + ti * n + i * h + j] = 1.0
         for q, group in enumerate(layout.cluster_lists[t]):
             vals[layout.lam_offsets[t] + q] = 1.0 if mask[group[0]] else 0.0
-    for ui, (u, measure) in enumerate(zip(layout.measure_ids, inst.measures)):
-        z = engine.measure_impact(inst, placement, u)
-        d = inst.delta(u)
-        reduced = measure.field - np.minimum(z, d)
+    impact = engine.impact(inst, placement)
+    for ui, (field, z, d) in enumerate(zip(inst.fields, impact, inst.deltas.tolist())):
+        reduced = field - np.minimum(z, d)
         for i in range(layout.width):
             for j in range(layout.height):
-                y, zbar, _ = clamp_witness(float(z[i, j]), d, big_m[u])
+                y, zbar, _ = clamp_witness(float(z[i, j]), d, float(big_m[ui]))
                 vals[layout.z_base + ui * n + i * h + j] = z[i, j]
                 vals[layout.zbar_base + ui * n + i * h + j] = zbar
                 vals[layout.y_base + ui * n + i * h + j] = y

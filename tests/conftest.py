@@ -1,5 +1,6 @@
 """Fixtures for every test."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -21,6 +22,8 @@ def certify_compact_solves():
     def verify(inst, model, answer):
         result = real(inst, model, answer)
         if model.layout.guard_cells is not None and result.ok and result.status == answer.status:
+            if answer.objective is None:  # the result's objective is the re-evaluated one
+                answer = dataclasses.replace(answer, objective=result.objective)
             failure = certify_compact_answer(inst, model, answer)
             assert not failure, f"the compact answer fails the certificate: {failure}"
         return result

@@ -99,6 +99,19 @@ class TestValidate:
         assert err.startswith('error code=instance.schema message=": not valid JSON: ')
         assert len(err) < 400
 
+    def test_a_cell_past_a_float_is_named_by_its_range(self, tiny_instance_path, tmp_path,
+                                                        capsys):
+        raw = json.loads(tiny_instance_path.read_text())
+        raw["forbidden"]["GW"].append([10**400, 0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert run(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error code=instance.validation message=")
+        assert "forbidden[GW]: cell (an integer beyond a float's range " \
+               "(above 1.798e+308 in magnitude), 0) outside the grid" in err
+        assert len(err) < 200
+
     @pytest.mark.parametrize("key, value, code", [
         ("cost", 1e16, 2), ("cost", 1e308, 2), ("field", 1e308, 2), ("cost", 9.9e14, 0),
     ])
@@ -187,6 +200,7 @@ class TestSolveAndReport:
         ("error_with_cells", "result.schema"),
         ("forbidden_cell", "placement.infeasible"),
         ("bound_past_a_float", "result.schema"),
+        ("cell_past_a_float", "result.schema"),
     ])
     def test_bad_result_file_exits_2(self, case, code, tiny_instance_path, tmp_path, capsys):
         forbidden = json.loads(tiny_instance_path.read_text())["forbidden"]["GW"][0]
@@ -216,6 +230,7 @@ class TestSolveAndReport:
             "error_with_cells": {"new_cells": {"GW": []}, "status": "error"},
             "forbidden_cell": {"new_cells": {"GW": [forbidden]}},
             "bound_past_a_float": {"new_cells": {"GW": []}, "bound": 10**400},
+            "cell_past_a_float": {"new_cells": {"GW": [[10**400, 0]]}},
         }
         raw = {"status": "optimal", **fields[case]} if case in fields else []
         result_path = tmp_path / "result.json"
@@ -225,6 +240,10 @@ class TestSolveAndReport:
         err = capsys.readouterr().err.splitlines()
         assert code_seen == 2
         assert len(err) == 1 and err[0].startswith(f"error code={code} message=")
+        if case == "cell_past_a_float":  # names the range, not the digits
+            assert "cell [an integer beyond a float's range (above 1.798e+308 in magnitude), 0]" \
+                   " outside the" in err[0]
+            assert len(err[0]) < 200
 
     def test_result_json_deterministic_modulo_metadata(self, tiny_instance_path, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]

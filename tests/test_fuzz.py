@@ -1,14 +1,19 @@
-"""Odd JSON values at every key path of an instance file and of a result file.
+"""Odd JSON values at every key path of an instance file and of a result file,
+and odd values in a solver's solution file.
 
-Each case sets one key path, the root included, to one of `ODD_VALUES`; a
-list is entered at its first entry only. The instance reader either loads
+Each JSON case sets one key path, the root included, to one of `ODD_VALUES`;
+a list is entered at its first entry only. The instance reader either loads
 the file or raises `InstanceError`; an instance that loads gets the same
 status and objective from the oracle and from the external backend; and
-`nbsopt report` exits 0, 2 or 3 and never raises.
+`nbsopt report` exits 0, 2 or 3 and never raises. Each solution-file case
+sets the value of one line the solver writes to one of `ODD_TEXTS`, and
+`nbsopt solve` through a solver command that copies the file exits 0 or 3,
+never raises, and writes a result file that `nbsopt report` takes back.
 """
 
 import copy
 import json
+import shlex
 
 import pytest
 
@@ -19,6 +24,7 @@ from nbsopt.model import OBJECTIVE_MATCH_TOL, values_close
 from nbsopt.solve import OracleCapExceeded, SolveConfig, solve_external, solve_oracle
 
 ODD_VALUES = [None, True, "x", [], {}, float("nan"), float("inf"), -1, 0, 1e308, 10**400]
+ODD_TEXTS = ["nan", "inf", "-inf", "1e400", "1" + "0" * 400, "x", ""]
 
 
 def key_paths(obj, path=()):
@@ -122,3 +128,42 @@ def test_report_exits_0_2_or_3(solved, capsys):
         codes.add(code)
     capsys.readouterr()
     assert codes == {0, 2, 3}
+
+
+def test_solve_takes_any_solution_file(solved, capsys):
+    """The bundled solver's file for the instance, with the value of its
+    status, objective and bound lines and of its first column line set to
+    each of `ODD_TEXTS`, and with the first column renamed to one the model
+    does not have. A result with a placement reports with exit 0; an error
+    result holds none, so `report` exits 3 on it, as `solve` did."""
+    work, instance_path, _ = solved
+    kept = work / "kept"
+    assert main(["solve", str(instance_path), "--backend", "external",
+                 "--workdir", str(kept)]) == 0
+    lines = (kept / "solution.sol").read_text().splitlines()
+    first_column = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    edited = {key: next(k for k, line in enumerate(lines) if line.startswith(f"# {key} "))
+              for key in ("status", "objective", "bound")}
+    edited["first column"] = first_column
+    variants = [(f"{key} = {text!r}", k, lines[k].rsplit(" ", 1)[0] + " " + text)
+                for key, k in edited.items() for text in ODD_TEXTS]
+    variants.append(("unknown column", first_column,
+                     "no_such_column " + lines[first_column].split()[1]))
+    fuzzed, result_path = work / "fuzzed.sol", work / "fuzzed_result.json"
+    template = f"cp {shlex.quote(str(fuzzed))} {{solution}}"
+    codes = set()
+    for case, k, line in variants:
+        fuzzed.write_text("\n".join(lines[:k] + [line] + lines[k + 1:]) + "\n")
+        result_path.unlink(missing_ok=True)
+        try:
+            code = main(["solve", str(instance_path), "--solver-cmd", template,
+                         "--out", str(result_path)])
+            assert code in (0, 3), f"{case}: solve exit {code}"
+            reported = main(["report", str(instance_path), str(result_path),
+                             "--out-dir", str(work / "solution_report")])
+        except Exception as exc:  # name the case that raised
+            pytest.fail(f"{case}: {type(exc).__name__}: {exc}")
+        assert reported == code, f"{case}: solve exit {code}, report exit {reported}"
+        codes.add(code)
+    capsys.readouterr()
+    assert codes == {0, 3}

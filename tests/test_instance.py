@@ -319,10 +319,20 @@ class TestGrids:
         np.testing.assert_array_equal(
             inst.eligible, ~inst.forbidden & ~inst.pre_existing.any(axis=0))
 
+    def test_fields_and_deltas_hold_each_measure_in_measure_order(self):
+        inst = generate_synthetic(5, GridDims(7, 5), nbs_count=2, measure_count=3,
+                                  forbidden_fraction=0.3, pre_existing_fraction=0.1)
+        inst.measures[1].delta = 0.25  # the others derive theirs from the field
+        assert inst.fields.shape == (3, 7, 5) and inst.deltas.shape == (3,)
+        for k, u in enumerate(inst.measures):
+            np.testing.assert_array_equal(inst.fields[k], u.field)
+            assert inst.deltas[k] == u.effective_delta()
+        assert inst.deltas[1] == 0.25
+
     def test_a_copy_with_clusters_builds_its_own_grids(self):
         inst = cluster_demo_instance()
         copy = with_clusters(inst, {})
-        for name in ("forbidden", "pre_existing", "eligible"):
+        for name in ("forbidden", "pre_existing", "eligible", "fields", "deltas"):
             grids, copied = getattr(inst, name), getattr(copy, name)
             assert copied is not grids
             np.testing.assert_array_equal(copied, grids)

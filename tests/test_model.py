@@ -163,18 +163,18 @@ class TestNormalizers:
         field = np.full((3, 3), 1.0)
         field[1, 1] = 35.6
         norms = objective_normalizers(make_instance(field))
-        assert norms.peak_scale["M"] == 1.0 / 35.6
+        assert norms.peak_scale == (1.0 / 35.6,)
 
     def test_zero_field_scale_falls_back_to_one(self):
         norms = objective_normalizers(make_instance(np.zeros((2, 2))))
-        assert norms.peak_scale["M"] == 1.0
+        assert norms.peak_scale == (1.0,)
 
     def test_zero_budget_cost_scale_one_and_term_zero(self):
         inst = make_instance(np.ones((2, 2)), budget=0.0)
         norms = objective_normalizers(inst)
         assert norms.cost_scale == 1.0
         breakdown = evaluate_solution(inst, Placement.do_nothing(inst), norms)
-        assert breakdown.cost_term == 0.0
+        assert breakdown.terms["cost_term"] == 0.0
 
     @staticmethod
     def best_single_type_fairness(inst) -> float:
@@ -208,7 +208,7 @@ class TestBigM:
         # tiny kernels with a large field: delta exceeds the impact bound
         inst = make_instance(np.full((3, 3), 100.0))
         assert compute_big_m([inst.kernels[("M", t)] for t in inst.nbs_ids]) == 10.0
-        assert linearization_big_m(inst)["M"] == 20.0  # delta = 0.2 * 100
+        assert linearization_big_m(inst).tolist() == [20.0]  # delta = 0.2 * 100
 
     def test_clamp_witness_residuals(self):
         for z, delta in [(0.0, 2.0), (1.5, 2.0), (2.0, 2.0), (5.0, 2.0)]:
@@ -248,8 +248,12 @@ class TestImpactBounds:
         if clustered:
             inst = with_clusters(inst, partition_instance(inst, inst.nbs_ids[:1]))
         assert any(inst.masks.pre_existing.values())
-        bounds = impact_bounds(inst, inst.measure_ids)
+        bounds = impact_bounds(inst, np.ones(len(inst.measures), dtype=bool))
         np.testing.assert_allclose(bounds, naive_impact_bounds(inst), rtol=1e-12)
+        # a measure outside the mask reads 0
+        some = np.arange(len(inst.measures)) % 2 == 1
+        np.testing.assert_array_equal(impact_bounds(inst, some),
+                                      np.where(some[:, None], bounds, 0.0))
         # summed as when read back from the paper model's conv rows
         np.testing.assert_array_equal(bounds, impact_bounds_from_rows(build_model(inst)))
 
@@ -260,11 +264,12 @@ class TestEvaluateSolution:
                                   forbidden_fraction=0.3, pre_existing_fraction=0.1)
         norms = objective_normalizers(inst)
         breakdown = evaluate_solution(inst, Placement.do_nothing(inst), norms)
-        assert breakdown.cost_value == 0.0 and breakdown.cost_term == 0.0
+        terms = breakdown.terms
+        assert terms["cost_value"] == 0.0 and terms["cost_term"] == 0.0
         for u in inst.measures:
-            assert breakdown.peak_value[u.id] == pytest.approx(float(u.field.max()))
-        assert breakdown.fairness_value == pytest.approx(norms.fairness_min)
-        assert breakdown.fairness_term == pytest.approx(0.0, abs=1e-15)
+            assert terms["peak_value"][u.id] == pytest.approx(float(u.field.max()))
+        assert terms["fairness_value"] == pytest.approx(norms.fairness_min)
+        assert terms["fairness_term"] == pytest.approx(0.0, abs=1e-15)
 
     def test_budget_violation_named(self):
         inst = make_instance(np.ones((2, 2)), cost=100.0, budget=150.0)
@@ -346,7 +351,7 @@ class TestPureFairnessWeights:
         )
         result = solve_oracle(inst, unit_cap=20)
         norms = objective_normalizers(inst)
-        assert result.breakdown.fairness_value >= norms.fairness_min - 1e-9
+        assert result.breakdown.terms["fairness_value"] >= norms.fairness_min - 1e-9
 
 
 @pytest.mark.parametrize("other", [float("inf"), float("-inf"), float("nan")])

@@ -93,6 +93,24 @@ def test_only_the_model_and_the_check_evaluate_a_placement():
     assert outside == [], f"a placement is evaluated outside the check: {outside}"
 
 
+def test_only_the_instance_stacks_the_measures():
+    """No module but instance.py calls `effective_delta` or builds an array
+    from every measure's `.field` (a comprehension over `measures` that reads
+    `.field`): the others read `Instance.fields` and `Instance.deltas`."""
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "instance.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "effective_delta" in _references(node.func):
+                outside.append(f"{path.name}:{node.lineno} effective_delta")
+            elif (isinstance(node, (ast.ListComp, ast.GeneratorExp))
+                  and "field" in _references(node.elt)
+                  and any("measures" in _references(g.iter) for g in node.generators)):
+                outside.append(f"{path.name}:{node.lineno} stacks .field")
+    assert outside == [], f"measures stacked outside the instance: {outside}"
+
+
 def test_every_dataclass_field_is_read_inside_the_package():
     """A dataclass field that no code in src/nbsopt reads, as an attribute
     of any object, is set for its tests (or for nothing). An attribute that is

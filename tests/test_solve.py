@@ -17,7 +17,7 @@ from scipy import sparse
 
 from nbsopt import GridDims, generate_synthetic
 from nbsopt.clustering import partition_instance, with_clusters
-from nbsopt.engine import Placement, measure_reduction
+from nbsopt.engine import Placement, reduction
 from nbsopt.instance import ObjectiveWeights
 from nbsopt.kernels import Kernel
 from nbsopt.model import (
@@ -254,8 +254,8 @@ class TestAvgDomain:
     def test_the_best_placement_ignoring_the_domain_is_rejected(self, inst):
         placements = list(self.every_placement(inst))
         # the objective's peak and mean terms, unchecked; cost and fairness weigh 0
-        scale, (u,) = objective_normalizers(inst).peak_scale["M"], inst.measures
-        reduced = [u.field - measure_reduction(inst, p, "M") for p in placements]
+        (scale,), (u,) = objective_normalizers(inst).peak_scale, inst.measures
+        reduced = [u.field - reduction(inst, p)[0] for p in placements]
         totals = [0.5 * scale * max(0.0, float(r.max())) + 0.5 * scale * float(r.mean())
                   for r in reduced]
         best = min(totals)
@@ -366,8 +366,8 @@ def test_unit_running_sums_score_as_the_evaluation():
         units = _free_units(inst)
         cover, dz, df, cost = _unit_arrays(inst, units)
         norms = objective_normalizers(inst)
-        fields = np.array([u.field.ravel() for u in inst.measures])
-        deltas = np.array([[inst.delta(u)] for u in inst.measure_ids])
+        fields = inst.fields.reshape(len(inst.measures), -1)
+        deltas = inst.deltas[:, None]
         for _ in range(8):
             picked, occupied, spent = [], np.zeros(inst.dims.n_cells, dtype=bool), 0.0
             for n in rng.permutation(len(units))[: rng.integers(len(units) + 1)]:
@@ -376,8 +376,8 @@ def test_unit_running_sums_score_as_the_evaluation():
                     occupied |= cover[n]
                     spent += cost[n]
             reduced = fields - np.minimum(dz[picked].sum(axis=0), deltas)
-            terms = objective_terms(inst, norms, dict(zip(inst.measure_ids, reduced)),
-                                    spent, norms.fairness_min + sum(df[n] for n in picked))
+            terms = objective_terms(inst, norms, reduced, spent,
+                                    norms.fairness_min + sum(df[n] for n in picked))
             placement = Placement.do_nothing(inst)
             for n in picked:
                 placement.masks[units[n][1]] |= cover[n].reshape(inst.dims.shape)
@@ -578,7 +578,7 @@ class TestCompactSolve:
             np.testing.assert_array_equal(ub[np.isfinite(ub)], rhs[rows][np.isfinite(ub)])
 
             # zbar is capped at delta; every other bound and integrality is kept
-            deltas = np.repeat([inst.delta(u) for u in inst.measure_ids], layout.n_cells)
+            deltas = np.repeat(inst.deltas, layout.n_cells)
             upper = model.upper[kept]
             upper[kind[kept] == "zbar"] = deltas
             np.testing.assert_array_equal(call["col_upper"], upper)
